@@ -55,7 +55,6 @@ baseConfig(int replicas)
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 20260808;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 1;
     cfg.controllerReplicas = replicas;
     return cfg;

@@ -67,7 +67,6 @@ baseConfig(bool reliable)
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 99173;
-    cfg.cryptoBatchWindow = usec(200);
     if (!reliable)
         cfg.reliability = proto::ReliabilityModel{};
     return cfg;

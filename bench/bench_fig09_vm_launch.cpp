@@ -11,7 +11,6 @@
 
 #include "bench_util.h"
 #include "core/cloud.h"
-#include "crypto/bignum.h"
 #include "server/catalog.h"
 
 using namespace monatt;
@@ -36,10 +35,9 @@ struct LaunchBreakdown
 };
 
 LaunchBreakdown
-launchOnce(const std::string &image, const std::string &flavor,
-           const CloudConfig &config = {})
+launchOnce(const std::string &image, const std::string &flavor)
 {
-    Cloud cloud(config);
+    Cloud cloud;
     Customer &customer = cloud.addCustomer("bench-customer");
     auto vid = cloud.launchVm(customer, image + "-" + flavor, image,
                               flavor, proto::allProperties());
@@ -93,37 +91,6 @@ main()
                 "attestation overhead ~20%%\n");
     std::printf("worst attestation overhead: %.1f%%\n", worstOverhead);
     std::printf("shape check: %s\n", shapeOk ? "PASS" : "FAIL");
-
-    // Before/after host wall time of one representative launch: the
-    // before leg pins the legacy division ladder and disables the
-    // attestation caches; the after leg is the default configuration.
-    std::printf("\nA/B host wall time, ubuntu-medium launch:\n");
-    CloudConfig beforeCfg;
-    beforeCfg.enableAttestationCaches = false;
-    crypto::setModExpEngine(crypto::ModExpEngine::Legacy);
-    bench::WallTimer beforeTimer;
-    launchOnce("ubuntu", "medium", beforeCfg);
-    bench::AbLeg before{"legacy", false, beforeTimer.elapsedSeconds()};
-
-    crypto::setModExpEngine(crypto::ModExpEngine::Montgomery);
-    bench::WallTimer afterTimer;
-    launchOnce("ubuntu", "medium");
-    bench::AbLeg after{"montgomery", true, afterTimer.elapsedSeconds()};
-
-    std::printf("  before (legacy ladder, caches off): %.3f s\n",
-                before.wallSeconds);
-    std::printf("  after  (Montgomery, caches on):     %.3f s\n",
-                after.wallSeconds);
-    std::printf("  speedup: %.2fx\n",
-                after.wallSeconds > 0
-                    ? before.wallSeconds / after.wallSeconds
-                    : 0.0);
-    if (!bench::writeAbJson("BENCH_fig09_vm_launch.json",
-                            "fig09_vm_launch", "ubuntu-medium launch",
-                            before, after))
-        std::printf("  (could not write BENCH_fig09_vm_launch.json)\n");
-    else
-        std::printf("  wrote BENCH_fig09_vm_launch.json\n");
 
     return shapeOk ? 0 : 1;
 }

@@ -15,7 +15,6 @@
 
 #include "bench_util.h"
 #include "core/cloud.h"
-#include "crypto/bignum.h"
 #include "workloads/services.h"
 
 using namespace monatt;
@@ -25,10 +24,9 @@ namespace
 {
 
 double
-runBenchmark(const std::string &service, SimTime attestPeriod,
-             const CloudConfig &config = {})
+runBenchmark(const std::string &service, SimTime attestPeriod)
 {
-    Cloud cloud(config);
+    Cloud cloud;
     Customer &customer = cloud.addCustomer("bench-customer");
     auto vid = cloud.launchVm(customer, "bench-vm", "ubuntu", "large",
                               proto::allProperties());
@@ -98,41 +96,6 @@ main()
                 "bench_ablation_intrusive for the intercepting-monitor "
                 "contrast\n");
     std::printf("shape check: %s\n", shapeOk ? "PASS" : "FAIL");
-
-    // Before/after host wall time of one periodic-attestation run (web
-    // service, 5 s period — 12 full attestation rounds in 60 simulated
-    // seconds): the before leg pins the legacy division ladder and the
-    // paper's fresh-AIK-per-round flow; the after leg is the default
-    // Montgomery engine with AVK session reuse and the certificate
-    // verification cache.
-    std::printf("\nA/B host wall time, web service @ 5 s period:\n");
-    CloudConfig beforeCfg;
-    beforeCfg.enableAttestationCaches = false;
-    crypto::setModExpEngine(crypto::ModExpEngine::Legacy);
-    bench::WallTimer beforeTimer;
-    runBenchmark("web", seconds(5), beforeCfg);
-    bench::AbLeg before{"legacy", false, beforeTimer.elapsedSeconds()};
-
-    crypto::setModExpEngine(crypto::ModExpEngine::Montgomery);
-    bench::WallTimer afterTimer;
-    runBenchmark("web", seconds(5));
-    bench::AbLeg after{"montgomery", true, afterTimer.elapsedSeconds()};
-
-    std::printf("  before (legacy ladder, fresh AIK per round): %.3f s\n",
-                before.wallSeconds);
-    std::printf("  after  (Montgomery, AVK reuse + cert cache): %.3f s\n",
-                after.wallSeconds);
-    std::printf("  speedup: %.2fx\n",
-                after.wallSeconds > 0
-                    ? before.wallSeconds / after.wallSeconds
-                    : 0.0);
-    if (!bench::writeAbJson("BENCH_fig10_runtime_attest.json",
-                            "fig10_runtime_attest",
-                            "web service, 5s periodic attestation",
-                            before, after))
-        std::printf("  (could not write BENCH_fig10_runtime_attest.json)\n");
-    else
-        std::printf("  wrote BENCH_fig10_runtime_attest.json\n");
 
     return shapeOk ? 0 : 1;
 }

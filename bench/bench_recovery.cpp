@@ -58,7 +58,6 @@ baseConfig(sim::CheckpointPolicyConfig policy, bool durable = true)
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 424242;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.durableControlPlane = durable;
     cfg.checkpointPolicy = policy;
     return cfg;

@@ -53,7 +53,6 @@ runCell(int shards, int servers, int vmsPerServer, int rounds,
     cfg.numServers = servers;
     cfg.numAttestationServers = 2;
     cfg.seed = 20260806;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = shards;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("bench-customer");

@@ -17,12 +17,10 @@
 #include <sys/resource.h>
 #endif
 
-#include "sim/worker_pool.h"
-
 namespace monatt::bench
 {
 
-/** Wall-clock stopwatch for the before/after A/B legs. */
+/** Host wall-clock stopwatch. */
 class WallTimer
 {
   public:
@@ -37,17 +35,6 @@ class WallTimer
 
   private:
     std::chrono::steady_clock::time_point start;
-};
-
-/**
- * One leg of an A/B comparison: a configuration label plus the host
- * wall-clock seconds it took to run the identical workload.
- */
-struct AbLeg
-{
-    std::string engine; //!< "legacy" or "montgomery"
-    bool caches = false;
-    double wallSeconds = 0;
 };
 
 /** Peak resident set size of this process in KiB (0 if unavailable). */
@@ -82,9 +69,9 @@ compilerId()
 }
 
 /**
- * JSON object describing the run environment: compute-plane thread
- * count, host parallelism, compiler, UTC timestamp and peak RSS.
- * Appended to every bench JSON so archived numbers are comparable.
+ * JSON object describing the run environment: host parallelism,
+ * compiler, UTC timestamp and peak RSS. Appended to every bench JSON
+ * so archived numbers are comparable.
  */
 inline std::string
 metadataJson()
@@ -96,51 +83,13 @@ metadataJson()
 
     char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "{\"compute_threads\": %zu, "
-                  "\"hardware_concurrency\": %u, "
+                  "{\"hardware_concurrency\": %u, "
                   "\"compiler\": \"%s\", "
                   "\"wall_clock_utc\": \"%s\", "
                   "\"peak_rss_kb\": %ld}",
-                  sim::WorkerPool::global().threadCount(),
                   std::thread::hardware_concurrency(), compilerId(), ts,
                   peakRssKb());
     return buf;
-}
-
-/**
- * Write the before/after record for a figure bench as JSON, so CI can
- * archive the speedup alongside the figure output. Schema:
- * {"benchmark", "workload", "before": {...}, "after": {...},
- *  "speedup", "metadata": {...}}.
- */
-inline bool
-writeAbJson(const std::string &path, const std::string &benchName,
-            const std::string &workload, const AbLeg &before,
-            const AbLeg &after)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    const double speedup =
-        after.wallSeconds > 0 ? before.wallSeconds / after.wallSeconds : 0;
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"%s\",\n"
-                 "  \"workload\": \"%s\",\n"
-                 "  \"before\": {\"engine\": \"%s\", \"caches\": %s, "
-                 "\"wall_seconds\": %.6f},\n"
-                 "  \"after\": {\"engine\": \"%s\", \"caches\": %s, "
-                 "\"wall_seconds\": %.6f},\n"
-                 "  \"speedup\": %.3f,\n"
-                 "  \"metadata\": %s\n"
-                 "}\n",
-                 benchName.c_str(), workload.c_str(),
-                 before.engine.c_str(), before.caches ? "true" : "false",
-                 before.wallSeconds, after.engine.c_str(),
-                 after.caches ? "true" : "false", after.wallSeconds,
-                 speedup, metadataJson().c_str());
-    std::fclose(f);
-    return true;
 }
 
 /** Print a banner naming the reproduced artifact. */

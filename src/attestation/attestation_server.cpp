@@ -4,7 +4,6 @@
 #include "common/wire.h"
 #include "common/logging.h"
 #include "crypto/sha256.h"
-#include "sim/worker_pool.h"
 #include "tpm/certificate.h"
 
 namespace monatt::attestation
@@ -46,11 +45,8 @@ sessionBase(const std::string &id)
     return ((h & 0xffffffULL) << 32) + 1;
 }
 
-} // namespace
-
 crypto::RsaKeyPair
-AttestationServer::deriveIdentityKeys(const std::string &id,
-                                      std::uint64_t seed, std::size_t bits)
+identityKeys(const std::string &id, std::uint64_t seed, std::size_t bits)
 {
     Bytes material = toBytes("as-identity:" + id);
     for (int i = 0; i < 8; ++i)
@@ -60,15 +56,15 @@ AttestationServer::deriveIdentityKeys(const std::string &id,
     return crypto::rsaGenerateKeyPair(bits, rng);
 }
 
+} // namespace
+
 AttestationServer::AttestationServer(sim::EventQueue &eq,
                                      net::Network &network,
                                      net::KeyDirectory &directory,
                                      AttestationServerConfig config,
                                      std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      keys(cfg.presetIdentityKeys
-               ? *std::move(cfg.presetIdentityKeys)
-               : deriveIdentityKeys(cfg.id, seed, cfg.identityKeyBits)),
+      keys(identityKeys(cfg.id, seed, cfg.identityKeyBits)),
       signCtx(keys.priv), dir(directory),
       endpoint(network, cfg.id, keys, directory,
                endpointSeed(cfg.id, seed)),
@@ -364,30 +360,22 @@ AttestationServer::pcaContext(const crypto::RsaPublicKey &key)
     return *pcaCtx;
 }
 
-AttestationServer::ChainCheck
+Result<crypto::RsaPublicKey>
 AttestationServer::checkCertificate(const Bytes &certBytes,
                                     const std::string &pcaId,
                                     const crypto::RsaPublicContext &pca)
 {
-    ChainCheck out;
+    using R = Result<crypto::RsaPublicKey>;
     auto certR = tpm::Certificate::decode(certBytes);
-    if (!certR) {
-        out.error = "malformed attestation-key certificate";
-        return out;
-    }
+    if (!certR)
+        return R::error("malformed attestation-key certificate");
     const tpm::Certificate cert = certR.take();
-    if (cert.issuer != pcaId || !cert.verify(pca)) {
-        out.error = "attestation-key certificate verification failed";
-        return out;
-    }
+    if (cert.issuer != pcaId || !cert.verify(pca))
+        return R::error("attestation-key certificate verification failed");
     auto avk = cert.publicKey();
-    if (!avk) {
-        out.error = "malformed attestation key in certificate";
-        return out;
-    }
-    out.ok = true;
-    out.avk = avk.take();
-    return out;
+    if (!avk)
+        return R::error("malformed attestation key in certificate");
+    return avk;
 }
 
 Result<proto::MeasurementSet>
@@ -424,149 +412,62 @@ AttestationServer::onMeasureResponse(const Bytes &body)
         ++counters.verificationFailures;
         return;
     }
-    verifyQueue.push_back(respR.take());
-    if (!verifyFlushScheduled) {
-        verifyFlushScheduled = true;
-        events.scheduleAfter(cfg.batchWindow,
-                             [this] { flushVerifyBatch(); },
-                             "as.verify.flush");
+    const MeasureResponse resp = respR.take();
+    const auto it = sessions.find(resp.requestId);
+    if (it == sessions.end()) {
+        ++counters.verificationFailures;
+        MONATT_LOG(Warn, "as") << "response for unknown session "
+                               << resp.requestId;
+        return;
     }
+    if (it->second.retryTimer != 0) {
+        events.cancel(it->second.retryTimer);
+        it->second.retryTimer = 0;
+    }
+    // Karn's algorithm: only un-retransmitted exchanges yield an
+    // unambiguous send-to-reply pairing.
+    if (it->second.retries == 0) {
+        serverRtt[it->second.forward.serverId].addSample(
+            events.now() - it->second.sentAt);
+        ++counters.rttSamples;
+    }
+    const Session session = std::move(it->second);
+    sessions.erase(it);
+
+    applyVerified(session, verifyResponse(session, resp));
+    commitJournal();
 }
 
-void
-AttestationServer::flushVerifyBatch()
+Result<proto::MeasurementSet>
+AttestationServer::verifyResponse(const Session &session,
+                                  const MeasureResponse &resp)
 {
-    verifyFlushScheduled = false;
-    std::vector<MeasureResponse> batch;
-    batch.swap(verifyQueue);
-
-    // Serial pre-pass, in arrival order: bind responses to their
-    // outstanding sessions and compute the certificate digests.
-    struct Item
-    {
-        MeasureResponse resp;
-        Session session;
-        Bytes digest;
-        std::optional<crypto::RsaPublicContext> avkCtx;
-        Result<proto::MeasurementSet> verified =
-            Result<proto::MeasurementSet>::error("not verified");
-    };
-    std::vector<Item> items;
-    items.reserve(batch.size());
-    for (MeasureResponse &resp : batch) {
-        const auto it = sessions.find(resp.requestId);
-        if (it == sessions.end()) {
-            ++counters.verificationFailures;
-            MONATT_LOG(Warn, "as") << "response for unknown session "
-                                   << resp.requestId;
-            continue;
-        }
-        if (it->second.retryTimer != 0) {
-            events.cancel(it->second.retryTimer);
-            it->second.retryTimer = 0;
-        }
-        // Karn's algorithm: only un-retransmitted exchanges yield an
-        // unambiguous send-to-reply pairing.
-        if (it->second.retries == 0) {
-            serverRtt[it->second.forward.serverId].addSample(
-                events.now() - it->second.sentAt);
-            ++counters.rttSamples;
-        }
-        Item item;
-        item.resp = std::move(resp);
-        item.session = it->second;
-        sessions.erase(it);
-        items.push_back(std::move(item));
-    }
-    if (items.empty())
-        return;
-
+    using R = Result<proto::MeasurementSet>;
     auto pcaKey = dir.lookup(cfg.pcaId);
-    if (!pcaKey) {
-        for (Item &item : items) {
-            applyVerified(item.session,
-                          Result<proto::MeasurementSet>::error(
-                              "no pCA key available"));
-        }
-        return;
-    }
+    if (!pcaKey)
+        return R::error("no pCA key available");
     const crypto::RsaPublicContext &pca = pcaContext(pcaKey.value());
 
-    // 1. Certificate chains, deduplicated by digest: each distinct
-    // certificate not already memoized is chain-checked once, on the
-    // compute plane. With caches disabled every response still pays
-    // exactly one (parallel) chain check, like the serial path did.
-    std::map<Bytes, ChainCheck> chains;
-    for (Item &item : items) {
-        item.digest = crypto::Sha256::hash(item.resp.certificate);
-        if (cfg.enableVerificationCaches && certCache.peek(item.digest))
-            continue;
-        chains.emplace(item.digest, ChainCheck{});
-    }
-    {
-        std::vector<std::pair<const Bytes *, ChainCheck *>> work;
-        work.reserve(chains.size());
-        std::map<Bytes, const Bytes *> certByDigest;
-        for (Item &item : items)
-            certByDigest.emplace(item.digest, &item.resp.certificate);
-        for (auto &[digest, check] : chains)
-            work.emplace_back(certByDigest.at(digest), &check);
-        sim::WorkerPool::global().parallelFor(
-            work.size(), [&](std::size_t i) {
-                *work[i].second =
-                    checkCertificate(*work[i].first, cfg.pcaId, pca);
-            });
-    }
-
-    // Serial replay, in arrival order: the exact lookup/insert and
-    // counter sequence of per-response verification, substituting the
-    // parallel chain results for the cold checks.
-    for (Item &item : items) {
-        crypto::RsaPublicKey avkKey;
-        bool haveAvk = false;
-        if (cfg.enableVerificationCaches) {
-            if (const crypto::RsaPublicKey *hit =
-                    certCache.lookup(item.digest)) {
-                avkKey = *hit;
-                haveAvk = true;
-                ++counters.certCacheHits;
-            } else {
-                ++counters.certCacheMisses;
-            }
+    // 1. Certificate chain, memoized by certificate digest: a reused
+    // AVK session is chain-checked once. Failures are never cached.
+    const Bytes digest = crypto::Sha256::hash(resp.certificate);
+    if (cfg.enableVerificationCaches) {
+        if (const crypto::RsaPublicKey *hit = certCache.lookup(digest)) {
+            ++counters.certCacheHits;
+            return verifyWithAvk(session, resp,
+                                 crypto::RsaPublicContext(*hit));
         }
-        if (!haveAvk) {
-            const auto chainIt = chains.find(item.digest);
-            const ChainCheck &chain = chainIt->second;
-            if (!chain.ok) {
-                item.verified =
-                    Result<proto::MeasurementSet>::error(chain.error);
-                continue;
-            }
-            avkKey = chain.avk;
-            if (cfg.enableVerificationCaches) {
-                certCache.insert(item.digest, avkKey);
-                journalCert(item.digest, avkKey);
-            }
-        }
-        item.avkCtx.emplace(avkKey);
+        ++counters.certCacheMisses;
     }
-
-    // 2-4. Per-response signature, quote and binding checks — pure
-    // compute, one task per response.
-    sim::WorkerPool::global().parallelFor(
-        items.size(), [&](std::size_t i) {
-            Item &item = items[i];
-            if (!item.avkCtx)
-                return; // Chain check already failed.
-            item.verified =
-                verifyWithAvk(item.session, item.resp, *item.avkCtx);
-        });
-
-    // Serial post-pass, in arrival order: counters, archive updates
-    // and interpretation scheduling.
-    for (Item &item : items)
-        applyVerified(item.session, std::move(item.verified));
-    commitJournal();
+    auto avk = checkCertificate(resp.certificate, cfg.pcaId, pca);
+    if (!avk)
+        return R::error(avk.errorMessage());
+    if (cfg.enableVerificationCaches) {
+        certCache.insert(digest, avk.value());
+        journalCert(digest, avk.value());
+    }
+    // 2-4. Session signature, quote and nonce binding.
+    return verifyWithAvk(session, resp, crypto::RsaPublicContext(avk.value()));
 }
 
 void
@@ -688,50 +589,21 @@ AttestationServer::issueReport(const Session &session,
     out.nonce2 = session.forward.nonce2;
     out.quote2 = ReportToController::quoteInput(
         out.vid, out.serverId, out.properties, out.report, out.nonce2);
+    out.signature = crypto::rsaSign(signCtx, out.signedPortion());
 
-    const bool cacheable =
-        session.forward.mode == AttestMode::StartupOneTime ||
-        session.forward.mode == AttestMode::RuntimeOneTime;
-    signQueue.push_back(
-        SignItem{std::move(out), session.controller, cacheable});
-    if (!signFlushScheduled) {
-        signFlushScheduled = true;
-        events.scheduleAfter(cfg.batchWindow,
-                             [this] { flushSignBatch(); },
-                             "as.sign.flush");
+    // The dedup cache and its journal record always hold the canonical
+    // legacy body (resends are framed legacy too, which any receiver
+    // decodes); only the fresh send uses this node's configured wire
+    // format.
+    ++counters.reportsIssued;
+    if (session.forward.mode == AttestMode::StartupOneTime ||
+        session.forward.mode == AttestMode::RuntimeOneTime) {
+        forwardInFlight.erase(out.requestId);
+        rememberReport(out.requestId, out.encode());
     }
-}
-
-void
-AttestationServer::flushSignBatch()
-{
-    signFlushScheduled = false;
-    std::vector<SignItem> batch;
-    batch.swap(signQueue);
-
-    // Report signatures are independent pure compute; each task writes
-    // only its own slot.
-    sim::WorkerPool::global().parallelFor(
-        batch.size(), [&](std::size_t i) {
-            batch[i].msg.signature =
-                crypto::rsaSign(signCtx, batch[i].msg.signedPortion());
-        });
-
-    // Serial sends in issue order. The dedup cache and its journal
-    // record always hold the canonical legacy body (resends are framed
-    // legacy too, which any receiver decodes); only the fresh send
-    // uses this node's configured wire format.
-    for (SignItem &item : batch) {
-        ++counters.reportsIssued;
-        if (item.cacheable) {
-            forwardInFlight.erase(item.msg.requestId);
-            rememberReport(item.msg.requestId, item.msg.encode());
-        }
-        endpoint.sendSecure(item.controller.empty() ? cfg.controllerId
-                                                    : item.controller,
-                            pack(MessageKind::ReportToController,
-                                 item.msg));
-    }
+    endpoint.sendSecure(session.controller.empty() ? cfg.controllerId
+                                                   : session.controller,
+                        pack(MessageKind::ReportToController, out));
     commitJournal();
 }
 
@@ -746,13 +618,11 @@ AttestationServer::crash()
         if (s.retryTimer != 0)
             events.cancel(s.retryTimer);
     }
-    // Volatile state dies: in-flight sessions, periodic tasks, batch
-    // queues, archives and dedup caches. The oat reference databases
+    // Volatile state dies: in-flight sessions, periodic tasks,
+    // archives and dedup caches. The oat reference databases
     // (serverRefs, vmRefs, knownGoodImages) are on disk and survive.
     sessions.clear();
     periodic.clear();
-    verifyQueue.clear();
-    signQueue.clear();
     measurementArchive.clear();
     certCache.clear();
     forwardInFlight.clear();

@@ -103,25 +103,6 @@ struct AttestationServerConfig
     sim::CheckpointPolicyConfig checkpointPolicy;
 
     /**
-     * Fan-in batching window for MeasureResponse verification. All
-     * responses arriving within the window of the first one verify as
-     * one batch on the compute plane (certificate chains, quote
-     * signatures in parallel; decisions and counters applied serially
-     * in arrival order). 0 still batches responses delivered at the
-     * same simulated timestamp — batch composition depends only on
-     * sim time, never on the host thread count.
-     */
-    SimTime batchWindow = 0;
-
-    /**
-     * Pre-generated identity keys (must equal
-     * deriveIdentityKeys(id, seed, identityKeyBits)); empty derives
-     * them in the constructor. Cloud construction uses this to fan the
-     * per-entity keygen out across the compute plane.
-     */
-    std::optional<crypto::RsaKeyPair> presetIdentityKeys;
-
-    /**
      * Wire codec this node speaks (DESIGN.md §17). Legacy is the
      * canonical default; Tagged is the schema-evolvable opt-in.
      * Received frames always decode by their own self-described
@@ -160,11 +141,6 @@ class AttestationServer
     AttestationServer(sim::EventQueue &eq, net::Network &network,
                       net::KeyDirectory &directory,
                       AttestationServerConfig config, std::uint64_t seed);
-
-    /** Deterministic identity-key derivation (see presetIdentityKeys). */
-    static crypto::RsaKeyPair deriveIdentityKeys(const std::string &id,
-                                                 std::uint64_t seed,
-                                                 std::size_t bits);
 
     const std::string &id() const { return cfg.id; }
 
@@ -272,14 +248,6 @@ class AttestationServer
         bool active = true;
     };
 
-    /** Outcome of one pure certificate chain check. */
-    struct ChainCheck
-    {
-        bool ok = false;
-        crypto::RsaPublicKey avk;
-        std::string error;
-    };
-
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
     /** Pack an outgoing message in this node's configured format. */
@@ -308,16 +276,20 @@ class AttestationServer
     void startMeasurement(const proto::AttestForward &forward,
                           const net::NodeId &controller);
     void runPeriodicRound(const std::string &key);
+    /** Sign the report and send it to the session's controller. */
     void issueReport(const Session &session,
                      proto::AttestationReport report,
                      std::uint64_t tcbVersion = 0);
-    void flushVerifyBatch();
-    void flushSignBatch();
+
+    /** Steps 1-4 of response verification: certificate chain (through
+     * the cache), session signature, quote and nonce binding. */
+    Result<proto::MeasurementSet> verifyResponse(
+        const Session &session, const proto::MeasureResponse &resp);
     void applyVerified(const Session &session,
                        Result<proto::MeasurementSet> verified);
-    static ChainCheck checkCertificate(const Bytes &certBytes,
-                                       const std::string &pcaId,
-                                       const crypto::RsaPublicContext &pca);
+    static Result<crypto::RsaPublicKey> checkCertificate(
+        const Bytes &certBytes, const std::string &pcaId,
+        const crypto::RsaPublicContext &pca);
     static Result<proto::MeasurementSet> verifyWithAvk(
         const Session &session, const proto::MeasureResponse &resp,
         const crypto::RsaPublicContext &avk);
@@ -345,20 +317,6 @@ class AttestationServer
     std::map<std::uint64_t, Session> sessions;
     std::map<std::string, PeriodicTask> periodic;
     std::map<std::string, proto::MeasurementSet> measurementArchive;
-
-    /** Fan-in batches (see AttestationServerConfig::batchWindow). */
-    std::vector<proto::MeasureResponse> verifyQueue;
-    bool verifyFlushScheduled = false;
-    /** Reports awaiting signature; `cacheable` marks one-time requests
-     * whose signed bytes feed the dedup cache. */
-    struct SignItem
-    {
-        proto::ReportToController msg;
-        net::NodeId controller; //!< Shard this report is sent to.
-        bool cacheable = false;
-    };
-    std::vector<SignItem> signQueue;
-    bool signFlushScheduled = false;
 
     /**
      * Receive-side dedup for AttestForward: one-time requests in

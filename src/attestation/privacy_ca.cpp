@@ -3,7 +3,6 @@
 #include "common/codec.h"
 #include "common/wire.h"
 #include "common/logging.h"
-#include "sim/worker_pool.h"
 #include "tpm/certificate.h"
 
 namespace monatt::attestation
@@ -23,10 +22,8 @@ endpointSeed(const std::string &id, std::uint64_t seed)
     return material;
 }
 
-} // namespace
-
 crypto::RsaKeyPair
-PrivacyCa::deriveKeys(const std::string &id, std::uint64_t seed)
+identityKeys(const std::string &id, std::uint64_t seed)
 {
     Bytes material = toBytes("pca-identity:" + id);
     for (int i = 0; i < 8; ++i)
@@ -36,15 +33,13 @@ PrivacyCa::deriveKeys(const std::string &id, std::uint64_t seed)
     return crypto::rsaGenerateKeyPair(512, rng);
 }
 
+} // namespace
+
 PrivacyCa::PrivacyCa(sim::EventQueue &eq, net::Network &network,
                      net::KeyDirectory &directory, std::string id,
-                     proto::TimingModel timingModel, std::uint64_t seed,
-                     SimTime batchWindow,
-                     std::optional<crypto::RsaKeyPair> presetKeys)
-    : events(eq), self(std::move(id)),
-      keys(presetKeys ? *std::move(presetKeys) : deriveKeys(self, seed)),
+                     proto::TimingModel timingModel, std::uint64_t seed)
+    : events(eq), self(std::move(id)), keys(identityKeys(self, seed)),
       signCtx(keys.priv), dir(directory), timing(timingModel),
-      window(batchWindow),
       endpoint(network, self, keys, directory, endpointSeed(self, seed)),
       store(self)
 {
@@ -78,131 +73,64 @@ PrivacyCa::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     if (!inFlight.insert(key).second)
         return;
 
-    // Model the per-request processing delay, then batch every request
-    // that matured within the window for the compute plane.
+    // Model the per-request processing delay, then issue.
     events.scheduleAfter(timing.pcaProcessing,
-                         [this, req = reqR.take(), from,
-                          eraNow = era]() mutable {
-        if (eraNow != era)
-            return;
-        pending.push_back(Pending{std::move(req), from});
-        if (!flushScheduled) {
-            flushScheduled = true;
-            events.scheduleAfter(window, [this, eraNow] {
-                if (eraNow != era)
-                    return;
-                flushBatch();
-            }, "pca.flush");
-        }
+                         [this, req = reqR.take(), from, eraNow = era] {
+        if (eraNow == era)
+            issue(req, from);
     }, "pca.issue");
 }
 
 void
-PrivacyCa::flushBatch()
+PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
 {
-    flushScheduled = false;
-    std::vector<Pending> batch;
-    batch.swap(pending);
+    proto::CertResponse resp;
+    resp.sessionLabel = req.sessionLabel;
 
-    struct Item
-    {
-        Pending p;
-        std::optional<crypto::RsaPublicKey> serverKey;
-        bool identityOk = false;
-        std::optional<crypto::RsaPublicKey> avk;
-        std::uint64_t serialNo = 0;
-        proto::CertResponse resp;
-    };
-    std::vector<Item> items;
-    items.reserve(batch.size());
-
-    // Serial pre-pass, in arrival order: directory lookups and
-    // requester checks (shared state reads stay on the driver thread).
-    for (Pending &p : batch) {
-        Item item;
-        if (p.from == p.req.serverId) {
-            if (auto key = dir.lookup(p.req.serverId))
-                item.serverKey = key.take();
-        }
-        item.p = std::move(p);
-        item.resp.sessionLabel = item.p.req.sessionLabel;
-        items.push_back(std::move(item));
+    // Only the server itself may ask, and its identity signature over
+    // AVKs must verify under the published VKs.
+    bool identityOk = false;
+    if (from == req.serverId) {
+        const auto serverKey = dir.lookup(req.serverId);
+        identityOk = serverKey && crypto::rsaVerify(serverKey.value(),
+                                                    req.avk,
+                                                    req.avkSignature);
+    }
+    if (!identityOk) {
+        ++rejections;
+        resp.ok = false;
+        resp.error = "identity verification failed";
+        MONATT_LOG(Warn, "pca")
+            << "refused certification for " << req.serverId;
+    } else if (auto avk = crypto::RsaPublicKey::decode(req.avk); !avk) {
+        ++rejections;
+        resp.ok = false;
+        resp.error = "malformed attestation key";
+    } else {
+        const tpm::Certificate cert = tpm::issueCertificate(
+            req.sessionLabel, avk.value(), self, ++serial, signCtx);
+        resp.ok = true;
+        resp.certificate = cert.encode();
     }
 
-    // Pure compute: the identity signature over [AVKs]_SKs and the
-    // AVK decode, one task per request.
-    sim::WorkerPool::global().parallelFor(
-        items.size(), [&](std::size_t i) {
-            Item &item = items[i];
-            if (!item.serverKey)
-                return;
-            if (!crypto::rsaVerify(*item.serverKey, item.p.req.avk,
-                                   item.p.req.avkSignature)) {
-                return;
-            }
-            item.identityOk = true;
-            if (auto avk = crypto::RsaPublicKey::decode(item.p.req.avk))
-                item.avk = avk.take();
-        });
-
-    // Serial mid-pass, in arrival order: rejections and serial-number
-    // assignment — the issue order any serial pCA would produce.
-    for (Item &item : items) {
-        if (!item.identityOk) {
-            ++rejections;
-            item.resp.ok = false;
-            item.resp.error = "identity verification failed";
-            MONATT_LOG(Warn, "pca")
-                << "refused certification for " << item.p.req.serverId;
-        } else if (!item.avk) {
-            ++rejections;
-            item.resp.ok = false;
-            item.resp.error = "malformed attestation key";
-        } else {
-            item.serialNo = ++serial;
-        }
-    }
-
-    // Pure compute: certificate signatures for the accepted requests.
-    sim::WorkerPool::global().parallelFor(
-        items.size(), [&](std::size_t i) {
-            Item &item = items[i];
-            if (item.serialNo == 0)
-                return;
-            const tpm::Certificate cert = tpm::issueCertificate(
-                item.p.req.sessionLabel, *item.avk, self, item.serialNo,
-                signCtx);
-            item.resp.ok = true;
-            item.resp.certificate = cert.encode();
-        });
-
-    // Serial responses in arrival order. The whole batch journals as
-    // one appendMany (same record sequence and LSNs as per-item
-    // appends, one bulk buffer splice) before the group-commit sync.
     // The dedup cache and journal hold the canonical legacy body
     // (cache hits are resent legacy-framed); only the fresh send uses
     // this node's configured wire format.
-    std::vector<Bytes> issuedJournal;
-    for (Item &item : items) {
-        Bytes encoded = item.resp.encode();
-        const CertKey key{item.p.from, item.p.req.sessionLabel};
-        inFlight.erase(key);
-        const auto [cacheIt, inserted] =
-            issuedCache.emplace(key, std::move(encoded));
-        if (inserted) {
-            if (durable && !replaying)
-                issuedJournal.push_back(encodeIssued(key, cacheIt->second));
-            issuedOrder.push_back(key);
-            while (issuedOrder.size() > issuedCacheCapacity) {
-                issuedCache.erase(issuedOrder.front());
-                issuedOrder.pop_front();
-            }
+    const CertKey key{from, req.sessionLabel};
+    inFlight.erase(key);
+    const auto [cacheIt, inserted] = issuedCache.emplace(key, resp.encode());
+    if (inserted) {
+        if (durable && !replaying) {
+            store.append(journalTag(JournalType::CertIssued),
+                         encodeIssued(key, cacheIt->second));
         }
-        endpoint.sendSecure(item.p.from,
-                            pack(MessageKind::CertResponse, item.resp));
+        issuedOrder.push_back(key);
+        while (issuedOrder.size() > issuedCacheCapacity) {
+            issuedCache.erase(issuedOrder.front());
+            issuedOrder.pop_front();
+        }
     }
-    store.appendMany(journalTag(JournalType::CertIssued),
-                     std::move(issuedJournal));
+    endpoint.sendSecure(from, pack(MessageKind::CertResponse, resp));
     commitJournal();
 }
 
@@ -213,9 +141,7 @@ PrivacyCa::encodeIssued(const CertKey &key, const Bytes &encoded) const
 {
     // The serial counter rides along so replay restores it without a
     // separate record type (rejected responses mint no serial but
-    // still carry the current counter). Serials for a batch are all
-    // assigned before any response encodes, so deferring the batch's
-    // journal records to one appendMany writes identical bytes.
+    // still carry the current counter).
     if (taggedJournal()) {
         wire::WireWriter w;
         if (serial != 0)
@@ -401,8 +327,6 @@ PrivacyCa::crash()
     MONATT_LOG(Info, "pca") << self << ": crash";
     ++era;
     endpoint.detach();
-    pending.clear();
-    flushScheduled = false;
     inFlight.clear();
     issuedCache.clear();
     issuedOrder.clear();

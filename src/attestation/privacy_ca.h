@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -41,24 +40,9 @@ namespace monatt::attestation
 class PrivacyCa
 {
   public:
-    /**
-     * `batchWindow` fans certification requests maturing within the
-     * window of the first into one batch: identity checks and
-     * certificate signatures run on the compute plane, serial numbers
-     * and responses are assigned serially in arrival order. 0 still
-     * batches requests maturing at the same simulated timestamp.
-     * `presetKeys` must equal deriveKeys(id, seed) when supplied;
-     * Cloud construction uses it to parallelize entity keygen.
-     */
     PrivacyCa(sim::EventQueue &eq, net::Network &network,
               net::KeyDirectory &directory, std::string id,
-              proto::TimingModel timing, std::uint64_t seed,
-              SimTime batchWindow = 0,
-              std::optional<crypto::RsaKeyPair> presetKeys = {});
-
-    /** Deterministic identity-key derivation (see presetKeys). */
-    static crypto::RsaKeyPair deriveKeys(const std::string &id,
-                                         std::uint64_t seed);
+              proto::TimingModel timing, std::uint64_t seed);
 
     /** Node id. */
     const std::string &id() const { return self; }
@@ -134,14 +118,11 @@ class PrivacyCa
     void setWireContext(const proto::WireContext &ctx) { wire_ = ctx; }
 
   private:
-    struct Pending
-    {
-        proto::CertRequest req;
-        net::NodeId from;
-    };
-
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
-    void flushBatch();
+
+    /** Check the requester's identity signature over AVKs, then
+     * certify AVKs (or refuse), cache, journal and answer. */
+    void issue(const proto::CertRequest &req, const net::NodeId &from);
 
     /** Pack an outgoing message in this node's configured format. */
     template <typename M>
@@ -167,10 +148,7 @@ class PrivacyCa
     crypto::RsaPrivateContext signCtx;
     const net::KeyDirectory &dir;
     proto::TimingModel timing;
-    SimTime window;
     net::SecureEndpoint endpoint;
-    std::vector<Pending> pending;
-    bool flushScheduled = false;
     std::uint64_t serial = 0;
     std::uint64_t rejections = 0;
 
@@ -179,7 +157,7 @@ class PrivacyCa
      * with the already-issued response instead of minting a fresh
      * serial number. Keyed by (requester, session label); bounded
      * FIFO. `inFlight` suppresses duplicates that arrive while the
-     * first copy is still inside the processing/batch window.
+     * first copy is still inside the processing delay.
      */
     using CertKey = std::pair<net::NodeId, std::string>;
     std::map<CertKey, Bytes> issuedCache;

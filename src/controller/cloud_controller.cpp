@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/wire.h"
 #include "controller/hash_ring.h"
-#include "sim/worker_pool.h"
 
 namespace monatt::controller
 {
@@ -30,11 +29,8 @@ endpointSeed(const std::string &id, std::uint64_t seed)
     return material;
 }
 
-} // namespace
-
 crypto::RsaKeyPair
-CloudController::deriveIdentityKeys(const std::string &id,
-                                    std::uint64_t seed, std::size_t bits)
+identityKeys(const std::string &id, std::uint64_t seed, std::size_t bits)
 {
     Bytes material = toBytes("cc-identity:" + id);
     for (int i = 0; i < 8; ++i)
@@ -43,6 +39,8 @@ CloudController::deriveIdentityKeys(const std::string &id,
     Rng rng = drbg.forkRng();
     return crypto::rsaGenerateKeyPair(bits, rng);
 }
+
+} // namespace
 
 std::string
 responsePolicyName(ResponsePolicy p)
@@ -66,9 +64,7 @@ CloudController::CloudController(sim::EventQueue &eq,
                                  CloudControllerConfig config,
                                  std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      keys(cfg.presetIdentityKeys
-               ? *std::move(cfg.presetIdentityKeys)
-               : deriveIdentityKeys(cfg.id, seed, cfg.identityKeyBits)),
+      keys(identityKeys(cfg.id, seed, cfg.identityKeyBits)),
       signCtx(keys.priv), dir(directory),
       endpoint(network, cfg.id, keys, directory,
                endpointSeed(cfg.id, seed)),
@@ -746,131 +742,72 @@ CloudController::onReportToController(const net::NodeId &from,
         ++counters.reportVerificationFailures;
         return;
     }
-    reportQueue.push_back(msgR.take());
-    if (!reportFlushScheduled) {
-        reportFlushScheduled = true;
-        events.scheduleAfter(cfg.batchWindow,
-                             [this, eraNow = era] {
-                                 if (eraNow != era)
-                                     return;
-                                 flushReportBatch();
-                                 commitJournal();
-                             },
-                             "cc.verify.flush");
+    const ReportToController msg = msgR.take();
+    const auto it = attests.find(msg.requestId);
+    if (it == attests.end()) {
+        ++counters.reportVerificationFailures;
+        return;
     }
-}
+    const AttestContext ctx = it->second;
 
-void
-CloudController::flushReportBatch()
-{
-    reportFlushScheduled = false;
-    std::vector<ReportToController> batch;
-    batch.swap(reportQueue);
-
-    // Serial pre-pass, in arrival order: bind to the outstanding
-    // attestation and compile the attestor's verification key.
-    struct Item
-    {
-        ReportToController msg;
-        AttestContext ctx;
-        const crypto::RsaPublicContext *asCtx = nullptr;
-        bool ok = false;
-    };
-    std::vector<Item> items;
-    items.reserve(batch.size());
-    for (ReportToController &msg : batch) {
-        const auto it = attests.find(msg.requestId);
-        if (it == attests.end()) {
-            ++counters.reportVerificationFailures;
-            continue;
-        }
-        Item item;
-        item.ctx = it->second;
-        // Verify against the attestor this request currently targets
-        // (tracked per context so failover re-binds the signer).
-        const std::string &attestor = item.ctx.attestorId.empty()
-                                          ? attestorFor(msg.serverId)
-                                          : item.ctx.attestorId;
-        auto asKey = dir.lookup(attestor);
-        if (asKey)
-            item.asCtx = &attestorContext(attestor, asKey.value());
-        item.msg = std::move(msg);
-        items.push_back(std::move(item));
+    // Verify the Attestation Server's signature and quote Q2 against
+    // the attestor this request currently targets (tracked per context
+    // so failover re-binds the signer), else the cluster attestor
+    // responsible for the VM's server.
+    const std::string &attestor =
+        ctx.attestorId.empty() ? attestorFor(msg.serverId) : ctx.attestorId;
+    auto asKey = dir.lookup(attestor);
+    const Bytes expectedQ2 = ReportToController::quoteInput(
+        msg.vid, msg.serverId, msg.properties, msg.report, msg.nonce2);
+    const bool ok =
+        asKey &&
+        crypto::rsaVerify(attestorContext(attestor, asKey.value()),
+                          msg.signedPortion(), msg.signature) &&
+        constantTimeEqual(expectedQ2, msg.quote2) &&
+        constantTimeEqual(msg.nonce2, ctx.nonce2) && msg.vid == ctx.vid;
+    if (!ok) {
+        ++counters.reportVerificationFailures;
+        MONATT_LOG(Warn, "cc") << "report verification failed for "
+                               << msg.vid;
+        return;
     }
 
-    // Verify the Attestation Server's signature and quote Q2 on the
-    // compute plane — pure checks, one task per report. The signer is
-    // the cluster attestor responsible for the VM's server.
-    sim::WorkerPool::global().parallelFor(
-        items.size(), [&](std::size_t i) {
-            Item &item = items[i];
-            if (!item.asCtx)
-                return;
-            const ReportToController &msg = item.msg;
-            const Bytes expectedQ2 = ReportToController::quoteInput(
-                msg.vid, msg.serverId, msg.properties, msg.report,
-                msg.nonce2);
-            item.ok =
-                crypto::rsaVerify(*item.asCtx, msg.signedPortion(),
-                                  msg.signature) &&
-                constantTimeEqual(expectedQ2, msg.quote2) &&
-                constantTimeEqual(msg.nonce2, item.ctx.nonce2) &&
-                msg.vid == item.ctx.vid;
-        });
-
-    // Serial post-pass, in arrival order: counters, session retirement
-    // and report handling.
-    for (Item &item : items) {
-        if (!item.ok) {
-            ++counters.reportVerificationFailures;
-            MONATT_LOG(Warn, "cc") << "report verification failed for "
-                                   << item.msg.vid;
-            continue;
-        }
-        const auto live = attests.find(item.msg.requestId);
-        if (live != attests.end()) {
-            AttestContext &stored = live->second;
-            if (stored.retryTimer != 0) {
-                events.cancel(stored.retryTimer);
-                stored.retryTimer = 0;
-            }
-            // First reply to a clean (never retransmitted, never
-            // failed-over, not crash-recovered) exchange: a valid RTT
-            // sample per Karn's algorithm. Feeds the adaptive forward
-            // RTO for this attestor.
-            if (!stored.acked && stored.retries == 0 &&
-                stored.failovers == 0 && !stored.recovered &&
-                !stored.attestorId.empty()) {
-                attestorRtt[stored.attestorId].addSample(
-                    events.now() - stored.forwardedAt);
-                ++counters.rttSamples;
-            }
-            stored.acked = true;
-            if (!stored.periodic)
-                attests.erase(live);
-            journalAttest(item.msg.requestId);
-        }
-        // A verified report clears the attestor's strike record.
-        if (!item.ctx.attestorId.empty()) {
-            asHealth[item.ctx.attestorId] = AsHealth{};
-            journalAsHealth(item.ctx.attestorId);
-        }
-
-        events.scheduleAfter(serviceDelay(cfg.timing.controllerProcessing),
-                             [this, ctx = item.ctx, msg = item.msg,
-                              attestId = item.msg.requestId,
-                              eraNow = era] {
-            if (eraNow != era)
-                return;
-            if (ctx.kind == AttestKind::StartupLaunch)
-                handleStartupReport(ctx, msg);
-            else if (ctx.kind == AttestKind::SuspendRecheck)
-                handleRecheckReport(ctx, msg);
-            else
-                handleCustomerReport(attestId, ctx, msg);
-            commitJournal();
-        }, "cc.report");
+    AttestContext &stored = it->second;
+    if (stored.retryTimer != 0) {
+        events.cancel(stored.retryTimer);
+        stored.retryTimer = 0;
     }
+    // First reply to a clean (never retransmitted, never failed-over,
+    // not crash-recovered) exchange: a valid RTT sample per Karn's
+    // algorithm. Feeds the adaptive forward RTO for this attestor.
+    if (!stored.acked && stored.retries == 0 && stored.failovers == 0 &&
+        !stored.recovered && !stored.attestorId.empty()) {
+        attestorRtt[stored.attestorId].addSample(events.now() -
+                                                 stored.forwardedAt);
+        ++counters.rttSamples;
+    }
+    stored.acked = true;
+    if (!stored.periodic)
+        attests.erase(it);
+    journalAttest(msg.requestId);
+    // A verified report clears the attestor's strike record.
+    if (!ctx.attestorId.empty()) {
+        asHealth[ctx.attestorId] = AsHealth{};
+        journalAsHealth(ctx.attestorId);
+    }
+
+    events.scheduleAfter(serviceDelay(cfg.timing.controllerProcessing),
+                         [this, ctx, msg, eraNow = era] {
+        if (eraNow != era)
+            return;
+        if (ctx.kind == AttestKind::StartupLaunch)
+            handleStartupReport(ctx, msg);
+        else if (ctx.kind == AttestKind::SuspendRecheck)
+            handleRecheckReport(ctx, msg);
+        else
+            handleCustomerReport(msg.requestId, ctx, msg);
+        commitJournal();
+    }, "cc.report");
 }
 
 void
@@ -990,22 +927,17 @@ CloudController::handleCustomerReport(std::uint64_t attestId,
                                               msg.report, ctx.nonce1);
     out.tcbVersion = msg.tcbVersion; // Unsigned wire-v3 diagnostic.
 
-    // Relays issued within one window share a signature fan-out.
+    out.signature = crypto::rsaSign(signCtx, out.signedPortion());
+    ++counters.reportsRelayed;
     // One-time replies feed the dedup cache; periodic stream reports
     // share the customer request id and are never cached.
-    relayQueue.push_back(
-        PendingRelay{std::move(out), ctx.customer, !ctx.periodic});
-    if (!relayFlushScheduled) {
-        relayFlushScheduled = true;
-        events.scheduleAfter(cfg.batchWindow,
-                             [this, eraNow = era] {
-                                 if (eraNow != era)
-                                     return;
-                                 flushRelayBatch();
-                                 commitJournal();
-                             },
-                             "cc.relay.flush");
-    }
+    Bytes packed = pack(MessageKind::ReportToCustomer, out);
+    const CustomerKey key{ctx.customer, out.requestId};
+    if (!ctx.periodic)
+        rememberRelay(key, Bytes(packed));
+    else
+        customerInFlight.erase(key);
+    sendExternal(ctx.customer, std::move(packed));
 
     // nova response: act on a negative report.
     bool bad = false;
@@ -1028,34 +960,6 @@ CloudController::handleCustomerReport(std::uint64_t attestId,
     } else if (bad) {
         triggerResponse(ctx.vid, ctx.forwardedAt, "negative attestation",
                         ctx.properties);
-    }
-}
-
-void
-CloudController::flushRelayBatch()
-{
-    relayFlushScheduled = false;
-    std::vector<PendingRelay> batch;
-    batch.swap(relayQueue);
-
-    // Customer-relay signatures are independent pure compute; each
-    // task writes only its own slot.
-    sim::WorkerPool::global().parallelFor(
-        batch.size(), [&](std::size_t i) {
-            batch[i].out.signature =
-                crypto::rsaSign(signCtx, batch[i].out.signedPortion());
-        });
-
-    // Serial sends in issue order.
-    for (PendingRelay &relay : batch) {
-        ++counters.reportsRelayed;
-        Bytes packed = pack(MessageKind::ReportToCustomer, relay.out);
-        const CustomerKey key{relay.customer, relay.out.requestId};
-        if (relay.cacheable)
-            rememberRelay(key, Bytes(packed));
-        else
-            customerInFlight.erase(key);
-        sendExternal(relay.customer, std::move(packed));
     }
 }
 
@@ -2502,10 +2406,6 @@ CloudController::crash()
     policies.clear();
     responses.clear();
     outstandingResponses.clear();
-    reportQueue.clear();
-    reportFlushScheduled = false;
-    relayQueue.clear();
-    relayFlushScheduled = false;
     asHealth.clear();
     customerInFlight.clear();
     relayCache.clear();
@@ -3094,10 +2994,6 @@ CloudController::stepDownToFollower()
     policies.clear();
     responses.clear();
     outstandingResponses.clear();
-    reportQueue.clear();
-    reportFlushScheduled = false;
-    relayQueue.clear();
-    relayFlushScheduled = false;
     asHealth.clear();
     customerInFlight.clear();
     relayCache.clear();

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -99,23 +98,6 @@ struct CloudControllerConfig
      * Interval between re-checks of a suspended VM; 0 disables.
      */
     SimTime suspendRecheckPeriod = seconds(30);
-
-    /**
-     * Fan-in batching window for report crypto. Attestor reports
-     * arriving within the window of the first one verify as one batch
-     * on the compute plane, and customer relays issued within one
-     * window share one signature fan-out; decisions and sends stay
-     * serial in arrival order. 0 still batches work landing at the
-     * same simulated timestamp.
-     */
-    SimTime batchWindow = 0;
-
-    /**
-     * Pre-generated identity keys (must equal
-     * deriveIdentityKeys(id, seed, identityKeyBits)); empty derives
-     * them in the constructor.
-     */
-    std::optional<crypto::RsaKeyPair> presetIdentityKeys;
 
     /**
      * Durable control plane: journal every database and protocol-state
@@ -204,11 +186,6 @@ class CloudController
     CloudController(sim::EventQueue &eq, net::Network &network,
                     net::KeyDirectory &directory,
                     CloudControllerConfig config, std::uint64_t seed);
-
-    /** Deterministic identity-key derivation (see presetIdentityKeys). */
-    static crypto::RsaKeyPair deriveIdentityKeys(const std::string &id,
-                                                 std::uint64_t seed,
-                                                 std::size_t bits);
 
     const std::string &id() const { return cfg.id; }
 
@@ -427,8 +404,6 @@ class CloudController
     void onAttestRequest(const net::NodeId &from, const Bytes &body);
     void onLaunchVmAck(const net::NodeId &from, const Bytes &body);
     void onReportToController(const net::NodeId &from, const Bytes &body);
-    void flushReportBatch();
-    void flushRelayBatch();
     void onCommandAck(proto::MessageKind kind, const Bytes &body);
 
     void runSchedulingStage(const std::string &vid);
@@ -568,18 +543,6 @@ class CloudController
 
     /** Outstanding response command: vid -> response log index. */
     std::map<std::string, std::size_t> outstandingResponses;
-
-    /** Fan-in batches (see CloudControllerConfig::batchWindow). */
-    std::vector<proto::ReportToController> reportQueue;
-    bool reportFlushScheduled = false;
-    struct PendingRelay
-    {
-        proto::ReportToCustomer out;
-        net::NodeId customer;
-        bool cacheable = false; //!< One-time request: cache the relay.
-    };
-    std::vector<PendingRelay> relayQueue;
-    bool relayFlushScheduled = false;
 
     /** AS responsiveness, keyed by attestor id. */
     std::map<std::string, AsHealth> asHealth;

@@ -49,11 +49,6 @@ ControllerFabric::ControllerFabric(
             cfg.election = election;
             if (replicas_ > 1)
                 cfg.durable = true; // the journal is what streams
-            if (r > 0) {
-                // Preset keys were derived for the base id; secondary
-                // replicas derive their own in the constructor.
-                cfg.presetIdentityKeys.reset();
-            }
             const std::uint64_t seed =
                 seeds[k] ^ (static_cast<std::uint64_t>(r) *
                             kReplicaSeedStride);

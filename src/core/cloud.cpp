@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "crypto/sha256.h"
 #include "server/catalog.h"
-#include "sim/worker_pool.h"
 
 namespace monatt::core
 {
@@ -29,13 +28,8 @@ expectedPlatformDigest(const Bytes &hypervisorCode, const Bytes &hostOsCode)
 Cloud::Cloud(CloudConfig config)
     : cfg(std::move(config)), fabric(eventQueue)
 {
-    sim::WorkerPool::configureGlobal(cfg.computeThreads);
     fabric.setDefaultLink(cfg.link);
 
-    // Pre-generate every entity's long-term keys on the compute plane:
-    // the derivations are independent and deterministic per entity, so
-    // fanning them out changes construction wall-clock only, never the
-    // keys (each equals what the entity would derive inline).
     const int numAs = std::max(cfg.numAttestationServers, 1);
     std::vector<std::string> asIds(static_cast<std::size_t>(numAs));
     for (int i = 0; i < numAs; ++i) {
@@ -43,11 +37,6 @@ Cloud::Cloud(CloudConfig config)
             i == 0 ? "attestation-server"
                    : "attestation-server-" + std::to_string(i + 1);
     }
-    std::vector<std::string> serverIds(
-        static_cast<std::size_t>(cfg.numServers));
-    for (int i = 0; i < cfg.numServers; ++i)
-        serverIds[static_cast<std::size_t>(i)] =
-            "server-" + std::to_string(i + 1);
 
     // Controller shards. Shard 0 keeps the classic id and key seed so
     // a 1-shard deployment is bit-identical to the pre-sharding cloud.
@@ -76,49 +65,10 @@ Cloud::Cloud(CloudConfig config)
             controllerNodeIds.push_back(controller::replicaId(base, r));
     }
 
-    crypto::RsaKeyPair pcaKeys;
-    std::vector<crypto::RsaKeyPair> asKeys(asIds.size());
-    std::vector<crypto::RsaKeyPair> ccKeys(shardIds.size());
-    std::vector<crypto::RsaKeyPair> serverKeys(serverIds.size());
-    std::vector<crypto::RsaKeyPair> tpmKeys(serverIds.size());
-
-    std::vector<std::function<void()>> keygen;
-    keygen.push_back([&] {
-        pcaKeys = attestation::PrivacyCa::deriveKeys("privacy-ca",
-                                                     cfg.seed ^ 0x1);
-    });
-    for (std::size_t i = 0; i < asIds.size(); ++i) {
-        keygen.push_back([&, i] {
-            asKeys[i] = attestation::AttestationServer::deriveIdentityKeys(
-                asIds[i], cfg.seed ^ (0x2 + i * 0x1000),
-                cfg.identityKeyBits);
-        });
-    }
-    for (std::size_t k = 0; k < shardIds.size(); ++k) {
-        keygen.push_back([&, k] {
-            ccKeys[k] = controller::CloudController::deriveIdentityKeys(
-                shardIds[k], shardSeeds[k], cfg.identityKeyBits);
-        });
-    }
-    for (std::size_t i = 0; i < serverIds.size(); ++i) {
-        const std::uint64_t seed = cfg.seed + 100 + i;
-        keygen.push_back([&, i, seed] {
-            serverKeys[i] = server::CloudServer::deriveIdentityKeys(
-                serverIds[i], seed, cfg.identityKeyBits);
-        });
-        keygen.push_back([&, i, seed] {
-            tpmKeys[i] = tpm::TrustModule::deriveTpmKey(
-                serverIds[i],
-                server::CloudServer::entropySeed(serverIds[i], seed));
-        });
-    }
-    sim::WorkerPool::global().parallelFor(
-        keygen.size(), [&](std::size_t i) { keygen[i](); });
-
     // Trusted infrastructure entities.
     pca = std::make_unique<attestation::PrivacyCa>(
         eventQueue, fabric, keyDirectory, "privacy-ca", cfg.timing,
-        cfg.seed ^ 0x1, cfg.cryptoBatchWindow, std::move(pcaKeys));
+        cfg.seed ^ 0x1);
     pca->setDurable(cfg.durableControlPlane);
     pca->setIssuedCacheCapacity(cfg.dedupCacheCapacity);
     pca->setCheckpointPolicy(cfg.checkpointPolicy);
@@ -135,15 +85,12 @@ Cloud::Cloud(CloudConfig config)
                                    controllerNodeIds.end());
         asCfg.identityKeyBits = cfg.identityKeyBits;
         asCfg.enableVerificationCaches = cfg.enableAttestationCaches;
-        asCfg.batchWindow = cfg.cryptoBatchWindow;
         asCfg.durable = cfg.durableControlPlane;
         asCfg.checkpointPolicy = cfg.checkpointPolicy;
         asCfg.reportCacheCapacity = cfg.dedupCacheCapacity;
         asCfg.tcbPolicy.fleetFloor = cfg.minimumTcbVersion;
         asCfg.tcbPolicy.propertyFloors = cfg.tcbPropertyFloors;
         asCfg.wire = cfg.wire;
-        asCfg.presetIdentityKeys =
-            std::move(asKeys[static_cast<std::size_t>(i)]);
         auto as = std::make_unique<attestation::AttestationServer>(
             eventQueue, fabric, keyDirectory, asCfg,
             cfg.seed ^ (0x2 + static_cast<std::uint64_t>(i) * 0x1000));
@@ -160,12 +107,10 @@ Cloud::Cloud(CloudConfig config)
         ccCfg.reliability = cfg.reliability;
         ccCfg.attestorIds = asIds;
         ccCfg.identityKeyBits = cfg.identityKeyBits;
-        ccCfg.batchWindow = cfg.cryptoBatchWindow;
         ccCfg.durable = cfg.durableControlPlane;
         ccCfg.checkpointPolicy = cfg.checkpointPolicy;
         ccCfg.relayCacheCapacity = cfg.dedupCacheCapacity;
         ccCfg.wire = cfg.wire;
-        ccCfg.presetIdentityKeys = std::move(ccKeys[k]);
         shardConfigs.push_back(std::move(ccCfg));
     }
     controlPlane = std::make_unique<controller::ControllerFabric>(
@@ -218,11 +163,7 @@ Cloud::Cloud(CloudConfig config)
         scfg.intrusivePause = cfg.serverIntrusivePause;
         scfg.aikReuseLimit =
             cfg.enableAttestationCaches ? cfg.aikReuseLimit : 1;
-        scfg.batchWindow = cfg.cryptoBatchWindow;
         scfg.wire = cfg.wire;
-        scfg.presetIdentityKeys =
-            std::move(serverKeys[static_cast<std::size_t>(i)]);
-        scfg.presetTpmKey = std::move(tpmKeys[static_cast<std::size_t>(i)]);
 
         auto srv = std::make_unique<server::CloudServer>(
             eventQueue, fabric, keyDirectory, scfg,
@@ -533,8 +474,7 @@ Cloud::attestMany(Customer &customer,
                   SimTime timeout)
 {
     // Issue every request before running the simulation, so the whole
-    // fan-out is in flight concurrently and the entities' batching
-    // windows see it as overlapping work.
+    // fan-out is in flight concurrently.
     std::vector<std::uint64_t> requestIds;
     requestIds.reserve(vids.size());
     for (const std::string &vid : vids)

@@ -97,25 +97,6 @@ struct CloudConfig
     std::uint64_t aikReuseLimit = 16;
 
     /**
-     * Worker threads for the deterministic compute plane (the global
-     * sim::WorkerPool): 0 = one per hardware thread, 1 = legacy
-     * serial execution. The MONATT_THREADS environment variable
-     * overrides this value. Any setting yields bit-identical
-     * simulations — the pool only runs pure compute and results are
-     * always joined in submission order.
-     */
-    std::size_t computeThreads = 0;
-
-    /**
-     * Fan-in batching window for attestation crypto at every entity
-     * (servers, attestation servers, pCA, controller). Work maturing
-     * within the window of the first item runs as one compute-plane
-     * batch. 0 still batches same-timestamp work; composition depends
-     * only on simulated time, never on the host thread count.
-     */
-    SimTime cryptoBatchWindow = 0;
-
-    /**
      * End-to-end reliability layer: retransmission timers, receive-side
      * dedup, AS failover, terminal verdicts. On by default in the full
      * deployment; fault-free runs are unperturbed because every timer
@@ -331,10 +312,9 @@ class Cloud
     /**
      * Fan out one-shot attestations for all `vids` at once and wait
      * until every verified report arrived (or `timeout` simulated time
-     * passed). The concurrent requests exercise the batched crypto
-     * paths end to end: AIK preparation, pCA certification, quote
-     * signing, verification and report relay all fan in. Results are
-     * returned in `vids` order.
+     * passed). The requests are in flight concurrently, so they
+     * contend for the controller's service queue and the servers'
+     * shared AVK sessions. Results are returned in `vids` order.
      */
     std::vector<Result<VerifiedReport>> attestMany(
         Customer &customer, const std::vector<std::string> &vids,

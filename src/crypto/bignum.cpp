@@ -394,23 +394,6 @@ BigUint::shiftRight(std::size_t bits) const
     return out;
 }
 
-namespace
-{
-ModExpEngine gModExpEngine = ModExpEngine::Montgomery;
-} // namespace
-
-ModExpEngine
-modExpEngine() noexcept
-{
-    return gModExpEngine;
-}
-
-void
-setModExpEngine(ModExpEngine engine) noexcept
-{
-    gModExpEngine = engine;
-}
-
 BigUint
 BigUint::modExp(const BigUint &exp, const BigUint &m) const
 {
@@ -418,7 +401,7 @@ BigUint::modExp(const BigUint &exp, const BigUint &m) const
         throw std::domain_error("modExp: zero modulus");
     if (m == fromU64(1))
         return BigUint();
-    if (!m.isOdd() || gModExpEngine == ModExpEngine::Legacy)
+    if (!m.isOdd())
         return modExpLegacy(exp, m);
     return MontgomeryContext(m).modExp(*this, exp);
 }

@@ -26,25 +26,6 @@ namespace monatt::crypto
 
 class MontgomeryContext;
 
-/**
- * Process-wide modular-exponentiation engine selector. Montgomery is
- * the default; Legacy forces the division-based ladder everywhere
- * (BigUint::modExp routes to modExpLegacy and the RSA key contexts
- * skip Montgomery precomputation). Exists for the before/after figure
- * benches and differential tests — production code never changes it.
- */
-enum class ModExpEngine
-{
-    Montgomery,
-    Legacy,
-};
-
-/** The currently selected engine. */
-ModExpEngine modExpEngine() noexcept;
-
-/** Select the engine (not thread-safe; set before spinning up work). */
-void setModExpEngine(ModExpEngine engine) noexcept;
-
 /** Arbitrary-precision unsigned integer. */
 class BigUint
 {
@@ -131,9 +112,9 @@ class BigUint
     BigUint modExp(const BigUint &exp, const MontgomeryContext &ctx) const;
 
     /**
-     * The original division-based square-and-multiply ladder. Kept as
-     * the reference implementation for differential tests and the
-     * old-vs-new benchmark; new code should call modExp.
+     * The division-based square-and-multiply ladder: modExp's
+     * even-modulus path, and the reference implementation for
+     * differential tests and benchmarks; new code should call modExp.
      */
     BigUint modExpLegacy(const BigUint &exp, const BigUint &m) const;
 

@@ -91,7 +91,7 @@ RsaPrivateKey::decryptRaw(const BigUint &c) const
 
 RsaPublicContext::RsaPublicContext(const RsaPublicKey &key) : pub(key)
 {
-    if (pub.n.isOdd() && modExpEngine() == ModExpEngine::Montgomery)
+    if (pub.n.isOdd())
         mont.emplace(pub.n);
 }
 
@@ -105,8 +105,6 @@ RsaPublicContext::encryptRaw(const BigUint &value) const
 
 RsaPrivateContext::RsaPrivateContext(const RsaPrivateKey &key) : priv(key)
 {
-    if (modExpEngine() != ModExpEngine::Montgomery)
-        return;
     if (!priv.p.isZero() && priv.p.isOdd() && !priv.q.isZero() &&
         priv.q.isOdd()) {
         montP.emplace(priv.p);

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "crypto/sha256.h"
-#include "sim/worker_pool.h"
 
 namespace monatt::server
 {
@@ -27,11 +26,8 @@ makeHvConfig(const CloudServerConfig &cfg)
     return hc;
 }
 
-} // namespace
-
 crypto::RsaKeyPair
-CloudServer::deriveIdentityKeys(const std::string &id, std::uint64_t seed,
-                                std::size_t bits)
+identityKeys(const std::string &id, std::uint64_t seed, std::size_t bits)
 {
     Bytes material = toBytes("server-identity:" + id);
     for (int i = 0; i < 8; ++i)
@@ -42,7 +38,7 @@ CloudServer::deriveIdentityKeys(const std::string &id, std::uint64_t seed,
 }
 
 Bytes
-CloudServer::entropySeed(const std::string &id, std::uint64_t seed)
+entropySeed(const std::string &id, std::uint64_t seed)
 {
     Bytes material = toBytes("server-entropy:" + id);
     for (int i = 0; i < 8; ++i)
@@ -50,16 +46,14 @@ CloudServer::entropySeed(const std::string &id, std::uint64_t seed)
     return material;
 }
 
+} // namespace
+
 CloudServer::CloudServer(sim::EventQueue &eq, net::Network &network,
                          net::KeyDirectory &directory,
                          CloudServerConfig config, std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      trust(cfg.id,
-            cfg.presetIdentityKeys
-                ? *std::move(cfg.presetIdentityKeys)
-                : deriveIdentityKeys(cfg.id, seed, cfg.identityKeyBits),
-            entropySeed(cfg.id, seed), cfg.aikBits,
-            std::move(cfg.presetTpmKey)),
+      trust(cfg.id, identityKeys(cfg.id, seed, cfg.identityKeyBits),
+            entropySeed(cfg.id, seed), cfg.aikBits),
       hyp(eq, makeHvConfig(cfg)), monitor(hyp, trust),
       endpoint(network, cfg.id, trust.identityKeyPair(), directory,
                entropySeed(cfg.id, seed ^ 0x5eedULL))
@@ -231,68 +225,38 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
 
     // Step 3 of Figure 2: generate the session attestation key (the
     // dominant local cost) and have it certified by the privacy CA.
-    // Requests whose prep matures within the batch window share one
-    // Trust Module fan-out.
     const SimTime prep =
         cfg.timing.serverProcessing + cfg.timing.aikGeneration;
-    events.scheduleAfter(prep, [this, id] {
-        aikPrepQueue.push_back(id);
-        if (!aikFlushScheduled) {
-            aikFlushScheduled = true;
-            events.scheduleAfter(cfg.batchWindow,
-                                 [this] { flushAikPrep(); },
-                                 "server.aik.flush");
-        }
-    }, "server.attest.prep");
+    events.scheduleAfter(prep, [this, id] { beginAikSession(id); },
+                         "server.attest.prep");
 }
 
 void
-CloudServer::flushAikPrep()
+CloudServer::beginAikSession(std::uint64_t requestId)
 {
-    aikFlushScheduled = false;
-    std::vector<std::uint64_t> batch;
-    batch.swap(aikPrepQueue);
+    auto it = pending.find(requestId);
+    if (it == pending.end())
+        return;
+    PendingAttestation &pa = it->second;
 
-    std::vector<std::uint64_t> live;
-    live.reserve(batch.size());
-    for (std::uint64_t id : batch) {
-        if (pending.count(id))
-            live.push_back(id);
-    }
+    const tpm::AttestationSessionInfo session = trust.beginSession();
+    pa.session = session.handle;
+    ++sessionRefs[pa.session];
+    pa.sessionLabel = "aik-" + std::to_string(++sessionCounter) + "@" +
+                      toHex(trust.randomBytes(4));
 
-    // Key generation for the whole batch on the compute plane; handle
-    // assignment inside stays serial, so session handles and the DRBG
-    // stream match n sequential beginSession() calls.
-    const std::vector<tpm::AttestationSessionInfo> sessions =
-        trust.beginSessions(live.size());
+    proto::CertRequest creq;
+    creq.serverId = cfg.id;
+    creq.sessionLabel = pa.sessionLabel;
+    creq.avk = session.attestationKey.encode();
+    creq.avkSignature = session.attestationKeySignature;
+    certToRequest[pa.sessionLabel] = requestId;
+    pa.certRequestBytes = pack(MessageKind::CertRequest, creq);
+    endpoint.sendSecure(cfg.pcaId, Bytes(pa.certRequestBytes));
+    if (cfg.reliability.enabled)
+        scheduleCertRetry(requestId);
 
-    // Serial tail in arrival order: labels (RNG draws), certification
-    // requests and measurement kick-off.
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::uint64_t id = live[i];
-        const tpm::AttestationSessionInfo &session = sessions[i];
-        PendingAttestation &pa = pending.at(id);
-
-        pa.session = session.handle;
-        ++sessionRefs[pa.session];
-        pa.sessionLabel =
-            "aik-" + std::to_string(++sessionCounter) + "@" +
-            toHex(trust.randomBytes(4));
-
-        proto::CertRequest creq;
-        creq.serverId = cfg.id;
-        creq.sessionLabel = pa.sessionLabel;
-        creq.avk = session.attestationKey.encode();
-        creq.avkSignature = session.attestationKeySignature;
-        certToRequest[pa.sessionLabel] = id;
-        pa.certRequestBytes =
-            pack(MessageKind::CertRequest, creq);
-        endpoint.sendSecure(cfg.pcaId, Bytes(pa.certRequestBytes));
-        if (cfg.reliability.enabled)
-            scheduleCertRetry(id);
-
-        collectMeasurements(id);
-    }
+    collectMeasurements(requestId);
 }
 
 void
@@ -502,104 +466,57 @@ CloudServer::maybeRespond(std::uint64_t requestId)
     auto it = pending.find(requestId);
     if (it == pending.end())
         return;
-    PendingAttestation &pa = it->second;
-    if (!pa.haveCert || !pa.measured || pa.queued)
+    const PendingAttestation &pa = it->second;
+    if (!pa.haveCert || !pa.measured)
         return;
 
-    pa.queued = true;
-    quoteQueue.push_back(requestId);
-    if (!quoteFlushScheduled) {
-        quoteFlushScheduled = true;
-        events.scheduleAfter(cfg.batchWindow,
-                             [this] { flushQuoteBatch(); },
-                             "server.quote.flush");
+    proto::MeasureResponse resp;
+    resp.requestId = requestId;
+    resp.vid = pa.request.vid;
+    resp.rm = pa.request.rm;
+    resp.m = pa.m;
+    resp.nonce3 = pa.request.nonce3;
+
+    // Stale-quote replay attack: a compromised host answers a fresh
+    // challenge with evidence captured before a rollback, re-signed
+    // under the current session so signature and quote checks pass.
+    // The replay keeps the *stale* nonce3 — the AS freshness check is
+    // the only thing that can catch this.
+    auto stashIt = staleStash.find(resp.vid);
+    if (rollbackActive() && rollbackFaults->replaysStale(cfg.id) &&
+        stashIt != staleStash.end()) {
+        resp.rm = stashIt->second.rm;
+        resp.m = stashIt->second.m;
+        resp.nonce3 = stashIt->second.nonce3;
+    } else {
+        staleStash[resp.vid] = StaleStash{resp.rm, resp.m, resp.nonce3};
     }
-}
-
-void
-CloudServer::flushQuoteBatch()
-{
-    quoteFlushScheduled = false;
-    std::vector<std::uint64_t> batch;
-    batch.swap(quoteQueue);
-
-    // Serial pre-pass, in arrival order: assemble the responses.
-    struct Item
-    {
-        std::uint64_t id = 0;
-        tpm::SessionHandle session = 0;
-        net::NodeId requester;
-        proto::MeasureResponse resp;
-        Result<Bytes> sig = Result<Bytes>::error("not signed");
-    };
-    std::vector<Item> items;
-    items.reserve(batch.size());
-    for (std::uint64_t id : batch) {
-        const auto it = pending.find(id);
-        if (it == pending.end())
-            continue;
-        const PendingAttestation &pa = it->second;
-        Item item;
-        item.id = id;
-        item.session = pa.session;
-        item.requester = pa.requester;
-        item.resp.requestId = id;
-        item.resp.vid = pa.request.vid;
-        item.resp.rm = pa.request.rm;
-        item.resp.m = pa.m;
-        item.resp.nonce3 = pa.request.nonce3;
-
-        // Stale-quote replay attack: a compromised host answers a
-        // fresh challenge with evidence captured before a rollback,
-        // re-signed under the current session so signature and quote
-        // checks pass. The replay keeps the *stale* nonce3 — the AS
-        // freshness check is the only thing that can catch this.
-        auto stashIt = staleStash.find(item.resp.vid);
-        if (rollbackActive() && rollbackFaults->replaysStale(cfg.id) &&
-            stashIt != staleStash.end()) {
-            item.resp.rm = stashIt->second.rm;
-            item.resp.m = stashIt->second.m;
-            item.resp.nonce3 = stashIt->second.nonce3;
-        } else {
-            staleStash[item.resp.vid] = StaleStash{
-                item.resp.rm, item.resp.m, item.resp.nonce3};
-        }
-        item.resp.quote3 = proto::MeasureResponse::quoteInput(
-            item.resp.vid, item.resp.rm, item.resp.m, item.resp.nonce3);
-        item.resp.certificate = pa.certificate;
-        if (const proto::Measurement *tv =
-                item.resp.m.find(proto::MeasurementType::TcbVersion);
-            tv != nullptr && !tv->values.empty()) {
-            // Unsigned diagnostic mirror of the measured TCB version
-            // (wire v3); appraisers only ever trust the signed copy.
-            item.resp.tcbVersion = tv->values[0];
-        }
-        items.push_back(std::move(item));
+    resp.quote3 = proto::MeasureResponse::quoteInput(resp.vid, resp.rm,
+                                                     resp.m, resp.nonce3);
+    resp.certificate = pa.certificate;
+    if (const proto::Measurement *tv =
+            resp.m.find(proto::MeasurementType::TcbVersion);
+        tv != nullptr && !tv->values.empty()) {
+        // Unsigned diagnostic mirror of the measured TCB version
+        // (wire v3); appraisers only ever trust the signed copy.
+        resp.tcbVersion = tv->values[0];
     }
 
-    // Quote signatures (step 6 of Figure 2) are pure compute against
-    // open sessions; no session is created or ended until the serial
-    // tail below.
-    sim::WorkerPool::global().parallelFor(
-        items.size(), [&](std::size_t i) {
-            items[i].sig = trust.signWithSession(
-                items[i].session, items[i].resp.signedPortion());
-        });
+    // Step 6 of Figure 2: the quote signature under the session's ASKs.
+    Result<Bytes> sig =
+        trust.signWithSession(pa.session, resp.signedPortion());
+    const net::NodeId requester = pa.requester;
+    releaseSession(pa.session);
+    pending.erase(it);
+    if (!sig)
+        return;
 
-    // Serial tail in arrival order: session release and sends. The
-    // dedup cache holds the canonical legacy body (cache hits resend
-    // legacy-framed); the fresh send uses this node's wire format.
-    for (Item &item : items) {
-        releaseSession(item.session);
-        pending.erase(item.id);
-        if (!item.sig)
-            continue;
-        item.resp.signature = item.sig.take();
-        rememberResponse(item.id, item.resp.encode());
-        endpoint.sendSecure(item.requester,
-                            pack(MessageKind::MeasureResponse,
-                                 item.resp));
-    }
+    // The dedup cache holds the canonical legacy body (cache hits
+    // resend legacy-framed); the fresh send uses this node's format.
+    resp.signature = sig.take();
+    rememberResponse(requestId, resp.encode());
+    endpoint.sendSecure(requester,
+                        pack(MessageKind::MeasureResponse, resp));
 }
 
 void
@@ -623,8 +540,6 @@ CloudServer::crash()
     pending.clear();
     certToRequest.clear();
     sessionRefs.clear();
-    aikPrepQueue.clear();
-    quoteQueue.clear();
     responseCache.clear();
     responseOrder.clear();
     migrations.clear();

@@ -25,7 +25,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -114,26 +113,6 @@ struct CloudServerConfig
     std::uint64_t aikReuseLimit = 16;
 
     /**
-     * Fan-in batching window for Trust Module crypto. Attestation-key
-     * preparations (and, independently, quote signatures) maturing
-     * within the window of the first one run as one batch on the
-     * compute plane; handles, labels and sends stay serial in arrival
-     * order. 0 still batches work maturing at the same simulated
-     * timestamp — batch composition depends only on sim time.
-     */
-    SimTime batchWindow = 0;
-
-    /**
-     * Pre-generated identity keys (must equal
-     * deriveIdentityKeys(id, seed, identityKeyBits)) and TPM
-     * endorsement key (must equal TrustModule::deriveTpmKey); empty
-     * derives them in the constructor. Cloud construction uses these
-     * to fan per-server keygen out across the compute plane.
-     */
-    std::optional<crypto::RsaKeyPair> presetIdentityKeys;
-    std::optional<crypto::RsaKeyPair> presetTpmKey;
-
-    /**
      * Wire codec this node speaks (DESIGN.md �17). Legacy is the
      * canonical default; Tagged is the schema-evolvable opt-in.
      * Received frames always decode by their own self-described
@@ -163,15 +142,6 @@ class CloudServer
     CloudServer(sim::EventQueue &eq, net::Network &network,
                 net::KeyDirectory &directory, CloudServerConfig config,
                 std::uint64_t seed);
-
-    /** Deterministic identity-key derivation (see presetIdentityKeys). */
-    static crypto::RsaKeyPair deriveIdentityKeys(const std::string &id,
-                                                 std::uint64_t seed,
-                                                 std::size_t bits);
-
-    /** The Trust Module entropy seed used for a given server id/seed
-     * (feeds TrustModule::deriveTpmKey for preset generation). */
-    static Bytes entropySeed(const std::string &id, std::uint64_t seed);
 
     /** Boot the platform: measure software into the TPM, start the
      * scheduler, publish the identity key. */
@@ -228,7 +198,7 @@ class CloudServer
     /**
      * Simulate a crash of the management plane: detach from the
      * network and drop all volatile attestation state (in-flight
-     * sessions, queues, dedup caches). Hosted VMs keep running — the
+     * sessions, dedup caches). Hosted VMs keep running — the
      * hypervisor is below the crashing software stack.
      */
     void crash();
@@ -273,7 +243,6 @@ class CloudServer
         bool haveCert = false;
         proto::MeasurementSet m;
         bool measured = false;
-        bool queued = false; //!< Already in the quote-sign batch.
         Bytes certRequestBytes;      //!< For identical pCA retries.
         int certRetries = 0;
         sim::EventId certTimer = 0; //!< 0 = none pending.
@@ -302,11 +271,15 @@ class CloudServer
     void onMigrateIn(const net::NodeId &from, const Bytes &body);
     void onMigrateInAck(const net::NodeId &from, const Bytes &body);
 
+    /** Open a fresh AVK session, send it to the pCA for certification
+     * and start collecting measurements (step 3 of Figure 2). */
+    void beginAikSession(std::uint64_t requestId);
     void collectMeasurements(std::uint64_t requestId);
     void finishMeasurements(std::uint64_t requestId);
+
+    /** Sign and send the response once certificate and measurements
+     * are both in. */
     void maybeRespond(std::uint64_t requestId);
-    void flushAikPrep();
-    void flushQuoteBatch();
     hypervisor::DomainId createVmDomain(const proto::LaunchVm &req);
 
     /** Drop a pending attestation's hold on a Trust Module session;
@@ -368,12 +341,6 @@ class CloudServer
     AikSessionCache aikCache;
     /** In-flight uses per Trust Module session handle. */
     std::map<tpm::SessionHandle, std::size_t> sessionRefs;
-
-    /** Fan-in batches (see CloudServerConfig::batchWindow). */
-    std::vector<std::uint64_t> aikPrepQueue;
-    bool aikFlushScheduled = false;
-    std::vector<std::uint64_t> quoteQueue;
-    bool quoteFlushScheduled = false;
 
     /** Pending migration: vid -> controller that asked. */
     std::map<std::string, net::NodeId> migrations;

@@ -16,8 +16,8 @@
  *
  * Triggers are evaluated at commit points (the end of a mutating
  * event handler) and depend only on journal state and simulated
- * time, so checkpoint cadence is bit-identical at any MONATT_THREADS
- * width. An idle node whose journal never grows is never woken just
+ * time, so checkpoint cadence is bit-identical across same-seed
+ * runs. An idle node whose journal never grows is never woken just
  * to checkpoint — age is a bound on history replayed, not a timer.
  */
 

@@ -11,8 +11,7 @@
  * Every verdict is a pure function of (seed, simulated time,
  * datagram identity): no hidden mutable state, no host randomness.
  * Two runs with the same seed and the same traffic make identical
- * decisions regardless of MONATT_THREADS, which preserves the
- * bit-identical-simulation contract of the compute plane.
+ * decisions, which keeps seeded simulations bit-identical.
  *
  * This layer deliberately knows nothing about net::Envelope — the
  * network calls decide() with plain strings — so monatt_net can keep

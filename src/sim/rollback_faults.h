@@ -19,10 +19,9 @@
  *    only the verifier's nonce-freshness check can catch it.
  *
  * Every verdict is a pure function of (seed, node id): no mutable
- * state, no host randomness, no dependence on simulated time or
- * thread count. Two runs with the same seed compromise the same
- * nodes at any MONATT_THREADS width, which is what keeps the
- * rollback-chaos sweeps bit-identical.
+ * state, no host randomness, no dependence on simulated time. Two
+ * runs with the same seed compromise the same nodes, which is what
+ * keeps the rollback-chaos sweeps bit-identical.
  */
 
 #ifndef MONATT_SIM_ROLLBACK_FAULTS_H

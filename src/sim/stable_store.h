@@ -28,13 +28,10 @@
  * The store is deliberately simulation-friendly:
  *  - appends cost zero simulated time, so a clean-wire run with
  *    journaling enabled is byte-identical to one without;
- *  - all operations run on the driver thread (the event loop), never
- *    on the worker pool, so any `MONATT_THREADS` width sees the same
- *    LSN sequence — and every storage-fault verdict is a pure
- *    function of (seed, node, LSN), so corruption is bit-identical
- *    across pool widths too;
+ *  - every storage-fault verdict is a pure function of (seed, node,
+ *    LSN), so a same-seed re-run corrupts the same records;
  *  - `digest()` folds the durable image into one 64-bit value so
- *    determinism tests can compare stores across pool widths.
+ *    determinism tests can compare stores across runs.
  *
  * Record payloads are opaque `Bytes` produced by `common/codec`
  * writers; the store itself never interprets them.
@@ -162,8 +159,8 @@ class StableStore
      * Append a batch of same-type records in one call: one reserve,
      * consecutive LSNs, identical digest to the equivalent sequence of
      * append() calls. This is the bulk-journal path for fan-outs that
-     * mutate many records in one handler (controller launch waves, pCA
-     * certification batches, the soak bench's provisioning waves).
+     * mutate many records in one handler (the soak bench's provisioning
+     * and completion waves).
      *
      * @return The LSN of the *last* record (0 when `payloads` is
      *         empty).

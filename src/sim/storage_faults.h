@@ -12,10 +12,10 @@
  * order, leaving an LSN gap in front of it).
  *
  * Every verdict is a pure function of (seed, node id, LSN): no
- * mutable state, no host randomness, no dependence on simulated time
- * or thread count. Two runs with the same seed make identical
- * storage-fault decisions at any MONATT_THREADS width, which is what
- * keeps the storage-chaos sweeps bit-identical. A record doomed to
+ * mutable state, no host randomness, no dependence on simulated
+ * time. Two runs with the same seed make identical storage-fault
+ * decisions, which is what keeps the storage-chaos sweeps
+ * bit-identical. A record doomed to
  * rot is doomed from birth — re-evaluating the verdict at a later
  * crash returns the same answer, so applying it is idempotent.
  */

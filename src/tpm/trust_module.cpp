@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/worker_pool.h"
-
 namespace monatt::tpm
 {
 
@@ -18,11 +16,9 @@ drbgSeed(const Bytes &entropySeed, const crypto::RsaKeyPair &identity)
     return seed;
 }
 
-} // namespace
-
+/** Deterministic endorsement key for a server id and entropy seed. */
 crypto::RsaKeyPair
-TrustModule::deriveTpmKey(const std::string &serverId,
-                          const Bytes &entropySeed)
+endorsementKey(const std::string &serverId, const Bytes &entropySeed)
 {
     Bytes seed = toBytes("tpm-ek:" + serverId);
     append(seed, entropySeed);
@@ -31,16 +27,15 @@ TrustModule::deriveTpmKey(const std::string &serverId,
     return crypto::rsaGenerateKeyPair(512, rng);
 }
 
+} // namespace
+
 TrustModule::TrustModule(std::string serverId,
                          crypto::RsaKeyPair identityKey,
                          const Bytes &entropySeed,
-                         std::size_t sessionKeyBits,
-                         std::optional<crypto::RsaKeyPair> presetTpmKey)
+                         std::size_t sessionKeyBits)
     : server(std::move(serverId)), identity(std::move(identityKey)),
       identityCtx(identity.priv), drbg(drbgSeed(entropySeed, identity)),
-      aikBits(sessionKeyBits),
-      tpmDev(presetTpmKey ? std::move(*presetTpmKey)
-                          : deriveTpmKey(server, entropySeed))
+      aikBits(sessionKeyBits), tpmDev(endorsementKey(server, entropySeed))
 {
 }
 
@@ -124,51 +119,16 @@ TrustModule::clearBank(const std::string &bank)
 AttestationSessionInfo
 TrustModule::beginSession()
 {
-    return beginSessions(1).front();
-}
+    Rng rng = drbg.forkRng();
+    crypto::RsaKeyPair aik = crypto::rsaGenerateKeyPair(aikBits, rng);
 
-std::vector<AttestationSessionInfo>
-TrustModule::beginSessions(std::size_t n)
-{
-    // Serial pre-pass: the DRBG is stateful, so the per-session RNGs
-    // fork in submission order regardless of the pool size.
-    std::vector<Rng> rngs;
-    rngs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        rngs.push_back(drbg.forkRng());
-
-    // Parallel phase: pure per-session compute against a private RNG —
-    // keygen, context compilation, identity signature (identityCtx is
-    // const and shared read-only).
-    struct Generated
-    {
-        crypto::RsaKeyPair aik;
-        std::optional<crypto::RsaPrivateContext> ctx;
-        Bytes signature;
-    };
-    auto generated = sim::WorkerPool::global().map<Generated>(
-        n, [&](std::size_t i) {
-            Generated g;
-            g.aik = crypto::rsaGenerateKeyPair(aikBits, rngs[i]);
-            g.ctx.emplace(g.aik.priv);
-            g.signature = signWithIdentity(g.aik.pub.encode());
-            return g;
-        });
-
-    // Serial post-pass: handles and session-table inserts in order.
-    std::vector<AttestationSessionInfo> out;
-    out.reserve(n);
-    for (Generated &g : generated) {
-        AttestationSessionInfo info;
-        info.handle = nextHandle++;
-        info.attestationKey = g.aik.pub;
-        info.attestationKeySignature = std::move(g.signature);
-        sessions.emplace(info.handle,
-                         SessionKey{std::move(g.aik),
-                                    std::move(*g.ctx)});
-        out.push_back(std::move(info));
-    }
-    return out;
+    AttestationSessionInfo info;
+    info.handle = nextHandle++;
+    info.attestationKey = aik.pub;
+    info.attestationKeySignature = signWithIdentity(aik.pub.encode());
+    crypto::RsaPrivateContext ctx(aik.priv);
+    sessions.emplace(info.handle, SessionKey{std::move(aik), std::move(ctx)});
+    return info;
 }
 
 Result<Bytes>

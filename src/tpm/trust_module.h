@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,23 +62,9 @@ class TrustModule
      *        into the tamper-proof register at deployment (§3.4.2).
      * @param entropySeed Seed for the RNG block.
      * @param sessionKeyBits Modulus size for per-session AIKs.
-     * @param presetTpmKey Pre-derived endorsement key (must equal
-     *        deriveTpmKey(serverId, entropySeed)); empty derives it
-     *        here.
      */
     TrustModule(std::string serverId, crypto::RsaKeyPair identityKey,
-                const Bytes &entropySeed, std::size_t sessionKeyBits = 512,
-                std::optional<crypto::RsaKeyPair> presetTpmKey = {});
-
-    /**
-     * Deterministic endorsement-key derivation for a server id and
-     * entropy seed. Exposed so Cloud construction can pre-generate the
-     * keys of many servers on the compute plane and hand them in via
-     * the preset parameter below; deriving inline or via preset yields
-     * byte-identical keys.
-     */
-    static crypto::RsaKeyPair deriveTpmKey(const std::string &serverId,
-                                           const Bytes &entropySeed);
+                const Bytes &entropySeed, std::size_t sessionKeyBits = 512);
 
     /** Public identity key VKs. */
     const crypto::RsaPublicKey &identityPublic() const
@@ -135,16 +120,6 @@ class TrustModule
      * the identity signature over AVKs (step 3 in Figure 2).
      */
     AttestationSessionInfo beginSession();
-
-    /**
-     * Create `n` fresh attestation sessions at once. The RNG forks and
-     * handle assignment happen serially in order (the DRBG stream and
-     * the handles are identical to n beginSession() calls), while the
-     * pure per-session work — key generation, Montgomery context
-     * compilation, the identity signature over AVKs — fans out across
-     * the compute plane. Results are returned in submission order.
-     */
-    std::vector<AttestationSessionInfo> beginSessions(std::size_t n);
 
     /** Sign a measurement blob with the session's ASKs (step 6). */
     Result<Bytes> signWithSession(SessionHandle handle,

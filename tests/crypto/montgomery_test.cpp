@@ -143,21 +143,6 @@ TEST(MontgomeryTest, ContextReuseMatchesOneShot)
     }
 }
 
-TEST(MontgomeryTest, EngineSwitchForcesLegacyEverywhere)
-{
-    Rng rng(0xbb);
-    const BigUint m = randomOddModulus(rng, 256);
-    const BigUint base = randomBits(rng, 256);
-    const BigUint exp = randomBits(rng, 256);
-    const BigUint fast = base.modExp(exp, m);
-
-    ASSERT_EQ(modExpEngine(), ModExpEngine::Montgomery);
-    setModExpEngine(ModExpEngine::Legacy);
-    const BigUint slow = base.modExp(exp, m);
-    setModExpEngine(ModExpEngine::Montgomery);
-    EXPECT_EQ(fast, slow);
-}
-
 // --- RSA context equivalence ------------------------------------------
 
 const RsaKeyPair &
@@ -206,17 +191,6 @@ TEST(RsaContextTest, EncryptionInterchangeable)
     auto p2 = rsaDecrypt(priv, c2.value());
     ASSERT_TRUE(p2.isOk());
     EXPECT_EQ(p2.value(), msg);
-}
-
-TEST(RsaContextTest, LegacyEngineContextsStayCorrect)
-{
-    const RsaKeyPair &kp = testKeyPair();
-    const Bytes msg = toBytes("legacy engine message");
-    setModExpEngine(ModExpEngine::Legacy);
-    const RsaPrivateContext priv(kp.priv); // built without Montgomery
-    const Bytes sig = rsaSign(priv, msg);
-    setModExpEngine(ModExpEngine::Montgomery);
-    EXPECT_EQ(sig, rsaSign(kp.priv, msg));
 }
 
 } // namespace

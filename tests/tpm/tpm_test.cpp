@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "crypto/sha256.h"
-#include "sim/worker_pool.h"
 #include "tpm/certificate.h"
 #include "tpm/tpm_emulator.h"
 #include "tpm/trust_module.h"
@@ -190,34 +189,6 @@ TEST(TrustModuleTest, SessionKeysAreFreshAndCertifiable)
     EXPECT_TRUE(crypto::rsaVerify(tm.identityPublic(),
                                   s1.attestationKey.encode(),
                                   s1.attestationKeySignature));
-}
-
-TEST(TrustModuleTest, BatchedSessionsMatchSequentialSessions)
-{
-    // beginSessions(n) fans the key generations out on the compute
-    // plane but must reproduce the exact handles, keys and identity
-    // signatures of n sequential beginSession() calls, at any pool
-    // width.
-    sim::WorkerPool::configureGlobal(4);
-    TrustModule batched("server-1", makeKeys(6), toBytes("entropy"));
-    TrustModule serial("server-1", makeKeys(6), toBytes("entropy"));
-
-    const auto batch = batched.beginSessions(3);
-    ASSERT_EQ(batch.size(), 3u);
-    for (const auto &info : batch) {
-        const auto ref = serial.beginSession();
-        EXPECT_EQ(info.handle, ref.handle);
-        EXPECT_EQ(info.attestationKey.n, ref.attestationKey.n);
-        EXPECT_EQ(info.attestationKey.e, ref.attestationKey.e);
-        EXPECT_EQ(info.attestationKeySignature,
-                  ref.attestationKeySignature);
-    }
-
-    // Both modules end up with identical DRBG state: the next
-    // sequential session still agrees.
-    EXPECT_EQ(batched.beginSession().attestationKey.n,
-              serial.beginSession().attestationKey.n);
-    sim::WorkerPool::configureGlobal(1);
 }
 
 TEST(TrustModuleTest, SessionSigningAndTeardown)
