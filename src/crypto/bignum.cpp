@@ -9,15 +9,32 @@ namespace monatt::crypto
 namespace
 {
 
-/** Small primes for trial division during prime generation. */
-constexpr std::uint32_t kSmallPrimes[] = {
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139,
-    149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223,
-    227, 229, 233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
-    307, 311, 313, 317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383,
-    389, 397, 401, 409, 419, 421, 431, 433, 439, 443, 449, 457, 461, 463,
-};
+using Wide = unsigned __int128;
+
+/** The odd primes below 2^14 (1899 of them), by a sieve of
+ * Eratosthenes: generatePrime's sieve. */
+const std::vector<std::uint32_t> &
+smallOddPrimes()
+{
+    static const std::vector<std::uint32_t> primes = [] {
+        constexpr std::uint32_t kLimit = 1u << 14;
+        std::vector<bool> composite(kLimit, false);
+        std::vector<std::uint32_t> out;
+        for (std::uint32_t i = 3; i < kLimit; i += 2) {
+            if (composite[i])
+                continue;
+            out.push_back(i);
+            for (std::uint32_t j = i * i; j < kLimit; j += 2 * i)
+                composite[j] = true;
+        }
+        return out;
+    }();
+    return primes;
+}
+
+/** isProbablePrime trial-divides by the first kTrialPrimes entries of
+ * smallOddPrimes(), the odd primes up to 463. */
+constexpr std::size_t kTrialPrimes = 88;
 
 } // namespace
 
@@ -26,6 +43,15 @@ BigUint::trim()
 {
     while (!limb.empty() && limb.back() == 0)
         limb.pop_back();
+}
+
+std::uint32_t
+BigUint::modSmall(std::uint32_t p) const
+{
+    std::uint64_t rem = 0;
+    for (std::size_t i = limb.size(); i-- > 0;)
+        rem = ((rem << 32) | limb[i]) % p;
+    return static_cast<std::uint32_t>(rem);
 }
 
 BigUint
@@ -438,60 +464,82 @@ MontgomeryContext::MontgomeryContext(const BigUint &modulus) : m(modulus)
         throw std::domain_error(
             "MontgomeryContext: modulus must be odd and nonzero");
 
-    n = m.limb;
-    const std::size_t k = n.size();
+    const std::size_t k = (m.limb.size() + 1) / 2;
+    n.resize(k);
+    pack(m, n.data());
 
-    // n' = -n^-1 mod 2^32 via Newton iteration: starting from x = n0
+    // n' = -n^-1 mod 2^64 via Newton iteration: starting from x = n0
     // (correct mod 8 for odd n0), each step doubles the valid bits.
-    const std::uint32_t n0 = n[0];
-    std::uint32_t inv = n0;
+    const Limb n0 = n[0];
+    Limb inv = n0;
     for (int i = 0; i < 5; ++i)
         inv *= 2 - n0 * inv;
-    nPrime = static_cast<std::uint32_t>(0) - inv;
+    nPrime = Limb{0} - inv;
 
-    // R mod n and R^2 mod n, R = 2^(32k), via one shift and division.
-    const BigUint r = BigUint::fromU64(1).shiftLeft(32 * k);
-    BigUint rMod = r % m;
-    BigUint rrMod = (rMod * rMod) % m;
-    rModN = std::move(rMod.limb);
-    rModN.resize(k, 0);
-    rrModN = std::move(rrMod.limb);
-    rrModN.resize(k, 0);
+    // R^2 mod n by one shift and division; R mod n = montMul(R^2, 1).
+    rrModN.resize(k);
+    pack(BigUint::fromU64(1).shiftLeft(128 * k) % m, rrModN.data());
+    std::vector<Limb> one(k, 0), t(k + 2);
+    one[0] = 1;
+    rModN.resize(k);
+    montMul(rrModN.data(), one.data(), rModN.data(), t.data());
 }
 
 void
-MontgomeryContext::montMul(const Limbs &a, const Limbs &b, Limbs &out) const
+MontgomeryContext::pack(const BigUint &value, Limb *out) const
+{
+    std::fill(out, out + n.size(), Limb{0});
+    for (std::size_t i = 0; i < value.limb.size(); ++i)
+        out[i / 2] |= static_cast<Limb>(value.limb[i]) << (32 * (i % 2));
+}
+
+BigUint
+MontgomeryContext::unpack(const Limb *value) const
+{
+    BigUint out;
+    out.limb.resize(2 * n.size());
+    for (std::size_t i = 0; i < n.size(); ++i) {
+        out.limb[2 * i] = static_cast<std::uint32_t>(value[i]);
+        out.limb[2 * i + 1] = static_cast<std::uint32_t>(value[i] >> 32);
+    }
+    out.trim();
+    return out;
+}
+
+void
+MontgomeryContext::montMul(const Limb *a, const Limb *b, Limb *out,
+                           Limb *t) const
 {
     const std::size_t k = n.size();
-    Limbs t(k + 2, 0);
+    const Limb *np = n.data();
+    std::fill(t, t + k + 2, Limb{0});
 
     for (std::size_t i = 0; i < k; ++i) {
         // t += a[i] * b.
-        const std::uint64_t ai = a[i];
-        std::uint64_t carry = 0;
+        const Wide ai = a[i];
+        Limb carry = 0;
         for (std::size_t j = 0; j < k; ++j) {
-            const std::uint64_t cur = t[j] + ai * b[j] + carry;
-            t[j] = static_cast<std::uint32_t>(cur);
-            carry = cur >> 32;
+            const Wide cur = t[j] + ai * b[j] + carry;
+            t[j] = static_cast<Limb>(cur);
+            carry = static_cast<Limb>(cur >> 64);
         }
-        std::uint64_t cur = t[k] + carry;
-        t[k] = static_cast<std::uint32_t>(cur);
-        t[k + 1] = static_cast<std::uint32_t>(cur >> 32);
+        Wide cur = static_cast<Wide>(t[k]) + carry;
+        t[k] = static_cast<Limb>(cur);
+        t[k + 1] = static_cast<Limb>(cur >> 64);
 
-        // t = (t + mFac * n) / 2^32; mFac chosen so t becomes
+        // t = (t + mFac * n) / 2^64; mFac chosen so t becomes
         // divisible by the word base.
-        const std::uint32_t mFac = t[0] * nPrime;
-        cur = t[0] + static_cast<std::uint64_t>(mFac) * n[0];
-        carry = cur >> 32;
+        const Wide mFac = static_cast<Limb>(t[0] * nPrime);
+        cur = t[0] + mFac * np[0];
+        carry = static_cast<Limb>(cur >> 64);
         for (std::size_t j = 1; j < k; ++j) {
-            cur = t[j] + static_cast<std::uint64_t>(mFac) * n[j] + carry;
-            t[j - 1] = static_cast<std::uint32_t>(cur);
-            carry = cur >> 32;
+            cur = t[j] + mFac * np[j] + carry;
+            t[j - 1] = static_cast<Limb>(cur);
+            carry = static_cast<Limb>(cur >> 64);
         }
-        cur = static_cast<std::uint64_t>(t[k]) + carry;
-        t[k - 1] = static_cast<std::uint32_t>(cur);
-        t[k] = t[k + 1] + static_cast<std::uint32_t>(cur >> 32);
-        t[k + 1] = 0;
+        cur = static_cast<Wide>(t[k]) + carry;
+        t[k - 1] = static_cast<Limb>(cur);
+        t[k] = t[k + 1] + static_cast<Limb>(cur >> 64);
     }
 
     // Result is in t[0..k] and is < 2n; one conditional subtract.
@@ -499,54 +547,29 @@ MontgomeryContext::montMul(const Limbs &a, const Limbs &b, Limbs &out) const
     if (!geq) {
         geq = true;
         for (std::size_t i = k; i-- > 0;) {
-            if (t[i] != n[i]) {
-                geq = t[i] > n[i];
+            if (t[i] != np[i]) {
+                geq = t[i] > np[i];
                 break;
             }
         }
     }
-    out.assign(t.begin(), t.begin() + static_cast<std::ptrdiff_t>(k));
-    if (geq) {
-        std::int64_t borrow = 0;
-        for (std::size_t i = 0; i < k; ++i) {
-            std::int64_t diff = static_cast<std::int64_t>(out[i]) -
-                                static_cast<std::int64_t>(n[i]) - borrow;
-            if (diff < 0) {
-                diff += 1LL << 32;
-                borrow = 1;
-            } else {
-                borrow = 0;
-            }
-            out[i] = static_cast<std::uint32_t>(diff);
-        }
+    if (!geq) {
+        std::copy(t, t + k, out);
+        return;
     }
-}
-
-MontgomeryContext::Limbs
-MontgomeryContext::toMont(const BigUint &value) const
-{
-    Limbs v = value.limb;
-    v.resize(n.size(), 0);
-    Limbs out;
-    montMul(v, rrModN, out);
-    return out;
-}
-
-BigUint
-MontgomeryContext::fromMont(const Limbs &value) const
-{
-    Limbs oneLimb(n.size(), 0);
-    oneLimb[0] = 1;
-    BigUint out;
-    montMul(value, oneLimb, out.limb);
-    out.trim();
-    return out;
+    Limb borrow = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+        const Wide diff = static_cast<Wide>(t[i]) - np[i] - borrow;
+        out[i] = static_cast<Limb>(diff);
+        borrow = static_cast<Limb>(diff >> 64) & 1;
+    }
 }
 
 BigUint
 MontgomeryContext::modExp(const BigUint &base, const BigUint &exp) const
 {
-    if (m == BigUint::fromU64(1))
+    const std::size_t k = n.size();
+    if (k == 1 && n[0] == 1)
         return BigUint();
     if (exp.isZero())
         return BigUint::fromU64(1);
@@ -557,17 +580,25 @@ MontgomeryContext::modExp(const BigUint &base, const BigUint &exp) const
     // products, each window costs w squarings plus at most one product.
     const std::size_t w =
         bits > 512 ? 5 : bits > 128 ? 4 : bits > 24 ? 3 : bits > 8 ? 2 : 1;
+    const std::size_t entries = std::size_t(1) << w;
 
-    const Limbs x = toMont(base % m);
-    std::vector<Limbs> table(std::size_t(1) << w);
-    table[0] = rModN;
-    table[1] = x;
-    for (std::size_t i = 2; i < table.size(); ++i)
-        montMul(table[i - 1], x, table[i]);
+    // One scratch buffer: the window table (entry i holds x^i in
+    // Montgomery form), the accumulator and the CIOS temporary.
+    std::vector<Limb> scratch((entries + 1) * k + k + 2);
+    Limb *table = scratch.data();
+    Limb *acc = table + entries * k;
+    Limb *t = acc + k;
+
+    if (base < m)
+        pack(base, acc);
+    else
+        pack(base % m, acc);
+    montMul(acc, rrModN.data(), table + k, t);
+    std::copy(rModN.begin(), rModN.end(), table);
+    for (std::size_t i = 2; i < entries; ++i)
+        montMul(table + (i - 1) * k, table + k, table + i * k, t);
 
     const std::size_t chunks = (bits + w - 1) / w;
-    Limbs acc;
-    Limbs tmp;
     for (std::size_t c = chunks; c-- > 0;) {
         std::size_t digit = 0;
         for (std::size_t b = 0; b < w; ++b) {
@@ -576,19 +607,20 @@ MontgomeryContext::modExp(const BigUint &base, const BigUint &exp) const
                 digit |= std::size_t(1) << b;
         }
         if (c + 1 == chunks) {
-            acc = table[digit];
+            std::copy(table + digit * k, table + (digit + 1) * k, acc);
             continue;
         }
-        for (std::size_t s = 0; s < w; ++s) {
-            montMul(acc, acc, tmp);
-            acc.swap(tmp);
-        }
-        if (digit != 0) {
-            montMul(acc, table[digit], tmp);
-            acc.swap(tmp);
-        }
+        for (std::size_t s = 0; s < w; ++s)
+            montMul(acc, acc, acc, t);
+        if (digit != 0)
+            montMul(acc, table + digit * k, acc, t);
     }
-    return fromMont(acc);
+
+    // Out of the Montgomery domain: multiply by 1 (table[0] is free).
+    std::fill(table, table + k, Limb{0});
+    table[0] = 1;
+    montMul(acc, table, acc, t);
+    return unpack(acc);
 }
 
 BigUint
@@ -649,41 +681,35 @@ BigUint::modInverse(const BigUint &m) const
 bool
 BigUint::isProbablePrime(Rng &rng, int rounds) const
 {
-    const BigUint one = fromU64(1);
-    const BigUint two = fromU64(2);
-    const BigUint three = fromU64(3);
-    if (*this < two)
-        return false;
-    if (*this == two || *this == three)
-        return true;
+    if (limb.size() == 1 && limb[0] < 4)
+        return limb[0] >= 2;
     if (!isOdd())
         return false;
 
-    for (std::uint32_t p : kSmallPrimes) {
-        const BigUint bp = fromU64(p);
-        if (*this == bp)
-            return true;
-        if ((*this % bp).isZero())
-            return false;
+    const std::vector<std::uint32_t> &primes = smallOddPrimes();
+    for (std::size_t i = 0; i < kTrialPrimes; ++i) {
+        if (modSmall(primes[i]) == 0)
+            return limb.size() == 1 && limb[0] == primes[i];
     }
 
     // Write n-1 = d * 2^s with d odd.
+    const BigUint one = fromU64(1);
+    const BigUint two = fromU64(2);
     const BigUint nMinus1 = *this - one;
-    BigUint d = nMinus1;
     std::size_t s = 0;
-    while (!d.isOdd()) {
-        d = d.shiftRight(1);
+    while (!nMinus1.bit(s))
         ++s;
-    }
+    const BigUint d = nMinus1.shiftRight(s);
 
+    const MontgomeryContext ctx(*this);
     for (int round = 0; round < rounds; ++round) {
         const BigUint a = randomBelow(nMinus1, rng);
-        BigUint x = a.modExp(d, *this);
+        BigUint x = ctx.modExp(a, d);
         if (x == one || x == nMinus1)
             continue;
         bool witness = true;
         for (std::size_t i = 0; i + 1 < s; ++i) {
-            x = (x * x) % *this;
+            x = ctx.modExp(x, two);
             if (x == nMinus1) {
                 witness = false;
                 break;
@@ -700,14 +726,40 @@ BigUint::generatePrime(std::size_t bits, Rng &rng)
 {
     if (bits < 8)
         throw std::invalid_argument("generatePrime: too few bits");
+    const std::vector<std::uint32_t> &primes = smallOddPrimes();
+    std::vector<std::uint32_t> residues(primes.size());
     for (;;) {
-        BigUint candidate = randomWithBits(bits, rng);
-        if (!candidate.isOdd())
-            candidate = candidate + fromU64(1);
-        if (candidate.bitLength() != bits)
-            continue;
-        if (candidate.isProbablePrime(rng))
-            return candidate;
+        BigUint start = randomWithBits(bits, rng);
+        start.limb[(bits - 2) / 32] |= 1u << ((bits - 2) % 32);
+        start.limb[0] |= 1;
+
+        // A sieve prime at or above the start cannot divide a
+        // candidate of the same width (the cofactor would be >= 2),
+        // but may be one: leave those out.
+        std::size_t count = primes.size();
+        if (bits < 32)
+            count = static_cast<std::size_t>(
+                std::lower_bound(primes.begin(), primes.end(),
+                                 start.limb[0]) -
+                primes.begin());
+        for (std::size_t i = 0; i < count; ++i)
+            residues[i] = start.modSmall(primes[i]);
+
+        // Candidates start + delta while they keep `bits` bits; delta
+        // stays below 2^31 so residue + delta cannot wrap.
+        const BigUint room = fromU64(1).shiftLeft(bits) - start;
+        const std::uint32_t limit =
+            room.bitLength() > 31 ? 1u << 31 : room.limb[0];
+        for (std::uint32_t delta = 0; delta < limit; delta += 2) {
+            std::size_t i = 0;
+            while (i < count && (residues[i] + delta) % primes[i] != 0)
+                ++i;
+            if (i < count)
+                continue;
+            BigUint candidate = start + fromU64(delta);
+            if (candidate.isProbablePrime(rng))
+                return candidate;
+        }
     }
 }
 

@@ -4,10 +4,12 @@
  *
  * A small big-integer implementation (little-endian 32-bit limbs,
  * schoolbook multiplication, Knuth Algorithm-D division) sized for the
- * 512-2048 bit moduli used by CloudMonatt's identity and attestation
- * keys. Not constant time — the simulated adversary is the Dolev-Yao
- * network attacker of §3.3, not a local timing attacker on the Trust
- * Module, which the paper assumes is protected hardware.
+ * 256-2048 bit moduli used by CloudMonatt's identity and attestation
+ * keys; modular exponentiation under an odd modulus runs in a
+ * MontgomeryContext on 64-bit limbs. Not constant time — the simulated
+ * adversary is the Dolev-Yao network attacker of §3.3, not a local
+ * timing attacker on the Trust Module, which the paper assumes is
+ * protected hardware.
  */
 
 #ifndef MONATT_CRYPTO_BIGNUM_H
@@ -127,10 +129,25 @@ class BigUint
      */
     BigUint modInverse(const BigUint &m) const;
 
-    /** Miller-Rabin probabilistic primality test. */
+    /**
+     * Probabilistic primality test: trial division by the odd primes
+     * up to 463, then `rounds` Miller-Rabin rounds with randomBelow
+     * witnesses, all under one MontgomeryContext.
+     */
     bool isProbablePrime(Rng &rng, int rounds = 24) const;
 
-    /** Generate a random probable prime with exactly `bits` bits. */
+    /**
+     * Generate a random probable prime with exactly `bits` bits, the
+     * top two of them set, so the product of two such primes has
+     * exactly 2 * bits bits.
+     *
+     * The search starts at one random odd value and steps by 2.
+     * Candidates that one of the odd primes below 2^14 divides are
+     * skipped, the rest face isProbablePrime, and a search that runs
+     * past `bits` bits draws a new start.
+     *
+     * @throws std::invalid_argument when bits < 8.
+     */
     static BigUint generatePrime(std::size_t bits, Rng &rng);
 
   private:
@@ -138,22 +155,29 @@ class BigUint
 
     void trim();
 
+    /** *this mod p, by a running u32 remainder over the limbs. */
+    std::uint32_t modSmall(std::uint32_t p) const;
+
     /** Little-endian 32-bit limbs; empty == zero. */
     std::vector<std::uint32_t> limb;
 };
 
 /**
  * Precomputed constants for Montgomery modular arithmetic under one
- * fixed odd modulus n: the word inverse n' = -n^-1 mod 2^32, R mod n
- * and R^2 mod n for R = 2^(32*k). Exponentiation runs a fixed-window
- * ladder over CIOS Montgomery products, replacing the per-step Knuth
- * division of the legacy ladder with word-level reductions.
+ * fixed odd modulus n, held in k little-endian 64-bit limbs: the word
+ * inverse n' = -n^-1 mod 2^64, R mod n and R^2 mod n for R = 2^(64k).
+ * Exponentiation runs a fixed-window ladder over CIOS Montgomery
+ * products with `unsigned __int128` partial products, replacing the
+ * per-step Knuth division of the legacy ladder with word-level
+ * reductions. BigUint's 32-bit limbs are packed into 64-bit limbs on
+ * the way in and unpacked on the way out.
  *
  * RSA moduli, primes and CRT factors are always odd, so every protocol
  * exponentiation qualifies. Construction costs one division (for
  * R^2 mod n); the per-key context caches in the Trust Module, the
  * secure channels and the Attestation Server exist to pay it once per
- * key instead of once per operation.
+ * key instead of once per operation, and isProbablePrime pays it once
+ * per candidate for all its rounds.
  */
 class MontgomeryContext
 {
@@ -167,20 +191,23 @@ class MontgomeryContext
     BigUint modExp(const BigUint &base, const BigUint &exp) const;
 
   private:
-    using Limbs = std::vector<std::uint32_t>;
+    using Limb = std::uint64_t;
 
-    /** out = a * b * R^-1 mod n (CIOS). All vectors are k limbs. */
-    void montMul(const Limbs &a, const Limbs &b, Limbs &out) const;
+    /**
+     * out = a * b * R^-1 mod n (CIOS) over k-limb operands, all below
+     * n. `t` is k + 2 limbs of scratch; `out` may alias `a` or `b`.
+     */
+    void montMul(const Limb *a, const Limb *b, Limb *out, Limb *t) const;
 
-    /** Convert into / out of the Montgomery domain. */
-    Limbs toMont(const BigUint &value) const;
-    BigUint fromMont(const Limbs &value) const;
+    /** value (below n) into k zero-padded 64-bit limbs. */
+    void pack(const BigUint &value, Limb *out) const;
+    BigUint unpack(const Limb *value) const;
 
     BigUint m;
-    Limbs n;                  //!< Modulus limbs (size k).
-    Limbs rModN;              //!< R mod n (1 in Montgomery form).
-    Limbs rrModN;             //!< R^2 mod n.
-    std::uint32_t nPrime = 0; //!< -n^-1 mod 2^32.
+    std::vector<Limb> n;      //!< Modulus limbs (size k).
+    std::vector<Limb> rModN;  //!< R mod n (1 in Montgomery form).
+    std::vector<Limb> rrModN; //!< R^2 mod n.
+    Limb nPrime = 0;          //!< -n^-1 mod 2^64.
 };
 
 } // namespace monatt::crypto

@@ -11,6 +11,9 @@ namespace monatt::crypto
 namespace
 {
 
+/** The smallest modulus rsaGenerateKeyPair makes or decode accepts. */
+constexpr std::size_t kMinModulusBits = 256;
+
 /**
  * DER-style prefix identifying SHA-256 inside the EMSA padding, as in
  * PKCS#1 v1.5 (RFC 8017 §9.2 notes).
@@ -64,8 +67,12 @@ RsaPublicKey::decode(const Bytes &data)
     RsaPublicKey key;
     key.n = BigUint::fromBytes(nBytes.value());
     key.e = BigUint::fromBytes(eBytes.value());
-    if (key.n.isZero() || key.e.isZero())
-        return Result<RsaPublicKey>::error("RsaPublicKey: zero component");
+    // An even or short modulus is no RSA key of ours, and under e = 1
+    // every padded digest is its own signature.
+    if (!key.n.isOdd() || key.n.bitLength() < kMinModulusBits)
+        return Result<RsaPublicKey>::error("RsaPublicKey: bad modulus");
+    if (!key.e.isOdd() || key.e < BigUint::fromU64(3) || key.e >= key.n)
+        return Result<RsaPublicKey>::error("RsaPublicKey: bad exponent");
     return Result<RsaPublicKey>::ok(std::move(key));
 }
 
@@ -136,7 +143,7 @@ RsaPrivateContext::decryptRaw(const BigUint &c) const
 RsaKeyPair
 rsaGenerateKeyPair(std::size_t modulusBits, Rng &rng)
 {
-    if (modulusBits < 256 || modulusBits % 2 != 0)
+    if (modulusBits < kMinModulusBits || modulusBits % 2 != 0)
         throw std::invalid_argument("rsaGenerateKeyPair: bad key size");
 
     const BigUint e = BigUint::fromU64(65537);

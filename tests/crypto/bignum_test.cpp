@@ -140,6 +140,58 @@ TEST(BigUintTest, GeneratePrimeHasRequestedSize)
     const BigUint p = BigUint::generatePrime(128, rng);
     EXPECT_EQ(p.bitLength(), 128u);
     EXPECT_TRUE(p.isOdd());
+    EXPECT_TRUE(p.bit(126));
+    EXPECT_THROW(BigUint::generatePrime(7, rng), std::invalid_argument);
+}
+
+std::uint64_t
+toU64(const BigUint &v)
+{
+    std::uint64_t out = 0;
+    for (std::uint8_t byte : v.toBytes())
+        out = (out << 8) | byte;
+    return out;
+}
+
+bool
+isPrimeByTrialDivision(std::uint64_t v)
+{
+    if (v < 2)
+        return false;
+    for (std::uint64_t d = 2; d * d <= v; ++d) {
+        if (v % d == 0)
+            return false;
+    }
+    return true;
+}
+
+// Small widths reach the search's edges: at 8..14 bits every prime is
+// itself in the sieve table (the odd primes below 2^14), and a start
+// above the last prime of a width must run past 2^bits and start over.
+TEST(BigUintTest, GeneratePrimeSmallWidthsAreTruePrimes)
+{
+    int ranPast = 0;
+    for (std::size_t bits = 8; bits <= 24; ++bits) {
+        std::uint64_t lastPrime = (std::uint64_t{1} << bits) - 1;
+        while (!isPrimeByTrialDivision(lastPrime))
+            lastPrime -= 2;
+        for (std::uint64_t seed = 0; seed < 32; ++seed) {
+            Rng rng(bits * 1000 + seed);
+            const std::uint64_t p =
+                toU64(BigUint::generatePrime(bits, rng));
+            EXPECT_TRUE(isPrimeByTrialDivision(p)) << p;
+            EXPECT_EQ(p >> (bits - 2), 3u) << bits << "-bit " << p;
+
+            // generatePrime's first start: the first draw, top two
+            // bits and the low bit forced.
+            Rng probe(bits * 1000 + seed);
+            const std::uint64_t start =
+                toU64(BigUint::randomWithBits(bits, probe)) |
+                (std::uint64_t{3} << (bits - 2)) | 1;
+            ranPast += start > lastPrime;
+        }
+    }
+    EXPECT_GT(ranPast, 0);
 }
 
 // Randomized algebraic properties over a sweep of bit widths. These

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.h"
 #include "crypto/bignum.h"
 #include "crypto/rsa.h"
@@ -34,6 +36,30 @@ randomOddModulus(Rng &rng, std::size_t bits)
     if (m.bitLength() < 2)
         m = BigUint::fromU64(3);
     return m;
+}
+
+/**
+ * Moduli at the edges of packing 32-bit limbs into 64-bit ones: odd
+ * 32-bit limb counts (96, 160, 288 and 544 bits), one-limb moduli, and
+ * all-ones moduli, which drive the final conditional subtraction.
+ */
+std::vector<BigUint>
+edgeModuli(Rng &rng)
+{
+    std::vector<BigUint> out;
+    for (const std::size_t bits : {96u, 160u, 288u, 544u}) {
+        BigUint m = BigUint::randomWithBits(bits, rng);
+        if (!m.isOdd())
+            m = m + BigUint::fromU64(1);
+        out.push_back(m);
+    }
+    const BigUint one = BigUint::fromU64(1);
+    out.push_back(BigUint::fromU64(3));
+    out.push_back(BigUint::fromU64(0xffffffffULL));
+    out.push_back(BigUint::fromU64((1ULL << 61) - 1));
+    out.push_back(one.shiftLeft(256) - one);
+    out.push_back(one.shiftLeft(512) - one);
+    return out;
 }
 
 TEST(MontgomeryTest, RandomizedDifferential512)
@@ -63,14 +89,18 @@ TEST(MontgomeryTest, RandomizedDifferential1024)
 TEST(MontgomeryTest, SmallAndMixedWidths)
 {
     Rng rng(0x77);
+    std::vector<BigUint> moduli = edgeModuli(rng);
+    moduli.push_back(randomOddModulus(rng, 256));
     // Exercise every window size the ladder picks (1..5 for exponents
     // of 1..>512 bits) and asymmetric operand widths.
-    for (const std::size_t expBits : {8u, 16u, 32u, 128u, 256u, 768u}) {
-        const BigUint m = randomOddModulus(rng, 256);
-        const BigUint base = randomBits(rng, 512);
-        const BigUint exp = randomBits(rng, expBits);
-        EXPECT_EQ(base.modExp(exp, m), base.modExpLegacy(exp, m))
-            << expBits << "-bit exponent";
+    for (const BigUint &m : moduli) {
+        for (const std::size_t expBits :
+             {8u, 16u, 32u, 128u, 256u, 768u}) {
+            const BigUint base = randomBits(rng, 512);
+            const BigUint exp = randomBits(rng, expBits);
+            EXPECT_EQ(base.modExp(exp, m), base.modExpLegacy(exp, m))
+                << m.toHexString() << ", " << expBits << "-bit exponent";
+        }
     }
 }
 
@@ -85,11 +115,19 @@ TEST(MontgomeryTest, ZeroExponentIsOne)
 TEST(MontgomeryTest, BaseLargerThanModulusIsReduced)
 {
     Rng rng(0x88);
-    const BigUint m = randomOddModulus(rng, 128);
-    const BigUint base = randomBits(rng, 512); // base >> m
+    std::vector<BigUint> moduli = edgeModuli(rng);
+    moduli.push_back(randomOddModulus(rng, 128));
     const BigUint exp = BigUint::fromU64(65537);
-    EXPECT_EQ(base.modExp(exp, m), base.modExpLegacy(exp, m));
-    EXPECT_EQ((base % m).modExp(exp, m), base.modExp(exp, m));
+    for (const BigUint &m : moduli) {
+        const BigUint base = randomBits(rng, 1024); // base >> m
+        EXPECT_EQ(base.modExp(exp, m), base.modExpLegacy(exp, m))
+            << m.toHexString();
+        EXPECT_EQ((base % m).modExp(exp, m), base.modExp(exp, m))
+            << m.toHexString();
+        EXPECT_EQ((m - BigUint::fromU64(1)).modExp(exp, m),
+                  (m - BigUint::fromU64(1)).modExpLegacy(exp, m))
+            << m.toHexString();
+    }
 }
 
 TEST(MontgomeryTest, ZeroBase)
@@ -133,13 +171,17 @@ TEST(MontgomeryTest, EvenModulusModExpFallsBackToLegacy)
 TEST(MontgomeryTest, ContextReuseMatchesOneShot)
 {
     Rng rng(0xaa);
-    const BigUint m = randomOddModulus(rng, 512);
-    const MontgomeryContext ctx(m);
-    EXPECT_EQ(ctx.modulus(), m);
-    for (int i = 0; i < 8; ++i) {
-        const BigUint base = randomBits(rng, 512);
-        const BigUint exp = randomBits(rng, 512);
-        EXPECT_EQ(base.modExp(exp, ctx), base.modExp(exp, m));
+    std::vector<BigUint> moduli = edgeModuli(rng);
+    moduli.push_back(randomOddModulus(rng, 512));
+    for (const BigUint &m : moduli) {
+        const MontgomeryContext ctx(m);
+        EXPECT_EQ(ctx.modulus(), m);
+        for (int i = 0; i < 8; ++i) {
+            const BigUint base = randomBits(rng, 512);
+            const BigUint exp = randomBits(rng, 512);
+            EXPECT_EQ(base.modExp(exp, ctx), base.modExp(exp, m))
+                << m.toHexString();
+        }
     }
 }
 

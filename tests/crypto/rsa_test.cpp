@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 
 namespace monatt::crypto
 {
@@ -46,6 +47,40 @@ TEST(RsaTest, KeyGenProducesValidPair)
     const BigUint phi = (kp.priv.p - BigUint::fromU64(1)) *
                         (kp.priv.q - BigUint::fromU64(1));
     EXPECT_EQ((kp.pub.e * kp.priv.d) % phi, BigUint::fromU64(1));
+}
+
+/** SHA-256 over p || q, each in minimal big-endian bytes. */
+std::string
+primesDigest(const RsaKeyPair &kp)
+{
+    Bytes pq = kp.priv.p.toBytes();
+    append(pq, kp.priv.q.toBytes());
+    return toHex(Sha256::hash(pq));
+}
+
+// Frozen primes: any change to the prime search or to the randomness
+// it draws moves these, and any faster kernel must keep them.
+TEST(RsaTest, KeyGenKnownAnswer)
+{
+    EXPECT_EQ(primesDigest(testPair()),
+              "4f4e28d78128203bb8f00cd756287110"
+              "ebe22905d85bc6650faab5224ff91534");
+    EXPECT_EQ(primesDigest(otherPair()),
+              "69bbb6416855d44eb02665429603d691"
+              "91270f334aeff45194539a65b26eb8dc");
+}
+
+TEST(RsaTest, KeyGenPrimesCarryTopTwoBits)
+{
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        Rng rng(seed);
+        const RsaKeyPair kp = rsaGenerateKeyPair(512, rng);
+        EXPECT_EQ(kp.pub.n.bitLength(), 512u) << seed;
+        for (const BigUint *prime : {&kp.priv.p, &kp.priv.q}) {
+            EXPECT_EQ(prime->bitLength(), 256u) << seed;
+            EXPECT_TRUE(prime->bit(254)) << seed;
+        }
+    }
 }
 
 TEST(RsaTest, SignVerifyRoundTrip)
@@ -147,10 +182,14 @@ TEST(RsaTest, DecryptRejectsBadLength)
 
 TEST(RsaTest, PublicKeyEncodeDecodeRoundTrip)
 {
-    const Bytes enc = testPair().pub.encode();
-    auto dec = RsaPublicKey::decode(enc);
-    ASSERT_TRUE(dec.isOk());
-    EXPECT_EQ(dec.value(), testPair().pub);
+    Rng rng(3);
+    // The 256-bit key sits at decode's modulus floor.
+    for (const RsaPublicKey &pub :
+         {testPair().pub, rsaGenerateKeyPair(256, rng).pub}) {
+        auto dec = RsaPublicKey::decode(pub.encode());
+        ASSERT_TRUE(dec.isOk());
+        EXPECT_EQ(dec.value(), pub);
+    }
 }
 
 TEST(RsaTest, PublicKeyDecodeRejectsMalformed)
@@ -159,6 +198,24 @@ TEST(RsaTest, PublicKeyDecodeRejectsMalformed)
     Bytes enc = testPair().pub.encode();
     enc.push_back(0x00); // Trailing garbage.
     EXPECT_FALSE(RsaPublicKey::decode(enc).isOk());
+
+    const BigUint &n = testPair().pub.n;
+    const BigUint one = BigUint::fromU64(1);
+    const BigUint e = BigUint::fromU64(65537);
+    const auto decodes = [](const BigUint &modulus, const BigUint &exp) {
+        return RsaPublicKey::decode(RsaPublicKey{modulus, exp}.encode())
+            .isOk();
+    };
+    EXPECT_TRUE(decodes(n, e));
+    EXPECT_TRUE(decodes(n, BigUint::fromU64(3)));
+    EXPECT_FALSE(decodes(BigUint(), e));
+    EXPECT_FALSE(decodes(n + one, e));                 // Even modulus.
+    EXPECT_FALSE(decodes(one.shiftLeft(254) + one, e)); // 255 bits.
+    EXPECT_FALSE(decodes(n, BigUint()));
+    EXPECT_FALSE(decodes(n, one)); // Every padded digest signs itself.
+    EXPECT_FALSE(decodes(n, BigUint::fromU64(65536)));
+    EXPECT_FALSE(decodes(n, n));
+    EXPECT_FALSE(decodes(n, n + BigUint::fromU64(2)));
 }
 
 TEST(RsaTest, KeyGenRejectsBadSizes)
