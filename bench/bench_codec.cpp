@@ -1,19 +1,14 @@
 /**
  * @file
- * Codec A/B micro-bench: legacy fixed-width encoding vs the tagged
- * schema-driven encoding (DESIGN.md §17), in one binary over one
- * shared corpus of representative protocol messages. Reports, per
- * message type and in total:
+ * Codec micro-bench: the declared wire codec (DESIGN.md §17) over one
+ * corpus of representative protocol messages. Reports, per message
+ * type and in total:
  *
- *   - bytes on the simulated wire (framed size, both formats) — these
- *     feed Network::transferTime, so they are behavioral metrics and
- *     are hard-gated against bench/baselines/codec/;
+ *   - bytes on the simulated wire (framed size) — these feed
+ *     Network::transferTime, so they are behavioral metrics and are
+ *     hard-gated against bench/baselines/codec/;
  *   - host-side encode/decode ns per op (wall_* metrics, warn-only in
  *     the perf gate: runner-dependent).
- *
- * The bench fails if the tagged corpus is larger on the wire than the
- * legacy one beyond a small tolerance: the tagged codec exists to be
- * evolvable *without* paying transfer time for it.
  */
 
 #include <chrono>
@@ -30,21 +25,13 @@ using namespace monatt::bench;
 namespace
 {
 
-const proto::WireContext kTagged{proto::WireFormat::Tagged,
-                                 proto::kWireVersionLatest};
-
-/** One corpus entry: a message with both codecs pre-applied. */
+/** One corpus entry: a message with its frame pre-built. */
 struct Sample
 {
     std::string name;
-    Bytes legacyFrame;  //!< packMessage(kind, encode())
-    Bytes taggedFrame;  //!< packMessageTagged(kind, encodeTagged())
-    Bytes legacyBody;
-    Bytes taggedBody;
-    double wallLegacyEncodeNs = 0;
-    double wallTaggedEncodeNs = 0;
-    double wallLegacyDecodeNs = 0;
-    double wallTaggedDecodeNs = 0;
+    Bytes frame; //!< packFor(latest, kind, msg)
+    double wallEncodeNs = 0;
+    double wallDecodeNs = 0;
 };
 
 /** ns/op of `fn` over enough iterations to be stable for a smoke run. */
@@ -69,25 +56,14 @@ makeSample(const std::string &name, proto::MessageKind kind, const M &m)
 {
     Sample s;
     s.name = name;
-    s.legacyBody = m.encode();
-    s.taggedBody = m.encodeTagged(kTagged);
-    s.legacyFrame = proto::packMessage(kind, s.legacyBody);
-    s.taggedFrame = proto::packMessageTagged(kind, s.taggedBody);
-
-    s.wallLegacyEncodeNs = nsPerOp([&] {
-        Bytes b = m.encode();
+    const Bytes body = proto::encode(m);
+    s.frame = proto::packMessage(kind, body);
+    s.wallEncodeNs = nsPerOp([&] {
+        Bytes b = proto::encode(m);
         (void)b;
     });
-    s.wallTaggedEncodeNs = nsPerOp([&] {
-        Bytes b = m.encodeTagged(kTagged);
-        (void)b;
-    });
-    s.wallLegacyDecodeNs = nsPerOp([&] {
-        auto r = M::decode(s.legacyBody);
-        (void)r;
-    });
-    s.wallTaggedDecodeNs = nsPerOp([&] {
-        auto r = M::decodeTagged(s.taggedBody);
+    s.wallDecodeNs = nsPerOp([&] {
+        auto r = proto::decode<M>(body);
         (void)r;
     });
     return s;
@@ -252,39 +228,22 @@ buildCorpus()
 int
 main()
 {
-    banner("Codec A/B",
-           "Legacy fixed-width vs tagged schema-driven wire codec: "
-           "framed bytes on the simulated wire and host encode/decode "
-           "cost per message type.");
+    banner("Codec",
+           "Declared wire codec: framed bytes on the simulated wire and "
+           "host encode/decode cost per message type.");
 
     const std::vector<Sample> corpus = buildCorpus();
 
-    row("message", {"legacy B", "tagged B", "ratio", "enc l/t ns",
-                    "dec l/t ns"},
-        20, 11);
-    std::size_t legacyTotal = 0;
-    std::size_t taggedTotal = 0;
+    row("message", {"frame B", "enc ns", "dec ns"}, 20, 11);
+    std::size_t total = 0;
     for (const Sample &s : corpus) {
-        legacyTotal += s.legacyFrame.size();
-        taggedTotal += s.taggedFrame.size();
-        const double ratio =
-            static_cast<double>(s.taggedFrame.size()) /
-            static_cast<double>(s.legacyFrame.size());
+        total += s.frame.size();
         row(s.name,
-            {std::to_string(s.legacyFrame.size()),
-             std::to_string(s.taggedFrame.size()), fmt("%.3f", ratio),
-             fmt("%.0f", s.wallLegacyEncodeNs) + "/" +
-                 fmt("%.0f", s.wallTaggedEncodeNs),
-             fmt("%.0f", s.wallLegacyDecodeNs) + "/" +
-                 fmt("%.0f", s.wallTaggedDecodeNs)},
+            {std::to_string(s.frame.size()), fmt("%.0f", s.wallEncodeNs),
+             fmt("%.0f", s.wallDecodeNs)},
             20, 11);
     }
-    const double totalRatio = static_cast<double>(taggedTotal) /
-                              static_cast<double>(legacyTotal);
-    row("TOTAL",
-        {std::to_string(legacyTotal), std::to_string(taggedTotal),
-         fmt("%.3f", totalRatio), "", ""},
-        20, 11);
+    row("TOTAL", {std::to_string(total), "", ""}, 20, 11);
 
     std::FILE *f = std::fopen("BENCH_codec.json", "w");
     if (!f) {
@@ -294,41 +253,19 @@ main()
     std::fprintf(f, "{\n  \"benchmark\": \"codec\",\n  \"messages\": [\n");
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         const Sample &s = corpus[i];
-        std::fprintf(
-            f,
-            "    {\"message\": \"%s\", \"legacy_frame_bytes\": %zu, "
-            "\"tagged_frame_bytes\": %zu, "
-            "\"wall_legacy_encode_ns\": %.1f, "
-            "\"wall_tagged_encode_ns\": %.1f, "
-            "\"wall_legacy_decode_ns\": %.1f, "
-            "\"wall_tagged_decode_ns\": %.1f}%s\n",
-            s.name.c_str(), s.legacyFrame.size(), s.taggedFrame.size(),
-            s.wallLegacyEncodeNs, s.wallTaggedEncodeNs,
-            s.wallLegacyDecodeNs, s.wallTaggedDecodeNs,
-            i + 1 < corpus.size() ? "," : "");
+        std::fprintf(f,
+                     "    {\"message\": \"%s\", \"tagged_frame_bytes\": %zu, "
+                     "\"wall_encode_ns\": %.1f, \"wall_decode_ns\": %.1f}%s\n",
+                     s.name.c_str(), s.frame.size(), s.wallEncodeNs,
+                     s.wallDecodeNs, i + 1 < corpus.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n"
-                 "  \"totals\": {\"legacy_frame_bytes\": %zu, "
-                 "\"tagged_frame_bytes\": %zu, "
-                 "\"tagged_over_legacy_ratio\": %.4f},\n"
+                 "  \"totals\": {\"tagged_frame_bytes\": %zu},\n"
                  "  \"metadata\": %s\n"
                  "}\n",
-                 legacyTotal, taggedTotal, totalRatio,
-                 metadataJson().c_str());
+                 total, metadataJson().c_str());
     std::fclose(f);
     std::printf("\nwrote BENCH_codec.json\n");
-
-    // The tagged codec buys schema evolution; it must not pay for it
-    // in transfer time. Allow 2% slack for pathological corpora.
-    if (totalRatio > 1.02) {
-        std::fprintf(stderr,
-                     "FAIL: tagged corpus is %.1f%% larger on the wire "
-                     "than legacy\n",
-                     100.0 * (totalRatio - 1.0));
-        return 1;
-    }
-    std::printf("tagged/legacy bytes-on-wire ratio %.3f (<= 1.02 ok)\n",
-                totalRatio);
     return 0;
 }

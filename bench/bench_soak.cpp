@@ -346,7 +346,7 @@ class SoakFleet
             rec.serverId = serverId(serverOf(vm));
             rec.status = controller::VmStatus::Running;
             rec.launchedAt = events.now();
-            payloads.push_back(controller::encodeVmRecord(rec));
+            payloads.push_back(proto::encode(rec));
             db.allocate(rec.serverId, rec.ramMb, rec.diskGb);
             db.addVm(std::move(rec));
             events.schedule(

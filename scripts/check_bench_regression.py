@@ -11,11 +11,10 @@ Gated metrics, matched by full JSON path:
   - sim_makespan_sec, sim_seconds  (lower is better)
   - records_replayed, records_quarantined  (lower is better; both are
     sim-deterministic recovery SLO metrics from bench_recovery)
-  - legacy_frame_bytes, tagged_frame_bytes  (lower is better; exact
-    encoded sizes from bench_codec — deterministic, so run the codec
-    gate with a tight --tolerance and regenerate
-    bench/baselines/codec/ in any PR that intentionally evolves the
-    schema)
+  - tagged_frame_bytes  (lower is better; exact encoded sizes from
+    bench_codec — deterministic, so run the codec gate with a tight
+    --tolerance and regenerate bench/baselines/codec/ in any PR that
+    intentionally evolves the schema)
   - sim_detect_p50_ms, sim_detect_p99_ms  (lower is better; simulated
     TCB-rollback detection latency from bench_faults' rollback leg)
   - migrations_per_rollback  (higher is better; completed forced
@@ -58,7 +57,7 @@ LOWER_IS_BETTER = {"sim_makespan_sec", "sim_seconds",
                    # Codec bytes-on-wire (bench_codec): encoded sizes
                    # feed the simulated transfer-time arithmetic, so
                    # growth is a behavioral regression, not noise.
-                   "legacy_frame_bytes", "tagged_frame_bytes",
+                   "tagged_frame_bytes",
                    # TCB-rollback detection latency (bench_faults):
                    # simulated time from attestation issue to the
                    # customer holding a TcbRollback verdict.

@@ -1,7 +1,5 @@
 #include "attestation/attestation_server.h"
 
-#include "common/codec.h"
-#include "common/wire.h"
 #include "common/logging.h"
 #include "crypto/sha256.h"
 #include "tpm/certificate.h"
@@ -138,9 +136,8 @@ AttestationServer::handleMessage(const net::NodeId &from,
     auto unpacked = proto::unpackMessage(plaintext);
     if (!unpacked)
         return;
-    const auto &[kind, format, body] = unpacked.value();
-    rxFormat_ = format;
-    switch (kind) {
+    const Bytes &body = unpacked.value().body;
+    switch (unpacked.value().kind) {
       case MessageKind::AttestForward:
         if (isKnownController(from))
             onAttestForward(from, body);
@@ -167,7 +164,7 @@ void
 AttestationServer::onAttestForward(const net::NodeId &from,
                                    const Bytes &body)
 {
-    auto fwdR = proto::decodeAs<AttestForward>(rxFormat_, body);
+    auto fwdR = proto::decode<AttestForward>(body);
     if (!fwdR)
         return;
     const AttestForward fwd = fwdR.take();
@@ -198,7 +195,7 @@ AttestationServer::processForward(const net::NodeId &from,
             endpoint.sendSecure(from,
                                 proto::packMessage(
                                     MessageKind::ReportToController,
-                                    Bytes(cached->second)));
+                                    cached->second));
             return;
         }
         forwardInFlight.insert(fwd.requestId);
@@ -407,7 +404,7 @@ AttestationServer::verifyWithAvk(const Session &session,
 void
 AttestationServer::onMeasureResponse(const Bytes &body)
 {
-    auto respR = proto::decodeAs<MeasureResponse>(rxFormat_, body);
+    auto respR = proto::decode<MeasureResponse>(body);
     if (!respR) {
         ++counters.verificationFailures;
         return;
@@ -591,19 +588,19 @@ AttestationServer::issueReport(const Session &session,
         out.vid, out.serverId, out.properties, out.report, out.nonce2);
     out.signature = crypto::rsaSign(signCtx, out.signedPortion());
 
-    // The dedup cache and its journal record always hold the canonical
-    // legacy body (resends are framed legacy too, which any receiver
-    // decodes); only the fresh send uses this node's configured wire
-    // format.
+    // The dedup cache and its journal record hold the body as sent;
+    // a retransmitted forward is answered with the same bytes.
     ++counters.reportsIssued;
+    const Bytes body = proto::encode(out, cfg.wire);
     if (session.forward.mode == AttestMode::StartupOneTime ||
         session.forward.mode == AttestMode::RuntimeOneTime) {
         forwardInFlight.erase(out.requestId);
-        rememberReport(out.requestId, out.encode());
+        rememberReport(out.requestId, body);
     }
     endpoint.sendSecure(session.controller.empty() ? cfg.controllerId
                                                    : session.controller,
-                        pack(MessageKind::ReportToController, out));
+                        proto::packMessage(MessageKind::ReportToController,
+                                           body));
     commitJournal();
 }
 
@@ -650,38 +647,18 @@ void
 AttestationServer::journalReport(std::uint64_t requestId,
                                  const Bytes &encoded)
 {
-    if (!cfg.durable || replaying)
-        return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putVarint(1, requestId);
-        w.putLen(2, encoded);
-        store.append(journalTag(JournalType::ReportRemember), w.take());
-        return;
-    }
-    ByteWriter w;
-    w.putU64(requestId);
-    w.putBytes(encoded);
-    store.append(journalTag(JournalType::ReportRemember), w.take());
+    if (cfg.durable && !replaying)
+        store.append(static_cast<std::uint16_t>(JournalType::ReportRemember),
+                     proto::encode(ReportRecord{requestId, encoded}));
 }
 
 void
 AttestationServer::journalCert(const Bytes &digest,
                                const crypto::RsaPublicKey &avk)
 {
-    if (!cfg.durable || replaying)
-        return;
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        w.putLen(1, digest);
-        w.putLen(2, avk.encode());
-        store.append(journalTag(JournalType::CertInsert), w.take());
-        return;
-    }
-    ByteWriter w;
-    w.putBytes(digest);
-    w.putBytes(avk.encode());
-    store.append(journalTag(JournalType::CertInsert), w.take());
+    if (cfg.durable && !replaying)
+        store.append(static_cast<std::uint16_t>(JournalType::CertInsert),
+                     proto::encode(CertRecord{digest, avk.encode()}));
 }
 
 void
@@ -700,125 +677,45 @@ AttestationServer::commitJournal()
 Bytes
 AttestationServer::snapshotState() const
 {
-    ByteWriter w;
-    // Report dedup cache in FIFO order so eviction replays identically.
-    w.putU32(static_cast<std::uint32_t>(reportOrder.size()));
-    for (std::uint64_t requestId : reportOrder) {
-        w.putU64(requestId);
-        w.putBytes(reportCache.at(requestId));
-    }
-    // Verified certificate chains, same ordering rule.
-    const auto &digests = certCache.insertionOrder();
-    w.putU32(static_cast<std::uint32_t>(digests.size()));
-    for (const Bytes &digest : digests) {
+    proto::Snapshot snap;
+    // Both caches in FIFO order so eviction replays identically.
+    for (std::uint64_t requestId : reportOrder)
+        snap.add(static_cast<std::uint16_t>(JournalType::ReportRemember),
+                 ReportRecord{requestId, reportCache.at(requestId)});
+    for (const Bytes &digest : certCache.insertionOrder()) {
         const crypto::RsaPublicKey *avk = certCache.peek(digest);
-        w.putBytes(digest);
-        w.putBytes(avk ? avk->encode() : Bytes{});
+        snap.add(static_cast<std::uint16_t>(JournalType::CertInsert),
+                 CertRecord{digest, avk ? avk->encode() : Bytes{}});
     }
-    return w.take();
+    return proto::encode(snap);
 }
 
 void
 AttestationServer::applySnapshot(const Bytes &snapshot)
 {
-    ByteReader r(snapshot);
-    auto reportCount = r.getU32();
-    for (std::uint32_t i = 0; reportCount && i < reportCount.value();
-         ++i) {
-        auto requestId = r.getU64();
-        auto encoded = r.getBytes();
-        if (!requestId || !encoded)
-            return;
-        if (reportCache.emplace(requestId.value(), encoded.take())
-                .second) {
-            reportOrder.push_back(requestId.value());
-            while (reportOrder.size() > cfg.reportCacheCapacity) {
-                reportCache.erase(reportOrder.front());
-                reportOrder.pop_front();
-            }
-        }
-    }
-    auto certCount = r.getU32();
-    for (std::uint32_t i = 0; certCount && i < certCount.value(); ++i) {
-        auto digest = r.getBytes();
-        auto avkBytes = r.getBytes();
-        if (!digest || !avkBytes)
-            return;
-        auto avk = crypto::RsaPublicKey::decode(avkBytes.value());
-        if (avk)
-            certCache.insert(digest.take(), avk.take());
-    }
+    auto image = proto::decode<proto::Snapshot>(snapshot);
+    if (!image)
+        return;
+    for (proto::ReplicatedRecord &rec : image.value().records)
+        applyJournalRecord({rec.lsn, rec.type, std::move(rec.payload)});
 }
 
 void
 AttestationServer::applyJournalRecord(const sim::JournalRecord &rec)
 {
-    // The type word carries the payload's own format, so replay is
-    // independent of this node's current cfg.wire setting.
-    const bool tagged = (rec.type & proto::kTaggedJournalBit) != 0;
-    const auto type = static_cast<JournalType>(
-        rec.type & ~proto::kTaggedJournalBit);
-    ByteReader r(rec.payload);
-    switch (type) {
-      case JournalType::ReportRemember: {
-        if (tagged) {
-            wire::WireReader tr(rec.payload);
-            std::uint64_t requestId = 0;
-            bool haveId = false;
-            Bytes encoded;
-            while (!tr.atEnd()) {
-                auto f = tr.next();
-                if (!f)
-                    return;
-                const wire::WireField &fld = f.value();
-                if (fld.number == 1 &&
-                    fld.type == wire::WireType::Varint) {
-                    requestId = fld.varint;
-                    haveId = true;
-                } else if (fld.number == 2 &&
-                           fld.type == wire::WireType::Len) {
-                    encoded = fld.bytes;
-                }
-            }
-            if (haveId)
-                rememberReport(requestId, std::move(encoded));
-            break;
-        }
-        auto requestId = r.getU64();
-        auto encoded = r.getBytes();
-        if (requestId && encoded)
-            rememberReport(requestId.value(), encoded.take());
+    switch (static_cast<JournalType>(rec.type)) {
+      case JournalType::ReportRemember:
+        if (auto r = proto::decode<ReportRecord>(rec.payload))
+            rememberReport(r.value().requestId,
+                           std::move(r.value().encoded));
         break;
-      }
-      case JournalType::CertInsert: {
-        Bytes digest;
-        Bytes avkBytes;
-        if (tagged) {
-            wire::WireReader tr(rec.payload);
-            while (!tr.atEnd()) {
-                auto f = tr.next();
-                if (!f)
-                    return;
-                const wire::WireField &fld = f.value();
-                if (fld.number == 1 && fld.type == wire::WireType::Len)
-                    digest = fld.bytes;
-                else if (fld.number == 2 &&
-                         fld.type == wire::WireType::Len)
-                    avkBytes = fld.bytes;
-            }
-        } else {
-            auto d = r.getBytes();
-            auto a = r.getBytes();
-            if (!d || !a)
-                break;
-            digest = d.take();
-            avkBytes = a.take();
+      case JournalType::CertInsert:
+        if (auto r = proto::decode<CertRecord>(rec.payload)) {
+            auto avk = crypto::RsaPublicKey::decode(r.value().avk);
+            if (avk)
+                certCache.insert(std::move(r.value().digest), avk.take());
         }
-        auto avk = crypto::RsaPublicKey::decode(avkBytes);
-        if (avk)
-            certCache.insert(std::move(digest), avk.take());
         break;
-      }
     }
 }
 

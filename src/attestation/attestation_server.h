@@ -102,13 +102,42 @@ struct AttestationServerConfig
      * never checkpoint. */
     sim::CheckpointPolicyConfig checkpointPolicy;
 
-    /**
-     * Wire codec this node speaks (DESIGN.md §17). Legacy is the
-     * canonical default; Tagged is the schema-evolvable opt-in.
-     * Received frames always decode by their own self-described
-     * format, so mixed fleets interoperate.
-     */
+    /** Schema version this node encodes at (DESIGN.md §17). */
     proto::WireContext wire;
+};
+
+/** Journal record: a cached signed report body (dedup cache). */
+struct ReportRecord
+{
+    std::uint64_t requestId = 0;
+    Bytes encoded; //!< The ReportToController body as sent.
+
+    static constexpr auto fields()
+    {
+        using M = ReportRecord;
+        using proto::field;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId").always(),
+            field(&M::encoded, 2, "encoded").always(),
+        };
+    }
+};
+
+/** Journal record: a verified certificate chain. */
+struct CertRecord
+{
+    Bytes digest; //!< Certificate digest (the cache key).
+    Bytes avk;    //!< The certified AVK, RsaPublicKey::encode().
+
+    static constexpr auto fields()
+    {
+        using M = CertRecord;
+        using proto::field;
+        return std::tuple{
+            field(&M::digest, 1, "digest").always(),
+            field(&M::avk, 2, "avk").always(),
+        };
+    }
 };
 
 /** Observable counters. */
@@ -250,16 +279,12 @@ class AttestationServer
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
-    /** Pack an outgoing message in this node's configured format. */
+    /** Pack an outgoing message at this node's schema version. */
     template <typename M>
     Bytes pack(proto::MessageKind kind, const M &msg) const
     {
         return proto::packFor(cfg.wire, kind, msg);
     }
-
-    /** Format of the frame currently being dispatched (set by
-     * handleMessage before the synchronous handler call). */
-    proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
 
     /** True when `node` is a controller shard we serve. */
     bool isKnownController(const net::NodeId &node) const;
@@ -333,28 +358,15 @@ class AttestationServer
     /** Journal record types (StableStore payload tags). */
     enum class JournalType : std::uint16_t
     {
-        ReportRemember = 1, //!< requestId + signed report bytes.
-        CertInsert = 2,     //!< cert digest + verified AVK.
+        ReportRemember = 1, //!< ReportRecord.
+        CertInsert = 2,     //!< CertRecord.
     };
 
     void journalReport(std::uint64_t requestId, const Bytes &encoded);
     void journalCert(const Bytes &digest, const crypto::RsaPublicKey &avk);
-
-    /** True when this node writes tagged journal payloads. */
-    bool taggedJournal() const
-    {
-        return cfg.wire.format == proto::WireFormat::Tagged;
-    }
-
-    /** StableStore type word for a record in this node's format. */
-    std::uint16_t journalTag(JournalType t) const
-    {
-        return static_cast<std::uint16_t>(t) |
-               (taggedJournal() ? proto::kTaggedJournalBit
-                                : std::uint16_t{0});
-    }
     /** fsync + checkpoint policy; end of every mutating event. */
     void commitJournal();
+    /** Checkpoint snapshot: the records that rebuild the caches. */
     Bytes snapshotState() const;
     void applySnapshot(const Bytes &snapshot);
     void applyJournalRecord(const sim::JournalRecord &rec);

@@ -1,7 +1,5 @@
 #include "attestation/privacy_ca.h"
 
-#include "common/codec.h"
-#include "common/wire.h"
 #include "common/logging.h"
 #include "tpm/certificate.h"
 
@@ -54,9 +52,7 @@ PrivacyCa::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     auto unpacked = proto::unpackMessage(plaintext);
     if (!unpacked || unpacked.value().kind != MessageKind::CertRequest)
         return;
-    rxFormat_ = unpacked.value().format;
-    auto reqR = proto::decodeAs<proto::CertRequest>(rxFormat_,
-                                                    unpacked.value().body);
+    auto reqR = proto::decode<proto::CertRequest>(unpacked.value().body);
     if (!reqR)
         return;
 
@@ -67,7 +63,7 @@ PrivacyCa::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     if (cached != issuedCache.end()) {
         endpoint.sendSecure(from,
                             proto::packMessage(MessageKind::CertResponse,
-                                               Bytes(cached->second)));
+                                               cached->second));
         return;
     }
     if (!inFlight.insert(key).second)
@@ -113,16 +109,17 @@ PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
         resp.certificate = cert.encode();
     }
 
-    // The dedup cache and journal hold the canonical legacy body
-    // (cache hits are resent legacy-framed); only the fresh send uses
-    // this node's configured wire format.
+    // The dedup cache and journal hold the body as sent; a cache hit
+    // is resent byte for byte.
     const CertKey key{from, req.sessionLabel};
     inFlight.erase(key);
-    const auto [cacheIt, inserted] = issuedCache.emplace(key, resp.encode());
-    if (inserted) {
+    const Bytes body = proto::encode(resp, wire_);
+    if (issuedCache.emplace(key, body).second) {
         if (durable && !replaying) {
-            store.append(journalTag(JournalType::CertIssued),
-                         encodeIssued(key, cacheIt->second));
+            store.append(static_cast<std::uint16_t>(JournalType::CertIssued),
+                         proto::encode(IssuedRecord{serial, rejections,
+                                                    key.first, key.second,
+                                                    body}));
         }
         issuedOrder.push_back(key);
         while (issuedOrder.size() > issuedCacheCapacity) {
@@ -130,37 +127,12 @@ PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
             issuedOrder.pop_front();
         }
     }
-    endpoint.sendSecure(from, pack(MessageKind::CertResponse, resp));
+    endpoint.sendSecure(from,
+                        proto::packMessage(MessageKind::CertResponse, body));
     commitJournal();
 }
 
 // --- Durability: WAL + recovery ---------------------------------------
-
-Bytes
-PrivacyCa::encodeIssued(const CertKey &key, const Bytes &encoded) const
-{
-    // The serial counter rides along so replay restores it without a
-    // separate record type (rejected responses mint no serial but
-    // still carry the current counter).
-    if (taggedJournal()) {
-        wire::WireWriter w;
-        if (serial != 0)
-            w.putVarint(1, serial);
-        if (rejections != 0)
-            w.putVarint(2, rejections);
-        w.putString(3, key.first);
-        w.putString(4, key.second);
-        w.putLen(5, encoded);
-        return w.take();
-    }
-    ByteWriter w;
-    w.putU64(serial);
-    w.putU64(rejections);
-    w.putString(key.first);
-    w.putString(key.second);
-    w.putBytes(encoded);
-    return w.take();
-}
 
 void
 PrivacyCa::commitJournal()
@@ -178,109 +150,45 @@ PrivacyCa::commitJournal()
 Bytes
 PrivacyCa::snapshotState() const
 {
-    ByteWriter w;
-    w.putU64(serial);
-    w.putU64(rejections);
-    w.putU32(static_cast<std::uint32_t>(issuedOrder.size()));
-    for (const CertKey &key : issuedOrder) {
-        w.putString(key.first);
-        w.putString(key.second);
-        w.putBytes(issuedCache.at(key));
-    }
-    return w.take();
+    // The counters lead on their own: a cache shrunk to nothing must
+    // still never hand out a serial twice after recovery.
+    const auto type = static_cast<std::uint16_t>(JournalType::CertIssued);
+    IssuedRecord counters;
+    counters.serial = serial;
+    counters.rejections = rejections;
+    proto::Snapshot snap;
+    snap.add(type, counters);
+    for (const CertKey &key : issuedOrder)
+        snap.add(type, IssuedRecord{serial, rejections, key.first,
+                                    key.second, issuedCache.at(key)});
+    return proto::encode(snap);
 }
 
 void
 PrivacyCa::applySnapshot(const Bytes &snapshot)
 {
-    ByteReader r(snapshot);
-    auto serialNo = r.getU64();
-    auto rejectionCount = r.getU64();
-    auto count = r.getU32();
-    if (!serialNo || !rejectionCount || !count)
+    auto image = proto::decode<proto::Snapshot>(snapshot);
+    if (!image)
         return;
-    serial = serialNo.value();
-    rejections = rejectionCount.value();
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto from = r.getString();
-        auto label = r.getString();
-        auto encoded = r.getBytes();
-        if (!from || !label || !encoded)
-            return;
-        const CertKey key{from.value(), label.value()};
-        if (issuedCache.emplace(key, encoded.take()).second) {
-            issuedOrder.push_back(key);
-            while (issuedOrder.size() > issuedCacheCapacity) {
-                issuedCache.erase(issuedOrder.front());
-                issuedOrder.pop_front();
-            }
-        }
-    }
+    for (proto::ReplicatedRecord &rec : image.value().records)
+        applyJournalRecord({rec.lsn, rec.type, std::move(rec.payload)});
 }
 
 void
 PrivacyCa::applyJournalRecord(const sim::JournalRecord &rec)
 {
-    const bool tagged = (rec.type & proto::kTaggedJournalBit) != 0;
-    if (static_cast<JournalType>(rec.type & ~proto::kTaggedJournalBit) !=
-        JournalType::CertIssued)
+    if (static_cast<JournalType>(rec.type) != JournalType::CertIssued)
         return;
-    std::uint64_t serialNo = 0;
-    std::uint64_t rejectionCount = 0;
-    std::string fromId;
-    std::string label;
-    Bytes encoded;
-    if (tagged) {
-        wire::WireReader tr(rec.payload);
-        while (!tr.atEnd()) {
-            auto f = tr.next();
-            if (!f)
-                return;
-            const wire::WireField &fld = f.value();
-            switch (fld.number) {
-              case 1:
-                if (fld.type == wire::WireType::Varint)
-                    serialNo = fld.varint;
-                break;
-              case 2:
-                if (fld.type == wire::WireType::Varint)
-                    rejectionCount = fld.varint;
-                break;
-              case 3:
-                if (fld.type == wire::WireType::Len)
-                    fromId = fld.asString();
-                break;
-              case 4:
-                if (fld.type == wire::WireType::Len)
-                    label = fld.asString();
-                break;
-              case 5:
-                if (fld.type == wire::WireType::Len)
-                    encoded = fld.bytes;
-                break;
-              default:
-                break; // Unknown field: skip.
-            }
-        }
-    } else {
-        ByteReader r(rec.payload);
-        auto s = r.getU64();
-        auto rej = r.getU64();
-        auto from = r.getString();
-        auto lab = r.getString();
-        auto enc = r.getBytes();
-        if (!s || !rej || !from || !lab || !enc)
-            return;
-        serialNo = s.value();
-        rejectionCount = rej.value();
-        fromId = from.take();
-        label = lab.take();
-        encoded = enc.take();
-    }
-    serial = serialNo;
-    rejections = rejectionCount;
-    const CertKey key{std::move(fromId), std::move(label)};
-    if (issuedCache.emplace(key, std::move(encoded)).second) {
+    auto r = proto::decode<IssuedRecord>(rec.payload);
+    if (!r)
+        return;
+    IssuedRecord &issued = r.value();
+    serial = issued.serial;
+    rejections = issued.rejections;
+    if (issued.requester.empty())
+        return;
+    const CertKey key{std::move(issued.requester), std::move(issued.label)};
+    if (issuedCache.emplace(key, std::move(issued.encoded)).second) {
         issuedOrder.push_back(key);
         while (issuedOrder.size() > issuedCacheCapacity) {
             issuedCache.erase(issuedOrder.front());

@@ -36,6 +36,33 @@
 namespace monatt::attestation
 {
 
+/**
+ * Journal record: one cached issuance (or refusal) plus the serial and
+ * rejection counters at that point, so replay restores them without a
+ * record type of their own.
+ */
+struct IssuedRecord
+{
+    std::uint64_t serial = 0;
+    std::uint64_t rejections = 0;
+    std::string requester; //!< Empty: counters only (snapshots).
+    std::string label;
+    Bytes encoded; //!< The CertResponse body as sent.
+
+    static constexpr auto fields()
+    {
+        using M = IssuedRecord;
+        using proto::field;
+        return std::tuple{
+            field(&M::serial, 1, "serial"),
+            field(&M::rejections, 2, "rejections"),
+            field(&M::requester, 3, "requester").always(),
+            field(&M::label, 4, "label").always(),
+            field(&M::encoded, 5, "encoded").always(),
+        };
+    }
+};
+
 /** The pCA entity. */
 class PrivacyCa
 {
@@ -112,8 +139,7 @@ class PrivacyCa
     /** The pCA's durable store (journal + checkpoints). */
     const sim::StableStore &stableStore() const { return store; }
 
-    /** Wire codec this node emits (DESIGN.md §17); received frames
-     * always decode by their own self-described format. */
+    /** Schema version this node emits (DESIGN.md §17). */
     const proto::WireContext &wireContext() const { return wire_; }
     void setWireContext(const proto::WireContext &ctx) { wire_ = ctx; }
 
@@ -124,22 +150,7 @@ class PrivacyCa
      * certify AVKs (or refuse), cache, journal and answer. */
     void issue(const proto::CertRequest &req, const net::NodeId &from);
 
-    /** Pack an outgoing message in this node's configured format. */
-    template <typename M>
-    Bytes pack(proto::MessageKind kind, const M &msg) const
-    {
-        return proto::packFor(wire_, kind, msg);
-    }
-
-    /** True when this node writes tagged journal payloads. */
-    bool taggedJournal() const
-    {
-        return wire_.format == proto::WireFormat::Tagged;
-    }
-
     proto::WireContext wire_;
-    /** Format of the frame currently being dispatched. */
-    proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
 
     sim::EventQueue &events;
     std::string self;
@@ -170,20 +181,12 @@ class PrivacyCa
     /** Journal record types (StableStore payload tags). */
     enum class JournalType : std::uint16_t
     {
-        CertIssued = 1, //!< serial counter + requester + label + resp.
+        CertIssued = 1, //!< IssuedRecord.
     };
 
-    /** StableStore type word for a record in this node's format. */
-    std::uint16_t journalTag(JournalType t) const
-    {
-        return static_cast<std::uint16_t>(t) |
-               (taggedJournal() ? proto::kTaggedJournalBit
-                                : std::uint16_t{0});
-    }
-
-    Bytes encodeIssued(const CertKey &key, const Bytes &encoded) const;
     /** fsync + checkpoint policy; end of every mutating event. */
     void commitJournal();
+    /** Checkpoint snapshot: a counters record, then the cache. */
     Bytes snapshotState() const;
     void applySnapshot(const Bytes &snapshot);
     void applyJournalRecord(const sim::JournalRecord &rec);

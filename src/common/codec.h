@@ -1,23 +1,18 @@
 /**
  * @file
- * Canonical fixed-width binary codec (the frozen byte layouts).
+ * Canonical fixed-width binary codec for what is not a message or a
+ * journal record.
  *
- * Every byte layout the paper's security argument pins — quote hash
- * preimages (Q1/Q2/Q3), signed portions, certificates, StableStore
- * snapshot containers — is serialized through ByteWriter/ByteReader
- * so the exact bytes that get hashed, signed and MAC'd are well
- * defined and never drift. Integers are little-endian fixed width;
- * variable-length fields carry a u32 length prefix. ByteReader is
- * strict: any truncated or over-long message is a decode error, which
- * the protocol layer treats as an attack indicator.
+ * The quote hash preimages (Q1/Q2/Q3) and signed portions are
+ * concatenated here behind a domain label, and certificates, keys,
+ * envelopes and channel records are serialized here, so the exact
+ * bytes that get hashed, signed and MAC'd are well defined and never
+ * drift. Integers are little-endian fixed width; variable-length
+ * fields carry a u32 length prefix. ByteReader is strict: any
+ * truncated or over-long input is a decode error.
  *
- * These layouts are deliberately *not* evolvable: there is no field
- * tagging, so adding or removing a field is a flag-day change. The
- * transport encoding that tolerates schema drift (rolling upgrades,
- * mixed-version fleets) is the tagged codec in common/wire.h +
- * proto/wire_schema.h; it reuses these canonical layouts wherever a
- * signature or golden digest depends on them. See DESIGN.md §17 for
- * the split.
+ * Protocol messages, journal records and snapshots use the declared
+ * tagged codec instead (proto/wire_schema.h, DESIGN.md §17).
  */
 
 #ifndef MONATT_COMMON_CODEC_H

@@ -2,9 +2,9 @@
  * @file
  * Tag/wire-type primitive codec (the protobuf wire discipline).
  *
- * One level below the schema layer in proto/wire_schema.h: this file
- * knows nothing about CloudMonatt messages, only about the three wire
- * types and how tagged fields are framed:
+ * One level below the declared codec in proto/wire_schema.h: this
+ * file knows nothing about CloudMonatt messages, only about the three
+ * wire types and how tagged fields are framed:
  *
  *   tag   = varint((field_number << 3) | wire_type)
  *   VARINT: base-128 little-endian varint payload (zigzag for signed)
@@ -143,8 +143,12 @@ struct WireField
 class WireReader
 {
   public:
-    /** Wrap a buffer; the reader does not own the memory. */
-    explicit WireReader(const Bytes &data) : buf(data) {}
+    /** Wrap a buffer from `offset` (<= data.size()) on; the reader
+     * does not own the memory. */
+    explicit WireReader(const Bytes &data, std::size_t offset = 0)
+        : buf(data), pos(offset)
+    {
+    }
 
     /** Decode the next field; error on any malformed byte. */
     Result<WireField> next();

@@ -31,6 +31,7 @@
 
 #include "controller/database.h"
 #include "controller/election.h"
+#include "controller/journal.h"
 #include "controller/policy.h"
 #include "controller/replica_group.h"
 #include "net/secure_endpoint.h"
@@ -44,34 +45,6 @@ namespace monatt::controller
 {
 
 class HashRing;
-
-/** Remediation response policies (§5.2). */
-enum class ResponsePolicy : std::uint8_t
-{
-    None = 0,       //!< Report only.
-    Terminate = 1,  //!< #1: shut the VM down.
-    Suspend = 2,    //!< #2: pause pending further checking.
-    Migrate = 3,    //!< #3: move to another qualified server.
-};
-
-/** Human-readable policy name. */
-std::string responsePolicyName(ResponsePolicy p);
-
-/** One executed (or executing) remediation response. */
-struct ResponseRecord
-{
-    std::string vid;
-    ResponsePolicy action = ResponsePolicy::None;
-    SimTime attestStart = 0;   //!< Attestation request forwarded.
-    SimTime reportAt = 0;      //!< Negative report received.
-    SimTime completedAt = 0;   //!< Response acknowledged.
-    bool completed = false;
-    bool succeeded = false;
-    std::string detail;
-    std::string targetServer; //!< Migration target (when applicable).
-    std::vector<proto::SecurityProperty> triggerProperties;
-    bool resumedAfterRecheck = false; //!< Suspension lifted (§5.2 #2).
-};
 
 /** Controller configuration. */
 struct CloudControllerConfig
@@ -146,10 +119,8 @@ struct CloudControllerConfig
     ElectionTuning election;
 
     /**
-     * Wire codec this node speaks (DESIGN.md §17). Legacy is the
-     * canonical fixed-width codec and the default; Tagged is the
-     * schema-evolvable opt-in. Receivers decode either format from
-     * the frame itself, so nodes can be upgraded one at a time.
+     * Schema version this node encodes at (DESIGN.md §17). Receivers
+     * decode any version, so nodes can be upgraded one at a time.
      */
     proto::WireContext wire;
 };
@@ -276,9 +247,8 @@ class CloudController
         return ids;
     }
 
-    /** Wire codec this node emits (mixed-version tests flip it at
-     * runtime to simulate a rolling upgrade; received frames are
-     * always decoded by their own self-described format). */
+    /** Schema version this node emits (mixed-version tests flip it
+     * at runtime to simulate a rolling upgrade). */
     const proto::WireContext &wireContext() const { return cfg.wire; }
     void setWireContext(const proto::WireContext &ctx) { cfg.wire = ctx; }
 
@@ -291,34 +261,6 @@ class CloudController
     }
 
   private:
-    /** Why an attestation was initiated. */
-    enum class AttestKind { StartupLaunch, CustomerRequest,
-                            SuspendRecheck };
-
-    struct AttestContext
-    {
-        AttestKind kind = AttestKind::CustomerRequest;
-        std::string vid;
-        net::NodeId customer;
-        std::uint64_t customerRequestId = 0;
-        Bytes nonce1;
-        Bytes nonce2;
-        std::vector<proto::SecurityProperty> properties;
-        proto::AttestMode mode = proto::AttestMode::RuntimeOneTime;
-        SimTime period = 0;
-        SimTime forwardedAt = 0;
-        bool periodic = false;
-        std::string serverId;   //!< Server the forward targeted.
-        std::string attestorId; //!< AS currently responsible.
-        int retries = 0;
-        int failovers = 0;
-        bool acked = false;          //!< A verified report arrived.
-        bool recovered = false;      //!< Re-armed after a crash (skip
-                                     //!< RTT sampling: the send time
-                                     //!< spans the outage).
-        sim::EventId retryTimer = 0; //!< 0 = none pending.
-    };
-
     /** Per-AS responsiveness tracking (suspects are skipped for
      * failover targets until they answer again). */
     struct AsHealth
@@ -327,26 +269,14 @@ class CloudController
         bool suspect = false;
     };
 
-    struct PendingLaunch
-    {
-        std::uint64_t customerRequestId = 0;
-        net::NodeId customer;
-        std::set<std::string> excludedServers;
-    };
-
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
-    /** Pack an outgoing message in this node's configured format. */
+    /** Pack an outgoing message at this node's schema version. */
     template <typename M>
     Bytes pack(proto::MessageKind kind, const M &msg) const
     {
         return proto::packFor(cfg.wire, kind, msg);
     }
-
-    /** Format of the frame currently being dispatched. handleMessage
-     * sets it before the synchronous handler call, so every decode
-     * inside the handler reads the sender's self-described format. */
-    proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
 
     // --- Replication (replica groups) ------------------------------
 
@@ -565,23 +495,6 @@ class CloudController
 
     // --- Durability (write-ahead journal) ------------------------------
 
-    /** Journal record types (StableStore payload tags). */
-    enum class JournalType : std::uint16_t
-    {
-        Meta = 1,         //!< nextVmNumber / nextAttestId counters.
-        VmUpsert = 2,     //!< Full VmRecord (or remove when absent).
-        VmRemove = 3,
-        ServerUpsert = 4, //!< Full ServerRecord (allocation changes).
-        PolicySet = 5,
-        LaunchUpsert = 6, //!< PendingLaunch (or remove when absent).
-        LaunchRemove = 7,
-        AttestUpsert = 8, //!< AttestContext (or remove when absent).
-        AttestRemove = 9,
-        ResponseUpsert = 10, //!< Response log entry by index.
-        AsHealthSet = 11,
-        RelayRemember = 12, //!< Cached customer reply (FIFO on replay).
-    };
-
     /** WAL helpers: append the current value of one state item. Each
      * upsert helper journals a remove when the item no longer exists,
      * so one call site covers both mutations. No-ops when durability
@@ -596,11 +509,16 @@ class CloudController
     void journalAsHealth(const std::string &attestorId);
     void journalRelay(const CustomerKey &key, const Bytes &packed);
 
+    /** Append one declared record (no-op when durability is off or
+     * during replay). */
+    template <typename R>
+    void journal(JournalType type, const R &record);
+
     /** Fsync barrier + checkpoint policy; called at the end of every
      * event-handler body so no externally visible state is lost. */
     void commitJournal();
 
-    /** Full-state snapshot for checkpoints. */
+    /** Checkpoint snapshot: the records that rebuild the state. */
     Bytes snapshotState() const;
     void applySnapshot(const Bytes &snapshot);
     void applyJournalRecord(const sim::JournalRecord &rec);
@@ -611,42 +529,6 @@ class CloudController
 
     /** Re-send the remediation command of an incomplete response. */
     void resendResponseCommand(std::size_t logIndex);
-
-    Bytes encodeAttestContext(const AttestContext &ctx) const;
-    bool decodeAttestContext(const Bytes &data, AttestContext &out) const;
-    Bytes encodePendingLaunch(const std::string &vid,
-                              const PendingLaunch &launch) const;
-    bool decodePendingLaunch(const Bytes &data, std::string &vid,
-                             PendingLaunch &out) const;
-    Bytes encodeResponseRecord(const ResponseRecord &rec) const;
-    bool decodeResponseRecord(const Bytes &data, ResponseRecord &out) const;
-
-    // Tagged-field variants (journal records written by a Tagged-format
-    // node; the record's type word carries proto::kTaggedJournalBit).
-    Bytes encodeAttestContextTagged(const AttestContext &ctx) const;
-    bool decodeAttestContextTagged(const Bytes &data,
-                                   AttestContext &out) const;
-    Bytes encodePendingLaunchTagged(const std::string &vid,
-                                    const PendingLaunch &launch) const;
-    bool decodePendingLaunchTagged(const Bytes &data, std::string &vid,
-                                   PendingLaunch &out) const;
-    Bytes encodeResponseRecordTagged(const ResponseRecord &rec) const;
-    bool decodeResponseRecordTagged(const Bytes &data,
-                                    ResponseRecord &out) const;
-
-    /** True when this node writes tagged journal payloads. */
-    bool taggedJournal() const
-    {
-        return cfg.wire.format == proto::WireFormat::Tagged;
-    }
-
-    /** StableStore type word for a record in this node's format. */
-    std::uint16_t journalTag(JournalType t) const
-    {
-        return static_cast<std::uint16_t>(t) |
-               (taggedJournal() ? proto::kTaggedJournalBit
-                                : std::uint16_t{0});
-    }
 
     sim::StableStore store;
     sim::CheckpointPolicy ckptPolicy;

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/codec.h"
-#include "common/wire.h"
 
 namespace monatt::controller
 {
@@ -127,475 +125,80 @@ CloudDatabase::release(const std::string &serverId, std::uint64_t ramMb,
 namespace
 {
 
+/** A completed launch stage as journaled (VmRecord field 14). */
+struct StageEntry
+{
+    std::string name;
+    SimTime start = 0;
+    SimTime end = 0;
+
+    static constexpr auto fields()
+    {
+        using M = StageEntry;
+        using proto::field;
+        return std::tuple{
+            field(&M::name, 1, "name").always(),
+            field(&M::start, 2, "start").always(),
+            field(&M::end, 3, "end").always(),
+        };
+    }
+};
+
+/** The open launch stage as journaled (VmRecord field 15). */
+struct OpenStageEntry
+{
+    std::string name;
+    SimTime start = 0;
+
+    static constexpr auto fields()
+    {
+        using M = OpenStageEntry;
+        using proto::field;
+        return std::tuple{
+            field(&M::name, 1, "name").always(),
+            field(&M::start, 2, "start").always(),
+        };
+    }
+};
+
+} // namespace
+
 void
-putProperties(ByteWriter &w,
-              const std::vector<proto::SecurityProperty> &props)
+VmRecord::putStages(wire::WireWriter &w, std::uint32_t number,
+                    const VmRecord &rec)
 {
-    w.putU32(static_cast<std::uint32_t>(props.size()));
-    for (proto::SecurityProperty p : props)
-        w.putU8(static_cast<std::uint8_t>(p));
+    for (const sim::StageRecord &s : rec.launchTimer.stages())
+        w.putLen(number, proto::encode(StageEntry{s.name, s.start, s.end}));
 }
 
 bool
-getProperties(ByteReader &r, std::vector<proto::SecurityProperty> &props)
+VmRecord::takeStage(VmRecord &rec, const wire::WireField &in)
 {
-    auto count = r.getU32();
-    if (!count || count.value() > 64)
+    auto s = proto::decode<StageEntry>(in.bytes);
+    if (!s)
         return false;
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto p = r.getU8();
-        if (!p)
-            return false;
-        props.push_back(static_cast<proto::SecurityProperty>(p.value()));
-    }
+    rec.launchTimer.record(s.value().name, s.value().start, s.value().end);
     return true;
 }
 
-} // namespace
-
-Bytes
-encodeVmRecord(const VmRecord &rec)
+void
+VmRecord::putOpenStage(wire::WireWriter &w, std::uint32_t number,
+                       const VmRecord &rec)
 {
-    ByteWriter w;
-    w.reserve(128 + rec.image.size());
-    w.putString(rec.vid);
-    w.putString(rec.name);
-    w.putString(rec.customer);
-    w.putString(rec.imageName);
-    w.putString(rec.flavorName);
-    w.putU64(rec.imageSizeMb);
-    w.putBytes(rec.image);
-    w.putU32(rec.vcpus);
-    w.putU64(rec.ramMb);
-    w.putU64(rec.diskGb);
-    putProperties(w, rec.properties);
-    w.putString(rec.serverId);
-    w.putU8(static_cast<std::uint8_t>(rec.status));
-    const auto &stages = rec.launchTimer.stages();
-    w.putU32(static_cast<std::uint32_t>(stages.size()));
-    for (const sim::StageRecord &s : stages) {
-        w.putString(s.name);
-        w.putI64(s.start);
-        w.putI64(s.end);
-    }
-    w.putU8(rec.launchTimer.hasOpenStage() ? 1 : 0);
-    if (rec.launchTimer.hasOpenStage()) {
-        w.putString(rec.launchTimer.openStageName());
-        w.putI64(rec.launchTimer.openStageStart());
-    }
-    w.putI64(rec.launchAttempts);
-    w.putI64(rec.launchedAt);
-    return w.take();
-}
-
-Result<VmRecord>
-decodeVmRecord(const Bytes &data)
-{
-    ByteReader r(data);
-    VmRecord rec;
-    auto vid = r.getString();
-    auto name = r.getString();
-    auto customer = r.getString();
-    auto imageName = r.getString();
-    auto flavorName = r.getString();
-    auto imageSizeMb = r.getU64();
-    auto image = r.getBytes();
-    auto vcpus = r.getU32();
-    auto ramMb = r.getU64();
-    auto diskGb = r.getU64();
-    if (!vid || !name || !customer || !imageName || !flavorName ||
-        !imageSizeMb || !image || !vcpus || !ramMb || !diskGb)
-        return Result<VmRecord>::error("bad vm record header");
-    if (!getProperties(r, rec.properties))
-        return Result<VmRecord>::error("bad vm record properties");
-    auto serverId = r.getString();
-    auto status = r.getU8();
-    auto stageCount = r.getU32();
-    if (!serverId || !status || !stageCount ||
-        stageCount.value() > 4096)
-        return Result<VmRecord>::error("bad vm record status");
-    for (std::uint32_t i = 0; i < stageCount.value(); ++i) {
-        auto sname = r.getString();
-        auto start = r.getI64();
-        auto end = r.getI64();
-        if (!sname || !start || !end)
-            return Result<VmRecord>::error("bad vm record stage");
-        rec.launchTimer.record(sname.value(), start.value(), end.value());
-    }
-    auto hasOpen = r.getU8();
-    if (!hasOpen)
-        return Result<VmRecord>::error("bad vm record open stage flag");
-    if (hasOpen.value() != 0) {
-        auto oname = r.getString();
-        auto ostart = r.getI64();
-        if (!oname || !ostart)
-            return Result<VmRecord>::error("bad vm record open stage");
-        rec.launchTimer.beginStage(oname.value(), ostart.value());
-    }
-    auto launchAttempts = r.getI64();
-    auto launchedAt = r.getI64();
-    if (!launchAttempts || !launchedAt || !r.atEnd())
-        return Result<VmRecord>::error("bad vm record tail");
-    rec.vid = vid.value();
-    rec.name = name.value();
-    rec.customer = customer.value();
-    rec.imageName = imageName.value();
-    rec.flavorName = flavorName.value();
-    rec.imageSizeMb = imageSizeMb.value();
-    rec.image = image.value();
-    rec.vcpus = vcpus.value();
-    rec.ramMb = ramMb.value();
-    rec.diskGb = diskGb.value();
-    rec.serverId = serverId.value();
-    rec.status = static_cast<VmStatus>(status.value());
-    rec.launchAttempts = static_cast<int>(launchAttempts.value());
-    rec.launchedAt = launchedAt.value();
-    return Result<VmRecord>::ok(std::move(rec));
-}
-
-Bytes
-encodeServerRecord(const ServerRecord &rec)
-{
-    ByteWriter w;
-    w.putString(rec.id);
-    w.putU32(static_cast<std::uint32_t>(rec.capabilities.size()));
-    for (proto::SecurityProperty p : rec.capabilities)
-        w.putU8(static_cast<std::uint8_t>(p));
-    w.putU64(rec.totalRamMb);
-    w.putU64(rec.totalDiskGb);
-    w.putU64(rec.allocatedRamMb);
-    w.putU64(rec.allocatedDiskGb);
-    // Appended after the original release; written only when set so
-    // records for healthy servers stay byte-identical to the frozen
-    // layout (and old journals decode via the optional-tail read).
-    if (rec.quarantined)
-        w.putU8(1);
-    return w.take();
-}
-
-Result<ServerRecord>
-decodeServerRecord(const Bytes &data)
-{
-    ByteReader r(data);
-    ServerRecord rec;
-    auto id = r.getString();
-    auto capCount = r.getU32();
-    if (!id || !capCount || capCount.value() > 64)
-        return Result<ServerRecord>::error("bad server record header");
-    for (std::uint32_t i = 0; i < capCount.value(); ++i) {
-        auto p = r.getU8();
-        if (!p)
-            return Result<ServerRecord>::error("bad server capability");
-        rec.capabilities.insert(
-            static_cast<proto::SecurityProperty>(p.value()));
-    }
-    auto totalRamMb = r.getU64();
-    auto totalDiskGb = r.getU64();
-    auto allocatedRamMb = r.getU64();
-    auto allocatedDiskGb = r.getU64();
-    if (!totalRamMb || !totalDiskGb || !allocatedRamMb || !allocatedDiskGb)
-        return Result<ServerRecord>::error("bad server record tail");
-    if (!r.atEnd()) {
-        auto quarantined = r.getU8();
-        if (!quarantined || !r.atEnd())
-            return Result<ServerRecord>::error("bad server record tail");
-        rec.quarantined = quarantined.value() != 0;
-    }
-    rec.id = id.value();
-    rec.totalRamMb = totalRamMb.value();
-    rec.totalDiskGb = totalDiskGb.value();
-    rec.allocatedRamMb = allocatedRamMb.value();
-    rec.allocatedDiskGb = allocatedDiskGb.value();
-    return Result<ServerRecord>::ok(std::move(rec));
-}
-
-// --- Tagged-field journal codecs ---------------------------------------
-//
-// Field numbers are frozen (DESIGN.md §17). Encoders omit
-// default-constructed member values; decoders start from a
-// default-constructed record and skip unknown fields.
-
-namespace
-{
-
-template <typename Container>
-Bytes
-packedPropertyBytes(const Container &props)
-{
-    Bytes out;
-    for (proto::SecurityProperty p : props)
-        wire::appendVarint(out, static_cast<std::uint64_t>(p));
-    return out;
+    const sim::StageTimer &t = rec.launchTimer;
+    if (t.hasOpenStage())
+        w.putLen(number, proto::encode(OpenStageEntry{t.openStageName(),
+                                                      t.openStageStart()}));
 }
 
 bool
-unpackPackedProperties(const Bytes &packed, std::size_t limit,
-                       std::vector<std::uint64_t> &out)
+VmRecord::takeOpenStage(VmRecord &rec, const wire::WireField &in)
 {
-    wire::WireReader r(packed);
-    while (!r.atEnd()) {
-        auto v = r.nextVarint();
-        if (!v || out.size() >= limit)
-            return false;
-        out.push_back(v.value());
-    }
+    auto s = proto::decode<OpenStageEntry>(in.bytes);
+    if (!s)
+        return false;
+    rec.launchTimer.beginStage(s.value().name, s.value().start);
     return true;
-}
-
-} // namespace
-
-Bytes
-encodeVmRecordTagged(const VmRecord &rec)
-{
-    wire::WireWriter w;
-    w.reserve(128 + rec.image.size());
-    if (!rec.vid.empty())
-        w.putString(1, rec.vid);
-    if (!rec.name.empty())
-        w.putString(2, rec.name);
-    if (!rec.customer.empty())
-        w.putString(3, rec.customer);
-    if (!rec.imageName.empty())
-        w.putString(4, rec.imageName);
-    if (!rec.flavorName.empty())
-        w.putString(5, rec.flavorName);
-    if (rec.imageSizeMb != 0)
-        w.putVarint(6, rec.imageSizeMb);
-    if (!rec.image.empty())
-        w.putLen(7, rec.image);
-    if (rec.vcpus != 1)
-        w.putVarint(8, rec.vcpus);
-    if (rec.ramMb != 0)
-        w.putVarint(9, rec.ramMb);
-    if (rec.diskGb != 0)
-        w.putVarint(10, rec.diskGb);
-    if (!rec.properties.empty())
-        w.putLen(11, packedPropertyBytes(rec.properties));
-    if (!rec.serverId.empty())
-        w.putString(12, rec.serverId);
-    if (rec.status != VmStatus::Scheduling)
-        w.putVarint(13, static_cast<std::uint64_t>(rec.status));
-    for (const sim::StageRecord &s : rec.launchTimer.stages()) {
-        wire::WireWriter stage;
-        stage.putString(1, s.name);
-        stage.putSigned(2, s.start);
-        stage.putSigned(3, s.end);
-        w.putLen(14, stage.take());
-    }
-    if (rec.launchTimer.hasOpenStage()) {
-        wire::WireWriter open;
-        open.putString(1, rec.launchTimer.openStageName());
-        open.putSigned(2, rec.launchTimer.openStageStart());
-        w.putLen(15, open.take());
-    }
-    if (rec.launchAttempts != 0)
-        w.putSigned(16, rec.launchAttempts);
-    if (rec.launchedAt != 0)
-        w.putSigned(17, rec.launchedAt);
-    return w.take();
-}
-
-Result<VmRecord>
-decodeVmRecordTagged(const Bytes &data)
-{
-    using R = Result<VmRecord>;
-    wire::WireReader r(data);
-    VmRecord rec;
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return R::error("VmRecord: " + f.errorMessage());
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Len)
-                rec.vid = fld.asString();
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Len)
-                rec.name = fld.asString();
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Len)
-                rec.customer = fld.asString();
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Len)
-                rec.imageName = fld.asString();
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Len)
-                rec.flavorName = fld.asString();
-            break;
-          case 6:
-            if (fld.type == wire::WireType::Varint)
-                rec.imageSizeMb = fld.varint;
-            break;
-          case 7:
-            if (fld.type == wire::WireType::Len)
-                rec.image = fld.bytes;
-            break;
-          case 8:
-            if (fld.type == wire::WireType::Varint)
-                rec.vcpus = static_cast<std::uint32_t>(fld.varint);
-            break;
-          case 9:
-            if (fld.type == wire::WireType::Varint)
-                rec.ramMb = fld.varint;
-            break;
-          case 10:
-            if (fld.type == wire::WireType::Varint)
-                rec.diskGb = fld.varint;
-            break;
-          case 11:
-            if (fld.type == wire::WireType::Len) {
-                std::vector<std::uint64_t> raw;
-                if (!unpackPackedProperties(fld.bytes, 64, raw))
-                    return R::error("VmRecord: bad properties");
-                rec.properties.clear();
-                for (std::uint64_t v : raw)
-                    rec.properties.push_back(
-                        static_cast<proto::SecurityProperty>(v));
-            }
-            break;
-          case 12:
-            if (fld.type == wire::WireType::Len)
-                rec.serverId = fld.asString();
-            break;
-          case 13:
-            if (fld.type == wire::WireType::Varint)
-                rec.status = static_cast<VmStatus>(fld.varint);
-            break;
-          case 14:
-            if (fld.type == wire::WireType::Len) {
-                wire::WireReader stage(fld.bytes);
-                std::string name;
-                SimTime start = 0, end = 0;
-                while (!stage.atEnd()) {
-                    auto sf = stage.next();
-                    if (!sf)
-                        return R::error("VmRecord: bad stage");
-                    const wire::WireField &s = sf.value();
-                    if (s.number == 1 && s.type == wire::WireType::Len)
-                        name = s.asString();
-                    else if (s.number == 2 &&
-                             s.type == wire::WireType::Varint)
-                        start = s.asSigned();
-                    else if (s.number == 3 &&
-                             s.type == wire::WireType::Varint)
-                        end = s.asSigned();
-                }
-                rec.launchTimer.record(name, start, end);
-            }
-            break;
-          case 15:
-            if (fld.type == wire::WireType::Len) {
-                wire::WireReader open(fld.bytes);
-                std::string name;
-                SimTime start = 0;
-                while (!open.atEnd()) {
-                    auto of = open.next();
-                    if (!of)
-                        return R::error("VmRecord: bad open stage");
-                    const wire::WireField &o = of.value();
-                    if (o.number == 1 && o.type == wire::WireType::Len)
-                        name = o.asString();
-                    else if (o.number == 2 &&
-                             o.type == wire::WireType::Varint)
-                        start = o.asSigned();
-                }
-                rec.launchTimer.beginStage(name, start);
-            }
-            break;
-          case 16:
-            if (fld.type == wire::WireType::Varint)
-                rec.launchAttempts =
-                    static_cast<int>(fld.asSigned());
-            break;
-          case 17:
-            if (fld.type == wire::WireType::Varint)
-                rec.launchedAt = fld.asSigned();
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return R::ok(std::move(rec));
-}
-
-Bytes
-encodeServerRecordTagged(const ServerRecord &rec)
-{
-    wire::WireWriter w;
-    if (!rec.id.empty())
-        w.putString(1, rec.id);
-    if (!rec.capabilities.empty())
-        w.putLen(2, packedPropertyBytes(rec.capabilities));
-    if (rec.totalRamMb != 0)
-        w.putVarint(3, rec.totalRamMb);
-    if (rec.totalDiskGb != 0)
-        w.putVarint(4, rec.totalDiskGb);
-    if (rec.allocatedRamMb != 0)
-        w.putVarint(5, rec.allocatedRamMb);
-    if (rec.allocatedDiskGb != 0)
-        w.putVarint(6, rec.allocatedDiskGb);
-    if (rec.quarantined)
-        w.putVarint(7, 1);
-    return w.take();
-}
-
-Result<ServerRecord>
-decodeServerRecordTagged(const Bytes &data)
-{
-    using R = Result<ServerRecord>;
-    wire::WireReader r(data);
-    ServerRecord rec;
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return R::error("ServerRecord: " + f.errorMessage());
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Len)
-                rec.id = fld.asString();
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Len) {
-                std::vector<std::uint64_t> raw;
-                if (!unpackPackedProperties(fld.bytes, 64, raw))
-                    return R::error("ServerRecord: bad capabilities");
-                rec.capabilities.clear();
-                for (std::uint64_t v : raw)
-                    rec.capabilities.insert(
-                        static_cast<proto::SecurityProperty>(v));
-            }
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Varint)
-                rec.totalRamMb = fld.varint;
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Varint)
-                rec.totalDiskGb = fld.varint;
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Varint)
-                rec.allocatedRamMb = fld.varint;
-            break;
-          case 6:
-            if (fld.type == wire::WireType::Varint)
-                rec.allocatedDiskGb = fld.varint;
-            break;
-          case 7:
-            if (fld.type == wire::WireType::Varint)
-                rec.quarantined = fld.varint != 0;
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return R::ok(std::move(rec));
 }
 
 } // namespace monatt::controller

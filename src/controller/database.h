@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
 #include "common/time_types.h"
 #include "proto/property.h"
+#include "proto/wire_schema.h"
 #include "sim/stage_timer.h"
 
 namespace monatt::controller
@@ -66,6 +66,43 @@ struct VmRecord
     sim::StageTimer launchTimer; //!< Figure 9 stage breakdown.
     int launchAttempts = 0;
     SimTime launchedAt = 0;
+
+    static constexpr auto fields()
+    {
+        using M = VmRecord;
+        using proto::field;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::name, 2, "name"),
+            field(&M::customer, 3, "customer"),
+            field(&M::imageName, 4, "imageName"),
+            field(&M::flavorName, 5, "flavorName"),
+            field(&M::imageSizeMb, 6, "imageSizeMb"),
+            field(&M::image, 7, "image"),
+            field(&M::vcpus, 8, "vcpus"),
+            field(&M::ramMb, 9, "ramMb"),
+            field(&M::diskGb, 10, "diskGb"),
+            field(&M::properties, 11, "properties")
+                .atMost(proto::kMaxProperties),
+            field(&M::serverId, 12, "serverId"),
+            field(&M::status, 13, "status"),
+            proto::CustomField<M>{14, "launchStages", wire::WireType::Len,
+                                  &putStages, &takeStage},
+            proto::CustomField<M>{15, "openStage", wire::WireType::Len,
+                                  &putOpenStage, &takeOpenStage},
+            field(&M::launchAttempts, 16, "launchAttempts"),
+            field(&M::launchedAt, 17, "launchedAt"),
+        };
+    }
+
+    // launchTimer travels as its completed stages (one field 14 per
+    // stage, in order) plus the open stage, if any (field 15).
+    static void putStages(wire::WireWriter &w, std::uint32_t number,
+                          const VmRecord &rec);
+    static bool takeStage(VmRecord &rec, const wire::WireField &in);
+    static void putOpenStage(wire::WireWriter &w, std::uint32_t number,
+                             const VmRecord &rec);
+    static bool takeOpenStage(VmRecord &rec, const wire::WireField &in);
 };
 
 /** One cloud server's record. */
@@ -91,6 +128,22 @@ struct ServerRecord
     std::uint64_t freeDiskGb() const
     {
         return totalDiskGb - allocatedDiskGb;
+    }
+
+    static constexpr auto fields()
+    {
+        using M = ServerRecord;
+        using proto::field;
+        return std::tuple{
+            field(&M::id, 1, "id"),
+            field(&M::capabilities, 2, "capabilities")
+                .atMost(proto::kMaxProperties),
+            field(&M::totalRamMb, 3, "totalRamMb"),
+            field(&M::totalDiskGb, 4, "totalDiskGb"),
+            field(&M::allocatedRamMb, 5, "allocatedRamMb"),
+            field(&M::allocatedDiskGb, 6, "allocatedDiskGb"),
+            field(&M::quarantined, 7, "quarantined"),
+        };
     }
 };
 
@@ -131,28 +184,6 @@ class CloudDatabase
     std::map<std::string, ServerRecord> servers;
     std::map<std::string, VmRecord> vms;
 };
-
-// --- Journal serialization (common/codec byte layouts) -----------------
-//
-// Record payloads for the controller's StableStore. Encoders are
-// total; decoders are strict (any truncated or trailing bytes is an
-// error), matching the protocol codec's posture.
-
-Bytes encodeVmRecord(const VmRecord &rec);
-Result<VmRecord> decodeVmRecord(const Bytes &data);
-
-Bytes encodeServerRecord(const ServerRecord &rec);
-Result<ServerRecord> decodeServerRecord(const Bytes &data);
-
-// Tagged-field variants (schema-evolvable journal form; see DESIGN.md
-// §17). A journal record carrying a tagged payload sets
-// proto::kTaggedJournalBit in its StableStore type word.
-
-Bytes encodeVmRecordTagged(const VmRecord &rec);
-Result<VmRecord> decodeVmRecordTagged(const Bytes &data);
-
-Bytes encodeServerRecordTagged(const ServerRecord &rec);
-Result<ServerRecord> decodeServerRecordTagged(const Bytes &data);
 
 } // namespace monatt::controller
 

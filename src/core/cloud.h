@@ -165,13 +165,11 @@ struct CloudConfig
     std::size_t dedupCacheCapacity = 128;
 
     /**
-     * Wire codec every node emits (DESIGN.md §17). Legacy (the
-     * default) is the canonical fixed-width encoding and keeps all
-     * golden traces bit-identical; Tagged switches nodes to the
-     * schema-evolvable tag||value codec. Frames are self-describing,
-     * so a mixed fleet interoperates without negotiation — flip
-     * individual nodes at runtime with setNodeWireContext() to
-     * simulate a rolling codec upgrade.
+     * Schema version every node encodes at (DESIGN.md §17). Decoders
+     * skip unknown fields and default missing ones, so a mixed-version
+     * fleet interoperates without negotiation; flip individual nodes
+     * at runtime with setNodeWireContext() to simulate a rolling
+     * upgrade.
      */
     proto::WireContext wire;
 };
@@ -258,11 +256,10 @@ class Cloud
     Status restartNode(const std::string &node);
 
     /**
-     * Switch one node's emitted wire format at runtime (rolling
-     * codec upgrade simulation). Resolves cloud servers, Attestation
+     * Switch one node's emitted schema version at runtime (rolling
+     * upgrade simulation). Resolves cloud servers, Attestation
      * Servers, controller shard replicas, the pCA and customers. The
-     * node keeps decoding both formats — only what it sends (and,
-     * for durable entities, what it journals) changes.
+     * node keeps decoding every version; only what it sends changes.
      */
     Status setNodeWireContext(const std::string &node,
                               const proto::WireContext &ctx);

@@ -336,8 +336,8 @@ Customer::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     auto unpacked = proto::unpackMessage(plaintext);
     if (!unpacked)
         return;
-    const auto &[kind, format, body] = unpacked.value();
-    rxFormat_ = format;
+    const proto::MessageKind kind = unpacked.value().kind;
+    const Bytes &body = unpacked.value().body;
     // Substantive replies only ever come from a group's leader (the
     // output gate holds them back on every other replica), so any of
     // them is an authenticated leader sighting.
@@ -367,7 +367,7 @@ Customer::handleMessage(const net::NodeId &from, const Bytes &plaintext)
 void
 Customer::onNotLeader(const net::NodeId &from, const Bytes &body)
 {
-    auto msgR = proto::decodeAs<proto::NotLeader>(rxFormat_, body);
+    auto msgR = proto::decode<proto::NotLeader>(body);
     if (!msgR)
         return;
     const proto::NotLeader msg = msgR.take();
@@ -406,8 +406,10 @@ Customer::onAttestFailure(const Bytes &body)
     // Authenticated by the secure channel: handleMessage only accepts
     // traffic from the controller. A failure is a definitive verdict,
     // never a verified health statement.
-    auto failR = proto::decodeAs<proto::AttestFailure>(rxFormat_, body);
-    if (!failR)
+    auto failR = proto::decode<proto::AttestFailure>(body);
+    if (!failR ||
+        (failR.value().outcome != proto::FailureOutcome::Unreachable &&
+         failR.value().outcome != proto::FailureOutcome::Failed))
         return;
     const proto::AttestFailure fail = failR.take();
     const auto it = pendingAttests.find(fail.requestId);
@@ -435,7 +437,7 @@ Customer::onAttestFailure(const Bytes &body)
 void
 Customer::onLaunchResponse(const Bytes &body)
 {
-    auto respR = proto::decodeAs<proto::LaunchResponse>(rxFormat_, body);
+    auto respR = proto::decode<proto::LaunchResponse>(body);
     if (!respR)
         return;
     const proto::LaunchResponse resp = respR.take();
@@ -466,7 +468,7 @@ Customer::controllerContext(const std::string &shardId,
 void
 Customer::onReportToCustomer(const net::NodeId &from, const Bytes &body)
 {
-    auto msgR = proto::decodeAs<ReportToCustomer>(rxFormat_, body);
+    auto msgR = proto::decode<ReportToCustomer>(body);
     if (!msgR) {
         ++counters.reportsRejected;
         return;

@@ -183,8 +183,7 @@ class Customer
 
     const CustomerStats &stats() const { return counters; }
 
-    /** Wire codec this node emits (DESIGN.md §17); received frames
-     * always decode by their own self-described format. */
+    /** Schema version this node emits (DESIGN.md §17). */
     const proto::WireContext &wireContext() const { return wire_; }
     void setWireContext(const proto::WireContext &ctx) { wire_ = ctx; }
 
@@ -209,7 +208,7 @@ class Customer
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
-    /** Pack an outgoing message in this node's configured format. */
+    /** Pack an outgoing message at this node's schema version. */
     template <typename M>
     Bytes pack(proto::MessageKind kind, const M &msg) const
     {
@@ -217,8 +216,6 @@ class Customer
     }
 
     proto::WireContext wire_;
-    /** Format of the frame currently being dispatched. */
-    proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
 
     void onLaunchResponse(const Bytes &body);
     void onReportToCustomer(const net::NodeId &from, const Bytes &body);

@@ -1,7 +1,5 @@
 #include "proto/measurement.h"
 
-#include "common/codec.h"
-#include "common/wire.h"
 
 namespace monatt::proto
 {
@@ -30,141 +28,6 @@ measurementTypeName(MeasurementType t)
     return "unknown";
 }
 
-Bytes
-Measurement::encode() const
-{
-    ByteWriter w;
-    w.putU8(static_cast<std::uint8_t>(type));
-    w.putU32(static_cast<std::uint32_t>(strings.size()));
-    for (const std::string &s : strings)
-        w.putString(s);
-    w.putU32(static_cast<std::uint32_t>(values.size()));
-    for (std::uint64_t v : values)
-        w.putU64(v);
-    w.putBytes(digest);
-    w.putI64(windowLength);
-    return w.take();
-}
-
-Result<Measurement>
-Measurement::decode(const Bytes &data)
-{
-    using R = Result<Measurement>;
-    ByteReader r(data);
-    Measurement m;
-    auto type = r.getU8();
-    if (!type)
-        return R::error("Measurement: missing type");
-    m.type = static_cast<MeasurementType>(type.value());
-
-    auto numStrings = r.getU32();
-    if (!numStrings || numStrings.value() > 100000)
-        return R::error("Measurement: bad string count");
-    for (std::uint32_t i = 0; i < numStrings.value(); ++i) {
-        auto s = r.getString();
-        if (!s)
-            return R::error("Measurement: truncated string");
-        m.strings.push_back(s.take());
-    }
-
-    auto numValues = r.getU32();
-    if (!numValues || numValues.value() > 1000000)
-        return R::error("Measurement: bad value count");
-    for (std::uint32_t i = 0; i < numValues.value(); ++i) {
-        auto v = r.getU64();
-        if (!v)
-            return R::error("Measurement: truncated value");
-        m.values.push_back(v.value());
-    }
-
-    auto digest = r.getBytes();
-    auto window = r.getI64();
-    if (!digest || !window || !r.atEnd())
-        return R::error("Measurement: truncated trailer");
-    m.digest = digest.take();
-    m.windowLength = window.value();
-    return R::ok(std::move(m));
-}
-
-Bytes
-Measurement::encodeTagged() const
-{
-    wire::WireWriter w;
-    w.putVarint(1, static_cast<std::uint64_t>(type));
-    for (const std::string &s : strings)
-        w.putString(2, s);
-    if (!values.empty()) {
-        Bytes packed;
-        for (std::uint64_t v : values)
-            wire::appendVarint(packed, v);
-        w.putLen(3, packed);
-    }
-    if (!digest.empty())
-        w.putLen(4, digest);
-    if (windowLength != 0)
-        w.putSigned(5, windowLength);
-    return w.take();
-}
-
-Result<Measurement>
-Measurement::decodeTagged(const Bytes &data)
-{
-    using R = Result<Measurement>;
-    wire::WireReader r(data);
-    Measurement m;
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return R::error("Measurement: " + f.errorMessage());
-        const wire::WireField &fld = f.value();
-        switch (fld.number) {
-          case 1:
-            if (fld.type == wire::WireType::Varint)
-                m.type = static_cast<MeasurementType>(fld.varint);
-            break;
-          case 2:
-            if (fld.type == wire::WireType::Len) {
-                if (m.strings.size() >= 100000)
-                    return R::error("Measurement: bad string count");
-                m.strings.push_back(fld.asString());
-            }
-            break;
-          case 3:
-            if (fld.type == wire::WireType::Len) {
-                wire::WireReader packed(fld.bytes);
-                while (!packed.atEnd()) {
-                    auto v = packed.nextVarint();
-                    if (!v)
-                        return R::error("Measurement: " +
-                                        v.errorMessage());
-                    if (m.values.size() >= 1000000)
-                        return R::error("Measurement: bad value count");
-                    m.values.push_back(v.value());
-                }
-            }
-            break;
-          case 4:
-            if (fld.type == wire::WireType::Len)
-                m.digest = fld.bytes;
-            break;
-          case 5:
-            if (fld.type == wire::WireType::Varint)
-                m.windowLength = fld.asSigned();
-            break;
-          default:
-            break; // Unknown field: skip.
-        }
-    }
-    return R::ok(std::move(m));
-}
-
-bool
-Measurement::operator==(const Measurement &o) const
-{
-    return type == o.type && strings == o.strings && values == o.values &&
-           digest == o.digest && windowLength == o.windowLength;
-}
-
 const Measurement *
 MeasurementSet::find(MeasurementType t) const
 {
@@ -173,133 +36,6 @@ MeasurementSet::find(MeasurementType t) const
             return &m;
     }
     return nullptr;
-}
-
-Bytes
-MeasurementSet::encode() const
-{
-    ByteWriter w;
-    w.putU32(static_cast<std::uint32_t>(items.size()));
-    for (const Measurement &m : items)
-        w.putBytes(m.encode());
-    return w.take();
-}
-
-Result<MeasurementSet>
-MeasurementSet::decode(const Bytes &data)
-{
-    using R = Result<MeasurementSet>;
-    ByteReader r(data);
-    auto count = r.getU32();
-    if (!count || count.value() > 1000)
-        return R::error("MeasurementSet: bad count");
-    MeasurementSet set;
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto blob = r.getBytes();
-        if (!blob)
-            return R::error("MeasurementSet: truncated item");
-        auto m = Measurement::decode(blob.value());
-        if (!m)
-            return R::error("MeasurementSet: " + m.errorMessage());
-        set.items.push_back(m.take());
-    }
-    if (!r.atEnd())
-        return R::error("MeasurementSet: trailing bytes");
-    return R::ok(std::move(set));
-}
-
-Bytes
-MeasurementSet::encodeTagged() const
-{
-    wire::WireWriter w;
-    for (const Measurement &m : items)
-        w.putLen(1, m.encodeTagged());
-    return w.take();
-}
-
-Result<MeasurementSet>
-MeasurementSet::decodeTagged(const Bytes &data)
-{
-    using R = Result<MeasurementSet>;
-    wire::WireReader r(data);
-    MeasurementSet set;
-    while (!r.atEnd()) {
-        auto f = r.next();
-        if (!f)
-            return R::error("MeasurementSet: " + f.errorMessage());
-        const wire::WireField &fld = f.value();
-        if (fld.number == 1 && fld.type == wire::WireType::Len) {
-            if (set.items.size() >= 1000)
-                return R::error("MeasurementSet: bad count");
-            auto m = Measurement::decodeTagged(fld.bytes);
-            if (!m)
-                return R::error("MeasurementSet: " + m.errorMessage());
-            set.items.push_back(m.take());
-        }
-    }
-    return R::ok(std::move(set));
-}
-
-bool
-MeasurementSet::operator==(const MeasurementSet &o) const
-{
-    return items == o.items;
-}
-
-Bytes
-encodeRequestList(const MeasurementRequestList &rm)
-{
-    ByteWriter w;
-    w.putU32(static_cast<std::uint32_t>(rm.size()));
-    for (MeasurementType t : rm)
-        w.putU8(static_cast<std::uint8_t>(t));
-    return w.take();
-}
-
-Result<MeasurementRequestList>
-decodeRequestList(const Bytes &data)
-{
-    using R = Result<MeasurementRequestList>;
-    ByteReader r(data);
-    auto count = r.getU32();
-    if (!count || count.value() > 100)
-        return R::error("rM: bad count");
-    MeasurementRequestList rm;
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto t = r.getU8();
-        if (!t)
-            return R::error("rM: truncated");
-        rm.push_back(static_cast<MeasurementType>(t.value()));
-    }
-    if (!r.atEnd())
-        return R::error("rM: trailing bytes");
-    return R::ok(std::move(rm));
-}
-
-Bytes
-encodeRequestListPacked(const MeasurementRequestList &rm)
-{
-    Bytes out;
-    for (MeasurementType t : rm)
-        wire::appendVarint(out, static_cast<std::uint64_t>(t));
-    return out;
-}
-
-Result<MeasurementRequestList>
-decodeRequestListPacked(const Bytes &data)
-{
-    using R = Result<MeasurementRequestList>;
-    wire::WireReader r(data);
-    MeasurementRequestList rm;
-    while (!r.atEnd()) {
-        auto t = r.nextVarint();
-        if (!t)
-            return R::error("rM: " + t.errorMessage());
-        if (rm.size() >= 100)
-            return R::error("rM: bad count");
-        rm.push_back(static_cast<MeasurementType>(t.value()));
-    }
-    return R::ok(std::move(rm));
 }
 
 MeasurementRequestList

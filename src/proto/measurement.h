@@ -8,8 +8,8 @@
  * indicate the security health with respect to the specified property
  * P." A `MeasurementType` names one collectable quantity; a
  * `Measurement` is one collected instance; a `MeasurementSet` is the
- * M of Figure 3, with a canonical byte encoding — the exact bytes
- * hashed into the quote Q3 = H(Vid || rM || M || N3).
+ * M of Figure 3, whose declared encoding (proto/wire_schema.h) is the
+ * exact bytes hashed into the quote Q3 = H(Vid || rM || M || N3).
  */
 
 #ifndef MONATT_PROTO_MEASUREMENT_H
@@ -23,6 +23,7 @@
 #include "common/result.h"
 #include "common/time_types.h"
 #include "proto/property.h"
+#include "proto/wire_schema.h"
 
 namespace monatt::proto
 {
@@ -59,14 +60,19 @@ struct Measurement
     Bytes digest;                         //!< Hash-valued payloads.
     SimTime windowLength = 0;             //!< Collection window.
 
-    Bytes encode() const;
-    static Result<Measurement> decode(const Bytes &data);
+    bool operator==(const Measurement &o) const = default;
 
-    /** Tagged-field encoding (schema-evolvable transport form). */
-    Bytes encodeTagged() const;
-    static Result<Measurement> decodeTagged(const Bytes &data);
-
-    bool operator==(const Measurement &o) const;
+    static constexpr auto fields()
+    {
+        using M = Measurement;
+        return std::tuple{
+            field(&M::type, 1, "type").always(),
+            field(&M::strings, 2, "strings").atMost(100000),
+            field(&M::values, 3, "values").atMost(1000000),
+            field(&M::digest, 4, "digest"),
+            field(&M::windowLength, 5, "windowLength"),
+        };
+    }
 };
 
 /** The measurement vector M of Figure 3. */
@@ -77,30 +83,23 @@ struct MeasurementSet
     /** Find a measurement by type; nullptr when absent. */
     const Measurement *find(MeasurementType t) const;
 
-    Bytes encode() const;
-    static Result<MeasurementSet> decode(const Bytes &data);
+    bool operator==(const MeasurementSet &o) const = default;
 
-    /** Tagged-field encoding (schema-evolvable transport form). */
-    Bytes encodeTagged() const;
-    static Result<MeasurementSet> decodeTagged(const Bytes &data);
-
-    bool operator==(const MeasurementSet &o) const;
+    static constexpr auto fields()
+    {
+        return std::tuple{
+            field(&MeasurementSet::items, 1, "items").atMost(1000)};
+    }
 };
 
-/** The requested-measurements list rM of Figure 3. */
+/**
+ * The requested-measurements list rM of Figure 3. It travels (and is
+ * hashed into Q3) as a packed varint list: encodePacked(rm).
+ */
 using MeasurementRequestList = std::vector<MeasurementType>;
 
-/** Canonical encoding of rM (hashed into Q3). */
-Bytes encodeRequestList(const MeasurementRequestList &rm);
-
-/** Decode rM. */
-Result<MeasurementRequestList> decodeRequestList(const Bytes &data);
-
-/** rM as a packed-varint payload (the tagged transport form). */
-Bytes encodeRequestListPacked(const MeasurementRequestList &rm);
-
-/** Decode a packed-varint rM payload. */
-Result<MeasurementRequestList> decodeRequestListPacked(const Bytes &data);
+/** Decode bound on rM's length. */
+inline constexpr std::size_t kMaxRequestList = 100;
 
 /**
  * The property→measurement mapping of §4.1 (what the Attestation

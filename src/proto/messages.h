@@ -3,14 +3,15 @@
  * The CloudMonatt protocol messages (Figure 3) plus the cloud
  * management commands.
  *
- * Every message has a canonical byte encoding; the attestation
- * messages additionally define the exact quote inputs:
+ * Every message declares its wire fields once (a static fields()
+ * table; see proto/wire_schema.h); the attestation messages
+ * additionally define the exact quote inputs:
  *
  *   Q3 = H(Vid || rM || M  || N3)   signed by ASKs (cloud server)
  *   Q2 = H(Vid || I  || P || R || N2) signed by SKa (attestation server)
  *   Q1 = H(Vid || P  || R || N1)    signed by SKc (cloud controller)
  *
- * Messages travel as `kind || body` plaintexts inside SecureChannel
+ * Messages travel as packMessage() frames inside SecureChannel
  * records; the signatures survive the hop-by-hop channel so a
  * customer verifies a chain rooted at the place of collection.
  */
@@ -65,45 +66,38 @@ enum class MessageKind : std::uint8_t
     NotLeader = 54,
 };
 
-/** Frame a legacy-encoded body: kind u8 || u32 length || body. */
+/** Frame an encoded body: 0xC1 || kind u8 || varint length || body. */
 Bytes packMessage(MessageKind kind, const Bytes &body);
-
-/** Frame a tagged body: 0xC1 || kind u8 || varint length || body. */
-Bytes packMessageTagged(MessageKind kind, const Bytes &body);
 
 /** A received frame split into its parts. */
 struct UnpackedMessage
 {
     MessageKind kind{};
-    WireFormat format = WireFormat::Legacy; //!< How `body` is encoded.
+    /** Always Tagged; kept only because perfbench's codec replay
+     * passes it to decodeAs(). */
+    WireFormat format = WireFormat::Tagged;
     Bytes body;
 };
 
-/**
- * Split a framed message. Frames self-describe (tagged frames open
- * with kTaggedFrameMarker), so the receiver needs no negotiation: the
- * returned format says which decoder applies to `body`.
- */
+/** Split a frame; error unless it is exactly marker, kind, length and
+ * a body of that length. */
 Result<UnpackedMessage> unpackMessage(const Bytes &framed);
 
-/** Encode + frame a message per the sender's wire context. */
+/** Encode + frame a message at the sender's schema version. */
 template <typename M>
 Bytes
 packFor(const WireContext &ctx, MessageKind kind, const M &msg)
 {
-    if (ctx.format == WireFormat::Tagged)
-        return packMessageTagged(kind, msg.encodeTagged(ctx));
-    return packMessage(kind, msg.encode());
+    return packMessage(kind, encode(msg, ctx));
 }
 
-/** Decode a message body in whichever format the frame declared. */
+/** decode<M>(body) under the signature perfbench's codec replay
+ * calls; there is only one format. */
 template <typename M>
 Result<M>
-decodeAs(WireFormat format, const Bytes &body)
+decodeAs(WireFormat, const Bytes &body)
 {
-    if (format == WireFormat::Tagged)
-        return M::decodeTagged(body);
-    return M::decode(body);
+    return decode<M>(body);
 }
 
 /** Attestation modes (Table 1). */
@@ -126,10 +120,20 @@ struct AttestRequest
     SimTime period = 0; //!< For periodic mode.
     std::uint32_t senderBuild = 0; //!< v2+ metadata (0 = pre-v2 peer).
 
-    Bytes encode() const;
-    static Result<AttestRequest> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<AttestRequest> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = AttestRequest;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::properties, 3, "properties").atMost(kMaxProperties),
+            field(&M::nonce1, 4, "nonce1"),
+            field(&M::mode, 5, "mode"),
+            field(&M::period, 6, "period"),
+            field(&M::senderBuild, kSenderBuildField, "senderBuild")
+                .since(kWireV2),
+        };
+    }
 };
 
 /** Cloud Controller → Attestation Server ((Vid, I, P, N2)). */
@@ -144,10 +148,21 @@ struct AttestForward
     SimTime period = 0;
     std::uint32_t senderBuild = 0; //!< v2+ metadata (0 = pre-v2 peer).
 
-    Bytes encode() const;
-    static Result<AttestForward> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<AttestForward> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = AttestForward;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::serverId, 3, "serverId"),
+            field(&M::properties, 4, "properties").atMost(kMaxProperties),
+            field(&M::nonce2, 5, "nonce2"),
+            field(&M::mode, 6, "mode"),
+            field(&M::period, 7, "period"),
+            field(&M::senderBuild, kSenderBuildField, "senderBuild")
+                .since(kWireV2),
+        };
+    }
 };
 
 /** Attestation Server → Cloud Server ((Vid, rM, N3)). */
@@ -160,10 +175,19 @@ struct MeasureRequest
     SimTime window = 0; //!< Collection window for runtime measurements.
     std::uint32_t senderBuild = 0; //!< v2+ metadata (0 = pre-v2 peer).
 
-    Bytes encode() const;
-    static Result<MeasureRequest> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<MeasureRequest> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = MeasureRequest;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::rm, 3, "rm").atMost(kMaxRequestList),
+            field(&M::nonce3, 4, "nonce3"),
+            field(&M::window, 5, "window"),
+            field(&M::senderBuild, kSenderBuildField, "senderBuild")
+                .since(kWireV2),
+        };
+    }
 };
 
 /** Cloud Server → Attestation Server ([Vid, rM, M, N3, Q3]_ASKs). */
@@ -186,10 +210,23 @@ struct MeasureResponse
     /** The bytes the ASKs signature covers. */
     Bytes signedPortion() const;
 
-    Bytes encode() const;
-    static Result<MeasureResponse> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<MeasureResponse> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = MeasureResponse;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::rm, 3, "rm").atMost(kMaxRequestList),
+            field(&M::m, 4, "m"),
+            field(&M::nonce3, 5, "nonce3"),
+            field(&M::quote3, 6, "quote3"),
+            field(&M::signature, 7, "signature"),
+            field(&M::certificate, 8, "certificate"),
+            field(&M::tcbVersion, 9, "tcbVersion").since(kWireV3),
+            field(&M::senderBuild, kSenderBuildField, "senderBuild")
+                .since(kWireV2),
+        };
+    }
 
     std::uint32_t senderBuild = 0; //!< v2+ metadata; not signed.
 
@@ -207,10 +244,18 @@ struct PropertyResult
     HealthStatus status = HealthStatus::Unknown;
     std::string detail;
 
-    bool operator==(const PropertyResult &o) const
+    bool operator==(const PropertyResult &o) const = default;
+
+    /** Property and status always travel: Unknown and absent must
+     * stay distinguishable in a health verdict. */
+    static constexpr auto fields()
     {
-        return property == o.property && status == o.status &&
-               detail == o.detail;
+        using M = PropertyResult;
+        return std::tuple{
+            field(&M::property, 1, "property").always(),
+            field(&M::status, 2, "status").always(),
+            field(&M::detail, 3, "detail"),
+        };
     }
 };
 
@@ -227,17 +272,27 @@ struct AttestationReport
     /** Result for a property; nullptr when absent. */
     const PropertyResult *find(SecurityProperty p) const;
 
+    /** The declared encoding (what Q1/Q2 hash). */
     Bytes encode() const;
-    static Result<AttestationReport> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<AttestationReport> decodeTagged(const Bytes &data);
 
-    bool operator==(const AttestationReport &o) const
+    static constexpr auto fields()
     {
-        return vid == o.vid && results == o.results &&
-               issuedAt == o.issuedAt;
+        using M = AttestationReport;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::results, 2, "results").atMost(kMaxProperties),
+            field(&M::issuedAt, 3, "issuedAt"),
+        };
     }
+
+    bool operator==(const AttestationReport &o) const = default;
 };
+
+inline Bytes
+AttestationReport::encode() const
+{
+    return proto::encode(*this);
+}
 
 /** Attestation Server → Cloud Controller ([Vid, I, P, R, N2, Q2]_SKa). */
 struct ReportToController
@@ -260,10 +315,23 @@ struct ReportToController
 
     Bytes signedPortion() const;
 
-    Bytes encode() const;
-    static Result<ReportToController> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<ReportToController> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = ReportToController;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::serverId, 3, "serverId"),
+            field(&M::properties, 4, "properties").atMost(kMaxProperties),
+            field(&M::report, 5, "report").always(),
+            field(&M::nonce2, 6, "nonce2"),
+            field(&M::quote2, 7, "quote2"),
+            field(&M::signature, 8, "signature"),
+            field(&M::tcbVersion, 9, "tcbVersion").since(kWireV3),
+            field(&M::senderBuild, kSenderBuildField, "senderBuild")
+                .since(kWireV2),
+        };
+    }
 
     std::uint32_t senderBuild = 0; //!< v2+ metadata; not signed.
 
@@ -292,10 +360,23 @@ struct ReportToCustomer
 
     Bytes signedPortion() const;
 
-    Bytes encode() const;
-    static Result<ReportToCustomer> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<ReportToCustomer> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = ReportToCustomer;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::properties, 3, "properties").atMost(kMaxProperties),
+            field(&M::report, 4, "report").always(),
+            field(&M::nonce1, 5, "nonce1"),
+            field(&M::quote1, 6, "quote1"),
+            field(&M::signature, 7, "signature"),
+            field(&M::finalPeriodic, 8, "finalPeriodic"),
+            field(&M::tcbVersion, 9, "tcbVersion").since(kWireV3),
+            field(&M::senderBuild, kSenderBuildField, "senderBuild")
+                .since(kWireV2),
+        };
+    }
 
     std::uint32_t senderBuild = 0; //!< v2+ metadata; not signed.
 
@@ -324,10 +405,16 @@ struct AttestFailure
     FailureOutcome outcome = FailureOutcome::Failed;
     std::string reason;
 
-    Bytes encode() const;
-    static Result<AttestFailure> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<AttestFailure> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = AttestFailure;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::outcome, 3, "outcome"),
+            field(&M::reason, 4, "reason"),
+        };
+    }
 };
 
 /** Cloud Server → privacy CA: certify a fresh AVKs. */
@@ -338,10 +425,16 @@ struct CertRequest
     Bytes avk;                //!< Encoded session public key.
     Bytes avkSignature;       //!< [AVKs]_SKs.
 
-    Bytes encode() const;
-    static Result<CertRequest> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<CertRequest> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = CertRequest;
+        return std::tuple{
+            field(&M::serverId, 1, "serverId"),
+            field(&M::sessionLabel, 2, "sessionLabel"),
+            field(&M::avk, 3, "avk"),
+            field(&M::avkSignature, 4, "avkSignature"),
+        };
+    }
 };
 
 /** privacy CA → Cloud Server. */
@@ -352,10 +445,16 @@ struct CertResponse
     std::string error;
     Bytes certificate;
 
-    Bytes encode() const;
-    static Result<CertResponse> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<CertResponse> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = CertResponse;
+        return std::tuple{
+            field(&M::sessionLabel, 1, "sessionLabel"),
+            field(&M::ok, 2, "ok"),
+            field(&M::error, 3, "error"),
+            field(&M::certificate, 4, "certificate"),
+        };
+    }
 };
 
 // --- Cloud management commands (Controller <-> Cloud Server) ---------
@@ -372,10 +471,20 @@ struct LaunchVm
     Bytes image;                   //!< Representative image content.
     int weight = 256;
 
-    Bytes encode() const;
-    static Result<LaunchVm> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<LaunchVm> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = LaunchVm;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::name, 2, "name"),
+            field(&M::numVcpus, 3, "numVcpus"),
+            field(&M::ramMb, 4, "ramMb"),
+            field(&M::diskGb, 5, "diskGb"),
+            field(&M::imageSizeMb, 6, "imageSizeMb"),
+            field(&M::image, 7, "image"),
+            field(&M::weight, 8, "weight"),
+        };
+    }
 };
 
 /** Launch acknowledgement. */
@@ -386,10 +495,16 @@ struct LaunchVmAck
     std::string error;
     Bytes imageDigest; //!< Measured by the IMU before launch.
 
-    Bytes encode() const;
-    static Result<LaunchVmAck> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<LaunchVmAck> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = LaunchVmAck;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::ok, 2, "ok"),
+            field(&M::error, 3, "error"),
+            field(&M::imageDigest, 4, "imageDigest"),
+        };
+    }
 };
 
 /** Simple per-VM command (terminate/suspend/resume). */
@@ -397,10 +512,13 @@ struct VmCommand
 {
     std::string vid;
 
-    Bytes encode() const;
-    static Result<VmCommand> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<VmCommand> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = VmCommand;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+        };
+    }
 };
 
 /** Simple per-VM acknowledgement. */
@@ -410,10 +528,15 @@ struct VmCommandAck
     bool ok = false;
     std::string error;
 
-    Bytes encode() const;
-    static Result<VmCommandAck> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<VmCommandAck> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = VmCommandAck;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::ok, 2, "ok"),
+            field(&M::error, 3, "error"),
+        };
+    }
 };
 
 /** Customer → Cloud Controller: lease a VM (nova api boot). */
@@ -427,10 +550,19 @@ struct LaunchRequest
     Bytes image; //!< Image content as supplied (may be customized).
     std::uint64_t imageSizeMb = 0;
 
-    Bytes encode() const;
-    static Result<LaunchRequest> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<LaunchRequest> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = LaunchRequest;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::name, 2, "name"),
+            field(&M::imageName, 3, "imageName"),
+            field(&M::flavorName, 4, "flavorName"),
+            field(&M::properties, 5, "properties").atMost(kMaxProperties),
+            field(&M::image, 6, "image"),
+            field(&M::imageSizeMb, 7, "imageSizeMb"),
+        };
+    }
 };
 
 /** Cloud Controller → Customer: launch outcome. */
@@ -441,10 +573,16 @@ struct LaunchResponse
     bool ok = false;
     std::string error;
 
-    Bytes encode() const;
-    static Result<LaunchResponse> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<LaunchResponse> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = LaunchResponse;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::vid, 2, "vid"),
+            field(&M::ok, 3, "ok"),
+            field(&M::error, 4, "error"),
+        };
+    }
 };
 
 /** One replicated journal record as it travels on the wire. */
@@ -453,6 +591,38 @@ struct ReplicatedRecord
     std::uint64_t lsn = 0;
     std::uint16_t type = 0;
     Bytes payload;
+
+    static constexpr auto fields()
+    {
+        using M = ReplicatedRecord;
+        return std::tuple{
+            field(&M::lsn, 1, "lsn"),
+            field(&M::type, 2, "type"),
+            field(&M::payload, 3, "payload"),
+        };
+    }
+};
+
+/**
+ * A checkpoint image: the journal records that rebuild an entity's
+ * state, which it applies in order through its journal-apply path
+ * (lsn stays 0). Carried opaquely by StableStore and ReplicateEntries.
+ */
+struct Snapshot
+{
+    std::vector<ReplicatedRecord> records;
+
+    /** Append one declared record of the entity's journal `type`. */
+    template <typename R>
+    void add(std::uint16_t type, const R &record)
+    {
+        records.push_back({0, type, encode(record)});
+    }
+
+    static constexpr auto fields()
+    {
+        return std::tuple{field(&Snapshot::records, 1, "records")};
+    }
 };
 
 /**
@@ -472,10 +642,20 @@ struct ReplicateEntries
     Bytes snapshot;
     std::uint64_t snapshotLsn = 0;
 
-    Bytes encode() const;
-    static Result<ReplicateEntries> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<ReplicateEntries> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = ReplicateEntries;
+        return std::tuple{
+            field(&M::round, 1, "round"),
+            field(&M::leaderId, 2, "leaderId"),
+            field(&M::prevLsn, 3, "prevLsn"),
+            field(&M::records, 4, "records"),
+            field(&M::commitLsn, 5, "commitLsn"),
+            field(&M::hasSnapshot, 6, "hasSnapshot"),
+            field(&M::snapshot, 7, "snapshot"),
+            field(&M::snapshotLsn, 8, "snapshotLsn"),
+        };
+    }
 };
 
 /** Follower → leader: cumulative durable-LSN acknowledgement. */
@@ -484,10 +664,14 @@ struct ReplicateAck
     std::uint64_t round = 0;
     std::uint64_t lastLsn = 0; //!< Highest contiguously durable LSN.
 
-    Bytes encode() const;
-    static Result<ReplicateAck> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<ReplicateAck> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = ReplicateAck;
+        return std::tuple{
+            field(&M::round, 1, "round"),
+            field(&M::lastLsn, 2, "lastLsn"),
+        };
+    }
 };
 
 /** Candidate → group: request a vote for `round`. */
@@ -498,10 +682,16 @@ struct VoteRequest
     std::uint64_t lastLsn = 0;      //!< Candidate's last durable LSN.
     bool prevote = false;           //!< Probe only: no round is spent.
 
-    Bytes encode() const;
-    static Result<VoteRequest> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<VoteRequest> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = VoteRequest;
+        return std::tuple{
+            field(&M::round, 1, "round"),
+            field(&M::lastLogRound, 2, "lastLogRound"),
+            field(&M::lastLsn, 3, "lastLsn"),
+            field(&M::prevote, 4, "prevote"),
+        };
+    }
 };
 
 /** Voter → candidate: the (pre)vote for `round` is granted. */
@@ -510,10 +700,14 @@ struct VoteGrant
     std::uint64_t round = 0;
     bool prevote = false;
 
-    Bytes encode() const;
-    static Result<VoteGrant> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<VoteGrant> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = VoteGrant;
+        return std::tuple{
+            field(&M::round, 1, "round"),
+            field(&M::prevote, 2, "prevote"),
+        };
+    }
 };
 
 /**
@@ -528,10 +722,16 @@ struct NotLeader
     std::string leaderId;  //!< Best-known leader, empty if unknown.
     std::uint64_t round = 0;
 
-    Bytes encode() const;
-    static Result<NotLeader> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<NotLeader> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = NotLeader;
+        return std::tuple{
+            field(&M::requestId, 1, "requestId"),
+            field(&M::isLaunch, 2, "isLaunch"),
+            field(&M::leaderId, 3, "leaderId"),
+            field(&M::round, 4, "round"),
+        };
+    }
 };
 
 /** Cloud Controller → source server: migrate a VM away. */
@@ -540,10 +740,14 @@ struct MigrateOut
     std::string vid;
     std::string targetServer;
 
-    Bytes encode() const;
-    static Result<MigrateOut> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<MigrateOut> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = MigrateOut;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::targetServer, 2, "targetServer"),
+        };
+    }
 };
 
 /** Source server → target server: VM state for migration. */
@@ -562,10 +766,23 @@ struct MigrateIn
                                           //!< (memory moves verbatim).
     std::vector<std::string> auditEntries; //!< Audit log contents.
 
-    Bytes encode() const;
-    static Result<MigrateIn> decode(const Bytes &data);
-    Bytes encodeTagged(const WireContext &ctx) const;
-    static Result<MigrateIn> decodeTagged(const Bytes &data);
+    static constexpr auto fields()
+    {
+        using M = MigrateIn;
+        return std::tuple{
+            field(&M::vid, 1, "vid"),
+            field(&M::name, 2, "name"),
+            field(&M::numVcpus, 3, "numVcpus"),
+            field(&M::ramMb, 4, "ramMb"),
+            field(&M::diskGb, 5, "diskGb"),
+            field(&M::imageSizeMb, 6, "imageSizeMb"),
+            field(&M::image, 7, "image"),
+            field(&M::weight, 8, "weight"),
+            field(&M::guestTasks, 9, "guestTasks").atMost(100000),
+            field(&M::hiddenTasks, 10, "hiddenTasks").atMost(100000),
+            field(&M::auditEntries, 11, "auditEntries").atMost(1000000),
+        };
+    }
 };
 
 } // namespace monatt::proto

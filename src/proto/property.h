@@ -42,6 +42,9 @@ enum class SecurityProperty : std::uint8_t
 /** All defined properties. */
 const std::vector<SecurityProperty> &allProperties();
 
+/** Decode bound on a property list's length. */
+inline constexpr std::size_t kMaxProperties = 64;
+
 /** Human-readable property name. */
 std::string propertyName(SecurityProperty p);
 

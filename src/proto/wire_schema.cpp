@@ -8,172 +8,47 @@ namespace monatt::proto
 namespace
 {
 
-using wire::WireType;
-
-constexpr WireType V = WireType::Varint;
-constexpr WireType I = WireType::I64;
-constexpr WireType L = WireType::Len;
-
-std::uint8_t
-kindByte(MessageKind k)
+template <typename M>
+MessageSchema
+row(MessageKind kind, const char *name)
 {
-    return static_cast<std::uint8_t>(k);
+    return {static_cast<std::uint8_t>(kind), name, fieldSpecs<M>()};
 }
 
 std::vector<MessageSchema>
 buildSchemas()
 {
-    std::vector<MessageSchema> s;
-    s.push_back({kindByte(MessageKind::AttestRequest), "AttestRequest",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, L, "properties", kWireV1},
-                  {4, L, "nonce1", kWireV1},
-                  {5, V, "mode", kWireV1},
-                  {6, V, "period", kWireV1},
-                  {kSenderBuildField, V, "senderBuild", kWireV2}}});
-    s.push_back({kindByte(MessageKind::AttestForward), "AttestForward",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, L, "serverId", kWireV1},
-                  {4, L, "properties", kWireV1},
-                  {5, L, "nonce2", kWireV1},
-                  {6, V, "mode", kWireV1},
-                  {7, V, "period", kWireV1},
-                  {kSenderBuildField, V, "senderBuild", kWireV2}}});
-    s.push_back({kindByte(MessageKind::MeasureRequest), "MeasureRequest",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, L, "rm", kWireV1},
-                  {4, L, "nonce3", kWireV1},
-                  {5, V, "window", kWireV1},
-                  {kSenderBuildField, V, "senderBuild", kWireV2}}});
-    s.push_back({kindByte(MessageKind::MeasureResponse), "MeasureResponse",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, L, "rm", kWireV1},
-                  {4, L, "m", kWireV1},
-                  {5, L, "nonce3", kWireV1},
-                  {6, L, "quote3", kWireV1},
-                  {7, L, "signature", kWireV1},
-                  {8, L, "certificate", kWireV1},
-                  {9, V, "tcbVersion", kWireV3},
-                  {kSenderBuildField, V, "senderBuild", kWireV2}}});
-    s.push_back({kindByte(MessageKind::ReportToController),
-                 "ReportToController",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, L, "serverId", kWireV1},
-                  {4, L, "properties", kWireV1},
-                  {5, L, "report", kWireV1},
-                  {6, L, "nonce2", kWireV1},
-                  {7, L, "quote2", kWireV1},
-                  {8, L, "signature", kWireV1},
-                  {9, V, "tcbVersion", kWireV3},
-                  {kSenderBuildField, V, "senderBuild", kWireV2}}});
-    s.push_back({kindByte(MessageKind::ReportToCustomer),
-                 "ReportToCustomer",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, L, "properties", kWireV1},
-                  {4, L, "report", kWireV1},
-                  {5, L, "nonce1", kWireV1},
-                  {6, L, "quote1", kWireV1},
-                  {7, L, "signature", kWireV1},
-                  {8, V, "finalPeriodic", kWireV1},
-                  {9, V, "tcbVersion", kWireV3},
-                  {kSenderBuildField, V, "senderBuild", kWireV2}}});
-    s.push_back({kindByte(MessageKind::CertRequest), "CertRequest",
-                 {{1, L, "serverId", kWireV1},
-                  {2, L, "sessionLabel", kWireV1},
-                  {3, L, "avk", kWireV1},
-                  {4, L, "avkSignature", kWireV1}}});
-    s.push_back({kindByte(MessageKind::CertResponse), "CertResponse",
-                 {{1, L, "sessionLabel", kWireV1},
-                  {2, V, "ok", kWireV1},
-                  {3, L, "error", kWireV1},
-                  {4, L, "certificate", kWireV1}}});
-    s.push_back({kindByte(MessageKind::AttestFailure), "AttestFailure",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, V, "outcome", kWireV1},
-                  {4, L, "reason", kWireV1}}});
-    s.push_back({kindByte(MessageKind::LaunchVm), "LaunchVm",
-                 {{1, L, "vid", kWireV1},
-                  {2, L, "name", kWireV1},
-                  {3, V, "numVcpus", kWireV1},
-                  {4, V, "ramMb", kWireV1},
-                  {5, V, "diskGb", kWireV1},
-                  {6, V, "imageSizeMb", kWireV1},
-                  {7, L, "image", kWireV1},
-                  {8, V, "weight", kWireV1}}});
-    s.push_back({kindByte(MessageKind::LaunchVmAck), "LaunchVmAck",
-                 {{1, L, "vid", kWireV1},
-                  {2, V, "ok", kWireV1},
-                  {3, L, "error", kWireV1},
-                  {4, L, "imageDigest", kWireV1}}});
-    s.push_back({kindByte(MessageKind::TerminateVm), "VmCommand",
-                 {{1, L, "vid", kWireV1}}});
-    s.push_back({kindByte(MessageKind::TerminateVmAck), "VmCommandAck",
-                 {{1, L, "vid", kWireV1},
-                  {2, V, "ok", kWireV1},
-                  {3, L, "error", kWireV1}}});
-    s.push_back({kindByte(MessageKind::MigrateOut), "MigrateOut",
-                 {{1, L, "vid", kWireV1},
-                  {2, L, "targetServer", kWireV1}}});
-    s.push_back({kindByte(MessageKind::MigrateIn), "MigrateIn",
-                 {{1, L, "vid", kWireV1},
-                  {2, L, "name", kWireV1},
-                  {3, V, "numVcpus", kWireV1},
-                  {4, V, "ramMb", kWireV1},
-                  {5, V, "diskGb", kWireV1},
-                  {6, V, "imageSizeMb", kWireV1},
-                  {7, L, "image", kWireV1},
-                  {8, V, "weight", kWireV1},
-                  {9, L, "guestTasks", kWireV1},
-                  {10, L, "hiddenTasks", kWireV1},
-                  {11, L, "auditEntries", kWireV1}}});
-    s.push_back({kindByte(MessageKind::LaunchRequest), "LaunchRequest",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "name", kWireV1},
-                  {3, L, "imageName", kWireV1},
-                  {4, L, "flavorName", kWireV1},
-                  {5, L, "properties", kWireV1},
-                  {6, L, "image", kWireV1},
-                  {7, V, "imageSizeMb", kWireV1}}});
-    s.push_back({kindByte(MessageKind::LaunchResponse), "LaunchResponse",
-                 {{1, V, "requestId", kWireV1},
-                  {2, L, "vid", kWireV1},
-                  {3, V, "ok", kWireV1},
-                  {4, L, "error", kWireV1}}});
-    s.push_back({kindByte(MessageKind::ReplicateEntries),
-                 "ReplicateEntries",
-                 {{1, V, "round", kWireV1},
-                  {2, L, "leaderId", kWireV1},
-                  {3, V, "prevLsn", kWireV1},
-                  {4, L, "records", kWireV1},
-                  {5, V, "commitLsn", kWireV1},
-                  {6, V, "hasSnapshot", kWireV1},
-                  {7, L, "snapshot", kWireV1},
-                  {8, V, "snapshotLsn", kWireV1}}});
-    s.push_back({kindByte(MessageKind::ReplicateAck), "ReplicateAck",
-                 {{1, V, "round", kWireV1},
-                  {2, V, "lastLsn", kWireV1}}});
-    s.push_back({kindByte(MessageKind::VoteRequest), "VoteRequest",
-                 {{1, V, "round", kWireV1},
-                  {2, V, "lastLogRound", kWireV1},
-                  {3, V, "lastLsn", kWireV1},
-                  {4, V, "prevote", kWireV1}}});
-    s.push_back({kindByte(MessageKind::VoteGrant), "VoteGrant",
-                 {{1, V, "round", kWireV1},
-                  {2, V, "prevote", kWireV1}}});
-    s.push_back({kindByte(MessageKind::NotLeader), "NotLeader",
-                 {{1, V, "requestId", kWireV1},
-                  {2, V, "isLaunch", kWireV1},
-                  {3, L, "leaderId", kWireV1},
-                  {4, V, "round", kWireV1}}});
-    (void)I; // I64 is reserved for doubles; no released field uses it yet.
-    return s;
+    using K = MessageKind;
+    return {
+        row<AttestRequest>(K::AttestRequest, "AttestRequest"),
+        row<AttestForward>(K::AttestForward, "AttestForward"),
+        row<MeasureRequest>(K::MeasureRequest, "MeasureRequest"),
+        row<MeasureResponse>(K::MeasureResponse, "MeasureResponse"),
+        row<ReportToController>(K::ReportToController, "ReportToController"),
+        row<ReportToCustomer>(K::ReportToCustomer, "ReportToCustomer"),
+        row<CertRequest>(K::CertRequest, "CertRequest"),
+        row<CertResponse>(K::CertResponse, "CertResponse"),
+        row<AttestFailure>(K::AttestFailure, "AttestFailure"),
+        row<LaunchVm>(K::LaunchVm, "LaunchVm"),
+        row<LaunchVmAck>(K::LaunchVmAck, "LaunchVmAck"),
+        row<VmCommand>(K::TerminateVm, "VmCommand"),
+        row<VmCommandAck>(K::TerminateVmAck, "VmCommandAck"),
+        row<MigrateOut>(K::MigrateOut, "MigrateOut"),
+        row<MigrateIn>(K::MigrateIn, "MigrateIn"),
+        row<LaunchRequest>(K::LaunchRequest, "LaunchRequest"),
+        row<LaunchResponse>(K::LaunchResponse, "LaunchResponse"),
+        row<ReplicateEntries>(K::ReplicateEntries, "ReplicateEntries"),
+        row<ReplicateAck>(K::ReplicateAck, "ReplicateAck"),
+        row<VoteRequest>(K::VoteRequest, "VoteRequest"),
+        row<VoteGrant>(K::VoteGrant, "VoteGrant"),
+        row<NotLeader>(K::NotLeader, "NotLeader"),
+    };
+}
+
+std::uint8_t
+kindByte(MessageKind k)
+{
+    return static_cast<std::uint8_t>(k);
 }
 
 } // namespace

@@ -114,9 +114,8 @@ CloudServer::handleMessage(const net::NodeId &from, const Bytes &plaintext)
                                    << from;
         return;
     }
-    const auto &[kind, format, body] = unpacked.value();
-    rxFormat_ = format;
-    switch (kind) {
+    const Bytes &body = unpacked.value().body;
+    switch (unpacked.value().kind) {
       case MessageKind::MeasureRequest:
         onMeasureRequest(from, body);
         break;
@@ -176,7 +175,7 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
             << cfg.id << ": measurement request from non-AS " << from;
         return;
     }
-    auto req = proto::decodeAs<proto::MeasureRequest>(rxFormat_, body);
+    auto req = proto::decode<proto::MeasureRequest>(body);
     if (!req)
         return;
 
@@ -192,7 +191,7 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
     if (cached != responseCache.end()) {
         endpoint.sendSecure(from,
                             packMessage(MessageKind::MeasureResponse,
-                                        Bytes(cached->second)));
+                                        cached->second));
         return;
     }
 
@@ -433,7 +432,7 @@ CloudServer::finishMeasurements(std::uint64_t requestId)
 void
 CloudServer::onCertResponse(const Bytes &body)
 {
-    auto resp = proto::decodeAs<proto::CertResponse>(rxFormat_, body);
+    auto resp = proto::decode<proto::CertResponse>(body);
     if (!resp)
         return;
     const auto labelIt = certToRequest.find(resp.value().sessionLabel);
@@ -511,12 +510,13 @@ CloudServer::maybeRespond(std::uint64_t requestId)
     if (!sig)
         return;
 
-    // The dedup cache holds the canonical legacy body (cache hits
-    // resend legacy-framed); the fresh send uses this node's format.
+    // The dedup cache holds the body as sent; a retransmitted request
+    // is answered with the same bytes.
     resp.signature = sig.take();
-    rememberResponse(requestId, resp.encode());
+    const Bytes body = proto::encode(resp, cfg.wire);
+    rememberResponse(requestId, body);
     endpoint.sendSecure(requester,
-                        pack(MessageKind::MeasureResponse, resp));
+                        packMessage(MessageKind::MeasureResponse, body));
 }
 
 void
@@ -589,7 +589,7 @@ CloudServer::createVmDomain(const proto::LaunchVm &req)
 void
 CloudServer::onLaunchVm(const net::NodeId &from, const Bytes &body)
 {
-    auto reqR = proto::decodeAs<proto::LaunchVm>(rxFormat_, body);
+    auto reqR = proto::decode<proto::LaunchVm>(body);
     if (!reqR || !isController(from))
         return;
     const proto::LaunchVm req = reqR.take();
@@ -643,7 +643,7 @@ CloudServer::onLaunchVm(const net::NodeId &from, const Bytes &body)
 void
 CloudServer::onTerminateVm(const net::NodeId &from, const Bytes &body)
 {
-    auto cmdR = proto::decodeAs<proto::VmCommand>(rxFormat_, body);
+    auto cmdR = proto::decode<proto::VmCommand>(body);
     if (!cmdR || !isController(from))
         return;
     const proto::VmCommand cmd = cmdR.take();
@@ -677,7 +677,7 @@ CloudServer::onTerminateVm(const net::NodeId &from, const Bytes &body)
 void
 CloudServer::onSuspendVm(const net::NodeId &from, const Bytes &body)
 {
-    auto cmdR = proto::decodeAs<proto::VmCommand>(rxFormat_, body);
+    auto cmdR = proto::decode<proto::VmCommand>(body);
     if (!cmdR || !isController(from))
         return;
     const proto::VmCommand cmd = cmdR.take();
@@ -707,7 +707,7 @@ CloudServer::onSuspendVm(const net::NodeId &from, const Bytes &body)
 void
 CloudServer::onResumeVm(const net::NodeId &from, const Bytes &body)
 {
-    auto cmdR = proto::decodeAs<proto::VmCommand>(rxFormat_, body);
+    auto cmdR = proto::decode<proto::VmCommand>(body);
     if (!cmdR || !isController(from))
         return;
     const proto::VmCommand cmd = cmdR.take();
@@ -738,7 +738,7 @@ CloudServer::onResumeVm(const net::NodeId &from, const Bytes &body)
 void
 CloudServer::onMigrateOut(const net::NodeId &from, const Bytes &body)
 {
-    auto cmdR = proto::decodeAs<proto::MigrateOut>(rxFormat_, body);
+    auto cmdR = proto::decode<proto::MigrateOut>(body);
     if (!cmdR || !isController(from))
         return;
     const proto::MigrateOut cmd = cmdR.take();
@@ -788,7 +788,7 @@ CloudServer::onMigrateOut(const net::NodeId &from, const Bytes &body)
 void
 CloudServer::onMigrateIn(const net::NodeId &from, const Bytes &body)
 {
-    auto migR = proto::decodeAs<proto::MigrateIn>(rxFormat_, body);
+    auto migR = proto::decode<proto::MigrateIn>(body);
     if (!migR)
         return;
     const proto::MigrateIn mig = migR.take();
@@ -850,7 +850,7 @@ void
 CloudServer::onMigrateInAck(const net::NodeId &from, const Bytes &body)
 {
     (void)from;
-    auto ackR = proto::decodeAs<proto::VmCommandAck>(rxFormat_, body);
+    auto ackR = proto::decode<proto::VmCommandAck>(body);
     if (!ackR)
         return;
     const proto::VmCommandAck ack = ackR.take();

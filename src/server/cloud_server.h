@@ -112,12 +112,7 @@ struct CloudServerConfig
      */
     std::uint64_t aikReuseLimit = 16;
 
-    /**
-     * Wire codec this node speaks (DESIGN.md �17). Legacy is the
-     * canonical default; Tagged is the schema-evolvable opt-in.
-     * Received frames always decode by their own self-described
-     * format.
-     */
+    /** Schema version this node encodes at (DESIGN.md §17). */
     proto::WireContext wire;
 };
 
@@ -209,8 +204,8 @@ class CloudServer
     /** True while attached to the network. */
     bool isUp() const { return endpoint.attached(); }
 
-    /** Wire codec this node emits (mixed-version tests flip it at
-     * runtime to simulate a rolling upgrade). */
+    /** Schema version this node emits (mixed-version tests flip it
+     * at runtime to simulate a rolling upgrade). */
     const proto::WireContext &wireContext() const { return cfg.wire; }
     void setWireContext(const proto::WireContext &ctx) { cfg.wire = ctx; }
 
@@ -250,16 +245,12 @@ class CloudServer
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
-    /** Pack an outgoing message in this node's configured format. */
+    /** Pack an outgoing message at this node's schema version. */
     template <typename M>
     Bytes pack(proto::MessageKind kind, const M &msg) const
     {
         return proto::packFor(cfg.wire, kind, msg);
     }
-
-    /** Format of the frame currently being dispatched (set by
-     * handleMessage before the synchronous handler call). */
-    proto::WireFormat rxFormat_ = proto::WireFormat::Legacy;
 
     void onMeasureRequest(const net::NodeId &from, const Bytes &body);
     void onCertResponse(const Bytes &body);

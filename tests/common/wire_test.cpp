@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../proto/wire_samples.h"
 #include "common/wire.h"
-#include "proto/messages.h"
 
 namespace monatt::wire
 {
@@ -181,7 +181,7 @@ TEST(WireTest, DeepLenNestingDoesNotRecurse)
         appendVarint(inner, size[k - 1]);
     }
     ASSERT_EQ(inner.size(), size[kDepth]);
-    auto decoded = proto::AttestRequest::decodeTagged(inner);
+    auto decoded = proto::decode<proto::AttestRequest>(inner);
     ASSERT_TRUE(decoded.isOk());
     EXPECT_EQ(decoded.value().requestId, 0u); // all defaults
 }
@@ -196,68 +196,52 @@ nextRand(std::uint64_t &state)
     return state;
 }
 
-Bytes
-sampleMessageBytes()
-{
-    proto::MeasureResponse m;
-    m.requestId = 77;
-    m.vid = "vm-robust";
-    m.rm = {proto::MeasurementType::PlatformPcrs,
-            proto::MeasurementType::CpuMeasure};
-    m.nonce3 = {1, 2, 3, 4, 5, 6, 7, 8};
-    m.quote3 = {9, 9, 9};
-    m.signature = Bytes(64, 0xab);
-    m.certificate = Bytes(80, 0xcd);
-    proto::Measurement meas;
-    meas.type = proto::MeasurementType::CpuMeasure;
-    meas.values = {1, 2, 3};
-    m.m.items.push_back(meas);
-    return m.encodeTagged(proto::WireContext{proto::WireFormat::Tagged,
-                                             proto::kWireVersionLatest});
-}
+// The sweeps below run over the shared sample table: every message
+// type and every journal record type.
 
 TEST(WireRobustnessTest, EveryTruncationDecodesCleanly)
 {
-    const Bytes full = sampleMessageBytes();
-    for (std::size_t len = 0; len < full.size(); ++len) {
-        Bytes prefix(full.begin(),
-                     full.begin() + static_cast<std::ptrdiff_t>(len));
-        // Must terminate with either a value or an error; the
-        // sanitizers catch anything worse.
-        auto r = proto::MeasureResponse::decodeTagged(prefix);
-        (void)r;
+    for (const samples::Sample &smp : samples::allSamples()) {
+        for (std::size_t len = 0; len < smp.body.size(); ++len) {
+            Bytes prefix(smp.body.begin(),
+                         smp.body.begin() + static_cast<std::ptrdiff_t>(len));
+            // Must terminate with either a value or an error; the
+            // sanitizers catch anything worse.
+            (void)smp.decode(prefix);
+        }
+        EXPECT_TRUE(smp.decode(smp.body).isOk()) << smp.name;
     }
-    SUCCEED();
 }
 
 TEST(WireRobustnessTest, SeededByteCorruptionNeverCrashes)
 {
-    const Bytes full = sampleMessageBytes();
-    std::uint64_t rng = 0x5eed5eed5eed5eedull;
-    for (int round = 0; round < 2000; ++round) {
-        Bytes mutated = full;
-        // 1-4 corruptions: byte flips biased toward tag positions.
-        const int flips = 1 + static_cast<int>(nextRand(rng) % 4);
-        for (int i = 0; i < flips; ++i) {
-            const std::size_t at = nextRand(rng) % mutated.size();
-            mutated[at] ^= static_cast<std::uint8_t>(nextRand(rng) % 255 + 1);
+    for (const samples::Sample &smp : samples::allSamples()) {
+        std::uint64_t rng = 0x5eed5eed5eed5eedull;
+        for (int round = 0; round < 2000; ++round) {
+            Bytes mutated = smp.body;
+            // 1-4 corruptions: byte flips biased toward tag positions.
+            const int flips = 1 + static_cast<int>(nextRand(rng) % 4);
+            for (int i = 0; i < flips; ++i) {
+                const std::size_t at = nextRand(rng) % mutated.size();
+                mutated[at] ^=
+                    static_cast<std::uint8_t>(nextRand(rng) % 255 + 1);
+            }
+            (void)smp.decode(mutated);
         }
-        auto r = proto::MeasureResponse::decodeTagged(mutated);
-        (void)r;
     }
     SUCCEED();
 }
 
 TEST(WireRobustnessTest, SeededGarbageNeverCrashes)
 {
+    const std::vector<samples::Sample> all = samples::allSamples();
     std::uint64_t rng = 0xdecafbadull;
     for (int round = 0; round < 2000; ++round) {
         Bytes garbage(nextRand(rng) % 256);
         for (auto &b : garbage)
             b = static_cast<std::uint8_t>(nextRand(rng));
-        (void)proto::AttestRequest::decodeTagged(garbage);
-        (void)proto::ReportToController::decodeTagged(garbage);
-        (void)proto::ReplicateEntries::decodeTagged(garbage);
+        for (const samples::Sample &smp : all)
+            (void)smp.decode(garbage);
         (void)proto::unpackMessage(garbage);
     }
     SUCCEED();

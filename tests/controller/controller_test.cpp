@@ -94,7 +94,7 @@ TEST(DatabaseTest, VmRecordJournalRoundTrip)
     rec.launchAttempts = 2;
     rec.launchedAt = 99;
 
-    auto decoded = decodeVmRecord(encodeVmRecord(rec));
+    auto decoded = proto::decode<VmRecord>(proto::encode(rec));
     ASSERT_TRUE(decoded.isOk()) << decoded.errorMessage();
     const VmRecord out = decoded.take();
     EXPECT_EQ(out.vid, rec.vid);
@@ -111,11 +111,11 @@ TEST(DatabaseTest, VmRecordJournalRoundTrip)
     EXPECT_EQ(out.launchTimer.openStageName(), "attestation");
     EXPECT_EQ(out.launchTimer.openStageStart(), 400);
 
-    // Strict decode: any trailing garbage is an error.
-    Bytes tampered = encodeVmRecord(rec);
+    // Malformed trailing bytes are an error.
+    Bytes tampered = proto::encode(rec);
     tampered.push_back(0xff);
-    EXPECT_FALSE(decodeVmRecord(tampered).isOk());
-    EXPECT_FALSE(decodeVmRecord(toBytes("short")).isOk());
+    EXPECT_FALSE(proto::decode<VmRecord>(tampered).isOk());
+    EXPECT_FALSE(proto::decode<VmRecord>(toBytes("short")).isOk());
 }
 
 TEST(DatabaseTest, ServerRecordJournalRoundTrip)
@@ -125,7 +125,7 @@ TEST(DatabaseTest, ServerRecordJournalRoundTrip)
     rec.allocatedRamMb = 1024;
     rec.allocatedDiskGb = 30;
 
-    auto decoded = decodeServerRecord(encodeServerRecord(rec));
+    auto decoded = proto::decode<ServerRecord>(proto::encode(rec));
     ASSERT_TRUE(decoded.isOk()) << decoded.errorMessage();
     const ServerRecord out = decoded.take();
     EXPECT_EQ(out.id, rec.id);
@@ -134,9 +134,9 @@ TEST(DatabaseTest, ServerRecordJournalRoundTrip)
     EXPECT_EQ(out.allocatedRamMb, rec.allocatedRamMb);
     EXPECT_EQ(out.freeDiskGb(), rec.freeDiskGb());
 
-    Bytes truncated = encodeServerRecord(rec);
+    Bytes truncated = proto::encode(rec);
     truncated.pop_back();
-    EXPECT_FALSE(decodeServerRecord(truncated).isOk());
+    EXPECT_FALSE(proto::decode<ServerRecord>(truncated).isOk());
 }
 
 TEST(PolicyTest, ResourceFilter)

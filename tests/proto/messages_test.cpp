@@ -22,7 +22,7 @@ TEST(ProtoTest, PackUnpackRoundTrip)
     ASSERT_TRUE(unpacked.isOk());
     EXPECT_EQ(unpacked.value().kind, MessageKind::AttestRequest);
     EXPECT_EQ(unpacked.value().body, toBytes("body"));
-    EXPECT_FALSE(unpackMessage(Bytes{0x01}).isOk());
+    EXPECT_FALSE(unpackMessage(Bytes{kTaggedFrameMarker}).isOk());
 }
 
 TEST(ProtoTest, AttestRequestRoundTrip)
@@ -36,7 +36,7 @@ TEST(ProtoTest, AttestRequestRoundTrip)
     m.mode = AttestMode::RuntimePeriodic;
     m.period = seconds(10);
 
-    auto d = AttestRequest::decode(m.encode());
+    auto d = decode<AttestRequest>(encode(m));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().requestId, 7u);
     EXPECT_EQ(d.value().vid, "vm-42");
@@ -54,7 +54,7 @@ TEST(ProtoTest, AttestForwardRoundTrip)
     m.serverId = "server-2";
     m.properties = {SecurityProperty::StartupIntegrity};
     m.nonce2 = {9, 9};
-    auto d = AttestForward::decode(m.encode());
+    auto d = decode<AttestForward>(encode(m));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().serverId, "server-2");
 }
@@ -68,7 +68,7 @@ TEST(ProtoTest, MeasureRequestRoundTrip)
             MeasurementType::UsageIntervalHistogram};
     m.nonce3 = {5, 5, 5};
     m.window = seconds(2);
-    auto d = MeasureRequest::decode(m.encode());
+    auto d = decode<MeasureRequest>(encode(m));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().rm, m.rm);
     EXPECT_EQ(d.value().window, seconds(2));
@@ -93,7 +93,7 @@ sampleMeasurements()
 TEST(ProtoTest, MeasurementSetRoundTripAndFind)
 {
     const MeasurementSet set = sampleMeasurements();
-    auto d = MeasurementSet::decode(set.encode());
+    auto d = decode<MeasurementSet>(encode(set));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value(), set);
     EXPECT_NE(d.value().find(MeasurementType::TaskListVmi), nullptr);
@@ -111,7 +111,7 @@ TEST(ProtoTest, MeasureResponseRoundTrip)
     m.quote3 = MeasureResponse::quoteInput(m.vid, m.rm, m.m, m.nonce3);
     m.signature = {2, 2};
     m.certificate = {3, 3, 3};
-    auto d = MeasureResponse::decode(m.encode());
+    auto d = decode<MeasureResponse>(encode(m));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().m, m.m);
     EXPECT_EQ(d.value().quote3, m.quote3);
@@ -153,7 +153,7 @@ sampleReport()
 TEST(ProtoTest, AttestationReportRoundTripAndQueries)
 {
     const AttestationReport r = sampleReport();
-    auto d = AttestationReport::decode(r.encode());
+    auto d = decode<AttestationReport>(encode(r));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value(), r);
     EXPECT_FALSE(d.value().allHealthy());
@@ -181,7 +181,7 @@ TEST(ProtoTest, ReportToControllerRoundTripAndQuoteBinding)
     m.quote2 = ReportToController::quoteInput(
         m.vid, m.serverId, m.properties, m.report, m.nonce2);
     m.signature = {1};
-    auto d = ReportToController::decode(m.encode());
+    auto d = decode<ReportToController>(encode(m));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().report, m.report);
 
@@ -204,7 +204,7 @@ TEST(ProtoTest, ReportToCustomerRoundTripAndQuoteBinding)
                                             m.report, m.nonce1);
     m.signature = {9};
     m.finalPeriodic = true;
-    auto d = ReportToCustomer::decode(m.encode());
+    auto d = decode<ReportToCustomer>(encode(m));
     ASSERT_TRUE(d.isOk());
     EXPECT_TRUE(d.value().finalPeriodic);
 
@@ -223,7 +223,7 @@ TEST(ProtoTest, CertMessagesRoundTrip)
     req.sessionLabel = "aik-1";
     req.avk = {1, 2};
     req.avkSignature = {3};
-    auto dr = CertRequest::decode(req.encode());
+    auto dr = decode<CertRequest>(encode(req));
     ASSERT_TRUE(dr.isOk());
     EXPECT_EQ(dr.value().sessionLabel, "aik-1");
 
@@ -231,7 +231,7 @@ TEST(ProtoTest, CertMessagesRoundTrip)
     resp.sessionLabel = "aik-1";
     resp.ok = true;
     resp.certificate = {8, 8};
-    auto dresp = CertResponse::decode(resp.encode());
+    auto dresp = decode<CertResponse>(encode(resp));
     ASSERT_TRUE(dresp.isOk());
     EXPECT_TRUE(dresp.value().ok);
 }
@@ -247,34 +247,34 @@ TEST(ProtoTest, ManagementMessagesRoundTrip)
     launch.imageSizeMb = 230;
     launch.image = toBytes("fedora-image");
     launch.weight = 512;
-    auto dl = LaunchVm::decode(launch.encode());
+    auto dl = decode<LaunchVm>(encode(launch));
     ASSERT_TRUE(dl.isOk());
     EXPECT_EQ(dl.value().ramMb, 1024u);
     EXPECT_EQ(dl.value().weight, 512);
 
     VmCommand cmd;
     cmd.vid = "vm-1";
-    EXPECT_EQ(VmCommand::decode(cmd.encode()).value().vid, "vm-1");
+    EXPECT_EQ(decode<VmCommand>(encode(cmd)).value().vid, "vm-1");
 
     VmCommandAck ack;
     ack.vid = "vm-1";
     ack.ok = false;
     ack.error = "nope";
-    auto da = VmCommandAck::decode(ack.encode());
+    auto da = decode<VmCommandAck>(encode(ack));
     ASSERT_TRUE(da.isOk());
     EXPECT_EQ(da.value().error, "nope");
 
     MigrateOut mo;
     mo.vid = "vm-1";
     mo.targetServer = "server-2";
-    EXPECT_EQ(MigrateOut::decode(mo.encode()).value().targetServer,
+    EXPECT_EQ(decode<MigrateOut>(encode(mo)).value().targetServer,
               "server-2");
 
     MigrateIn mi;
     mi.vid = "vm-1";
     mi.name = "web";
     mi.guestTasks = {"init", "sshd"};
-    auto dmi = MigrateIn::decode(mi.encode());
+    auto dmi = decode<MigrateIn>(encode(mi));
     ASSERT_TRUE(dmi.isOk());
     EXPECT_EQ(dmi.value().guestTasks, mi.guestTasks);
 
@@ -286,7 +286,7 @@ TEST(ProtoTest, ManagementMessagesRoundTrip)
     lr.properties = {SecurityProperty::StartupIntegrity};
     lr.image = toBytes("img");
     lr.imageSizeMb = 230;
-    auto dlr = LaunchRequest::decode(lr.encode());
+    auto dlr = decode<LaunchRequest>(encode(lr));
     ASSERT_TRUE(dlr.isOk());
     EXPECT_EQ(dlr.value().flavorName, "small");
 
@@ -294,23 +294,26 @@ TEST(ProtoTest, ManagementMessagesRoundTrip)
     resp.requestId = 1;
     resp.vid = "vm-9";
     resp.ok = true;
-    EXPECT_EQ(LaunchResponse::decode(resp.encode()).value().vid, "vm-9");
+    EXPECT_EQ(decode<LaunchResponse>(encode(resp)).value().vid, "vm-9");
 }
 
 TEST(ProtoTest, DecodersRejectTruncation)
 {
+    // A body cut at a field boundary is a valid, shorter message
+    // (omit-default), so truncation is caught by the frame: every
+    // strict prefix of a packed frame, and any trailing byte, fails.
     AttestRequest m;
     m.vid = "vm-1";
     m.nonce1 = {1, 2, 3};
-    Bytes enc = m.encode();
-    for (std::size_t cut : {1u, 5u, 10u}) {
-        if (cut < enc.size()) {
-            const Bytes truncated(enc.begin(), enc.end() - cut);
-            EXPECT_FALSE(AttestRequest::decode(truncated).isOk());
-        }
+    Bytes framed = packFor(WireContext{}, MessageKind::AttestRequest, m);
+    for (std::size_t len = 0; len < framed.size(); ++len) {
+        const Bytes prefix(framed.begin(),
+                           framed.begin() + static_cast<std::ptrdiff_t>(len));
+        EXPECT_FALSE(unpackMessage(prefix).isOk()) << "prefix " << len;
     }
-    enc.push_back(0x00);
-    EXPECT_FALSE(AttestRequest::decode(enc).isOk());
+    ASSERT_TRUE(unpackMessage(framed).isOk());
+    framed.push_back(0x00);
+    EXPECT_FALSE(unpackMessage(framed).isOk());
 }
 
 TEST(ProtoTest, PropertyNamesRoundTrip)

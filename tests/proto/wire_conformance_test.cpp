@@ -1,330 +1,33 @@
 /**
  * @file
- * Wire-codec conformance: frozen golden byte vectors for the tagged
- * encoding of every message type (field renumbering fails loudly
- * here), schema-registry invariants, frame self-description, legacy ↔
- * tagged equivalence for fully populated messages, and the v1 ↔ v2
- * mixed-version contract (unknown-field skip + missing-field default)
- * in both directions.
+ * Wire-codec conformance: frozen golden byte vectors for every message
+ * type and every journal record type (field renumbering fails loudly
+ * here), schema-registry invariants, the frame layout, decode range
+ * checks, and the v1 ↔ v2 ↔ v3 mixed-version contract (unknown-field
+ * skip + missing-field default) in both directions.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "proto/messages.h"
+#include "wire_samples.h"
 
 namespace monatt::proto
 {
 namespace
 {
 
-const WireContext kV1{WireFormat::Tagged, kWireV1};
-const WireContext kV2{WireFormat::Tagged, kWireV2};
-const WireContext kV3{WireFormat::Tagged, kWireV3};
+using namespace monatt::samples;
 
-// --- Fixed sample messages (every field away from its default) -------
-
-AttestRequest
-sampleAttestRequest()
-{
-    AttestRequest m;
-    m.requestId = 7;
-    m.vid = "vm-42";
-    m.properties = {SecurityProperty::RuntimeIntegrity,
-                    SecurityProperty::CpuAvailability};
-    m.nonce1 = {0x01, 0x02, 0x03, 0x04};
-    m.mode = AttestMode::RuntimePeriodic;
-    m.period = seconds(10);
-    m.senderBuild = 3;
-    return m;
-}
-
-AttestForward
-sampleAttestForward()
-{
-    AttestForward m;
-    m.requestId = 9;
-    m.vid = "vm-1";
-    m.serverId = "server-2";
-    m.properties = {SecurityProperty::StartupIntegrity};
-    m.nonce2 = {0x09, 0x09};
-    m.mode = AttestMode::StartupOneTime;
-    m.period = seconds(1);
-    m.senderBuild = 3;
-    return m;
-}
-
-MeasureRequest
-sampleMeasureRequest()
-{
-    MeasureRequest m;
-    m.requestId = 11;
-    m.vid = "vm-m";
-    m.rm = {MeasurementType::PlatformPcrs, MeasurementType::CpuMeasure};
-    m.nonce3 = {0x0a, 0x0b};
-    m.window = seconds(2);
-    m.senderBuild = 3;
-    return m;
-}
-
-MeasureResponse
-sampleMeasureResponse()
-{
-    MeasureResponse m;
-    m.requestId = 12;
-    m.vid = "vm-m";
-    m.rm = {MeasurementType::VmImageDigest};
-    Measurement meas;
-    meas.type = MeasurementType::VmImageDigest;
-    meas.digest = {0xde, 0xad};
-    m.m.items.push_back(meas);
-    m.nonce3 = {0x0c};
-    m.quote3 = {0x0d};
-    m.signature = {0x0e, 0x0f};
-    m.certificate = {0x10};
-    m.senderBuild = 3;
-    return m;
-}
-
-AttestationReport
-sampleReport()
-{
-    AttestationReport rep;
-    rep.vid = "vm-r";
-    PropertyResult pr;
-    pr.property = SecurityProperty::RuntimeIntegrity;
-    pr.status = HealthStatus::Healthy;
-    pr.detail = "ok";
-    rep.results.push_back(pr);
-    rep.issuedAt = seconds(5);
-    return rep;
-}
-
-ReportToController
-sampleReportToController()
-{
-    ReportToController m;
-    m.requestId = 13;
-    m.vid = "vm-r";
-    m.serverId = "server-1";
-    m.properties = {SecurityProperty::RuntimeIntegrity};
-    m.report = sampleReport();
-    m.nonce2 = {0x11};
-    m.quote2 = {0x12};
-    m.signature = {0x13, 0x14};
-    m.senderBuild = 3;
-    return m;
-}
-
-ReportToCustomer
-sampleReportToCustomer()
-{
-    ReportToCustomer m;
-    m.requestId = 14;
-    m.vid = "vm-r";
-    m.properties = {SecurityProperty::RuntimeIntegrity};
-    m.report = sampleReport();
-    m.nonce1 = {0x15};
-    m.quote1 = {0x16};
-    m.signature = {0x17};
-    m.finalPeriodic = true;
-    m.senderBuild = 3;
-    return m;
-}
-
-AttestFailure
-sampleAttestFailure()
-{
-    AttestFailure m;
-    m.requestId = 15;
-    m.vid = "vm-f";
-    m.outcome = FailureOutcome::Unreachable;
-    m.reason = "no attestor";
-    return m;
-}
-
-CertRequest
-sampleCertRequest()
-{
-    CertRequest m;
-    m.serverId = "server-3";
-    m.sessionLabel = "sess-9";
-    m.avk = {0x21, 0x22};
-    m.avkSignature = {0x23};
-    return m;
-}
-
-CertResponse
-sampleCertResponse()
-{
-    CertResponse m;
-    m.sessionLabel = "sess-9";
-    m.ok = true;
-    m.error = "e";
-    m.certificate = {0x24, 0x25};
-    return m;
-}
-
-LaunchVm
-sampleLaunchVm()
-{
-    LaunchVm m;
-    m.vid = "vm-l";
-    m.name = "web";
-    m.numVcpus = 2;
-    m.ramMb = 1024;
-    m.diskGb = 4;
-    m.imageSizeMb = 100;
-    m.image = {0x30, 0x31};
-    m.weight = 512;
-    return m;
-}
-
-LaunchVmAck
-sampleLaunchVmAck()
-{
-    LaunchVmAck m;
-    m.vid = "vm-l";
-    m.ok = true;
-    m.error = "x";
-    m.imageDigest = {0x32};
-    return m;
-}
-
-VmCommand
-sampleVmCommand()
-{
-    VmCommand m;
-    m.vid = "vm-c";
-    return m;
-}
-
-VmCommandAck
-sampleVmCommandAck()
-{
-    VmCommandAck m;
-    m.vid = "vm-c";
-    m.ok = true;
-    m.error = "y";
-    return m;
-}
-
-LaunchRequest
-sampleLaunchRequest()
-{
-    LaunchRequest m;
-    m.requestId = 16;
-    m.name = "web";
-    m.imageName = "ubuntu";
-    m.flavorName = "m1.small";
-    m.properties = {SecurityProperty::CovertChannelFreedom};
-    m.image = {0x33};
-    m.imageSizeMb = 50;
-    return m;
-}
-
-LaunchResponse
-sampleLaunchResponse()
-{
-    LaunchResponse m;
-    m.requestId = 17;
-    m.vid = "vm-n";
-    m.ok = true;
-    m.error = "z";
-    return m;
-}
-
-ReplicateEntries
-sampleReplicateEntries()
-{
-    ReplicateEntries m;
-    m.round = 2;
-    m.leaderId = "ctrl-a";
-    m.prevLsn = 4;
-    ReplicatedRecord rec;
-    rec.lsn = 5;
-    rec.type = 0x103; // a tagged journal record in flight
-    rec.payload = {0x41, 0x42};
-    m.records.push_back(rec);
-    m.commitLsn = 5;
-    m.hasSnapshot = true;
-    m.snapshot = {0x43};
-    m.snapshotLsn = 3;
-    return m;
-}
-
-ReplicateAck
-sampleReplicateAck()
-{
-    ReplicateAck m;
-    m.round = 2;
-    m.lastLsn = 5;
-    return m;
-}
-
-VoteRequest
-sampleVoteRequest()
-{
-    VoteRequest m;
-    m.round = 3;
-    m.lastLogRound = 2;
-    m.lastLsn = 9;
-    m.prevote = true;
-    return m;
-}
-
-VoteGrant
-sampleVoteGrant()
-{
-    VoteGrant m;
-    m.round = 3;
-    m.prevote = true;
-    return m;
-}
-
-NotLeader
-sampleNotLeader()
-{
-    NotLeader m;
-    m.requestId = 18;
-    m.isLaunch = true;
-    m.leaderId = "ctrl-b";
-    m.round = 3;
-    return m;
-}
-
-MigrateOut
-sampleMigrateOut()
-{
-    MigrateOut m;
-    m.vid = "vm-g";
-    m.targetServer = "server-4";
-    return m;
-}
-
-MigrateIn
-sampleMigrateIn()
-{
-    MigrateIn m;
-    m.vid = "vm-g";
-    m.name = "web";
-    m.numVcpus = 2;
-    m.ramMb = 768;
-    m.diskGb = 2;
-    m.imageSizeMb = 60;
-    m.image = {0x50};
-    m.weight = 128;
-    m.guestTasks = {"init", "sshd"};
-    m.hiddenTasks = {"rk"};
-    m.auditEntries = {"a1"};
-    return m;
-}
+const WireContext kV1{kWireV1};
+const WireContext kV2{kWireV2};
+const WireContext kV3{kWireV3};
 
 // --- Golden byte vectors ---------------------------------------------
 
 /**
- * The frozen tagged encodings (kWireV2) of the samples above. These
+ * The frozen encodings (kWireV2) of the shared samples. These
  * hex strings are the released wire layout: a mismatch means a field
  * was renumbered, retyped or reordered — which breaks rolling
  * upgrades — and must be a new field number instead.
@@ -340,55 +43,55 @@ std::vector<GoldenCase>
 goldenCases()
 {
     return {
-        {"AttestRequest", sampleAttestRequest().encodeTagged(kV2),
+        {"AttestRequest", encode(sampleAttestRequest(), kV2),
          "08071205766d2d34321a02020422040102030428023080dac4097803"},
-        {"AttestForward", sampleAttestForward().encodeTagged(kV2),
+        {"AttestForward", encode(sampleAttestForward(), kV2),
          "08091204766d2d311a087365727665722d322201012a020909300038"
          "80897a7803"},
-        {"MeasureRequest", sampleMeasureRequest().encodeTagged(kV2),
+        {"MeasureRequest", encode(sampleMeasureRequest(), kV2),
          "080b1204766d2d6d1a02010622020a0b288092f4017803"},
-        {"MeasureResponse", sampleMeasureResponse().encodeTagged(kV2),
+        {"MeasureResponse", encode(sampleMeasureResponse(), kV2),
          "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
          "020e0f4201107803"},
-        {"ReportToController", sampleReportToController().encodeTagged(kV2),
+        {"ReportToController", encode(sampleReportToController(), kV2),
          "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
          "721208080210001a026f6b1880ade2043201113a0112420213147803"},
-        {"ReportToCustomer", sampleReportToCustomer().encodeTagged(kV2),
+        {"ReportToCustomer", encode(sampleReportToCustomer(), kV2),
          "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
          "6b1880ade2042a01153201163a011740017803"},
-        {"AttestFailure", sampleAttestFailure().encodeTagged(kV2),
+        {"AttestFailure", encode(sampleAttestFailure(), kV2),
          "080f1204766d2d661801220b6e6f206174746573746f72"},
-        {"CertRequest", sampleCertRequest().encodeTagged(kV2),
+        {"CertRequest", encode(sampleCertRequest(), kV2),
          "0a087365727665722d331206736573732d391a022122220123"},
-        {"CertResponse", sampleCertResponse().encodeTagged(kV2),
+        {"CertResponse", encode(sampleCertResponse(), kV2),
          "0a06736573732d3910011a016522022425"},
-        {"LaunchVm", sampleLaunchVm().encodeTagged(kV2),
+        {"LaunchVm", encode(sampleLaunchVm(), kV2),
          "0a04766d2d6c12037765621802208008280430643a023031408008"},
-        {"LaunchVmAck", sampleLaunchVmAck().encodeTagged(kV2),
+        {"LaunchVmAck", encode(sampleLaunchVmAck(), kV2),
          "0a04766d2d6c10011a0178220132"},
-        {"VmCommand", sampleVmCommand().encodeTagged(kV2),
+        {"VmCommand", encode(sampleVmCommand(), kV2),
          "0a04766d2d63"},
-        {"VmCommandAck", sampleVmCommandAck().encodeTagged(kV2),
+        {"VmCommandAck", encode(sampleVmCommandAck(), kV2),
          "0a04766d2d6310011a0179"},
-        {"LaunchRequest", sampleLaunchRequest().encodeTagged(kV2),
+        {"LaunchRequest", encode(sampleLaunchRequest(), kV2),
          "081012037765621a067562756e747522086d312e736d616c6c2a0103"
          "3201333832"},
-        {"LaunchResponse", sampleLaunchResponse().encodeTagged(kV2),
+        {"LaunchResponse", encode(sampleLaunchResponse(), kV2),
          "08111204766d2d6e180122017a"},
-        {"ReplicateEntries", sampleReplicateEntries().encodeTagged(kV2),
+        {"ReplicateEntries", encode(sampleReplicateEntries(), kV2),
          "080212066374726c2d611804220908051083021a024142280530013a"
          "01434003"},
-        {"ReplicateAck", sampleReplicateAck().encodeTagged(kV2),
+        {"ReplicateAck", encode(sampleReplicateAck(), kV2),
          "08021005"},
-        {"VoteRequest", sampleVoteRequest().encodeTagged(kV2),
+        {"VoteRequest", encode(sampleVoteRequest(), kV2),
          "0803100218092001"},
-        {"VoteGrant", sampleVoteGrant().encodeTagged(kV2),
+        {"VoteGrant", encode(sampleVoteGrant(), kV2),
          "08031001"},
-        {"NotLeader", sampleNotLeader().encodeTagged(kV2),
+        {"NotLeader", encode(sampleNotLeader(), kV2),
          "081210011a066374726c2d622003"},
-        {"MigrateOut", sampleMigrateOut().encodeTagged(kV2),
+        {"MigrateOut", encode(sampleMigrateOut(), kV2),
          "0a04766d2d6712087365727665722d34"},
-        {"MigrateIn", sampleMigrateIn().encodeTagged(kV2),
+        {"MigrateIn", encode(sampleMigrateIn(), kV2),
          "0a04766d2d67120377656218022080062802303c3a01504080024a04"
          "696e69744a04737368645202726b5a026131"},
     };
@@ -405,33 +108,28 @@ TEST(WireConformanceTest, GoldenByteVectors)
 TEST(WireConformanceTest, FramesSelfDescribe)
 {
     const Bytes body = toBytes("body");
-    const Bytes legacy = packMessage(MessageKind::AttestRequest, body);
-    const Bytes tagged =
-        packMessageTagged(MessageKind::AttestRequest, body);
+    const Bytes frame = packMessage(MessageKind::AttestRequest, body);
 
-    // Frozen frame headers: kind u8 || u32 len (legacy) vs
-    // 0xC1 || kind u8 || varint len (tagged).
-    EXPECT_EQ(legacy[0], 0x01);
-    EXPECT_EQ(tagged[0], kTaggedFrameMarker);
-    EXPECT_EQ(tagged[1], 0x01);
-
-    auto l = unpackMessage(legacy);
-    ASSERT_TRUE(l.isOk());
-    EXPECT_EQ(l.value().format, WireFormat::Legacy);
-    EXPECT_EQ(l.value().kind, MessageKind::AttestRequest);
-    EXPECT_EQ(l.value().body, body);
-
-    auto t = unpackMessage(tagged);
+    // Frozen frame header: 0xC1 || kind u8 || varint len.
+    EXPECT_EQ(toHex(frame), "c10104626f6479");
+    auto t = unpackMessage(frame);
     ASSERT_TRUE(t.isOk());
-    EXPECT_EQ(t.value().format, WireFormat::Tagged);
     EXPECT_EQ(t.value().kind, MessageKind::AttestRequest);
     EXPECT_EQ(t.value().body, body);
 
-    // Truncated / corrupt tagged frames are errors.
+    // Truncated / corrupt frames are errors.
+    EXPECT_FALSE(unpackMessage(Bytes{}).isOk());
     EXPECT_FALSE(unpackMessage(Bytes{kTaggedFrameMarker}).isOk());
     EXPECT_FALSE(unpackMessage(Bytes{kTaggedFrameMarker, 0x01}).isOk());
     Bytes overlong{kTaggedFrameMarker, 0x01, 0x7f};
     EXPECT_FALSE(unpackMessage(overlong).isOk());
+    EXPECT_FALSE(unpackMessage(Bytes{0x01, 0x00}).isOk()) << "no marker";
+    // A ten-byte length whose last byte overflows 64 bits: the
+    // overflow must not be dropped into a valid empty frame.
+    Bytes overflow{kTaggedFrameMarker, 0x01};
+    overflow.insert(overflow.end(), 9, 0x80);
+    overflow.push_back(0x02);
+    EXPECT_FALSE(unpackMessage(overflow).isOk());
 }
 
 // --- Schema-registry invariants --------------------------------------
@@ -469,55 +167,16 @@ TEST(WireConformanceTest, SchemaRegistryInvariants)
     }
 }
 
-// --- Legacy ↔ tagged equivalence -------------------------------------
-
-/** Legacy re-encode of a tagged round trip must be byte-identical. */
-template <typename M>
-void
-expectTaggedMatchesLegacy(const M &msg)
-{
-    auto viaTagged = M::decodeTagged(msg.encodeTagged(kV2));
-    ASSERT_TRUE(viaTagged.isOk()) << viaTagged.errorMessage();
-    EXPECT_EQ(viaTagged.value().encode(), msg.encode());
-}
-
-TEST(WireConformanceTest, TaggedRoundTripMatchesLegacyEncoding)
-{
-    expectTaggedMatchesLegacy(sampleAttestRequest());
-    expectTaggedMatchesLegacy(sampleAttestForward());
-    expectTaggedMatchesLegacy(sampleMeasureRequest());
-    expectTaggedMatchesLegacy(sampleMeasureResponse());
-    expectTaggedMatchesLegacy(sampleReport());
-    expectTaggedMatchesLegacy(sampleReportToController());
-    expectTaggedMatchesLegacy(sampleReportToCustomer());
-    expectTaggedMatchesLegacy(sampleAttestFailure());
-    expectTaggedMatchesLegacy(sampleCertRequest());
-    expectTaggedMatchesLegacy(sampleCertResponse());
-    expectTaggedMatchesLegacy(sampleLaunchVm());
-    expectTaggedMatchesLegacy(sampleLaunchVmAck());
-    expectTaggedMatchesLegacy(sampleVmCommand());
-    expectTaggedMatchesLegacy(sampleVmCommandAck());
-    expectTaggedMatchesLegacy(sampleLaunchRequest());
-    expectTaggedMatchesLegacy(sampleLaunchResponse());
-    expectTaggedMatchesLegacy(sampleReplicateEntries());
-    expectTaggedMatchesLegacy(sampleReplicateAck());
-    expectTaggedMatchesLegacy(sampleVoteRequest());
-    expectTaggedMatchesLegacy(sampleVoteGrant());
-    expectTaggedMatchesLegacy(sampleNotLeader());
-    expectTaggedMatchesLegacy(sampleMigrateOut());
-    expectTaggedMatchesLegacy(sampleMigrateIn());
-}
-
 TEST(WireConformanceTest, DefaultMessagesEncodeEmptyAndDecode)
 {
     // A default-constructed message encodes to nothing (omit-default)
     // and nothing decodes back to a default-constructed message.
-    EXPECT_TRUE(AttestRequest{}.encodeTagged(kV1).empty());
-    EXPECT_TRUE(VmCommandAck{}.encodeTagged(kV1).empty());
-    EXPECT_TRUE(ReplicateAck{}.encodeTagged(kV1).empty());
-    auto d = AttestRequest::decodeTagged(Bytes{});
+    EXPECT_TRUE(encode(AttestRequest{}, kV1).empty());
+    EXPECT_TRUE(encode(VmCommandAck{}, kV1).empty());
+    EXPECT_TRUE(encode(ReplicateAck{}, kV1).empty());
+    auto d = decode<AttestRequest>(Bytes{});
     ASSERT_TRUE(d.isOk());
-    EXPECT_EQ(d.value().encode(), AttestRequest{}.encode());
+    EXPECT_EQ(encode(d.value()), encode(AttestRequest{}));
 }
 
 // --- Mixed-version contract (v1 ↔ v2, both directions) ---------------
@@ -527,11 +186,11 @@ TEST(WireConformanceTest, V1EncoderOmitsV2Fields)
     // Old encoder → new decoder: senderBuild never on the wire at v1,
     // so the v2 decoder keeps its default (0 = pre-v2 peer).
     AttestRequest m = sampleAttestRequest();
-    const Bytes v1Bytes = m.encodeTagged(kV1);
-    const Bytes v2Bytes = m.encodeTagged(kV2);
+    const Bytes v1Bytes = encode(m, kV1);
+    const Bytes v2Bytes = encode(m, kV2);
     EXPECT_LT(v1Bytes.size(), v2Bytes.size());
 
-    auto d = AttestRequest::decodeTagged(v1Bytes);
+    auto d = decode<AttestRequest>(v1Bytes);
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().senderBuild, 0u);
     EXPECT_EQ(d.value().vid, m.vid);
@@ -539,8 +198,7 @@ TEST(WireConformanceTest, V1EncoderOmitsV2Fields)
 
 TEST(WireConformanceTest, V2FieldsSurviveToV2Decoder)
 {
-    auto d = AttestRequest::decodeTagged(
-        sampleAttestRequest().encodeTagged(kV2));
+    auto d = decode<AttestRequest>(encode(sampleAttestRequest(), kV2));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().senderBuild, 3u);
 }
@@ -550,16 +208,16 @@ TEST(WireConformanceTest, UnknownFutureFieldsAreSkipped)
     // New encoder → old decoder: splice a hypothetical v3 field (a
     // LEN at an unreleased number and a VARINT at another) into a v2
     // message; today's decoder must skip both and decode the rest.
-    Bytes bytes = sampleAttestRequest().encodeTagged(kV2);
+    Bytes bytes = encode(sampleAttestRequest(), kV2);
     wire::WireWriter extra;
     extra.putString(1000, "from-the-future");
     extra.putVarint(999, 0xbeef);
     Bytes future = extra.take();
     bytes.insert(bytes.end(), future.begin(), future.end());
 
-    auto d = AttestRequest::decodeTagged(bytes);
+    auto d = decode<AttestRequest>(bytes);
     ASSERT_TRUE(d.isOk()) << d.errorMessage();
-    EXPECT_EQ(d.value().encode(), sampleAttestRequest().encode());
+    EXPECT_EQ(encode(d.value()), encode(sampleAttestRequest()));
 }
 
 TEST(WireConformanceTest, WrongWireTypeOnKnownFieldIsSkipped)
@@ -569,7 +227,7 @@ TEST(WireConformanceTest, WrongWireTypeOnKnownFieldIsSkipped)
     wire::WireWriter w;
     w.putString(1, "not-a-varint"); // field 1 is requestId: VARINT
     w.putString(2, "vm-ok");
-    auto d = AttestRequest::decodeTagged(w.take());
+    auto d = decode<AttestRequest>(w.take());
     ASSERT_TRUE(d.isOk()) << d.errorMessage();
     EXPECT_EQ(d.value().requestId, 0u);
     EXPECT_EQ(d.value().vid, "vm-ok");
@@ -607,15 +265,15 @@ TEST(WireConformanceTest, GoldenByteVectorsV3)
     // three quote/report messages. A mismatch means the released TCB
     // field moved — use a new number instead.
     const std::vector<GoldenCase> cases = {
-        {"MeasureResponse", sampleMeasureResponseV3().encodeTagged(kV3),
+        {"MeasureResponse", encode(sampleMeasureResponseV3(), kV3),
          "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
          "020e0f42011048077803"},
         {"ReportToController",
-         sampleReportToControllerV3().encodeTagged(kV3),
+         encode(sampleReportToControllerV3(), kV3),
          "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
          "721208080210001a026f6b1880ade2043201113a011242021314480778"
          "03"},
-        {"ReportToCustomer", sampleReportToCustomerV3().encodeTagged(kV3),
+        {"ReportToCustomer", encode(sampleReportToCustomerV3(), kV3),
          "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
          "6b1880ade2042a01153201163a0117400148077803"},
     };
@@ -630,10 +288,9 @@ TEST(WireConformanceTest, V2EncoderOmitsTcbVersion)
     // the v3 decoder keeps the default 0 — which the AS minimum-TCB
     // floor deliberately treats as below-minimum (a host that strips
     // the measurement must not out-trust one reporting an old build).
-    EXPECT_EQ(toHex(sampleMeasureResponseV3().encodeTagged(kV2)),
-              toHex(sampleMeasureResponse().encodeTagged(kV2)));
-    auto d = MeasureResponse::decodeTagged(
-        sampleMeasureResponseV3().encodeTagged(kV2));
+    EXPECT_EQ(toHex(encode(sampleMeasureResponseV3(), kV2)),
+              toHex(encode(sampleMeasureResponse(), kV2)));
+    auto d = decode<MeasureResponse>(encode(sampleMeasureResponseV3(), kV2));
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(d.value().tcbVersion, 0u);
 }
@@ -643,26 +300,25 @@ TEST(WireConformanceTest, TcbVersionDefaultIsOmittedAtV3)
     // Omit-default: a v3 encoder with the TCB axis disarmed (version
     // 0) emits bytes identical to v2 — upgrading the fleet without
     // arming the policy changes nothing on the wire.
-    EXPECT_EQ(toHex(sampleMeasureResponse().encodeTagged(kV3)),
-              toHex(sampleMeasureResponse().encodeTagged(kV2)));
-    EXPECT_EQ(toHex(sampleReportToController().encodeTagged(kV3)),
-              toHex(sampleReportToController().encodeTagged(kV2)));
-    EXPECT_EQ(toHex(sampleReportToCustomer().encodeTagged(kV3)),
-              toHex(sampleReportToCustomer().encodeTagged(kV2)));
+    EXPECT_EQ(toHex(encode(sampleMeasureResponse(), kV3)),
+              toHex(encode(sampleMeasureResponse(), kV2)));
+    EXPECT_EQ(toHex(encode(sampleReportToController(), kV3)),
+              toHex(encode(sampleReportToController(), kV2)));
+    EXPECT_EQ(toHex(encode(sampleReportToCustomer(), kV3)),
+              toHex(encode(sampleReportToCustomer(), kV2)));
 }
 
 TEST(WireConformanceTest, TcbVersionSurvivesV3RoundTrip)
 {
-    auto mr = MeasureResponse::decodeTagged(
-        sampleMeasureResponseV3().encodeTagged(kV3));
+    auto mr = decode<MeasureResponse>(encode(sampleMeasureResponseV3(), kV3));
     ASSERT_TRUE(mr.isOk());
     EXPECT_EQ(mr.value().tcbVersion, 7u);
-    auto rc = ReportToController::decodeTagged(
-        sampleReportToControllerV3().encodeTagged(kV3));
+    auto rc = decode<ReportToController>(
+        encode(sampleReportToControllerV3(), kV3));
     ASSERT_TRUE(rc.isOk());
     EXPECT_EQ(rc.value().tcbVersion, 7u);
-    auto ru = ReportToCustomer::decodeTagged(
-        sampleReportToCustomerV3().encodeTagged(kV3));
+    auto ru = decode<ReportToCustomer>(
+        encode(sampleReportToCustomerV3(), kV3));
     ASSERT_TRUE(ru.isOk());
     EXPECT_EQ(ru.value().tcbVersion, 7u);
 }
@@ -689,15 +345,123 @@ TEST(WireConformanceTest, TcbSchemaRowsAreV3)
                            "messages";
 }
 
-TEST(WireConformanceTest, TaggedJournalBitClearsToLegacyTypeRange)
+// --- Quote preimages ---------------------------------------------------
+
+TEST(WireConformanceTest, PreimageTypesHaveNoPostV1Fields)
 {
-    // The journal-type bit must sit above every released record type
-    // byte so masking it recovers the original enum value.
-    EXPECT_EQ(kTaggedJournalBit, 0x100);
-    for (std::uint16_t t = 1; t <= 0xff; ++t) {
-        EXPECT_EQ((t | kTaggedJournalBit) & ~kTaggedJournalBit, t);
-        EXPECT_NE(t | kTaggedJournalBit, t);
+    // Q1-Q3 and the signed portions hash the declared encoding of
+    // these types. A field newer than v1 would be dropped by a v1
+    // signer and kept by a v3 verifier (or the reverse), so the two
+    // would hash different bytes and reject honest reports.
+    const std::vector<std::pair<const char *, std::vector<FieldSpec>>>
+        embedded = {{"AttestationReport", fieldSpecs<AttestationReport>()},
+                    {"PropertyResult", fieldSpecs<PropertyResult>()},
+                    {"MeasurementSet", fieldSpecs<MeasurementSet>()},
+                    {"Measurement", fieldSpecs<Measurement>()}};
+    for (const auto &[type, fields] : embedded) {
+        for (const FieldSpec &f : fields)
+            EXPECT_EQ(f.since, kWireV1) << type << "." << f.name;
     }
+}
+
+// --- Decode range checks ---------------------------------------------
+
+TEST(WireConformanceTest, OutOfRangeVarintsAreDecodeErrors)
+{
+    // An enum field beyond its underlying type (mode = 258 would
+    // narrow to RuntimePeriodic).
+    wire::WireWriter mode;
+    mode.putVarint(5, 258);
+    EXPECT_FALSE(decode<AttestRequest>(mode.take()).isOk());
+
+    // A packed enum list element beyond its type (257 would narrow
+    // to StartupIntegrity).
+    Bytes packed;
+    wire::appendVarint(packed, 257);
+    wire::WireWriter props;
+    props.putLen(3, packed);
+    EXPECT_FALSE(decode<AttestRequest>(props.take()).isOk());
+
+    // A u32 field beyond 32 bits (2^32 + 1 would narrow to 1).
+    wire::WireWriter vcpus;
+    vcpus.putVarint(3, (std::uint64_t{1} << 32) + 1);
+    EXPECT_FALSE(decode<LaunchVm>(vcpus.take()).isOk());
+
+    // The largest in-range values still decode.
+    wire::WireWriter edge;
+    edge.putVarint(3, 0xFFFFFFFFu);
+    auto ok = decode<LaunchVm>(edge.take());
+    ASSERT_TRUE(ok.isOk()) << ok.errorMessage();
+    EXPECT_EQ(ok.value().numVcpus, 0xFFFFFFFFu);
+}
+
+// --- Journal record golden vectors -----------------------------------
+
+/** The frozen payload of one journal record type, which must decode
+ * back to a value that re-encodes to the same bytes. */
+template <typename R>
+void
+expectJournalGolden(const char *name, const R &record, const char *hex)
+{
+    EXPECT_EQ(toHex(encode(record)), hex) << name;
+    auto decoded = decode<R>(fromHex(hex));
+    ASSERT_TRUE(decoded.isOk()) << name << ": " << decoded.errorMessage();
+    EXPECT_EQ(toHex(encode(decoded.value())), hex) << name;
+}
+
+TEST(WireConformanceTest, JournalGoldenVectors)
+{
+    // One vector per journal record type: the twelve controller types
+    // (nesting VmRecord, ServerRecord, PendingLaunch, AttestContext and
+    // ResponseRecord), the AS's two and the pCA's one. A mismatch means
+    // a journal field was renumbered, retyped or reordered, which would
+    // make an upgraded node misread the journal it recovers from.
+    using namespace controller;
+    using attestation::CertRecord;
+    using attestation::IssuedRecord;
+    using attestation::ReportRecord;
+    expectJournalGolden("Meta", MetaRecord{7, 42}, "0807102a");
+    expectJournalGolden(
+        "VmUpsert", sampleVmRecord(),
+        "0a04766d2d3712037765621a05616c69636522067562756e74752a086d312e"
+        "736d616c6c30283a02aabb400248801050145a02020462087365727665722d"
+        "31680572100a0a7363686564756c696e6710141828720e0a08737061776e69"
+        "6e67102818647a0d0a09617474657374696e671064800104880178");
+    expectJournalGolden("VmRemove", VidRecord{"vm-7"}, "0a04766d2d37");
+    expectJournalGolden("ServerUpsert", sampleServerRecord(),
+                        "0a087365727665722d39120201021880800120f403288010"
+                        "30143801");
+    expectJournalGolden("PolicySet",
+                        PolicyRecord{"vm-7", ResponsePolicy::Migrate},
+                        "0a04766d2d371003");
+    expectJournalGolden("LaunchUpsert", samplePendingLaunch(),
+                        "0a04766d2d3710051a05616c69636522087365727665722d"
+                        "3222087365727665722d33");
+    expectJournalGolden("LaunchRemove", VidRecord{"vm-7"}, "0a04766d2d37");
+    expectJournalGolden(
+        "AttestUpsert", AttestRecord{42, sampleAttestContext()},
+        "082a125008021204766d2d371a05616c69636520092a020102320203043a01"
+        "0240024880dac40950f601580162087365727665722d316a12617474657374"
+        "6174696f6e2d73657276657270047802800101880101");
+    expectJournalGolden("AttestRemove", AttestIdRecord{42}, "082a");
+    expectJournalGolden(
+        "ResponseUpsert", ResponseLogRecord{3, sampleResponseRecord()},
+        "0803122d0a04766d2d37100218c80120900328d804300138014207726f6f74"
+        "6b69744a087365727665722d325201025801");
+    expectJournalGolden("AsHealthSet",
+                        AsHealthRecord{"attestation-server", 2, true},
+                        "0a126174746573746174696f6e2d73657276657210041801");
+    expectJournalGolden("RelayRemember",
+                        RelayRecord{"alice", 9, {0xc1, 0x06, 0x00}},
+                        "0a05616c69636510091a03c10600");
+    expectJournalGolden("ReportRemember", ReportRecord{11, {0x08, 0x0b}},
+                        "080b1202080b");
+    expectJournalGolden("CertInsert",
+                        CertRecord{{0xd1, 0xd2}, sampleAvkBytes()},
+                        "0a02d1d2120b020000000ca10100000011");
+    expectJournalGolden(
+        "CertIssued", IssuedRecord{4, 1, "server-1", "sess-4", {0x0a, 0x06}},
+        "080410011a087365727665722d312206736573732d342a020a06");
 }
 
 } // namespace

@@ -85,7 +85,7 @@ TEST(CommandAuthorizationTest, ServerIgnoresForeignCommands)
     cmd.vid = f.vid;
     rogue.sendSecure(f.host->id(),
                      proto::packMessage(MessageKind::TerminateVm,
-                                        cmd.encode()));
+                                        proto::encode(cmd)));
     proto::MeasureRequest mr;
     mr.requestId = 999;
     mr.vid = f.vid;
@@ -93,7 +93,7 @@ TEST(CommandAuthorizationTest, ServerIgnoresForeignCommands)
     mr.nonce3 = {1, 2};
     rogue.sendSecure(f.host->id(),
                      proto::packMessage(MessageKind::MeasureRequest,
-                                        mr.encode()));
+                                        proto::encode(mr)));
     f.cloud.runFor(seconds(10));
 
     // The VM survives and no measurement response went anywhere.
