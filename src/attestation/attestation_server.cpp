@@ -20,15 +20,6 @@ using proto::ReportToController;
 namespace
 {
 
-Bytes
-endpointSeed(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("as-endpoint:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    return material;
-}
-
 /**
  * Deterministic per-AS session-id base. Under failover two ASes may
  * measure the same cloud server concurrently; disjoint id spaces keep
@@ -43,17 +34,6 @@ sessionBase(const std::string &id)
     return ((h & 0xffffffULL) << 32) + 1;
 }
 
-crypto::RsaKeyPair
-identityKeys(const std::string &id, std::uint64_t seed, std::size_t bits)
-{
-    Bytes material = toBytes("as-identity:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    crypto::HmacDrbg drbg(material);
-    Rng rng = drbg.forkRng();
-    return crypto::rsaGenerateKeyPair(bits, rng);
-}
-
 } // namespace
 
 AttestationServer::AttestationServer(sim::EventQueue &eq,
@@ -62,13 +42,17 @@ AttestationServer::AttestationServer(sim::EventQueue &eq,
                                      AttestationServerConfig config,
                                      std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      keys(identityKeys(cfg.id, seed, cfg.identityKeyBits)),
+      keys(crypto::deriveKeyPair("as-identity", cfg.id, seed,
+                                 cfg.identityKeyBits)),
       signCtx(keys.priv), dir(directory),
       endpoint(network, cfg.id, keys, directory,
-               endpointSeed(cfg.id, seed)),
+               crypto::seedMaterial("as-endpoint", cfg.id, seed)),
       registry(InterpreterRegistry::withDefaults()), rng(seed ^ 0xa5a5),
-      certCache(cfg.certCacheCapacity), store(cfg.id),
-      ckptPolicy(cfg.checkpointPolicy), nextSession(sessionBase(cfg.id))
+      certCache(kCertCacheCapacity), reportCache(cfg.reportCacheCapacity),
+      log(cfg.id, cfg.durable, cfg.checkpointPolicy,
+          [this] { return snapshotState(); },
+          [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); }),
+      nextSession(sessionBase(cfg.id))
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -170,8 +154,10 @@ AttestationServer::onAttestForward(const net::NodeId &from,
     const AttestForward fwd = fwdR.take();
 
     events.scheduleAfter(cfg.timing.attestorProcessing,
-                         [this, from, fwd] { processForward(from, fwd); },
-                         "as.forward");
+                         [this, from, fwd, eraNow = log.era()] {
+        if (!log.stale(eraNow))
+            processForward(from, fwd);
+    }, "as.forward");
 }
 
 void
@@ -186,8 +172,7 @@ AttestationServer::processForward(const net::NodeId &from,
             ++counters.duplicateForwards;
             return;
         }
-        const auto cached = reportCache.find(fwd.requestId);
-        if (cached != reportCache.end()) {
+        if (const Bytes *cached = reportCache.find(fwd.requestId)) {
             ++counters.duplicateForwards;
             // Answer the shard that asked: after a controller-side
             // failover or crash the retransmission may come from a
@@ -195,7 +180,7 @@ AttestationServer::processForward(const net::NodeId &from,
             endpoint.sendSecure(from,
                                 proto::packMessage(
                                     MessageKind::ReportToController,
-                                    cached->second));
+                                    *cached));
             return;
         }
         forwardInFlight.insert(fwd.requestId);
@@ -247,8 +232,10 @@ AttestationServer::runPeriodicRound(const std::string &key)
                   static_cast<SimTime>(rng.nextBounded(
                       static_cast<std::uint64_t>(cfg.randomPeriodMax -
                                                  cfg.randomPeriodMin)));
-    events.scheduleAfter(period, [this, key] { runPeriodicRound(key); },
-                         "as.periodic");
+    events.scheduleAfter(period, [this, key, eraNow = log.era()] {
+        if (!log.stale(eraNow))
+            runPeriodicRound(key);
+    }, "as.periodic");
 }
 
 void
@@ -298,9 +285,10 @@ AttestationServer::scheduleMeasureRetry(std::uint64_t sessionId)
     const SimTime rto = cfg.reliability.rto(cfg.reliability.measureRto,
                                             est);
     const SimTime delay = cfg.reliability.backoff(rto, s.retries);
-    s.retryTimer = events.scheduleAfter(delay, [this, sessionId] {
+    s.retryTimer = events.scheduleAfter(delay, [this, sessionId,
+                                                 eraNow = log.era()] {
         auto it = sessions.find(sessionId);
-        if (it == sessions.end())
+        if (log.stale(eraNow) || it == sessions.end())
             return;
         Session &s = it->second;
         s.retryTimer = 0;
@@ -334,16 +322,9 @@ AttestationServer::scheduleMeasureRetry(std::uint64_t sessionId)
 void
 AttestationServer::rememberReport(std::uint64_t requestId, Bytes encoded)
 {
-    const auto [it, inserted] =
-        reportCache.emplace(requestId, std::move(encoded));
-    if (inserted) {
-        journalReport(requestId, it->second);
-        reportOrder.push_back(requestId);
-        while (reportOrder.size() > cfg.reportCacheCapacity) {
-            reportCache.erase(reportOrder.front());
-            reportOrder.pop_front();
-        }
-    }
+    if (const Bytes *stored = reportCache.insert(requestId, std::move(encoded)))
+        log.append(JournalType::ReportRemember,
+                   ReportRecord{requestId, *stored});
 }
 
 const crypto::RsaPublicContext &
@@ -432,7 +413,7 @@ AttestationServer::onMeasureResponse(const Bytes &body)
     sessions.erase(it);
 
     applyVerified(session, verifyResponse(session, resp));
-    commitJournal();
+    log.commit(events.now());
 }
 
 Result<proto::MeasurementSet>
@@ -448,21 +429,17 @@ AttestationServer::verifyResponse(const Session &session,
     // 1. Certificate chain, memoized by certificate digest: a reused
     // AVK session is chain-checked once. Failures are never cached.
     const Bytes digest = crypto::Sha256::hash(resp.certificate);
-    if (cfg.enableVerificationCaches) {
-        if (const crypto::RsaPublicKey *hit = certCache.lookup(digest)) {
-            ++counters.certCacheHits;
-            return verifyWithAvk(session, resp,
-                                 crypto::RsaPublicContext(*hit));
-        }
-        ++counters.certCacheMisses;
+    if (const crypto::RsaPublicKey *hit = certCache.find(digest)) {
+        ++counters.certCacheHits;
+        return verifyWithAvk(session, resp, crypto::RsaPublicContext(*hit));
     }
+    ++counters.certCacheMisses;
     auto avk = checkCertificate(resp.certificate, cfg.pcaId, pca);
     if (!avk)
         return R::error(avk.errorMessage());
-    if (cfg.enableVerificationCaches) {
-        certCache.insert(digest, avk.value());
-        journalCert(digest, avk.value());
-    }
+    certCache.insert(digest, avk.value());
+    log.append(JournalType::CertInsert,
+               CertRecord{digest, avk.value().encode()});
     // 2-4. Session signature, quote and nonce binding.
     return verifyWithAvk(session, resp, crypto::RsaPublicContext(avk.value()));
 }
@@ -502,7 +479,10 @@ AttestationServer::applyVerified(const Session &session,
             report.results.push_back(std::move(pr));
         }
         events.scheduleAfter(cfg.timing.interpretation,
-                             [this, session, report]() mutable {
+                             [this, session, report,
+                              eraNow = log.era()]() mutable {
+            if (log.stale(eraNow))
+                return;
             report.issuedAt = events.now();
             issueReport(session, std::move(report));
         }, "as.report");
@@ -523,8 +503,10 @@ AttestationServer::applyVerified(const Session &session,
     measurementArchive[session.forward.vid] = m;
 
     events.scheduleAfter(cfg.timing.interpretation,
-                         [this, session, m, previous,
-                          havePrevious]() mutable {
+                         [this, session, m, previous, havePrevious,
+                          eraNow = log.era()]() mutable {
+        if (log.stale(eraNow))
+            return;
         InterpretationContext ctx;
         if (havePrevious)
             ctx.previous = &previous;
@@ -601,7 +583,7 @@ AttestationServer::issueReport(const Session &session,
                                                    : session.controller,
                         proto::packMessage(MessageKind::ReportToController,
                                            body));
-    commitJournal();
+    log.commit(events.now());
 }
 
 void
@@ -611,10 +593,11 @@ AttestationServer::crash()
         return;
     MONATT_LOG(Info, "as") << cfg.id << ": crash";
     endpoint.detach();
-    for (auto &[id, s] : sessions) {
-        if (s.retryTimer != 0)
-            events.cancel(s.retryTimer);
-    }
+    // Fences every deferred callback; the un-fsynced journal tail is
+    // the page cache: lost.
+    log.crash();
+    for (auto &[id, s] : sessions)
+        events.cancel(s.retryTimer);
     // Volatile state dies: in-flight sessions, periodic tasks,
     // archives and dedup caches. The oat reference databases
     // (serverRefs, vmRefs, knownGoodImages) are on disk and survive.
@@ -624,10 +607,7 @@ AttestationServer::crash()
     certCache.clear();
     forwardInFlight.clear();
     reportCache.clear();
-    reportOrder.clear();
     serverRtt.clear();
-    // The un-fsynced journal tail is the page cache: lost.
-    store.crash();
 }
 
 void
@@ -637,67 +617,24 @@ AttestationServer::restart()
         return;
     MONATT_LOG(Info, "as") << cfg.id << ": restart";
     endpoint.attach();
-    if (cfg.durable)
-        recover();
+    // Lost dedup-cache entries only cost idempotency (a retransmitted
+    // forward re-verifies instead of re-serving), never correctness.
+    log.recover();
 }
 
 // --- Durability: WAL + recovery ---------------------------------------
 
-void
-AttestationServer::journalReport(std::uint64_t requestId,
-                                 const Bytes &encoded)
-{
-    if (cfg.durable && !replaying)
-        store.append(static_cast<std::uint16_t>(JournalType::ReportRemember),
-                     proto::encode(ReportRecord{requestId, encoded}));
-}
-
-void
-AttestationServer::journalCert(const Bytes &digest,
-                               const crypto::RsaPublicKey &avk)
-{
-    if (cfg.durable && !replaying)
-        store.append(static_cast<std::uint16_t>(JournalType::CertInsert),
-                     proto::encode(CertRecord{digest, avk.encode()}));
-}
-
-void
-AttestationServer::commitJournal()
-{
-    if (!cfg.durable || replaying)
-        return;
-    if (store.pendingRecords() > 0)
-        store.sync();
-    if (ckptPolicy.shouldCheckpoint(store, events.now())) {
-        store.checkpoint(snapshotState());
-        ckptPolicy.noteCheckpoint();
-    }
-}
-
-Bytes
+proto::Snapshot
 AttestationServer::snapshotState() const
 {
     proto::Snapshot snap;
     // Both caches in FIFO order so eviction replays identically.
-    for (std::uint64_t requestId : reportOrder)
-        snap.add(static_cast<std::uint16_t>(JournalType::ReportRemember),
-                 ReportRecord{requestId, reportCache.at(requestId)});
-    for (const Bytes &digest : certCache.insertionOrder()) {
-        const crypto::RsaPublicKey *avk = certCache.peek(digest);
-        snap.add(static_cast<std::uint16_t>(JournalType::CertInsert),
-                 CertRecord{digest, avk ? avk->encode() : Bytes{}});
-    }
-    return proto::encode(snap);
-}
-
-void
-AttestationServer::applySnapshot(const Bytes &snapshot)
-{
-    auto image = proto::decode<proto::Snapshot>(snapshot);
-    if (!image)
-        return;
-    for (proto::ReplicatedRecord &rec : image.value().records)
-        applyJournalRecord({rec.lsn, rec.type, std::move(rec.payload)});
+    for (const auto &[requestId, encoded] : reportCache)
+        snap.add(JournalType::ReportRemember,
+                 ReportRecord{requestId, encoded});
+    for (const auto &[digest, avk] : certCache)
+        snap.add(JournalType::CertInsert, CertRecord{digest, avk.encode()});
+    return snap;
 }
 
 void
@@ -713,43 +650,10 @@ AttestationServer::applyJournalRecord(const sim::JournalRecord &rec)
         if (auto r = proto::decode<CertRecord>(rec.payload)) {
             auto avk = crypto::RsaPublicKey::decode(r.value().avk);
             if (avk)
-                certCache.insert(std::move(r.value().digest), avk.take());
+                certCache.insert(r.value().digest, avk.take());
         }
         break;
     }
-}
-
-void
-AttestationServer::recover()
-{
-    ++counters.recoveries;
-    replaying = true;
-    auto image = store.replay();
-    if (!image.clean) {
-        // Replay healed a torn/rotted image down to its verified
-        // prefix. Lost dedup-cache entries only cost idempotency (a
-        // retransmitted forward re-verifies instead of re-serving),
-        // never correctness.
-        ++counters.corruptRecoveries;
-        MONATT_LOG(Info, "as")
-            << cfg.id << ": replay quarantined "
-            << image.quarantinedRecords << " and truncated "
-            << image.truncatedRecords << " corrupt journal records"
-            << (image.snapshotQuarantined ? " (snapshot seal failed)"
-                                          : "");
-    }
-    if (image.hasSnapshot)
-        applySnapshot(image.snapshot);
-    for (const sim::JournalRecord &rec : image.records)
-        applyJournalRecord(rec);
-    replaying = false;
-    // Recovery doubles as a checkpoint.
-    store.checkpoint(snapshotState());
-    ckptPolicy.noteCheckpoint();
-    MONATT_LOG(Info, "as")
-        << cfg.id << ": recovered " << reportCache.size()
-        << " cached reports, " << certCache.size()
-        << " verified chains";
 }
 
 } // namespace monatt::attestation

@@ -27,20 +27,18 @@
 #define MONATT_ATTESTATION_ATTESTATION_SERVER_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 
-#include "attestation/cert_cache.h"
 #include "attestation/interpreters.h"
+#include "common/fifo_map.h"
 #include "net/secure_endpoint.h"
+#include "proto/durable_log.h"
 #include "proto/messages.h"
 #include "proto/timing_model.h"
-#include "sim/checkpoint_policy.h"
 #include "sim/event_queue.h"
-#include "sim/stable_store.h"
 
 namespace monatt::attestation
 {
@@ -67,15 +65,6 @@ struct AttestationServerConfig
     /** Bounds for randomized periodic attestation intervals. */
     SimTime randomPeriodMin = seconds(5);
     SimTime randomPeriodMax = seconds(60);
-
-    /**
-     * Memoize successful pCA certificate verifications by certificate
-     * digest, so a reused AVK session is chain-checked once instead of
-     * once per MeasureResponse. Cache hits are byte-identical
-     * decisions to cold verification; failures are never cached.
-     */
-    bool enableVerificationCaches = true;
-    std::size_t certCacheCapacity = 256;
 
     /** Receive-side AttestForward dedup cache bound (FIFO eviction). */
     std::size_t reportCacheCapacity = 128;
@@ -204,10 +193,22 @@ class AttestationServer
     /** Number of active periodic attestation tasks. */
     std::size_t activePeriodicTasks() const;
 
-    const AttestationServerStats &stats() const { return counters; }
+    AttestationServerStats stats() const
+    {
+        AttestationServerStats s = counters;
+        s.recoveries = log.recoveries();
+        s.corruptRecoveries = log.corruptRecoveries();
+        return s;
+    }
 
-    /** The certificate verification cache (bench/test introspection). */
-    const CertVerificationCache &certificateCache() const
+    /**
+     * Successful pCA certificate-chain checks, memoized by certificate
+     * digest: a reused AVK session is chain-checked once instead of
+     * once per MeasureResponse. A hit is the same decision as cold
+     * verification; failures are never cached, and a tampered
+     * certificate changes the digest and takes the cold path.
+     */
+    const FifoMap<Bytes, crypto::RsaPublicKey> &certificateCache() const
     {
         return certCache;
     }
@@ -227,13 +228,13 @@ class AttestationServer
     bool isUp() const { return endpoint.attached(); }
 
     /** The appraiser's durable store (journal + checkpoints). */
-    const sim::StableStore &stableStore() const { return store; }
+    const sim::StableStore &stableStore() const { return log.store(); }
 
     /** Install the disk-failure model on the store (nullptr = clean
      * disk). Wired by core::Cloud when a fault plan is installed. */
     void setStorageFaults(const sim::StorageFaultModel *model)
     {
-        store.setFaultModel(model);
+        log.store().setFaultModel(model);
     }
 
     /** Dedup-cache introspection (bounds/eviction tests). */
@@ -242,7 +243,10 @@ class AttestationServer
     /** Cached report request ids in FIFO eviction order. */
     std::vector<std::uint64_t> reportCacheRequestIds() const
     {
-        return {reportOrder.begin(), reportOrder.end()};
+        std::vector<std::uint64_t> ids;
+        for (const auto &[requestId, encoded] : reportCache)
+            ids.push_back(requestId);
+        return ids;
     }
 
     /** Wire codec this node emits (mixed-version tests flip it at
@@ -333,7 +337,8 @@ class AttestationServer
     net::SecureEndpoint endpoint;
     InterpreterRegistry registry;
     Rng rng;
-    CertVerificationCache certCache;
+    static constexpr std::size_t kCertCacheCapacity = 256;
+    FifoMap<Bytes, crypto::RsaPublicKey> certCache;
     std::optional<crypto::RsaPublicContext> pcaCtx;
 
     std::map<std::string, ServerReference> serverRefs;
@@ -350,8 +355,7 @@ class AttestationServer
      * cached signed report — never by double-signing. Bounded FIFO.
      */
     std::set<std::uint64_t> forwardInFlight;
-    std::map<std::uint64_t, Bytes> reportCache;
-    std::deque<std::uint64_t> reportOrder;
+    FifoMap<std::uint64_t, Bytes> reportCache;
 
     // --- Durability (write-ahead journal) ------------------------------
 
@@ -362,19 +366,13 @@ class AttestationServer
         CertInsert = 2,     //!< CertRecord.
     };
 
-    void journalReport(std::uint64_t requestId, const Bytes &encoded);
-    void journalCert(const Bytes &digest, const crypto::RsaPublicKey &avk);
-    /** fsync + checkpoint policy; end of every mutating event. */
-    void commitJournal();
     /** Checkpoint snapshot: the records that rebuild the caches. */
-    Bytes snapshotState() const;
-    void applySnapshot(const Bytes &snapshot);
+    proto::Snapshot snapshotState() const;
     void applyJournalRecord(const sim::JournalRecord &rec);
-    void recover();
 
-    sim::StableStore store;
-    sim::CheckpointPolicy ckptPolicy;
-    bool replaying = false; //!< recover() in progress: journal muted.
+    /** Journal, checkpoints and the crash era every deferred callback
+     * checks, so a crashed AS never signs, sends or syncs again. */
+    proto::DurableLog log;
 
     /** Per-server RTT estimators feeding the adaptive measureRto. */
     std::map<std::string, proto::RttEstimator> serverRtt;

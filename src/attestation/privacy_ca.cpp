@@ -8,38 +8,16 @@ namespace monatt::attestation
 
 using proto::MessageKind;
 
-namespace
-{
-
-Bytes
-endpointSeed(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("pca-endpoint:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    return material;
-}
-
-crypto::RsaKeyPair
-identityKeys(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("pca-identity:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    crypto::HmacDrbg drbg(material);
-    Rng rng = drbg.forkRng();
-    return crypto::rsaGenerateKeyPair(512, rng);
-}
-
-} // namespace
-
 PrivacyCa::PrivacyCa(sim::EventQueue &eq, net::Network &network,
                      net::KeyDirectory &directory, std::string id,
                      proto::TimingModel timingModel, std::uint64_t seed)
-    : events(eq), self(std::move(id)), keys(identityKeys(self, seed)),
+    : events(eq), self(std::move(id)),
+      keys(crypto::deriveKeyPair("pca-identity", self, seed, 512)),
       signCtx(keys.priv), dir(directory), timing(timingModel),
-      endpoint(network, self, keys, directory, endpointSeed(self, seed)),
-      store(self)
+      endpoint(network, self, keys, directory,
+               crypto::seedMaterial("pca-endpoint", self, seed)),
+      log(self, true, {}, [this] { return snapshotState(); },
+          [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); })
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -59,11 +37,10 @@ PrivacyCa::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     // Idempotent issuance: answer a retransmission with the cached
     // response; swallow duplicates of a request still being processed.
     const CertKey key{from, reqR.value().sessionLabel};
-    const auto cached = issuedCache.find(key);
-    if (cached != issuedCache.end()) {
+    if (const Bytes *cached = issuedCache.find(key)) {
         endpoint.sendSecure(from,
                             proto::packMessage(MessageKind::CertResponse,
-                                               cached->second));
+                                               *cached));
         return;
     }
     if (!inFlight.insert(key).second)
@@ -71,8 +48,9 @@ PrivacyCa::handleMessage(const net::NodeId &from, const Bytes &plaintext)
 
     // Model the per-request processing delay, then issue.
     events.scheduleAfter(timing.pcaProcessing,
-                         [this, req = reqR.take(), from, eraNow = era] {
-        if (eraNow == era)
+                         [this, req = reqR.take(), from,
+                          eraNow = log.era()] {
+        if (!log.stale(eraNow))
             issue(req, from);
     }, "pca.issue");
 }
@@ -114,64 +92,32 @@ PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
     const CertKey key{from, req.sessionLabel};
     inFlight.erase(key);
     const Bytes body = proto::encode(resp, wire_);
-    if (issuedCache.emplace(key, body).second) {
-        if (durable && !replaying) {
-            store.append(static_cast<std::uint16_t>(JournalType::CertIssued),
-                         proto::encode(IssuedRecord{serial, rejections,
-                                                    key.first, key.second,
-                                                    body}));
-        }
-        issuedOrder.push_back(key);
-        while (issuedOrder.size() > issuedCacheCapacity) {
-            issuedCache.erase(issuedOrder.front());
-            issuedOrder.pop_front();
-        }
-    }
+    if (issuedCache.insert(key, body))
+        log.append(JournalType::CertIssued,
+                   IssuedRecord{serial, rejections, key.first, key.second,
+                                body});
     endpoint.sendSecure(from,
                         proto::packMessage(MessageKind::CertResponse, body));
-    commitJournal();
+    log.commit(events.now());
 }
 
 // --- Durability: WAL + recovery ---------------------------------------
 
-void
-PrivacyCa::commitJournal()
-{
-    if (!durable || replaying)
-        return;
-    if (store.pendingRecords() > 0)
-        store.sync();
-    if (ckptPolicy.shouldCheckpoint(store, events.now())) {
-        store.checkpoint(snapshotState());
-        ckptPolicy.noteCheckpoint();
-    }
-}
-
-Bytes
+proto::Snapshot
 PrivacyCa::snapshotState() const
 {
     // The counters lead on their own: a cache shrunk to nothing must
     // still never hand out a serial twice after recovery.
-    const auto type = static_cast<std::uint16_t>(JournalType::CertIssued);
+    const JournalType type = JournalType::CertIssued;
     IssuedRecord counters;
     counters.serial = serial;
     counters.rejections = rejections;
     proto::Snapshot snap;
     snap.add(type, counters);
-    for (const CertKey &key : issuedOrder)
+    for (const auto &[key, encoded] : issuedCache)
         snap.add(type, IssuedRecord{serial, rejections, key.first,
-                                    key.second, issuedCache.at(key)});
-    return proto::encode(snap);
-}
-
-void
-PrivacyCa::applySnapshot(const Bytes &snapshot)
-{
-    auto image = proto::decode<proto::Snapshot>(snapshot);
-    if (!image)
-        return;
-    for (proto::ReplicatedRecord &rec : image.value().records)
-        applyJournalRecord({rec.lsn, rec.type, std::move(rec.payload)});
+                                    key.second, encoded});
+    return snap;
 }
 
 void
@@ -187,44 +133,8 @@ PrivacyCa::applyJournalRecord(const sim::JournalRecord &rec)
     rejections = issued.rejections;
     if (issued.requester.empty())
         return;
-    const CertKey key{std::move(issued.requester), std::move(issued.label)};
-    if (issuedCache.emplace(key, std::move(issued.encoded)).second) {
-        issuedOrder.push_back(key);
-        while (issuedOrder.size() > issuedCacheCapacity) {
-            issuedCache.erase(issuedOrder.front());
-            issuedOrder.pop_front();
-        }
-    }
-}
-
-void
-PrivacyCa::recover()
-{
-    replaying = true;
-    auto image = store.replay();
-    if (!image.clean) {
-        // Healed replay: issuances in the dropped suffix are gone
-        // from the dedup cache, so their retransmissions mint fresh
-        // certificates instead of being answered from cache.
-        ++corruptRecoveries_;
-        MONATT_LOG(Info, "pca")
-            << self << ": replay quarantined "
-            << image.quarantinedRecords << " and truncated "
-            << image.truncatedRecords << " corrupt journal records"
-            << (image.snapshotQuarantined ? " (snapshot seal failed)"
-                                          : "");
-    }
-    if (image.hasSnapshot)
-        applySnapshot(image.snapshot);
-    for (const sim::JournalRecord &rec : image.records)
-        applyJournalRecord(rec);
-    replaying = false;
-    // Recovery doubles as a checkpoint.
-    store.checkpoint(snapshotState());
-    ckptPolicy.noteCheckpoint();
-    MONATT_LOG(Info, "pca")
-        << self << ": recovered serial " << serial << ", "
-        << issuedCache.size() << " cached responses";
+    issuedCache.insert({std::move(issued.requester), std::move(issued.label)},
+                       std::move(issued.encoded));
 }
 
 void
@@ -233,15 +143,14 @@ PrivacyCa::crash()
     if (!endpoint.attached())
         return;
     MONATT_LOG(Info, "pca") << self << ": crash";
-    ++era;
     endpoint.detach();
+    // Fences pending issuances; the un-fsynced journal tail is the
+    // page cache: lost.
+    log.crash();
     inFlight.clear();
     issuedCache.clear();
-    issuedOrder.clear();
     serial = 0;
     rejections = 0;
-    // The un-fsynced journal tail is the page cache: lost.
-    store.crash();
 }
 
 void
@@ -251,8 +160,9 @@ PrivacyCa::restart()
         return;
     MONATT_LOG(Info, "pca") << self << ": restart";
     endpoint.attach();
-    if (durable)
-        recover();
+    // A healed replay drops issuances from the dedup cache, so their
+    // retransmissions mint fresh certificates instead.
+    log.recover();
 }
 
 } // namespace monatt::attestation

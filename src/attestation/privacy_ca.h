@@ -19,19 +19,17 @@
 #define MONATT_ATTESTATION_PRIVACY_CA_H
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fifo_map.h"
 #include "net/secure_endpoint.h"
+#include "proto/durable_log.h"
 #include "proto/messages.h"
 #include "proto/timing_model.h"
-#include "sim/checkpoint_policy.h"
 #include "sim/event_queue.h"
-#include "sim/stable_store.h"
 
 namespace monatt::attestation
 {
@@ -99,29 +97,32 @@ class PrivacyCa
     /** Durable issuance state: journal issued certificates so a
      * restarted pCA answers retransmissions idempotently and never
      * reuses a serial number. On by default. */
-    void setDurable(bool on) { durable = on; }
+    void setDurable(bool on) { log.setEnabled(on); }
 
     /** Issued-certificate dedup cache bound (FIFO eviction). */
     void setIssuedCacheCapacity(std::size_t capacity)
     {
-        issuedCacheCapacity = capacity;
+        issuedCache = FifoMap<CertKey, Bytes>(capacity);
     }
 
     /** Journal-compaction triggers (count / size / age). */
     void setCheckpointPolicy(sim::CheckpointPolicyConfig config)
     {
-        ckptPolicy = sim::CheckpointPolicy(config);
+        log.setPolicy(config);
     }
 
     /** Install the disk-failure model on the store (nullptr = clean
      * disk). Wired by core::Cloud when a fault plan is installed. */
     void setStorageFaults(const sim::StorageFaultModel *model)
     {
-        store.setFaultModel(model);
+        log.store().setFaultModel(model);
     }
 
     /** Recoveries that had to heal a torn/rotted durable image. */
-    std::uint64_t corruptRecoveries() const { return corruptRecoveries_; }
+    std::uint64_t corruptRecoveries() const
+    {
+        return log.corruptRecoveries();
+    }
 
     /** Dedup-cache introspection (bounds/eviction tests). */
     std::size_t issuedCacheSize() const { return issuedCache.size(); }
@@ -130,14 +131,13 @@ class PrivacyCa
     std::vector<std::string> issuedCacheLabels() const
     {
         std::vector<std::string> labels;
-        labels.reserve(issuedOrder.size());
-        for (const CertKey &key : issuedOrder)
+        for (const auto &[key, encoded] : issuedCache)
             labels.push_back(key.second);
         return labels;
     }
 
     /** The pCA's durable store (journal + checkpoints). */
-    const sim::StableStore &stableStore() const { return store; }
+    const sim::StableStore &stableStore() const { return log.store(); }
 
     /** Schema version this node emits (DESIGN.md §17). */
     const proto::WireContext &wireContext() const { return wire_; }
@@ -171,10 +171,8 @@ class PrivacyCa
      * first copy is still inside the processing delay.
      */
     using CertKey = std::pair<net::NodeId, std::string>;
-    std::map<CertKey, Bytes> issuedCache;
-    std::deque<CertKey> issuedOrder;
+    FifoMap<CertKey, Bytes> issuedCache{128};
     std::set<CertKey> inFlight;
-    std::size_t issuedCacheCapacity = 128;
 
     // --- Durability (write-ahead journal) ------------------------------
 
@@ -184,21 +182,13 @@ class PrivacyCa
         CertIssued = 1, //!< IssuedRecord.
     };
 
-    /** fsync + checkpoint policy; end of every mutating event. */
-    void commitJournal();
     /** Checkpoint snapshot: a counters record, then the cache. */
-    Bytes snapshotState() const;
-    void applySnapshot(const Bytes &snapshot);
+    proto::Snapshot snapshotState() const;
     void applyJournalRecord(const sim::JournalRecord &rec);
-    void recover();
 
-    sim::StableStore store;
-    sim::CheckpointPolicy ckptPolicy;
-    bool durable = true;
-    bool replaying = false;  //!< recover() in progress: journal muted.
-    std::uint64_t corruptRecoveries_ = 0;
-    /** Crash epoch; stale pre-crash callbacks bail (see controller). */
-    std::uint64_t era = 0;
+    /** Journal, checkpoints and the crash era that fences pending
+     * issuances. */
+    proto::DurableLog log;
 };
 
 } // namespace monatt::attestation

@@ -15,31 +15,6 @@ using proto::MessageKind;
 using proto::ReportToController;
 using proto::ReportToCustomer;
 
-namespace
-{
-
-Bytes
-endpointSeed(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("cc-endpoint:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    return material;
-}
-
-crypto::RsaKeyPair
-identityKeys(const std::string &id, std::uint64_t seed, std::size_t bits)
-{
-    Bytes material = toBytes("cc-identity:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    crypto::HmacDrbg drbg(material);
-    Rng rng = drbg.forkRng();
-    return crypto::rsaGenerateKeyPair(bits, rng);
-}
-
-} // namespace
-
 std::string
 responsePolicyName(ResponsePolicy p)
 {
@@ -62,11 +37,15 @@ CloudController::CloudController(sim::EventQueue &eq,
                                  CloudControllerConfig config,
                                  std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      keys(identityKeys(cfg.id, seed, cfg.identityKeyBits)),
+      keys(crypto::deriveKeyPair("cc-identity", cfg.id, seed,
+                                 cfg.identityKeyBits)),
       signCtx(keys.priv), dir(directory),
       endpoint(network, cfg.id, keys, directory,
-               endpointSeed(cfg.id, seed)),
-      rng(seed ^ 0xcc), store(cfg.id), ckptPolicy(cfg.checkpointPolicy),
+               crypto::seedMaterial("cc-endpoint", cfg.id, seed)),
+      rng(seed ^ 0xcc), relayCache(cfg.relayCacheCapacity),
+      log(cfg.id, cfg.durable, cfg.checkpointPolicy,
+          [this] { return snapshotState(); },
+          [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); }),
       election(cfg.id,
                cfg.groupIds.empty() ? std::vector<std::string>{cfg.id}
                                     : cfg.groupIds,
@@ -307,8 +286,8 @@ CloudController::runSchedulingStage(const std::string &vid)
         cfg.timing.schedulingPerServer *
             static_cast<SimTime>(db.serverIds().size());
 
-    events.scheduleAfter(cost, [this, vid, eraNow = era] {
-        if (eraNow != era)
+    events.scheduleAfter(cost, [this, vid, eraNow = log.era()] {
+        if (log.stale(eraNow))
             return;
         VmRecord *rec = db.vm(vid);
         auto launchIt = launches.find(vid);
@@ -337,7 +316,7 @@ CloudController::runSchedulingStage(const std::string &vid)
         commitJournal();
         events.scheduleAfter(cfg.timing.networking,
                              [this, vid, eraNow] {
-            if (eraNow != era)
+            if (log.stale(eraNow))
                 return;
             VmRecord *rec = db.vm(vid);
             if (!rec)
@@ -348,7 +327,7 @@ CloudController::runSchedulingStage(const std::string &vid)
             commitJournal();
             events.scheduleAfter(cfg.timing.mappingTime(rec->diskGb),
                                  [this, vid, eraNow] {
-                                     if (eraNow != era)
+                                     if (log.stale(eraNow))
                                          return;
                                      startSpawn(vid);
                                  });
@@ -499,8 +478,8 @@ CloudController::scheduleForwardRetry(std::uint64_t attestId)
     const SimTime delay = cfg.reliability.backoff(rto, ctx.retries);
     ctx.retryTimer = events.scheduleAfter(
         delay,
-        [this, attestId, eraNow = era] {
-            if (eraNow != era)
+        [this, attestId, eraNow = log.era()] {
+            if (log.stale(eraNow))
                 return;
             forwardRetryFired(attestId);
             commitJournal();
@@ -650,15 +629,9 @@ void
 CloudController::rememberRelay(const CustomerKey &key, Bytes packed)
 {
     customerInFlight.erase(key);
-    const auto [it, inserted] = relayCache.emplace(key, std::move(packed));
-    if (inserted) {
-        journalRelay(key, it->second);
-        relayOrder.push_back(key);
-        while (relayOrder.size() > cfg.relayCacheCapacity) {
-            relayCache.erase(relayOrder.front());
-            relayOrder.pop_front();
-        }
-    }
+    if (const Bytes *stored = relayCache.insert(key, std::move(packed)))
+        log.append(JournalType::RelayRemember,
+                   RelayRecord{key.first, key.second, *stored});
 }
 
 void
@@ -678,10 +651,9 @@ CloudController::onAttestRequest(const net::NodeId &from,
         ++counters.duplicateAttestRequests;
         return;
     }
-    const auto cached = relayCache.find(key);
-    if (cached != relayCache.end()) {
+    if (const Bytes *cached = relayCache.find(key)) {
         ++counters.duplicateAttestRequests;
-        sendExternal(from, Bytes(cached->second));
+        sendExternal(from, Bytes(*cached));
         return;
     }
 
@@ -701,8 +673,8 @@ CloudController::onAttestRequest(const net::NodeId &from,
     if (req.mode != AttestMode::StopPeriodic)
         customerInFlight.insert(key);
     events.scheduleAfter(serviceDelay(cfg.timing.controllerProcessing),
-                         [this, req, from, key, eraNow = era] {
-        if (eraNow != era)
+                         [this, req, from, key, eraNow = log.era()] {
+        if (log.stale(eraNow))
             return;
         const VmRecord *rec = db.vm(req.vid);
         if (!rec) {
@@ -793,8 +765,8 @@ CloudController::onReportToController(const net::NodeId &from,
     }
 
     events.scheduleAfter(serviceDelay(cfg.timing.controllerProcessing),
-                         [this, ctx, msg, eraNow = era] {
-        if (eraNow != era)
+                         [this, ctx, msg, eraNow = log.era()] {
+        if (log.stale(eraNow))
             return;
         if (ctx.kind == AttestKind::StartupLaunch)
             handleStartupReport(ctx, msg);
@@ -1172,8 +1144,8 @@ CloudController::scheduleSuspendRecheck(const std::string &vid,
     if (cfg.suspendRecheckPeriod <= 0)
         return;
     events.scheduleAfter(cfg.suspendRecheckPeriod,
-                         [this, vid, logIndex, eraNow = era] {
-        if (eraNow != era)
+                         [this, vid, logIndex, eraNow = log.era()] {
+        if (log.stale(eraNow))
             return;
         VmRecord *rec = db.vm(vid);
         if (!rec || rec->status != VmStatus::Suspended ||
@@ -1226,35 +1198,26 @@ CloudController::handleRecheckReport(const AttestContext &ctx,
 
 // --- Durability: WAL helpers ------------------------------------------
 
-template <typename R>
-void
-CloudController::journal(JournalType type, const R &record)
-{
-    if (!cfg.durable || replaying)
-        return;
-    store.append(static_cast<std::uint16_t>(type), proto::encode(record));
-}
-
 void
 CloudController::journalMeta()
 {
-    journal(JournalType::Meta, MetaRecord{nextVmNumber, nextAttestId});
+    log.append(JournalType::Meta, MetaRecord{nextVmNumber, nextAttestId});
 }
 
 void
 CloudController::journalVm(const std::string &vid)
 {
     if (const VmRecord *rec = db.vm(vid))
-        journal(JournalType::VmUpsert, *rec);
+        log.append(JournalType::VmUpsert, *rec);
     else
-        journal(JournalType::VmRemove, VidRecord{vid});
+        log.append(JournalType::VmRemove, VidRecord{vid});
 }
 
 void
 CloudController::journalServer(const std::string &serverId)
 {
     if (const ServerRecord *rec = db.server(serverId))
-        journal(JournalType::ServerUpsert, *rec);
+        log.append(JournalType::ServerUpsert, *rec);
 }
 
 void
@@ -1262,7 +1225,7 @@ CloudController::journalPolicy(const std::string &vid)
 {
     const auto it = policies.find(vid);
     if (it != policies.end())
-        journal(JournalType::PolicySet, PolicyRecord{vid, it->second});
+        log.append(JournalType::PolicySet, PolicyRecord{vid, it->second});
 }
 
 void
@@ -1270,9 +1233,9 @@ CloudController::journalLaunch(const std::string &vid)
 {
     const auto it = launches.find(vid);
     if (it != launches.end())
-        journal(JournalType::LaunchUpsert, it->second);
+        log.append(JournalType::LaunchUpsert, it->second);
     else
-        journal(JournalType::LaunchRemove, VidRecord{vid});
+        log.append(JournalType::LaunchRemove, VidRecord{vid});
 }
 
 void
@@ -1280,17 +1243,18 @@ CloudController::journalAttest(std::uint64_t attestId)
 {
     const auto it = attests.find(attestId);
     if (it != attests.end())
-        journal(JournalType::AttestUpsert, AttestRecord{attestId, it->second});
+        log.append(JournalType::AttestUpsert,
+                   AttestRecord{attestId, it->second});
     else
-        journal(JournalType::AttestRemove, AttestIdRecord{attestId});
+        log.append(JournalType::AttestRemove, AttestIdRecord{attestId});
 }
 
 void
 CloudController::journalResponse(std::size_t index)
 {
     if (index < responses.size())
-        journal(JournalType::ResponseUpsert,
-                ResponseLogRecord{index, responses[index]});
+        log.append(JournalType::ResponseUpsert,
+                   ResponseLogRecord{index, responses[index]});
 }
 
 void
@@ -1298,21 +1262,14 @@ CloudController::journalAsHealth(const std::string &attestorId)
 {
     const auto it = asHealth.find(attestorId);
     const AsHealth health = it == asHealth.end() ? AsHealth{} : it->second;
-    journal(JournalType::AsHealthSet,
-            AsHealthRecord{attestorId, health.strikes, health.suspect});
-}
-
-void
-CloudController::journalRelay(const CustomerKey &key, const Bytes &packed)
-{
-    journal(JournalType::RelayRemember,
-            RelayRecord{key.first, key.second, packed});
+    log.append(JournalType::AsHealthSet,
+               AsHealthRecord{attestorId, health.strikes, health.suspect});
 }
 
 void
 CloudController::commitJournal()
 {
-    if (replaying)
+    if (log.replaying())
         return;
     if (replicated() && election.role() != ReplicaRole::Leader) {
         // Followers sync their mirror inside onReplicateEntries and
@@ -1323,16 +1280,14 @@ CloudController::commitJournal()
         stagedSends.clear();
         return;
     }
-    if (!cfg.durable)
+    if (!log.enabled())
         return;
-    if (store.pendingRecords() > 0) {
-        store.sync();
+    if (log.sync())
         mirrorRound = election.round();
-    }
     // Everything staged by this handler is gated on the journal
     // records it just made durable: release only once that LSN is
     // majority-replicated. Unreplicated groups commit immediately.
-    const std::uint64_t gateLsn = store.lastDurableLsn();
+    const std::uint64_t gateLsn = log.store().lastDurableLsn();
     for (StagedSend &s : stagedSends)
         outputGate.push_back({gateLsn, std::move(s.peer),
                               std::move(s.packed)});
@@ -1341,54 +1296,39 @@ CloudController::commitJournal()
     // records; a checkpoint here would force a snapshot install.
     if (replicated())
         replicateToFollowers();
-    if (ckptPolicy.shouldCheckpoint(store, events.now())) {
-        store.checkpoint(snapshotState());
-        ckptPolicy.noteCheckpoint();
-    }
+    log.checkpointIfDue(events.now());
     if (replicated())
         advanceCommit();
 }
 
 // --- Durability: snapshot + replay ------------------------------------
 
-Bytes
+proto::Snapshot
 CloudController::snapshotState() const
 {
     proto::Snapshot snap;
-    const auto add = [&snap](JournalType type, const auto &record) {
-        snap.add(static_cast<std::uint16_t>(type), record);
-    };
-    add(JournalType::Meta, MetaRecord{nextVmNumber, nextAttestId});
+    snap.add(JournalType::Meta, MetaRecord{nextVmNumber, nextAttestId});
     for (const std::string &vid : db.vmIds())
-        add(JournalType::VmUpsert, *db.vm(vid));
+        snap.add(JournalType::VmUpsert, *db.vm(vid));
     for (const std::string &id : db.serverIds())
-        add(JournalType::ServerUpsert, *db.server(id));
+        snap.add(JournalType::ServerUpsert, *db.server(id));
     for (const auto &[vid, policy] : policies)
-        add(JournalType::PolicySet, PolicyRecord{vid, policy});
+        snap.add(JournalType::PolicySet, PolicyRecord{vid, policy});
     for (const auto &[vid, launch] : launches)
-        add(JournalType::LaunchUpsert, launch);
+        snap.add(JournalType::LaunchUpsert, launch);
     for (const auto &[attestId, ctx] : attests)
-        add(JournalType::AttestUpsert, AttestRecord{attestId, ctx});
+        snap.add(JournalType::AttestUpsert, AttestRecord{attestId, ctx});
     for (std::size_t i = 0; i < responses.size(); ++i)
-        add(JournalType::ResponseUpsert, ResponseLogRecord{i, responses[i]});
+        snap.add(JournalType::ResponseUpsert,
+                 ResponseLogRecord{i, responses[i]});
     for (const auto &[id, health] : asHealth)
-        add(JournalType::AsHealthSet,
-            AsHealthRecord{id, health.strikes, health.suspect});
+        snap.add(JournalType::AsHealthSet,
+                 AsHealthRecord{id, health.strikes, health.suspect});
     // Relay cache in FIFO order so replay reproduces eviction order.
-    for (const CustomerKey &key : relayOrder)
-        add(JournalType::RelayRemember,
-            RelayRecord{key.first, key.second, relayCache.at(key)});
-    return proto::encode(snap);
-}
-
-void
-CloudController::applySnapshot(const Bytes &snapshot)
-{
-    auto image = proto::decode<proto::Snapshot>(snapshot);
-    if (!image)
-        return;
-    for (proto::ReplicatedRecord &rec : image.value().records)
-        applyJournalRecord({rec.lsn, rec.type, std::move(rec.payload)});
+    for (const auto &[key, packed] : relayCache)
+        snap.add(JournalType::RelayRemember,
+                 RelayRecord{key.first, key.second, packed});
+    return snap;
 }
 
 void
@@ -1449,17 +1389,9 @@ CloudController::applyJournalRecord(const sim::JournalRecord &rec)
                 AsHealth{r.value().strikes, r.value().suspect};
         break;
       case JournalType::RelayRemember:
-        if (auto r = proto::decode<RelayRecord>(rec.payload)) {
-            const CustomerKey key{r.value().customer, r.value().requestId};
-            if (relayCache.emplace(key, std::move(r.value().packed))
-                    .second) {
-                relayOrder.push_back(key);
-                while (relayOrder.size() > cfg.relayCacheCapacity) {
-                    relayCache.erase(relayOrder.front());
-                    relayOrder.pop_front();
-                }
-            }
-        }
+        if (auto r = proto::decode<RelayRecord>(rec.payload))
+            relayCache.insert({r.value().customer, r.value().requestId},
+                              std::move(r.value().packed));
         break;
     }
 }
@@ -1472,34 +1404,25 @@ CloudController::crash()
     if (!endpoint.attached())
         return;
     MONATT_LOG(Info, "cc") << cfg.id << ": crash";
-    ++era;
     endpoint.detach();
-    for (auto &[attestId, ctx] : attests) {
-        if (ctx.retryTimer != 0)
-            events.cancel(ctx.retryTimer);
-    }
-    if (heartbeatTimer != 0) {
-        events.cancel(heartbeatTimer);
-        heartbeatTimer = 0;
-    }
-    if (electionTimer != 0) {
-        events.cancel(electionTimer);
-        electionTimer = 0;
-    }
-    stagedSends.clear();
-    outputGate.clear();
-    commitLsn_ = 0;
-    lastStreamedLsn = 0;
-    followerSilence.clear();
+    // The un-fsynced journal tail is the page cache: lost. Allocation
+    // counters on the surviving server rows come back from the journal.
+    log.crash();
+    resetVolatileState();
     lastLeaderContact = 0;
     if (replicated())
         election.resetToFollower();
-    // The un-fsynced journal tail is the page cache: lost.
-    store.crash();
-    // Volatile and recoverable in-memory state dies. Operator
-    // provisioning (flavors, clusters, server inventory rows) survives
-    // like files on disk; allocation counters are restored from the
-    // journal during recovery.
+}
+
+void
+CloudController::resetVolatileState()
+{
+    for (auto &[attestId, ctx] : attests)
+        events.cancel(ctx.retryTimer);
+    events.cancel(heartbeatTimer);
+    events.cancel(electionTimer);
+    heartbeatTimer = 0;
+    electionTimer = 0;
     for (const std::string &vid : db.vmIds())
         db.removeVm(vid);
     launches.clear();
@@ -1510,11 +1433,15 @@ CloudController::crash()
     asHealth.clear();
     customerInFlight.clear();
     relayCache.clear();
-    relayOrder.clear();
     attestorRtt.clear();
     nextVmNumber = 1;
     nextAttestId = 1;
     busyUntil = 0;
+    stagedSends.clear();
+    outputGate.clear();
+    commitLsn_ = 0;
+    lastStreamedLsn = 0;
+    followerSilence.clear();
 }
 
 void
@@ -1531,18 +1458,7 @@ CloudController::restart()
         // horizon and the leader re-streams the damaged range through
         // the normal replication path (snapshot install if the
         // mirror's own snapshot seal failed).
-        if (cfg.durable) {
-            const auto healed = store.verifyDurable();
-            if (!healed.clean()) {
-                ++counters.corruptRecoveries;
-                MONATT_LOG(Info, "cc")
-                    << cfg.id << ": mirror verification quarantined "
-                    << healed.quarantinedRecords << " and truncated "
-                    << healed.truncatedRecords
-                    << " records; resyncing from leader at lsn "
-                    << store.lastDurableLsn();
-            }
-        }
+        log.verifyMirror();
         // Rejoin as a follower: the mirror resynchronizes from the
         // current leader's stream (snapshot install if we fell behind
         // its checkpoint); promotion back to leader only via election.
@@ -1551,45 +1467,7 @@ CloudController::restart()
         armElectionTimer();
         return;
     }
-    if (cfg.durable)
-        recover();
-}
-
-void
-CloudController::recover()
-{
-    ++counters.recoveries;
-    replaying = true;
-    auto image = store.replay();
-    if (!image.clean) {
-        // The disk came back damaged: replay healed it down to the
-        // longest verified prefix. Whatever acknowledged state sat in
-        // the dropped suffix is re-driven by customer retransmission
-        // and the re-arm paths below, never silently replayed.
-        ++counters.corruptRecoveries;
-        MONATT_LOG(Info, "cc")
-            << cfg.id << ": replay quarantined "
-            << image.quarantinedRecords << " and truncated "
-            << image.truncatedRecords << " corrupt journal records"
-            << (image.snapshotQuarantined ? " (snapshot seal failed)"
-                                          : "");
-    }
-    if (image.hasSnapshot)
-        applySnapshot(image.snapshot);
-    for (const sim::JournalRecord &rec : image.records)
-        applyJournalRecord(rec);
-    replaying = false;
-
-    rearmRecoveredWork();
-
-    // Recovery doubles as a checkpoint: the recovered (and re-armed)
-    // state becomes the new snapshot and the journal restarts empty.
-    store.checkpoint(snapshotState());
-    ckptPolicy.noteCheckpoint();
-    MONATT_LOG(Info, "cc")
-        << cfg.id << ": recovered " << db.vmIds().size() << " vms, "
-        << attests.size() << " in-flight attestations, "
-        << launches.size() << " pending launches";
+    log.recover([this] { rearmRecoveredWork(); });
 }
 
 void
@@ -1667,8 +1545,8 @@ CloudController::rearmRecoveredWork()
                 cfg.timing.spawnTime(rec->imageSizeMb, rec->ramMb) +
                 cfg.reliability.forwardRto;
             ++counters.recoveredLaunches;
-            events.scheduleAfter(grace, [this, vid, eraNow = era] {
-                if (eraNow != era)
+            events.scheduleAfter(grace, [this, vid, eraNow = log.era()] {
+                if (log.stale(eraNow))
                     return;
                 VmRecord *rec = db.vm(vid);
                 if (!rec || rec->status != VmStatus::Spawning ||
@@ -1832,18 +1710,19 @@ CloudController::streamToFollower(const net::NodeId &follower)
     msg.leaderId = cfg.id;
     msg.commitLsn = commitLsn_;
     std::uint64_t from = ledger.ackOf(follower);
-    if (from < store.snapshotLsn()) {
+    if (from < log.store().snapshotLsn()) {
         // The follower is behind our last checkpoint: the records it
         // misses no longer exist as records, ship the snapshot.
         msg.hasSnapshot = true;
-        msg.snapshot = store.snapshotBytes();
-        msg.snapshotLsn = store.snapshotLsn();
+        msg.snapshot = log.store().snapshotBytes();
+        msg.snapshotLsn = log.store().snapshotLsn();
         from = msg.snapshotLsn;
     }
     msg.prevLsn = from;
-    store.forEachDurableSince(from, [&msg](const sim::JournalRecord &rec) {
-        msg.records.push_back({rec.lsn, rec.type, rec.payload});
-    });
+    log.store().forEachDurableSince(
+        from, [&msg](const sim::JournalRecord &rec) {
+            msg.records.push_back({rec.lsn, rec.type, rec.payload});
+        });
     endpoint.sendSecure(follower,
                         pack(MessageKind::ReplicateEntries, msg));
 }
@@ -1853,18 +1732,18 @@ CloudController::replicateToFollowers()
 {
     if (election.role() != ReplicaRole::Leader)
         return;
-    if (store.lastDurableLsn() <= lastStreamedLsn)
+    if (log.store().lastDurableLsn() <= lastStreamedLsn)
         return;
     for (const std::string &follower : followerIds())
         streamToFollower(follower);
-    lastStreamedLsn = store.lastDurableLsn();
+    lastStreamedLsn = log.store().lastDurableLsn();
 }
 
 void
 CloudController::advanceCommit()
 {
     const std::uint64_t c =
-        ledger.commitLsn(store.lastDurableLsn(), election.groupSize());
+        ledger.commitLsn(log.store().lastDurableLsn(), election.groupSize());
     if (c > commitLsn_)
         commitLsn_ = c;
     releaseCommitted();
@@ -1906,13 +1785,13 @@ CloudController::onReplicateEntries(const net::NodeId &from,
 
     if (msg.hasSnapshot &&
         (msg.round > mirrorRound ||
-         msg.snapshotLsn > store.lastDurableLsn())) {
-        store.installSnapshot(msg.snapshot, msg.snapshotLsn);
+         msg.snapshotLsn > log.store().lastDurableLsn())) {
+        log.store().installSnapshot(msg.snapshot, msg.snapshotLsn);
     } else if (!msg.hasSnapshot && msg.round > mirrorRound &&
-               store.lastDurableLsn() > msg.prevLsn) {
+               log.store().lastDurableLsn() > msg.prevLsn) {
         // A new leader's log is authoritative: drop any suffix the old
         // leader streamed to us but never got committed.
-        store.truncateTo(msg.prevLsn);
+        log.store().truncateTo(msg.prevLsn);
     }
 
     // Adopt the contiguous prefix of the streamed tail in one batch.
@@ -1921,7 +1800,7 @@ CloudController::onReplicateEntries(const net::NodeId &from,
     // lastDurableLsn() mid-loop would stall adoption at one record
     // per stream message.)
     std::vector<sim::JournalRecord> adopted;
-    std::uint64_t next = store.lastDurableLsn() + 1;
+    std::uint64_t next = log.store().lastDurableLsn() + 1;
     for (const proto::ReplicatedRecord &rec : msg.records) {
         if (rec.lsn < next)
             continue; // duplicate from a retransmission
@@ -1930,16 +1809,15 @@ CloudController::onReplicateEntries(const net::NodeId &from,
         adopted.push_back({rec.lsn, rec.type, rec.payload});
         ++next;
     }
-    store.adoptMany(std::move(adopted));
-    if (store.pendingRecords() > 0)
-        store.sync();
+    log.store().adoptMany(std::move(adopted));
+    log.sync();
     mirrorRound = msg.round;
     if (msg.commitLsn > commitLsn_)
-        commitLsn_ = std::min(msg.commitLsn, store.lastDurableLsn());
+        commitLsn_ = std::min(msg.commitLsn, log.store().lastDurableLsn());
 
     proto::ReplicateAck ack;
     ack.round = msg.round;
-    ack.lastLsn = store.lastDurableLsn();
+    ack.lastLsn = log.store().lastDurableLsn();
     endpoint.sendSecure(from,
                         pack(MessageKind::ReplicateAck, ack));
 }
@@ -1959,7 +1837,7 @@ CloudController::onReplicateAck(const net::NodeId &from,
         msg.round != election.round())
         return;
     ledger.recordAck(from, msg.lastLsn);
-    if (msg.lastLsn < store.lastDurableLsn())
+    if (msg.lastLsn < log.store().lastDurableLsn())
         streamToFollower(from);
     advanceCommit();
 }
@@ -1986,7 +1864,7 @@ CloudController::onVoteRequest(const net::NodeId &from, const Bytes &body)
             return;
         if (!election.considerPrevote(msg.round, msg.lastLogRound,
                                       msg.lastLsn, mirrorRound,
-                                      store.lastDurableLsn()))
+                                      log.store().lastDurableLsn()))
             return;
         endpoint.resetPeer(from);
         proto::VoteGrant grant;
@@ -1999,7 +1877,7 @@ CloudController::onVoteRequest(const net::NodeId &from, const Bytes &body)
     const bool wasLeader = election.role() == ReplicaRole::Leader;
     const bool granted =
         election.considerVote(msg.round, msg.lastLogRound, msg.lastLsn,
-                              mirrorRound, store.lastDurableLsn());
+                              mirrorRound, log.store().lastDurableLsn());
     if (wasLeader && election.role() != ReplicaRole::Leader)
         stepDownToFollower();
     if (!granted)
@@ -2056,9 +1934,9 @@ CloudController::becomeLeader()
     // Replay the mirrored journal into live state; rearmRecoveredWork
     // re-drives in-flight launches/attests, whose (re)sends are staged
     // and released once a majority mirrors the recovery checkpoint.
-    recover();
+    log.recover([this] { rearmRecoveredWork(); });
     mirrorRound = election.round();
-    lastStreamedLsn = store.lastDurableLsn();
+    lastStreamedLsn = log.store().lastDurableLsn();
     commitJournal();
     for (const std::string &follower : followerIds())
         streamToFollower(follower);
@@ -2071,43 +1949,11 @@ CloudController::stepDownToFollower()
     MONATT_LOG(Info, "cc")
         << cfg.id << ": stepping down to follower in round "
         << election.round();
-    // Fence every lambda armed during the deposed reign.
-    ++era;
-    if (heartbeatTimer != 0) {
-        events.cancel(heartbeatTimer);
-        heartbeatTimer = 0;
-    }
-    if (electionTimer != 0) {
-        events.cancel(electionTimer);
-        electionTimer = 0;
-    }
-    for (auto &[attestId, ctx] : attests) {
-        if (ctx.retryTimer != 0)
-            events.cancel(ctx.retryTimer);
-    }
-    // Live state belongs to the leader now; this replica keeps only
-    // its journal mirror. Operator provisioning survives, as in
-    // crash().
-    for (const std::string &vid : db.vmIds())
-        db.removeVm(vid);
-    launches.clear();
-    attests.clear();
-    policies.clear();
-    responses.clear();
-    outstandingResponses.clear();
-    asHealth.clear();
-    customerInFlight.clear();
-    relayCache.clear();
-    relayOrder.clear();
-    attestorRtt.clear();
-    nextVmNumber = 1;
-    nextAttestId = 1;
-    busyUntil = 0;
-    stagedSends.clear();
-    outputGate.clear();
-    commitLsn_ = 0;
-    lastStreamedLsn = 0;
-    followerSilence.clear();
+    // Fence every lambda armed during the deposed reign. Live state
+    // belongs to the leader now; this replica keeps only its journal
+    // mirror.
+    log.fence();
+    resetVolatileState();
     armElectionTimer();
 }
 
@@ -2118,8 +1964,8 @@ CloudController::armHeartbeat()
         events.cancel(heartbeatTimer);
     heartbeatTimer = events.scheduleAfter(
         cfg.election.heartbeatInterval,
-        [this, eraNow = era] {
-            if (eraNow != era)
+        [this, eraNow = log.era()] {
+            if (log.stale(eraNow))
                 return;
             heartbeatFired();
         },
@@ -2133,8 +1979,8 @@ CloudController::armElectionTimer()
         events.cancel(electionTimer);
     electionTimer = events.scheduleAfter(
         election.electionTimeout(),
-        [this, eraNow = era] {
-            if (eraNow != era)
+        [this, eraNow = log.era()] {
+            if (log.stale(eraNow))
                 return;
             electionTimerFired();
         },
@@ -2180,7 +2026,7 @@ CloudController::electionTimerFired()
     proto::VoteRequest req;
     req.round = election.round() + 1;
     req.lastLogRound = mirrorRound;
-    req.lastLsn = store.lastDurableLsn();
+    req.lastLsn = log.store().lastDurableLsn();
     req.prevote = true;
     const Bytes packed =
         pack(MessageKind::VoteRequest, req);
@@ -2199,7 +2045,7 @@ CloudController::openCandidacy()
     proto::VoteRequest req;
     req.round = election.round();
     req.lastLogRound = mirrorRound;
-    req.lastLsn = store.lastDurableLsn();
+    req.lastLsn = log.store().lastDurableLsn();
     const Bytes packed =
         pack(MessageKind::VoteRequest, req);
     for (const std::string &peer : followerIds())

@@ -29,17 +29,17 @@
 #include <utility>
 #include <vector>
 
+#include "common/fifo_map.h"
 #include "controller/database.h"
 #include "controller/election.h"
 #include "controller/journal.h"
 #include "controller/policy.h"
 #include "controller/replica_group.h"
 #include "net/secure_endpoint.h"
+#include "proto/durable_log.h"
 #include "proto/messages.h"
 #include "proto/timing_model.h"
-#include "sim/checkpoint_policy.h"
 #include "sim/event_queue.h"
-#include "sim/stable_store.h"
 
 namespace monatt::controller
 {
@@ -192,7 +192,13 @@ class CloudController
         return responses;
     }
 
-    const ControllerStats &stats() const { return counters; }
+    ControllerStats stats() const
+    {
+        ControllerStats s = counters;
+        s.recoveries = log.recoveries();
+        s.corruptRecoveries = log.corruptRecoveries();
+        return s;
+    }
 
     /**
      * Simulated crash: detach from the network and drop all volatile
@@ -211,13 +217,13 @@ class CloudController
     bool isUp() const { return endpoint.attached(); }
 
     /** The controller's durable store (journal + checkpoints). */
-    const sim::StableStore &stableStore() const { return store; }
+    const sim::StableStore &stableStore() const { return log.store(); }
 
     /** Install the disk-failure model on the store (nullptr = clean
      * disk). Wired by core::Cloud when a fault plan is installed. */
     void setStorageFaults(const sim::StorageFaultModel *model)
     {
-        store.setFaultModel(model);
+        log.store().setFaultModel(model);
     }
 
     /** Replica-group introspection. */
@@ -241,8 +247,7 @@ class CloudController
     std::vector<std::uint64_t> relayCacheRequestIds() const
     {
         std::vector<std::uint64_t> ids;
-        ids.reserve(relayOrder.size());
-        for (const CustomerKey &key : relayOrder)
+        for (const auto &[key, packed] : relayCache)
             ids.push_back(key.second);
         return ids;
     }
@@ -321,6 +326,15 @@ class CloudController
     /** Leader deposed by a higher round: era-fence pending work,
      *  drop volatile state and gated output, rejoin as follower. */
     void stepDownToFollower();
+
+    /**
+     * Drop everything but the journal and operator provisioning
+     * (flavors, clusters, server inventory rows survive like files on
+     * disk): pending timers, the database's VMs, protocol state,
+     * caches and gated output. Shared by crash() and
+     * stepDownToFollower().
+     */
+    void resetVolatileState();
 
     void armHeartbeat();
     void armElectionTimer();
@@ -482,13 +496,11 @@ class CloudController
      * (customer, customer request id): in-flight requests swallow
      * retransmissions; completed ones are answered by re-sending the
      * cached packed reply (ReportToCustomer or AttestFailure) without
-     * re-signing. Bounded FIFO.
+     * re-signing. Bounded by cfg.relayCacheCapacity.
      */
     using CustomerKey = std::pair<net::NodeId, std::uint64_t>;
     std::set<CustomerKey> customerInFlight;
-    std::map<CustomerKey, Bytes> relayCache;
-    std::deque<CustomerKey> relayOrder; //!< FIFO eviction order; bounded
-                                        //!< by cfg.relayCacheCapacity.
+    FifoMap<CustomerKey, Bytes> relayCache;
 
     /** Cache a packed customer reply and clear its in-flight mark. */
     void rememberRelay(const CustomerKey &key, Bytes packed);
@@ -507,36 +519,25 @@ class CloudController
     void journalAttest(std::uint64_t attestId);
     void journalResponse(std::size_t index);
     void journalAsHealth(const std::string &attestorId);
-    void journalRelay(const CustomerKey &key, const Bytes &packed);
 
-    /** Append one declared record (no-op when durability is off or
-     * during replay). */
-    template <typename R>
-    void journal(JournalType type, const R &record);
-
-    /** Fsync barrier + checkpoint policy; called at the end of every
-     * event-handler body so no externally visible state is lost. */
+    /** Sync, stream, checkpoint and release; called at the end of
+     * every event-handler body so no externally visible state is lost. */
     void commitJournal();
 
     /** Checkpoint snapshot: the records that rebuild the state. */
-    Bytes snapshotState() const;
-    void applySnapshot(const Bytes &snapshot);
+    proto::Snapshot snapshotState() const;
     void applyJournalRecord(const sim::JournalRecord &rec);
 
-    /** Replay snapshot + journal, then re-arm recovered work. */
-    void recover();
+    /** Re-arm recovered work (run by log.recover() after replay). */
     void rearmRecoveredWork();
 
     /** Re-send the remediation command of an incomplete response. */
     void resendResponseCommand(std::size_t logIndex);
 
-    sim::StableStore store;
-    sim::CheckpointPolicy ckptPolicy;
-    /** Incremented on every crash; scheduled lambdas capture the era
-     * they were created in and bail when it changed, so pre-crash
-     * callbacks cannot double-act on recovered state. */
-    std::uint64_t era = 0;
-    bool replaying = false; //!< recover() in progress: journal muted.
+    /** Journal, checkpoints and crash era: scheduled lambdas capture
+     * log.era() and bail once it is stale, so pre-crash callbacks
+     * cannot double-act on recovered state. */
+    proto::DurableLog log;
 
     // --- Replication (replica groups) ------------------------------
 

@@ -84,7 +84,6 @@ Cloud::Cloud(CloudConfig config)
         asCfg.controllerIds.insert(controllerNodeIds.begin(),
                                    controllerNodeIds.end());
         asCfg.identityKeyBits = cfg.identityKeyBits;
-        asCfg.enableVerificationCaches = cfg.enableAttestationCaches;
         asCfg.durable = cfg.durableControlPlane;
         asCfg.checkpointPolicy = cfg.checkpointPolicy;
         asCfg.reportCacheCapacity = cfg.dedupCacheCapacity;
@@ -161,8 +160,7 @@ Cloud::Cloud(CloudConfig config)
         scfg.identityKeyBits = cfg.identityKeyBits;
         scfg.aikBits = cfg.aikBits;
         scfg.intrusivePause = cfg.serverIntrusivePause;
-        scfg.aikReuseLimit =
-            cfg.enableAttestationCaches ? cfg.aikReuseLimit : 1;
+        scfg.aikReuseLimit = cfg.aikReuseLimit;
         scfg.wire = cfg.wire;
 
         auto srv = std::make_unique<server::CloudServer>(

@@ -87,13 +87,10 @@ struct CloudConfig
     SimTime serverIntrusivePause = 0;
 
     /**
-     * Attestation fast-path caches: AVK session reuse on the servers
-     * (server::CloudServerConfig::aikReuseLimit) plus certificate
-     * verification memoization on the Attestation Servers. Disabling
-     * reproduces the paper's fresh-key-per-attestation flow on every
-     * round.
+     * AVK session reuse on the servers
+     * (server::CloudServerConfig::aikReuseLimit); 1 reproduces the
+     * paper's fresh-key-per-attestation flow on every round.
      */
-    bool enableAttestationCaches = true;
     std::uint64_t aikReuseLimit = 16;
 
     /**

@@ -11,31 +11,6 @@ using proto::AttestRequest;
 using proto::MessageKind;
 using proto::ReportToCustomer;
 
-namespace
-{
-
-crypto::RsaKeyPair
-makeKeys(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("customer-identity:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    crypto::HmacDrbg drbg(material);
-    Rng rng = drbg.forkRng();
-    return crypto::rsaGenerateKeyPair(512, rng);
-}
-
-Bytes
-endpointSeed(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("customer-endpoint:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    return material;
-}
-
-} // namespace
-
 Customer::Customer(sim::EventQueue &eq, net::Network &network,
                    net::KeyDirectory &directory, std::string id,
                    std::string controllerId, std::uint64_t seed,
@@ -43,8 +18,11 @@ Customer::Customer(sim::EventQueue &eq, net::Network &network,
                    const controller::HashRing *controllerRing,
                    std::vector<std::vector<std::string>> controllerGroups)
     : events(eq), self(std::move(id)), controller(std::move(controllerId)),
-      ring(controllerRing), keys(makeKeys(self, seed)), dir(directory),
-      endpoint(network, self, keys, directory, endpointSeed(self, seed)),
+      ring(controllerRing),
+      keys(crypto::deriveKeyPair("customer-identity", self, seed, 512)),
+      dir(directory),
+      endpoint(network, self, keys, directory,
+               crypto::seedMaterial("customer-endpoint", self, seed)),
       nonceDrbg(toBytes("customer-nonces:" + self)),
       reliability(reliabilityModel)
 {

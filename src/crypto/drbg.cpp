@@ -59,4 +59,14 @@ HmacDrbg::forkRng()
     return Rng(s);
 }
 
+Bytes
+seedMaterial(const std::string &label, const std::string &id,
+             std::uint64_t seed)
+{
+    Bytes material = toBytes(label + ":" + id);
+    for (int i = 0; i < 8; ++i)
+        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
+    return material;
+}
+
 } // namespace monatt::crypto

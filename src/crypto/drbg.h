@@ -12,6 +12,9 @@
 #ifndef MONATT_CRYPTO_DRBG_H
 #define MONATT_CRYPTO_DRBG_H
 
+#include <cstdint>
+#include <string>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 
@@ -41,6 +44,15 @@ class HmacDrbg
     Bytes key;
     Bytes value;
 };
+
+/**
+ * Per-node seed material: `label` ":" `id`, then the 8 little-endian
+ * bytes of `seed`. Every simulated node derives its identity key and
+ * its channel entropy this way, so a node's secrets are a pure
+ * function of (label, node id, seed).
+ */
+Bytes seedMaterial(const std::string &label, const std::string &id,
+                   std::uint64_t seed);
 
 } // namespace monatt::crypto
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/codec.h"
+#include "crypto/drbg.h"
 #include "crypto/sha256.h"
 
 namespace monatt::crypto
@@ -179,6 +180,15 @@ rsaGenerateKeyPair(std::size_t modulusBits, Rng &rng)
         pair.priv.qInv = q.modInverse(p);
         return pair;
     }
+}
+
+RsaKeyPair
+deriveKeyPair(const std::string &label, const std::string &id,
+              std::uint64_t seed, std::size_t modulusBits)
+{
+    HmacDrbg drbg(seedMaterial(label, id, seed));
+    Rng rng = drbg.forkRng();
+    return rsaGenerateKeyPair(modulusBits, rng);
 }
 
 Bytes

@@ -613,10 +613,11 @@ struct Snapshot
     std::vector<ReplicatedRecord> records;
 
     /** Append one declared record of the entity's journal `type`. */
-    template <typename R>
-    void add(std::uint16_t type, const R &record)
+    template <typename Type, typename R>
+    void add(Type type, const R &record)
     {
-        records.push_back({0, type, encode(record)});
+        records.push_back(
+            {0, static_cast<std::uint16_t>(type), encode(record)});
     }
 
     static constexpr auto fields()

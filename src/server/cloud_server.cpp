@@ -26,37 +26,21 @@ makeHvConfig(const CloudServerConfig &cfg)
     return hc;
 }
 
-crypto::RsaKeyPair
-identityKeys(const std::string &id, std::uint64_t seed, std::size_t bits)
-{
-    Bytes material = toBytes("server-identity:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    crypto::HmacDrbg drbg(material);
-    Rng rng = drbg.forkRng();
-    return crypto::rsaGenerateKeyPair(bits, rng);
-}
-
-Bytes
-entropySeed(const std::string &id, std::uint64_t seed)
-{
-    Bytes material = toBytes("server-entropy:" + id);
-    for (int i = 0; i < 8; ++i)
-        material.push_back(static_cast<std::uint8_t>(seed >> (8 * i)));
-    return material;
-}
-
 } // namespace
 
 CloudServer::CloudServer(sim::EventQueue &eq, net::Network &network,
                          net::KeyDirectory &directory,
                          CloudServerConfig config, std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      trust(cfg.id, identityKeys(cfg.id, seed, cfg.identityKeyBits),
-            entropySeed(cfg.id, seed), cfg.aikBits),
+      trust(cfg.id,
+            crypto::deriveKeyPair("server-identity", cfg.id, seed,
+                                  cfg.identityKeyBits),
+            crypto::seedMaterial("server-entropy", cfg.id, seed),
+            cfg.aikBits),
       hyp(eq, makeHvConfig(cfg)), monitor(hyp, trust),
       endpoint(network, cfg.id, trust.identityKeyPair(), directory,
-               entropySeed(cfg.id, seed ^ 0x5eedULL))
+               crypto::seedMaterial("server-entropy", cfg.id,
+                                    seed ^ 0x5eedULL))
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -187,11 +171,10 @@ CloudServer::onMeasureRequest(const net::NodeId &from, const Bytes &body)
     // signed response verbatim.
     if (pending.count(id))
         return;
-    const auto cached = responseCache.find(id);
-    if (cached != responseCache.end()) {
+    if (const Bytes *cached = responseCache.find(id)) {
         endpoint.sendSecure(from,
                             packMessage(MessageKind::MeasureResponse,
-                                        cached->second));
+                                        *cached));
         return;
     }
 
@@ -296,18 +279,6 @@ CloudServer::cancelCertTimer(PendingAttestation &pa)
     if (pa.certTimer != 0) {
         events.cancel(pa.certTimer);
         pa.certTimer = 0;
-    }
-}
-
-void
-CloudServer::rememberResponse(std::uint64_t requestId, Bytes encoded)
-{
-    if (responseCache.emplace(requestId, std::move(encoded)).second) {
-        responseOrder.push_back(requestId);
-        while (responseOrder.size() > kResponseCacheSize) {
-            responseCache.erase(responseOrder.front());
-            responseOrder.pop_front();
-        }
     }
 }
 
@@ -514,7 +485,7 @@ CloudServer::maybeRespond(std::uint64_t requestId)
     // is answered with the same bytes.
     resp.signature = sig.take();
     const Bytes body = proto::encode(resp, cfg.wire);
-    rememberResponse(requestId, body);
+    responseCache.insert(requestId, body);
     endpoint.sendSecure(requester,
                         packMessage(MessageKind::MeasureResponse, body));
 }
@@ -541,7 +512,6 @@ CloudServer::crash()
     certToRequest.clear();
     sessionRefs.clear();
     responseCache.clear();
-    responseOrder.clear();
     migrations.clear();
     staleStash.clear();
 }

@@ -22,13 +22,13 @@
 #define MONATT_SERVER_CLOUD_SERVER_H
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/fifo_map.h"
 #include "hypervisor/hypervisor.h"
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
@@ -292,9 +292,6 @@ class CloudServer
     /** Cancel a pending attestation's pCA retry timer (if armed). */
     void cancelCertTimer(PendingAttestation &pa);
 
-    /** Remember a sent MeasureResponse for idempotent retransmission. */
-    void rememberResponse(std::uint64_t requestId, Bytes encoded);
-
     sim::EventQueue &events;
     CloudServerConfig cfg;
     tpm::TrustModule trust;
@@ -326,9 +323,7 @@ class CloudServer
      * TPM never re-executes a quote for the same (requestId, nonce3).
      * Bounded FIFO.
      */
-    std::map<std::uint64_t, Bytes> responseCache;
-    std::deque<std::uint64_t> responseOrder;
-    static constexpr std::size_t kResponseCacheSize = 64;
+    FifoMap<std::uint64_t, Bytes> responseCache{64};
     AikSessionCache aikCache;
     /** In-flight uses per Trust Module session handle. */
     std::map<tpm::SessionHandle, std::size_t> sessionRefs;

@@ -1,9 +1,10 @@
 /**
  * @file
- * The certificate verification cache: unit tests of the FIFO cache
- * itself, plus an end-to-end fixture proving the §3.4 semantics are
- * preserved — a reused certificate hits the cache with a byte-identical
- * verdict, while a tampered certificate misses the cache, fails cold
+ * The certificate verification cache: unit tests of the FIFO map the
+ * Attestation Server keeps it in (digest -> verified AVK), plus an
+ * end-to-end fixture proving the §3.4 semantics are preserved — a
+ * reused certificate hits the cache with a byte-identical verdict,
+ * while a tampered certificate misses the cache, fails cold
  * verification, and still yields an authentic report with every
  * property Unknown.
  */
@@ -11,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "attestation/attestation_server.h"
-#include "attestation/cert_cache.h"
+#include "common/fifo_map.h"
 #include "crypto/sha256.h"
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
@@ -39,68 +40,84 @@ keyFor(std::uint64_t seed)
     return generate(seed).pub;
 }
 
-TEST(CertVerificationCacheTest, LookupInsertAndCounters)
-{
-    CertVerificationCache cache(4);
-    const Bytes d1 = crypto::Sha256::hash(toBytes("cert-1"));
+/** The Attestation Server's cert-verification cache type. */
+using CertCache = FifoMap<Bytes, crypto::RsaPublicKey>;
 
-    EXPECT_EQ(cache.lookup(d1), nullptr);
-    EXPECT_EQ(cache.stats().misses, 1u);
+Bytes
+digestOf(const std::string &text)
+{
+    return crypto::Sha256::hash(toBytes(text));
+}
+
+TEST(CertVerificationCacheTest, LookupAndInsert)
+{
+    CertCache cache(4);
+    const Bytes d1 = digestOf("cert-1");
+    EXPECT_EQ(cache.find(d1), nullptr);
 
     const crypto::RsaPublicKey k1 = keyFor(1);
-    cache.insert(d1, k1);
+    EXPECT_NE(cache.insert(d1, k1), nullptr);
     EXPECT_EQ(cache.size(), 1u);
-    const crypto::RsaPublicKey *hit = cache.lookup(d1);
+    const crypto::RsaPublicKey *hit = cache.find(d1);
     ASSERT_NE(hit, nullptr);
     EXPECT_TRUE(*hit == k1);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
 TEST(CertVerificationCacheTest, FifoEvictionAtCapacity)
 {
-    CertVerificationCache cache(2);
+    CertCache cache(2);
     const crypto::RsaPublicKey k = keyFor(2);
-    const Bytes d1 = crypto::Sha256::hash(toBytes("a"));
-    const Bytes d2 = crypto::Sha256::hash(toBytes("b"));
-    const Bytes d3 = crypto::Sha256::hash(toBytes("c"));
+    const Bytes d1 = digestOf("a");
+    const Bytes d2 = digestOf("b");
+    const Bytes d3 = digestOf("c");
 
     cache.insert(d1, k);
     cache.insert(d2, k);
     cache.insert(d3, k); // evicts d1 (FIFO)
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.lookup(d1), nullptr);
-    EXPECT_NE(cache.lookup(d2), nullptr);
-    EXPECT_NE(cache.lookup(d3), nullptr);
+    EXPECT_EQ(cache.find(d1), nullptr);
+    EXPECT_NE(cache.find(d2), nullptr);
+    EXPECT_NE(cache.find(d3), nullptr);
 }
 
-TEST(CertVerificationCacheTest, DuplicateDigestUpdatesInPlace)
+TEST(CertVerificationCacheTest, DuplicateDigestKeepsFirstEntry)
 {
-    CertVerificationCache cache(2);
-    const Bytes d = crypto::Sha256::hash(toBytes("dup"));
+    // A digest always certifies the same AVK, so the first insert
+    // wins and keeps its FIFO position.
+    CertCache cache(2);
+    const Bytes d = digestOf("dup");
+    const Bytes other = digestOf("other");
     cache.insert(d, keyFor(3));
-    cache.insert(d, keyFor(4));
-    EXPECT_EQ(cache.size(), 1u);
-    const crypto::RsaPublicKey *hit = cache.lookup(d);
+    cache.insert(other, keyFor(3));
+    EXPECT_EQ(cache.insert(d, keyFor(4)), nullptr);
+    EXPECT_EQ(cache.size(), 2u);
+    const crypto::RsaPublicKey *hit = cache.find(d);
     ASSERT_NE(hit, nullptr);
-    EXPECT_TRUE(*hit == keyFor(4));
+    EXPECT_TRUE(*hit == keyFor(3));
+
+    cache.insert(digestOf("third"), keyFor(5)); // d is still the oldest
+    EXPECT_EQ(cache.find(d), nullptr);
+    EXPECT_NE(cache.find(other), nullptr);
 }
 
 TEST(CertVerificationCacheTest, ClearEmptiesEntries)
 {
-    CertVerificationCache cache(2);
-    cache.insert(crypto::Sha256::hash(toBytes("x")), keyFor(5));
+    CertCache cache(2);
+    cache.insert(digestOf("x"), keyFor(5));
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.find(digestOf("x")), nullptr);
 }
 
 TEST(CertVerificationCacheTest, ZeroCapacityClampsToOne)
 {
-    CertVerificationCache cache(0);
-    EXPECT_GE(cache.capacity(), 1u);
-    cache.insert(crypto::Sha256::hash(toBytes("y")), keyFor(6));
+    CertCache cache(0);
+    cache.insert(digestOf("y"), keyFor(6));
     EXPECT_EQ(cache.size(), 1u);
+    cache.insert(digestOf("z"), keyFor(6));
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.find(digestOf("y")), nullptr);
+    EXPECT_NE(cache.find(digestOf("z")), nullptr);
 }
 
 // --- End-to-end: §3.4 semantics through the Attestation Server --------
@@ -114,13 +131,13 @@ TEST(CertVerificationCacheTest, ZeroCapacityClampsToOne)
 class CertCacheEndToEnd : public ::testing::Test
 {
   protected:
-    explicit CertCacheEndToEnd(AttestationServerConfig cfg = {})
+    CertCacheEndToEnd()
         : network(events),
           pcaKeys(generate(0x9c4)),
           aik(generate(0xa1c)),
           controllerKeys(generate(0xcc1)),
           serverKeys(generate(0x5e1)),
-          as(events, network, dir, std::move(cfg), 42),
+          as(events, network, dir, AttestationServerConfig{}, 42),
           controller(network, "cloud-controller", controllerKeys, dir,
                      toBytes("controller-seed")),
           server(network, "server-1", serverKeys, dir,
@@ -265,31 +282,6 @@ TEST_F(CertCacheEndToEnd, TamperedCertificateMissesAndYieldsUnknown)
     // The report itself is authentic: signed by the AS identity key.
     EXPECT_TRUE(crypto::rsaVerify(as.identityPublic(),
                                   bad.signedPortion(), bad.signature));
-}
-
-/** The same deployment with verification caches switched off. */
-class CertCacheDisabledEndToEnd : public CertCacheEndToEnd
-{
-  protected:
-    CertCacheDisabledEndToEnd() : CertCacheEndToEnd(disabledConfig()) {}
-
-    static AttestationServerConfig disabledConfig()
-    {
-        AttestationServerConfig cfg;
-        cfg.enableVerificationCaches = false;
-        return cfg;
-    }
-};
-
-TEST_F(CertCacheDisabledEndToEnd, ColdVerificationEveryTime)
-{
-    const Bytes cert = issueAikCert();
-    respond(forwardAndCapture(1), cert);
-    respond(forwardAndCapture(2), cert);
-    EXPECT_EQ(as.stats().responsesVerified, 2u);
-    EXPECT_EQ(as.stats().certCacheHits, 0u);
-    EXPECT_EQ(as.stats().certCacheMisses, 0u);
-    EXPECT_EQ(as.certificateCache().size(), 0u);
 }
 
 } // namespace

@@ -1,7 +1,8 @@
 /**
  * @file
  * Durable control-plane recovery: scripted crash/restart of the
- * controller and pCA against the write-ahead journal, plus the
+ * controller and pCA against the write-ahead journal, a crashed
+ * Attestation Server that must stay silent, plus the
  * clean-wire A/B — a fault-free run with durability enabled must be
  * byte-identical to one with it disabled, because journal appends
  * cost zero simulated time and recovery code only runs after a crash.
@@ -175,6 +176,37 @@ TEST(RecoveryTest, PrivacyCaRestartKeepsSerialsMonotone)
                                   seconds(300));
     ASSERT_TRUE(after.isOk()) << after.errorMessage();
     EXPECT_GT(cloud.privacyCa().issued(), issuedBefore);
+}
+
+TEST(RecoveryTest, CrashedAttestationServerStaysSilent)
+{
+    CloudConfig cfg;
+    cfg.numServers = 2;
+    cfg.seed = 424242;
+    Cloud cloud(cfg);
+    Customer &customer = cloud.addCustomer("alice");
+    auto vid = cloud.launchVm(customer, "vm-0", "cirros", "small",
+                              proto::allProperties());
+    ASSERT_TRUE(vid.isOk()) << vid.errorMessage();
+
+    // Run until the AS has verified the measurements: the signed
+    // report is now waiting out the interpretation delay.
+    attestation::AttestationServer &as = cloud.attestationServer();
+    const std::uint64_t verified = as.stats().responsesVerified;
+    customer.runtimeAttestCurrent(vid.value(), proto::allProperties());
+    ASSERT_TRUE(cloud.runUntil(
+        [&] { return as.stats().responsesVerified > verified; },
+        seconds(60)));
+    const std::uint64_t issued = as.stats().reportsIssued;
+    const sim::StableStoreStats disk = as.stableStore().stats();
+
+    ASSERT_TRUE(cloud.crashNode(as.id()).isOk());
+    cloud.runFor(seconds(10));
+
+    // A crashed AS signs, sends and journals nothing.
+    EXPECT_EQ(as.stats().reportsIssued, issued);
+    EXPECT_EQ(as.stableStore().stats().appends, disk.appends);
+    EXPECT_EQ(as.stableStore().stats().syncs, disk.syncs);
 }
 
 } // namespace
