@@ -30,7 +30,7 @@ A metric regressing by more than --tolerance (default 15%) fails the
 gate. Per-metric overrides loosen or tighten individual paths or keys:
 
   --override sim_makespan_sec=0.30          # every leaf with this key
-  --override 'soak.sim_makespan_sec=0.05'   # one exact JSON path
+  --override 'legs.clean_replicas3.sim_makespan_sec=0.05'  # one exact path
 
 A baseline metric missing from the fresh run fails too: that means the
 bench's shape changed and the baseline must be regenerated (rerun the
@@ -163,7 +163,8 @@ def main():
                     metavar="KEY=TOL",
                     help="per-metric tolerance: a leaf key "
                          "(sim_makespan_sec=0.3) or an exact JSON path "
-                         "(soak.sim_makespan_sec=0.05); repeatable")
+                         "(legs.clean_replicas3.sim_makespan_sec=0.05); "
+                         "repeatable")
     args = ap.parse_args()
     overrides = parse_overrides(args.override)
 

@@ -15,6 +15,19 @@ using proto::MessageKind;
 using proto::ReportToController;
 using proto::ReportToCustomer;
 
+namespace
+{
+
+/** Placements tried before a launch fails (§5.1 reschedules). */
+constexpr int kMaxLaunchAttempts = 3;
+
+/** §5.2 #2: after suspending a VM the controller "can initiate further
+ * checking and also continue to attest the platform", resuming the VM
+ * once its health recovers. Interval between re-checks. */
+constexpr SimTime kSuspendRecheckPeriod = seconds(30);
+
+} // namespace
+
 std::string
 responsePolicyName(ResponsePolicy p)
 {
@@ -46,10 +59,8 @@ CloudController::CloudController(sim::EventQueue &eq,
       log(cfg.id, cfg.durable, cfg.checkpointPolicy,
           [this] { return snapshotState(); },
           [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); }),
-      election(cfg.id,
-               cfg.groupIds.empty() ? std::vector<std::string>{cfg.id}
-                                    : cfg.groupIds,
-               cfg.election)
+      repl(cfg.id, cfg.groupIds, cfg.election, cfg.replicaIndex == 0, log,
+           cfg.wire, *this)
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -57,19 +68,7 @@ CloudController::CloudController(sim::EventQueue &eq,
     endpoint.setReliability(net::EndpointReliability{
         cfg.reliability.enabled, cfg.reliability.handshakeRto,
         cfg.reliability.handshakeRetryLimit});
-
-    // The primary replica boots as the round-1 leader so an
-    // unreplicated (or freshly built) group needs no election.
-    if (cfg.replicaIndex == 0)
-        election.bootstrapLeader();
-    knownLeader = groupId();
-    if (replicated()) {
-        ledger.reset(followerIds());
-        if (election.role() == ReplicaRole::Leader)
-            armHeartbeat();
-        else
-            armElectionTimer();
-    }
+    repl.start();
 }
 
 void
@@ -99,7 +98,7 @@ const std::string &
 CloudController::attestorFor(const std::string &serverId) const
 {
     const auto it = clusters.find(serverId);
-    return it == clusters.end() ? cfg.attestationServerId : it->second;
+    return it == clusters.end() ? cfg.attestorIds.front() : it->second;
 }
 
 const crypto::RsaPublicContext &
@@ -128,18 +127,17 @@ CloudController::handleMessage(const net::NodeId &from,
         return;
     const proto::MessageKind kind = unpacked.value().kind;
     const Bytes &body = unpacked.value().body;
-    // Replicated non-leaders are passive: customer requests get a
-    // NotLeader redirect, protocol traffic for the leader is dropped
-    // (the sender's retransmission reaches the leader), and only the
-    // replication/election messages below are processed.
-    const bool passive =
-        replicated() && election.role() != ReplicaRole::Leader;
+    // Non-leaders are passive: customer requests get a NotLeader
+    // redirect, protocol traffic for the leader is dropped (the
+    // sender's retransmission reaches the leader), and only the
+    // replication/election messages go to the log.
+    const bool passive = !repl.leading();
     switch (kind) {
       case MessageKind::LaunchRequest:
         if (passive) {
             auto req = proto::decode<proto::LaunchRequest>(body);
             if (req)
-                sendNotLeader(from, req.value().requestId, true);
+                repl.redirect(from, req.value().requestId, true);
         } else {
             onLaunchRequest(from, body);
         }
@@ -148,7 +146,7 @@ CloudController::handleMessage(const net::NodeId &from,
         if (passive) {
             auto req = proto::decode<AttestRequest>(body);
             if (req)
-                sendNotLeader(from, req.value().requestId, false);
+                repl.redirect(from, req.value().requestId, false);
         } else {
             onAttestRequest(from, body);
         }
@@ -159,7 +157,7 @@ CloudController::handleMessage(const net::NodeId &from,
         break;
       case MessageKind::ReportToController:
         if (!passive && isKnownAttestor(from))
-            onReportToController(from, body);
+            onReportToController(body);
         break;
       case MessageKind::TerminateVmAck:
       case MessageKind::SuspendVmAck:
@@ -168,20 +166,10 @@ CloudController::handleMessage(const net::NodeId &from,
         if (!passive)
             onCommandAck(kind, body);
         break;
-      case MessageKind::ReplicateEntries:
-        onReplicateEntries(from, body);
-        break;
-      case MessageKind::ReplicateAck:
-        onReplicateAck(from, body);
-        break;
-      case MessageKind::VoteRequest:
-        onVoteRequest(from, body);
-        break;
-      case MessageKind::VoteGrant:
-        onVoteGrant(from, body);
-        break;
       default:
-        MONATT_LOG(Warn, "cc") << "unexpected message from " << from;
+        if (!repl.receive(from, kind, body, events.now())) {
+            MONATT_LOG(Warn, "cc") << "unexpected message from " << from;
+        }
         break;
     }
     // WAL rule: every mutation the handlers above made is fsynced
@@ -197,8 +185,7 @@ CloudController::allocateVid()
         std::string vid = "vm-" + std::to_string(nextVmNumber++);
         // Ring ownership is by the shard's *base* id: every replica of
         // a group allocates from the same partition of the vid space.
-        if (cfg.ring == nullptr || cfg.ring->empty() ||
-            cfg.ring->owner(vid) == groupId())
+        if (cfg.ring->owner(vid) == groupId())
             return vid;
     }
 }
@@ -236,8 +223,7 @@ CloudController::onLaunchRequest(const net::NodeId &from,
         resp.requestId = req.requestId;
         resp.ok = false;
         resp.error = "unknown flavor " + req.flavorName;
-        sendExternal(from,
-                     pack(MessageKind::LaunchResponse, resp));
+        repl.output(from, pack(MessageKind::LaunchResponse, resp));
         return;
     }
 
@@ -355,8 +341,7 @@ CloudController::startSpawn(const std::string &vid)
     cmd.image = rec->image;
     // The image itself is staged by the server from the image store
     // (charged inside TimingModel::spawnTime); the command is small.
-    sendExternal(rec->serverId,
-                 pack(MessageKind::LaunchVm, cmd));
+    repl.output(rec->serverId, pack(MessageKind::LaunchVm, cmd));
     // Commit after the send so the staged LaunchVm is gated on this
     // handler's own journal records (startSpawn runs from a timer, so
     // no enclosing handler commits for it).
@@ -456,8 +441,7 @@ CloudController::transmitForward(std::uint64_t attestId)
     fwd.nonce2 = ctx.nonce2;
     fwd.mode = ctx.mode;
     fwd.period = ctx.period;
-    sendExternal(ctx.attestorId,
-                 pack(MessageKind::AttestForward, fwd));
+    repl.output(ctx.attestorId, pack(MessageKind::AttestForward, fwd));
 }
 
 void
@@ -581,22 +565,12 @@ CloudController::sendAttestFailure(const net::NodeId &customer,
     failure.reason = reason;
     Bytes packed = pack(MessageKind::AttestFailure, failure);
     rememberRelay(CustomerKey{customer, requestId}, Bytes(packed));
-    sendExternal(customer, std::move(packed));
-}
-
-std::vector<std::string>
-CloudController::knownAttestors() const
-{
-    if (!cfg.attestorIds.empty())
-        return cfg.attestorIds;
-    return {cfg.attestationServerId};
+    repl.output(customer, std::move(packed));
 }
 
 bool
 CloudController::isKnownAttestor(const net::NodeId &node) const
 {
-    if (node == cfg.attestationServerId)
-        return true;
     for (const std::string &id : cfg.attestorIds)
         if (node == id)
             return true;
@@ -609,7 +583,7 @@ CloudController::isKnownAttestor(const net::NodeId &node) const
 std::string
 CloudController::alternativeAttestor(const std::string &current) const
 {
-    const std::vector<std::string> all = knownAttestors();
+    const std::vector<std::string> &all = cfg.attestorIds;
     // Prefer an AS not currently suspected of being down...
     for (const std::string &id : all) {
         if (id == current)
@@ -653,7 +627,7 @@ CloudController::onAttestRequest(const net::NodeId &from,
     }
     if (const Bytes *cached = relayCache.find(key)) {
         ++counters.duplicateAttestRequests;
-        sendExternal(from, Bytes(*cached));
+        repl.output(from, Bytes(*cached));
         return;
     }
 
@@ -701,10 +675,8 @@ CloudController::onAttestRequest(const net::NodeId &from,
 }
 
 void
-CloudController::onReportToController(const net::NodeId &from,
-                                      const Bytes &body)
+CloudController::onReportToController(const Bytes &body)
 {
-    (void)from;
     auto msgR = proto::decode<ReportToController>(body);
     if (!msgR) {
         ++counters.reportVerificationFailures;
@@ -773,7 +745,7 @@ CloudController::onReportToController(const net::NodeId &from,
         else if (ctx.kind == AttestKind::SuspendRecheck)
             handleRecheckReport(ctx, msg);
         else
-            handleCustomerReport(msg.requestId, ctx, msg);
+            handleCustomerReport(ctx, msg);
         commitJournal();
     }, "cc.report");
 }
@@ -810,8 +782,7 @@ CloudController::handleStartupReport(const AttestContext &ctx,
         // §5.1: compromised image — reject the launch.
         proto::VmCommand cmd;
         cmd.vid = ctx.vid;
-        sendExternal(rec->serverId,
-                     pack(MessageKind::TerminateVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::TerminateVm, cmd));
         db.release(rec->serverId, rec->ramMb, rec->diskGb);
         journalServer(rec->serverId);
         ++counters.launchesRejected;
@@ -820,8 +791,7 @@ CloudController::handleStartupReport(const AttestContext &ctx,
         // §5.1: compromised platform — select another server.
         proto::VmCommand cmd;
         cmd.vid = ctx.vid;
-        sendExternal(rec->serverId,
-                     pack(MessageKind::TerminateVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::TerminateVm, cmd));
         db.release(rec->serverId, rec->ramMb, rec->diskGb);
         journalServer(rec->serverId);
         rescheduleLaunch(ctx.vid, detail);
@@ -837,7 +807,7 @@ CloudController::rescheduleLaunch(const std::string &vid,
     if (!rec || launchIt == launches.end())
         return;
 
-    if (rec->launchAttempts >= cfg.maxLaunchAttempts) {
+    if (rec->launchAttempts >= kMaxLaunchAttempts) {
         finishLaunch(vid, false,
                      "launch failed after retries: " + reason);
         return;
@@ -871,20 +841,17 @@ CloudController::finishLaunch(const std::string &vid, bool ok,
     resp.vid = vid;
     resp.ok = ok;
     resp.error = error;
-    sendExternal(launchIt->second.customer,
-                 pack(MessageKind::LaunchResponse, resp));
+    repl.output(launchIt->second.customer,
+                pack(MessageKind::LaunchResponse, resp));
     launches.erase(launchIt);
     journalVm(vid);
     journalLaunch(vid);
 }
 
 void
-CloudController::handleCustomerReport(std::uint64_t attestId,
-                                      const AttestContext &ctx,
+CloudController::handleCustomerReport(const AttestContext &ctx,
                                       const ReportToController &msg)
 {
-    (void)attestId;
-
     ReportToCustomer out;
     out.requestId = ctx.customerRequestId;
     out.vid = ctx.vid;
@@ -905,7 +872,7 @@ CloudController::handleCustomerReport(std::uint64_t attestId,
         rememberRelay(key, Bytes(packed));
     else
         customerInFlight.erase(key);
-    sendExternal(ctx.customer, std::move(packed));
+    repl.output(ctx.customer, std::move(packed));
 
     // nova response: act on a negative report.
     bool bad = false;
@@ -981,14 +948,12 @@ CloudController::triggerResponse(
     cmd.vid = vid;
     switch (policy) {
       case ResponsePolicy::Terminate:
-        sendExternal(rec->serverId,
-                     pack(MessageKind::TerminateVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::TerminateVm, cmd));
         break;
       case ResponsePolicy::Suspend:
         rec->status = VmStatus::Suspended;
         journalVm(vid);
-        sendExternal(rec->serverId,
-                     pack(MessageKind::SuspendVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::SuspendVm, cmd));
         break;
       case ResponsePolicy::Migrate:
         executeMigration(vid, logIndex);
@@ -1019,8 +984,7 @@ CloudController::executeMigration(const std::string &vid,
         journalResponse(logIndex);
         proto::VmCommand cmd;
         cmd.vid = vid;
-        sendExternal(rec->serverId,
-                     pack(MessageKind::TerminateVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::TerminateVm, cmd));
         return;
     }
 
@@ -1033,8 +997,7 @@ CloudController::executeMigration(const std::string &vid,
     journalVm(vid);
     journalServer(cmd.targetServer);
     journalResponse(logIndex);
-    sendExternal(rec->serverId,
-                 pack(MessageKind::MigrateOut, cmd));
+    repl.output(rec->serverId, pack(MessageKind::MigrateOut, cmd));
 }
 
 void
@@ -1120,9 +1083,7 @@ CloudController::retargetPeriodicAttestations(const std::string &vid,
         fwd.nonce2 = ctx.nonce2;
         fwd.mode = AttestMode::RuntimePeriodic;
         fwd.period = ctx.period;
-        sendExternal(
-     ctx.attestorId,
-     pack(MessageKind::AttestForward, fwd));
+        repl.output(ctx.attestorId, pack(MessageKind::AttestForward, fwd));
 
         // When the cluster changed, the old attestor still runs the
         // stale task: stop it explicitly.
@@ -1130,9 +1091,7 @@ CloudController::retargetPeriodicAttestations(const std::string &vid,
             AttestForward stop = fwd;
             stop.serverId = oldServer;
             stop.mode = AttestMode::StopPeriodic;
-            sendExternal(
-         oldAttestor,
-         pack(MessageKind::AttestForward, stop));
+            repl.output(oldAttestor, pack(MessageKind::AttestForward, stop));
         }
     }
 }
@@ -1141,9 +1100,7 @@ void
 CloudController::scheduleSuspendRecheck(const std::string &vid,
                                         std::size_t logIndex)
 {
-    if (cfg.suspendRecheckPeriod <= 0)
-        return;
-    events.scheduleAfter(cfg.suspendRecheckPeriod,
+    events.scheduleAfter(kSuspendRecheckPeriod,
                          [this, vid, logIndex, eraNow = log.era()] {
         if (log.stale(eraNow))
             return;
@@ -1186,8 +1143,7 @@ CloudController::handleRecheckReport(const AttestContext &ctx,
         cmd.vid = ctx.vid;
         rec->status = VmStatus::Running;
         journalVm(ctx.vid);
-        sendExternal(rec->serverId,
-                     pack(MessageKind::ResumeVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::ResumeVm, cmd));
         MONATT_LOG(Info, "cc") << ctx.vid
                                << " healthy again; resuming";
     } else {
@@ -1264,41 +1220,6 @@ CloudController::journalAsHealth(const std::string &attestorId)
     const AsHealth health = it == asHealth.end() ? AsHealth{} : it->second;
     log.append(JournalType::AsHealthSet,
                AsHealthRecord{attestorId, health.strikes, health.suspect});
-}
-
-void
-CloudController::commitJournal()
-{
-    if (log.replaying())
-        return;
-    if (replicated() && election.role() != ReplicaRole::Leader) {
-        // Followers sync their mirror inside onReplicateEntries and
-        // must never checkpoint here: their in-memory state is empty,
-        // so snapshotState() would wipe the mirrored journal. Any
-        // sends a stale code path staged are for a reign this replica
-        // no longer holds.
-        stagedSends.clear();
-        return;
-    }
-    if (!log.enabled())
-        return;
-    if (log.sync())
-        mirrorRound = election.round();
-    // Everything staged by this handler is gated on the journal
-    // records it just made durable: release only once that LSN is
-    // majority-replicated. Unreplicated groups commit immediately.
-    const std::uint64_t gateLsn = log.store().lastDurableLsn();
-    for (StagedSend &s : stagedSends)
-        outputGate.push_back({gateLsn, std::move(s.peer),
-                              std::move(s.packed)});
-    stagedSends.clear();
-    // Stream before checkpointing so followers receive the tail as
-    // records; a checkpoint here would force a snapshot install.
-    if (replicated())
-        replicateToFollowers();
-    log.checkpointIfDue(events.now());
-    if (replicated())
-        advanceCommit();
 }
 
 // --- Durability: snapshot + replay ------------------------------------
@@ -1409,9 +1330,7 @@ CloudController::crash()
     // counters on the surviving server rows come back from the journal.
     log.crash();
     resetVolatileState();
-    lastLeaderContact = 0;
-    if (replicated())
-        election.resetToFollower();
+    repl.crash();
 }
 
 void
@@ -1419,10 +1338,6 @@ CloudController::resetVolatileState()
 {
     for (auto &[attestId, ctx] : attests)
         events.cancel(ctx.retryTimer);
-    events.cancel(heartbeatTimer);
-    events.cancel(electionTimer);
-    heartbeatTimer = 0;
-    electionTimer = 0;
     for (const std::string &vid : db.vmIds())
         db.removeVm(vid);
     launches.clear();
@@ -1437,11 +1352,6 @@ CloudController::resetVolatileState()
     nextVmNumber = 1;
     nextAttestId = 1;
     busyUntil = 0;
-    stagedSends.clear();
-    outputGate.clear();
-    commitLsn_ = 0;
-    lastStreamedLsn = 0;
-    followerSilence.clear();
 }
 
 void
@@ -1451,23 +1361,7 @@ CloudController::restart()
         return;
     MONATT_LOG(Info, "cc") << cfg.id << ": restart";
     endpoint.attach();
-    if (replicated()) {
-        // Verify the mirror before rejoining: the outage may have
-        // torn or rotted the journal. Healing truncates the bad
-        // suffix, so the next ack to the leader reports the verified
-        // horizon and the leader re-streams the damaged range through
-        // the normal replication path (snapshot install if the
-        // mirror's own snapshot seal failed).
-        log.verifyMirror();
-        // Rejoin as a follower: the mirror resynchronizes from the
-        // current leader's stream (snapshot install if we fell behind
-        // its checkpoint); promotion back to leader only via election.
-        election.resetToFollower();
-        ledger.reset(followerIds());
-        armElectionTimer();
-        return;
-    }
-    log.recover([this] { rearmRecoveredWork(); });
+    repl.restart(events.now());
 }
 
 void
@@ -1554,9 +1448,8 @@ CloudController::rearmRecoveredWork()
                     return;
                 proto::VmCommand cmd;
                 cmd.vid = vid;
-                sendExternal(
-             rec->serverId,
-             pack(MessageKind::TerminateVm, cmd));
+                repl.output(rec->serverId,
+                            pack(MessageKind::TerminateVm, cmd));
                 db.release(rec->serverId, rec->ramMb, rec->diskGb);
                 journalServer(rec->serverId);
                 finishLaunch(vid, false,
@@ -1619,15 +1512,13 @@ CloudController::resendResponseCommand(std::size_t logIndex)
       case ResponsePolicy::Terminate: {
         proto::VmCommand cmd;
         cmd.vid = log.vid;
-        sendExternal(rec->serverId,
-                     pack(MessageKind::TerminateVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::TerminateVm, cmd));
         break;
       }
       case ResponsePolicy::Suspend: {
         proto::VmCommand cmd;
         cmd.vid = log.vid;
-        sendExternal(rec->serverId,
-                     pack(MessageKind::SuspendVm, cmd));
+        repl.output(rec->serverId, pack(MessageKind::SuspendVm, cmd));
         break;
       }
       case ResponsePolicy::Migrate: {
@@ -1636,8 +1527,7 @@ CloudController::resendResponseCommand(std::size_t logIndex)
         proto::MigrateOut cmd;
         cmd.vid = log.vid;
         cmd.targetServer = log.targetServer;
-        sendExternal(rec->serverId,
-                     pack(MessageKind::MigrateOut, cmd));
+        repl.output(rec->serverId, pack(MessageKind::MigrateOut, cmd));
         break;
       }
       case ResponsePolicy::None:
@@ -1645,412 +1535,62 @@ CloudController::resendResponseCommand(std::size_t logIndex)
     }
 }
 
-// --- Replication + leader election ------------------------------------
+// --- ReplicatedLog::Io ------------------------------------------------
 //
-// Control-plane traffic (ReplicateEntries/Ack, Vote*, NotLeader) goes
-// out through endpoint.sendSecure directly: it must flow even while
-// the externally visible output of the current handler is still gated
-// on majority durability.
+// Control-plane traffic (ReplicateEntries/Ack, Vote*, NotLeader) and the
+// released output both leave through send().
 
 void
-CloudController::sendExternal(const net::NodeId &peer, Bytes packed)
+CloudController::send(const std::string &peer, Bytes packed)
 {
-    if (!replicated()) {
-        endpoint.sendSecure(peer, std::move(packed));
-        return;
-    }
-    if (election.role() != ReplicaRole::Leader)
-        return;
-    // Stage until commitJournal tags the send with the LSN of the
-    // records this handler produced; released once majority-durable.
-    stagedSends.push_back({peer, std::move(packed)});
-}
-
-bool
-CloudController::isGroupMember(const net::NodeId &node) const
-{
-    for (const std::string &id : cfg.groupIds) {
-        if (id == node)
-            return true;
-    }
-    return false;
-}
-
-std::vector<std::string>
-CloudController::followerIds() const
-{
-    std::vector<std::string> out;
-    for (const std::string &id : cfg.groupIds) {
-        if (id != cfg.id)
-            out.push_back(id);
-    }
-    return out;
+    endpoint.sendSecure(peer, std::move(packed));
 }
 
 void
-CloudController::sendNotLeader(const net::NodeId &customer,
-                               std::uint64_t requestId, bool isLaunch)
+CloudController::resetPeer(const std::string &peer)
 {
-    proto::NotLeader redirect;
-    redirect.requestId = requestId;
-    redirect.isLaunch = isLaunch;
-    // Only hint at a *different* replica; an empty hint tells the
-    // customer to fall back to its retransmission rotation.
-    redirect.leaderId = knownLeader == cfg.id ? "" : knownLeader;
-    redirect.round = election.round();
-    endpoint.sendSecure(customer,
-                        pack(MessageKind::NotLeader, redirect));
+    endpoint.resetPeer(peer);
 }
 
 void
-CloudController::streamToFollower(const net::NodeId &follower)
+CloudController::armTimer(ReplicaTimer timer, SimTime delay)
 {
-    proto::ReplicateEntries msg;
-    msg.round = election.round();
-    msg.leaderId = cfg.id;
-    msg.commitLsn = commitLsn_;
-    std::uint64_t from = ledger.ackOf(follower);
-    if (from < log.store().snapshotLsn()) {
-        // The follower is behind our last checkpoint: the records it
-        // misses no longer exist as records, ship the snapshot.
-        msg.hasSnapshot = true;
-        msg.snapshot = log.store().snapshotBytes();
-        msg.snapshotLsn = log.store().snapshotLsn();
-        from = msg.snapshotLsn;
-    }
-    msg.prevLsn = from;
-    log.store().forEachDurableSince(
-        from, [&msg](const sim::JournalRecord &rec) {
-            msg.records.push_back({rec.lsn, rec.type, rec.payload});
-        });
-    endpoint.sendSecure(follower,
-                        pack(MessageKind::ReplicateEntries, msg));
+    sim::EventId &id = replTimers[static_cast<std::size_t>(timer)];
+    events.cancel(id);
+    // Capture the crash era: a crash or step-down fences the timer.
+    id = events.scheduleAfter(
+        delay,
+        [this, timer, eraNow = log.era()] {
+            if (log.stale(eraNow))
+                return;
+            replTimers[static_cast<std::size_t>(timer)] = 0;
+            repl.timerFired(timer);
+        },
+        timer == ReplicaTimer::Heartbeat ? "cc.heartbeat" : "cc.election");
 }
 
 void
-CloudController::replicateToFollowers()
+CloudController::cancelTimer(ReplicaTimer timer)
 {
-    if (election.role() != ReplicaRole::Leader)
-        return;
-    if (log.store().lastDurableLsn() <= lastStreamedLsn)
-        return;
-    for (const std::string &follower : followerIds())
-        streamToFollower(follower);
-    lastStreamedLsn = log.store().lastDurableLsn();
+    sim::EventId &id = replTimers[static_cast<std::size_t>(timer)];
+    events.cancel(id);
+    id = 0;
 }
 
 void
-CloudController::advanceCommit()
+CloudController::becameLeader()
 {
-    const std::uint64_t c =
-        ledger.commitLsn(log.store().lastDurableLsn(), election.groupSize());
-    if (c > commitLsn_)
-        commitLsn_ = c;
-    releaseCommitted();
-}
-
-void
-CloudController::releaseCommitted()
-{
-    while (!outputGate.empty() &&
-           outputGate.front().lsn <= commitLsn_) {
-        GatedSend send = std::move(outputGate.front());
-        outputGate.pop_front();
-        endpoint.sendSecure(send.peer, std::move(send.packed));
-    }
-}
-
-void
-CloudController::onReplicateEntries(const net::NodeId &from,
-                                    const Bytes &body)
-{
-    if (!replicated() || !isGroupMember(from))
-        return;
-    auto decoded = proto::decode<proto::ReplicateEntries>(body);
-    if (!decoded)
-        return;
-    const proto::ReplicateEntries &msg = decoded.value();
-    if (msg.leaderId != from || msg.round < election.round())
-        return;
-    lastLeaderContact = events.now();
-
-    const bool wasLeader = election.role() == ReplicaRole::Leader;
-    if (election.observeLeader(msg.leaderId, msg.round) && wasLeader) {
-        // Deposed by a higher-round leader: fence our reign's timers
-        // and drop state we no longer own.
-        stepDownToFollower();
-    }
-    knownLeader = msg.leaderId;
-    armElectionTimer();
-
-    if (msg.hasSnapshot &&
-        (msg.round > mirrorRound ||
-         msg.snapshotLsn > log.store().lastDurableLsn())) {
-        log.store().installSnapshot(msg.snapshot, msg.snapshotLsn);
-    } else if (!msg.hasSnapshot && msg.round > mirrorRound &&
-               log.store().lastDurableLsn() > msg.prevLsn) {
-        // A new leader's log is authoritative: drop any suffix the old
-        // leader streamed to us but never got committed.
-        log.store().truncateTo(msg.prevLsn);
-    }
-
-    // Adopt the contiguous prefix of the streamed tail in one batch.
-    // (Tracking the expected LSN locally matters: adopted records sit
-    // in the buffered tail until the sync below, so re-reading
-    // lastDurableLsn() mid-loop would stall adoption at one record
-    // per stream message.)
-    std::vector<sim::JournalRecord> adopted;
-    std::uint64_t next = log.store().lastDurableLsn() + 1;
-    for (const proto::ReplicatedRecord &rec : msg.records) {
-        if (rec.lsn < next)
-            continue; // duplicate from a retransmission
-        if (rec.lsn > next)
-            break; // gap: wait for the leader's next (re)stream
-        adopted.push_back({rec.lsn, rec.type, rec.payload});
-        ++next;
-    }
-    log.store().adoptMany(std::move(adopted));
-    log.sync();
-    mirrorRound = msg.round;
-    if (msg.commitLsn > commitLsn_)
-        commitLsn_ = std::min(msg.commitLsn, log.store().lastDurableLsn());
-
-    proto::ReplicateAck ack;
-    ack.round = msg.round;
-    ack.lastLsn = log.store().lastDurableLsn();
-    endpoint.sendSecure(from,
-                        pack(MessageKind::ReplicateAck, ack));
-}
-
-void
-CloudController::onReplicateAck(const net::NodeId &from,
-                                const Bytes &body)
-{
-    if (!replicated() || !isGroupMember(from))
-        return;
-    auto decoded = proto::decode<proto::ReplicateAck>(body);
-    if (!decoded)
-        return;
-    followerSilence[from] = 0;
-    const proto::ReplicateAck &msg = decoded.value();
-    if (election.role() != ReplicaRole::Leader ||
-        msg.round != election.round())
-        return;
-    ledger.recordAck(from, msg.lastLsn);
-    if (msg.lastLsn < log.store().lastDurableLsn())
-        streamToFollower(from);
-    advanceCommit();
-}
-
-void
-CloudController::onVoteRequest(const net::NodeId &from, const Bytes &body)
-{
-    if (!replicated() || !isGroupMember(from))
-        return;
-    auto decoded = proto::decode<proto::VoteRequest>(body);
-    if (!decoded)
-        return;
-    const proto::VoteRequest &msg = decoded.value();
-    if (msg.prevote) {
-        // A probe costs nothing to deny. Deny while the group
-        // demonstrably has a leader — we are it, or we heard from it
-        // within the minimum election timeout — so only a majority
-        // that genuinely lost its leader can open an election.
-        if (election.role() == ReplicaRole::Leader)
-            return;
-        if (lastLeaderContact != 0 &&
-            events.now() - lastLeaderContact <
-                cfg.election.electionTimeoutMin)
-            return;
-        if (!election.considerPrevote(msg.round, msg.lastLogRound,
-                                      msg.lastLsn, mirrorRound,
-                                      log.store().lastDurableLsn()))
-            return;
-        endpoint.resetPeer(from);
-        proto::VoteGrant grant;
-        grant.round = msg.round;
-        grant.prevote = true;
-        endpoint.sendSecure(from,
-                            pack(MessageKind::VoteGrant, grant));
-        return;
-    }
-    const bool wasLeader = election.role() == ReplicaRole::Leader;
-    const bool granted =
-        election.considerVote(msg.round, msg.lastLogRound, msg.lastLsn,
-                              mirrorRound, log.store().lastDurableLsn());
-    if (wasLeader && election.role() != ReplicaRole::Leader)
-        stepDownToFollower();
-    if (!granted)
-        return;
-    knownLeader.clear();
-    armElectionTimer();
-    // The candidate may have restarted since we last talked to it, in
-    // which case it cannot open records sealed under the old session;
-    // elections are rare enough to afford a fresh handshake per grant.
-    endpoint.resetPeer(from);
-    proto::VoteGrant grant;
-    grant.round = msg.round;
-    endpoint.sendSecure(from,
-                        pack(MessageKind::VoteGrant, grant));
-}
-
-void
-CloudController::onVoteGrant(const net::NodeId &from, const Bytes &body)
-{
-    if (!replicated() || !isGroupMember(from))
-        return;
-    auto decoded = proto::decode<proto::VoteGrant>(body);
-    if (!decoded)
-        return;
-    const proto::VoteGrant &msg = decoded.value();
-    if (msg.prevote) {
-        if (election.role() == ReplicaRole::Leader ||
-            msg.round != election.round() + 1)
-            return;
-        if (election.recordPrevote(from))
-            openCandidacy();
-        return;
-    }
-    if (election.recordVote(from, msg.round))
-        becomeLeader();
-}
-
-void
-CloudController::becomeLeader()
-{
-    MONATT_LOG(Info, "cc")
-        << cfg.id << ": elected leader of " << groupId() << " in round "
-        << election.round();
-    if (electionTimer != 0) {
-        events.cancel(electionTimer);
-        electionTimer = 0;
-    }
-    knownLeader = cfg.id;
-    commitLsn_ = 0;
-    outputGate.clear();
-    stagedSends.clear();
-    ledger.reset(followerIds());
-    followerSilence.clear();
-    // Replay the mirrored journal into live state; rearmRecoveredWork
-    // re-drives in-flight launches/attests, whose (re)sends are staged
-    // and released once a majority mirrors the recovery checkpoint.
     log.recover([this] { rearmRecoveredWork(); });
-    mirrorRound = election.round();
-    lastStreamedLsn = log.store().lastDurableLsn();
-    commitJournal();
-    for (const std::string &follower : followerIds())
-        streamToFollower(follower);
-    armHeartbeat();
 }
 
 void
-CloudController::stepDownToFollower()
+CloudController::steppedDown()
 {
-    MONATT_LOG(Info, "cc")
-        << cfg.id << ": stepping down to follower in round "
-        << election.round();
     // Fence every lambda armed during the deposed reign. Live state
     // belongs to the leader now; this replica keeps only its journal
     // mirror.
     log.fence();
     resetVolatileState();
-    armElectionTimer();
-}
-
-void
-CloudController::armHeartbeat()
-{
-    if (heartbeatTimer != 0)
-        events.cancel(heartbeatTimer);
-    heartbeatTimer = events.scheduleAfter(
-        cfg.election.heartbeatInterval,
-        [this, eraNow = log.era()] {
-            if (log.stale(eraNow))
-                return;
-            heartbeatFired();
-        },
-        "cc.heartbeat");
-}
-
-void
-CloudController::armElectionTimer()
-{
-    if (electionTimer != 0)
-        events.cancel(electionTimer);
-    electionTimer = events.scheduleAfter(
-        election.electionTimeout(),
-        [this, eraNow = log.era()] {
-            if (log.stale(eraNow))
-                return;
-            electionTimerFired();
-        },
-        "cc.election");
-}
-
-void
-CloudController::heartbeatFired()
-{
-    heartbeatTimer = 0;
-    if (!replicated() || election.role() != ReplicaRole::Leader ||
-        !endpoint.attached())
-        return;
-    // The heartbeat doubles as retransmission: each follower gets the
-    // suffix past its last ack (or a snapshot), and its re-ack repairs
-    // any cursor state lost to the network.
-    for (const std::string &follower : followerIds()) {
-        if (++followerSilence[follower] >= kSilentBeatLimit) {
-            // No ack for several beats: the follower likely restarted
-            // and cannot open records sealed under the old session.
-            // Tear the channel down so the next stream re-handshakes.
-            endpoint.resetPeer(follower);
-            followerSilence[follower] = 0;
-        }
-        streamToFollower(follower);
-    }
-    armHeartbeat();
-}
-
-void
-CloudController::electionTimerFired()
-{
-    electionTimer = 0;
-    if (!replicated() || election.role() == ReplicaRole::Leader ||
-        !endpoint.attached())
-        return;
-    // Probe first: a candidacy only opens once a majority signals it
-    // could win (pre-vote). The probe spends no round, so a replica
-    // that is simply out of touch — resyncing after a restart, or cut
-    // off by a lossy link — keeps probing harmlessly instead of
-    // deposing a live leader with ever-higher rounds.
-    election.startPrevote();
-    proto::VoteRequest req;
-    req.round = election.round() + 1;
-    req.lastLogRound = mirrorRound;
-    req.lastLsn = log.store().lastDurableLsn();
-    req.prevote = true;
-    const Bytes packed =
-        pack(MessageKind::VoteRequest, req);
-    for (const std::string &peer : followerIds())
-        endpoint.sendSecure(peer, packed);
-    armElectionTimer();
-}
-
-void
-CloudController::openCandidacy()
-{
-    election.startCandidacy();
-    knownLeader.clear();
-    MONATT_LOG(Info, "cc")
-        << cfg.id << ": starting election round " << election.round();
-    proto::VoteRequest req;
-    req.round = election.round();
-    req.lastLogRound = mirrorRound;
-    req.lastLsn = log.store().lastDurableLsn();
-    const Bytes packed =
-        pack(MessageKind::VoteRequest, req);
-    for (const std::string &peer : followerIds())
-        endpoint.sendSecure(peer, packed);
-    armElectionTimer();
 }
 
 } // namespace monatt::controller

@@ -21,8 +21,8 @@
 #ifndef MONATT_CONTROLLER_CLOUD_CONTROLLER_H
 #define MONATT_CONTROLLER_CLOUD_CONTROLLER_H
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <set>
 #include <string>
@@ -31,10 +31,9 @@
 
 #include "common/fifo_map.h"
 #include "controller/database.h"
-#include "controller/election.h"
 #include "controller/journal.h"
 #include "controller/policy.h"
-#include "controller/replica_group.h"
+#include "controller/replicated_log.h"
 #include "net/secure_endpoint.h"
 #include "proto/durable_log.h"
 #include "proto/messages.h"
@@ -46,31 +45,21 @@ namespace monatt::controller
 
 class HashRing;
 
-/** Controller configuration. */
+/** Controller configuration (built only by ControllerFabric). */
 struct CloudControllerConfig
 {
     std::string id = "cloud-controller";
-    std::string attestationServerId = "attestation-server";
     proto::TimingModel timing;
     proto::ReliabilityModel reliability;
     std::size_t identityKeyBits = 512;
-    int maxLaunchAttempts = 3;
 
     /**
      * Every Attestation Server in the cloud, in failover preference
-     * order. When an AS exhausts its forward-retry budget the request
-     * fails over to the next non-suspect AS here. Empty = just
-     * attestationServerId (no failover possible).
+     * order; never empty. When an AS exhausts its forward-retry budget
+     * the request fails over to the next non-suspect AS here. The first
+     * one serves servers mapped to no cluster.
      */
     std::vector<std::string> attestorIds;
-
-    /**
-     * §5.2 #2: after suspending a VM the controller "can initiate
-     * further checking and also continue to attest the platform"; if
-     * the health recovers it resumes the VM from the saved state.
-     * Interval between re-checks of a suspended VM; 0 disables.
-     */
-    SimTime suspendRecheckPeriod = seconds(30);
 
     /**
      * Durable control plane: journal every database and protocol-state
@@ -93,13 +82,12 @@ struct CloudControllerConfig
     std::size_t relayCacheCapacity = 128;
 
     /**
-     * Sharded control plane (set by ControllerFabric). `ring` is the
-     * fabric's consistent-hash ownership ring — non-owning, must
-     * outlive the controller; nullptr runs the classic unsharded
-     * controller. A sharded controller allocates only vids the ring
-     * maps to itself and tags attest ids with the shard index so they
-     * stay globally unique across shards. Shard 0 keeps the untagged
-     * legacy id space, which is what makes a 1-shard fabric
+     * Shard placement (set by ControllerFabric). `ring` is the
+     * fabric's consistent-hash ownership ring — non-owning, never
+     * null, must outlive the controller. A shard allocates only vids
+     * the ring maps to its group and tags attest ids with the shard
+     * index so they stay globally unique across shards. Shard 0 keeps
+     * the untagged id space, which is what makes a 1-shard fabric
      * bit-identical to the single controller.
      */
     int shardIndex = 0;
@@ -107,12 +95,11 @@ struct CloudControllerConfig
 
     /**
      * Replica group this controller belongs to (set by
-     * ControllerFabric): every replica id of the shard, index 0 = the
-     * primary, whose id is the shard's base id and who boots as the
-     * round-1 leader. `replicaIndex` is this node's position. Empty
-     * or size-1 runs the classic unreplicated controller — no
-     * replication traffic, no timers, byte-identical behavior.
-     * Replication requires `durable` (the journal is what streams).
+     * ControllerFabric; a group of one included): every replica id of
+     * the shard, index 0 = the primary, whose id is the shard's base
+     * id and who boots as the round-1 leader. `replicaIndex` is this
+     * node's position. A group of more than one requires `durable`
+     * (the journal is what streams).
      */
     std::vector<std::string> groupIds;
     int replicaIndex = 0;
@@ -148,10 +135,39 @@ struct ControllerStats
     std::uint64_t tcbRollbackReports = 0;  //!< Reports with a TcbRollback
                                            //!< verdict (stale firmware).
     std::uint64_t serversQuarantined = 0;  //!< Hosts evicted for stale TCB.
+
+    /** Field-wise sum: every counter, for fabric-wide totals. */
+    ControllerStats &operator+=(const ControllerStats &o)
+    {
+        launchesRequested += o.launchesRequested;
+        launchesSucceeded += o.launchesSucceeded;
+        launchesRejected += o.launchesRejected;
+        launchesRescheduled += o.launchesRescheduled;
+        reportsRelayed += o.reportsRelayed;
+        reportVerificationFailures += o.reportVerificationFailures;
+        responsesTriggered += o.responsesTriggered;
+        forwardRetries += o.forwardRetries;
+        failovers += o.failovers;
+        attestationsUnreachable += o.attestationsUnreachable;
+        duplicateAttestRequests += o.duplicateAttestRequests;
+        recoveries += o.recoveries;
+        corruptRecoveries += o.corruptRecoveries;
+        recoveredAttests += o.recoveredAttests;
+        recoveredLaunches += o.recoveredLaunches;
+        rttSamples += o.rttSamples;
+        tcbRollbackReports += o.tcbRollbackReports;
+        serversQuarantined += o.serversQuarantined;
+        return *this;
+    }
 };
 
-/** The Cloud Controller entity. */
-class CloudController
+/**
+ * The Cloud Controller entity: one replica of a shard's replica group.
+ * Its ReplicatedLog decides whether it leads; a leader runs the
+ * handlers below, and every externally visible send leaves through the
+ * log's output gate at the handler's commit point.
+ */
+class CloudController : private ReplicatedLog::Io
 {
   public:
     CloudController(sim::EventQueue &eq, net::Network &network,
@@ -181,7 +197,7 @@ class CloudController
      * Map a cloud server to the Attestation Server of its cluster
      * (§3.2.3: "There can be different Attestation Servers for
      * different clusters of cloud servers, enabling scalability").
-     * Unmapped servers use the default attestation server.
+     * Unmapped servers use the first attestor.
      */
     void assignAttestationCluster(const std::string &serverId,
                                   const std::string &attestorId);
@@ -209,7 +225,9 @@ class CloudController
      */
     void crash();
 
-    /** Restart after crash(): re-attach and replay the journal. */
+    /** Restart after crash(): re-attach and rejoin the group. A group
+     * of one leads again at once and replays its journal; a larger
+     * group's replica resyncs as a follower. */
     void restart();
 
     /** True while attached to the network (false between crash and
@@ -227,18 +245,14 @@ class CloudController
     }
 
     /** Replica-group introspection. */
-    bool replicated() const { return cfg.groupIds.size() > 1; }
-    ReplicaRole role() const { return election.role(); }
-    std::uint64_t electionRound() const { return election.round(); }
+    ReplicaRole role() const { return repl.role(); }
+    std::uint64_t electionRound() const { return repl.round(); }
 
-    /** The shard's base id (== cfg.id on the primary / unreplicated). */
-    const std::string &groupId() const
-    {
-        return cfg.groupIds.empty() ? cfg.id : cfg.groupIds.front();
-    }
+    /** The shard's base id (== cfg.id on the primary). */
+    const std::string &groupId() const { return repl.groupId(); }
 
     /** Majority-durable output cursor (leader side). */
-    std::uint64_t committedLsn() const { return commitLsn_; }
+    std::uint64_t committedLsn() const { return repl.committedLsn(); }
 
     /** Relay dedup cache introspection (bounds tests). */
     std::size_t relayCacheSize() const { return relayCache.size(); }
@@ -283,71 +297,26 @@ class CloudController
         return proto::packFor(cfg.wire, kind, msg);
     }
 
-    // --- Replication (replica groups) ------------------------------
-
-    /**
-     * Send an externally visible protocol message. Unreplicated:
-     * sends immediately (byte-identical to the classic controller).
-     * Replicated leader: stages the send; commitJournal() tags it
-     * with the journal LSN it depends on and it leaves the node only
-     * once that LSN is durable on a majority — the output-commit rule
-     * that makes customer-visible state crash-proof. Replicated
-     * non-leaders drop the send (only the leader speaks).
-     */
-    void sendExternal(const net::NodeId &peer, Bytes packed);
-
-    /** True when `node` is a member of this controller's group. */
-    bool isGroupMember(const net::NodeId &node) const;
-
-    /** Group members except this node. */
-    std::vector<std::string> followerIds() const;
-
-    void onReplicateEntries(const net::NodeId &from, const Bytes &body);
-    void onReplicateAck(const net::NodeId &from, const Bytes &body);
-    void onVoteRequest(const net::NodeId &from, const Bytes &body);
-    void onVoteGrant(const net::NodeId &from, const Bytes &body);
-
-    /** Reply NotLeader to a customer request landing on a non-leader. */
-    void sendNotLeader(const net::NodeId &customer,
-                       std::uint64_t requestId, bool isLaunch);
-
-    /** Stream the journal suffix (or a snapshot) to one follower. */
-    void streamToFollower(const std::string &follower);
-
-    /** Stream any un-streamed durable suffix to every follower. */
-    void replicateToFollowers();
-
-    /** Recompute the majority cursor; release gated sends up to it. */
-    void advanceCommit();
-    void releaseCommitted();
-
-    void becomeLeader();
-
-    /** Leader deposed by a higher round: era-fence pending work,
-     *  drop volatile state and gated output, rejoin as follower. */
-    void stepDownToFollower();
+    // ReplicatedLog::Io: the log's network, timers and leader callbacks.
+    void send(const std::string &peer, Bytes packed) override;
+    void resetPeer(const std::string &peer) override;
+    void armTimer(ReplicaTimer timer, SimTime delay) override;
+    void cancelTimer(ReplicaTimer timer) override;
+    void becameLeader() override;
+    void steppedDown() override;
 
     /**
      * Drop everything but the journal and operator provisioning
      * (flavors, clusters, server inventory rows survive like files on
-     * disk): pending timers, the database's VMs, protocol state,
-     * caches and gated output. Shared by crash() and
-     * stepDownToFollower().
+     * disk): pending timers, the database's VMs, protocol state and
+     * caches. Shared by crash() and steppedDown().
      */
     void resetVolatileState();
-
-    void armHeartbeat();
-    void armElectionTimer();
-    void heartbeatFired();
-    void electionTimerFired();
-
-    /** Pre-vote majority reached: bump the round and run for real. */
-    void openCandidacy();
 
     void onLaunchRequest(const net::NodeId &from, const Bytes &body);
     void onAttestRequest(const net::NodeId &from, const Bytes &body);
     void onLaunchVmAck(const net::NodeId &from, const Bytes &body);
-    void onReportToController(const net::NodeId &from, const Bytes &body);
+    void onReportToController(const Bytes &body);
     void onCommandAck(proto::MessageKind kind, const Bytes &body);
 
     void runSchedulingStage(const std::string &vid);
@@ -399,9 +368,6 @@ class CloudController
                            proto::FailureOutcome outcome,
                            const std::string &reason);
 
-    /** All Attestation Servers this controller may use. */
-    std::vector<std::string> knownAttestors() const;
-
     /** True when `node` is one of the cloud's Attestation Servers. */
     bool isKnownAttestor(const net::NodeId &node) const;
 
@@ -415,8 +381,7 @@ class CloudController
     std::uint64_t forwardAttestation(AttestContext ctx);
     void handleStartupReport(const AttestContext &ctx,
                              const proto::ReportToController &msg);
-    void handleCustomerReport(std::uint64_t attestId,
-                              const AttestContext &ctx,
+    void handleCustomerReport(const AttestContext &ctx,
                               const proto::ReportToController &msg);
     /**
      * Start a §5 remediation for a negative report. `forceMigrate`
@@ -442,7 +407,7 @@ class CloudController
                              const proto::ReportToController &msg);
 
     /** Attestation Server responsible for a cloud server (clusters,
-     * §3.2.3); falls back to cfg.attestationServerId. */
+     * §3.2.3); falls back to the first attestor. */
     const std::string &attestorFor(const std::string &serverId) const;
 
     /** Compiled attestor verification key, rebuilt on rotation. */
@@ -520,9 +485,10 @@ class CloudController
     void journalResponse(std::size_t index);
     void journalAsHealth(const std::string &attestorId);
 
-    /** Sync, stream, checkpoint and release; called at the end of
-     * every event-handler body so no externally visible state is lost. */
-    void commitJournal();
+    /** The log's commit point (sync, stream, checkpoint, release);
+     * called at the end of every event-handler body so no externally
+     * visible state is lost. */
+    void commitJournal() { repl.commit(events.now()); }
 
     /** Checkpoint snapshot: the records that rebuild the state. */
     proto::Snapshot snapshotState() const;
@@ -539,47 +505,10 @@ class CloudController
      * cannot double-act on recovered state. */
     proto::DurableLog log;
 
-    // --- Replication (replica groups) ------------------------------
-
-    ElectionState election;
-    ReplicaLedger ledger;       //!< Leader-side follower ack cursors.
-    std::string knownLeader;    //!< Best-known group leader id.
-    std::uint64_t commitLsn_ = 0;       //!< Majority-durable cursor.
-    std::uint64_t lastStreamedLsn = 0;  //!< Leader stream high-water.
-    /** Round that produced the last durable journal entry (leader:
-     * its own round on append; follower: the streaming leader's). */
-    std::uint64_t mirrorRound = 0;
-    sim::EventId heartbeatTimer = 0; //!< 0 = none pending.
-    sim::EventId electionTimer = 0;  //!< 0 = none pending.
-    /** Consecutive heartbeats per follower without any ReplicateAck.
-     * A restarted follower loses its channel session keys and rejects
-     * records sealed under the old ones; after kSilentBeatLimit silent
-     * beats the leader resets the channel and re-handshakes. */
-    std::map<std::string, int> followerSilence;
-    static constexpr int kSilentBeatLimit = 3;
-
-    /** When we last accepted a stream from the group leader. Recent
-     *  contact (within electionTimeoutMin) denies pre-vote probes, so
-     *  a replica that is merely resyncing after a restart can never
-     *  depose a live leader. */
-    SimTime lastLeaderContact = 0;
-
-    struct StagedSend
-    {
-        net::NodeId peer;
-        Bytes packed;
-    };
-    /** Sends made by the current handler, awaiting commitJournal(). */
-    std::vector<StagedSend> stagedSends;
-
-    struct GatedSend
-    {
-        std::uint64_t lsn = 0;
-        net::NodeId peer;
-        Bytes packed;
-    };
-    /** FIFO of sends awaiting majority ack of their LSN. */
-    std::deque<GatedSend> outputGate;
+    /** The group's replication protocol; decides who leads. */
+    ReplicatedLog repl;
+    /** Pending heartbeat / election timer, by ReplicaTimer (0 = none). */
+    std::array<sim::EventId, 2> replTimers{};
 
     /** Per-attestor observed round-trip estimate (volatile; adaptive
      * RTOs fall back to the fixed knob until fresh samples arrive). */

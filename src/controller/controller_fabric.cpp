@@ -92,26 +92,6 @@ ControllerFabric::ownerOf(const std::string &vid)
 }
 
 std::vector<std::string>
-ControllerFabric::shardIds() const
-{
-    std::vector<std::string> ids;
-    ids.reserve(numShards());
-    for (std::size_t k = 0; k < numShards(); ++k)
-        ids.push_back(shard(k).id());
-    return ids;
-}
-
-std::vector<std::string>
-ControllerFabric::allNodeIds() const
-{
-    std::vector<std::string> ids;
-    ids.reserve(nodes.size());
-    for (const auto &node : nodes)
-        ids.push_back(node->id());
-    return ids;
-}
-
-std::vector<std::string>
 ControllerFabric::groupIds(std::size_t shardIndex) const
 {
     std::vector<std::string> ids;
@@ -167,24 +147,8 @@ ControllerStats
 ControllerFabric::aggregateStats() const
 {
     ControllerStats total;
-    for (const auto &node : nodes) {
-        const ControllerStats &s = node->stats();
-        total.launchesRequested += s.launchesRequested;
-        total.launchesSucceeded += s.launchesSucceeded;
-        total.launchesRejected += s.launchesRejected;
-        total.launchesRescheduled += s.launchesRescheduled;
-        total.reportsRelayed += s.reportsRelayed;
-        total.reportVerificationFailures += s.reportVerificationFailures;
-        total.responsesTriggered += s.responsesTriggered;
-        total.forwardRetries += s.forwardRetries;
-        total.failovers += s.failovers;
-        total.attestationsUnreachable += s.attestationsUnreachable;
-        total.duplicateAttestRequests += s.duplicateAttestRequests;
-        total.recoveries += s.recoveries;
-        total.recoveredAttests += s.recoveredAttests;
-        total.recoveredLaunches += s.recoveredLaunches;
-        total.rttSamples += s.rttSamples;
-    }
+    for (const auto &node : nodes)
+        total += node->stats();
     return total;
 }
 

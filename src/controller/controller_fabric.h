@@ -15,19 +15,19 @@
  * every shard allocates only vids the ring maps to itself, so
  * ownership is an invariant from birth.
  *
- * With `replicasPerShard` > 1 each shard becomes a replica group: the
- * leader streams its journal to the followers and commits (= releases
- * externally visible output) only once a majority holds the records
- * durably; a deterministic election promotes a follower when the
- * leader dies. The ring contains only the shards' *base* ids — replica
- * membership changes never remap VM ownership. Replica 0 keeps the
- * base id and boots as the round-1 leader, so a 1-replica group is the
- * classic unreplicated shard.
+ * Every shard is a replica group of `replicasPerShard` nodes, a group
+ * of one included (controller/replicated_log.h): the leader streams its
+ * journal to the followers and commits (= releases externally visible
+ * output) only once a majority holds the records durably; a
+ * deterministic election promotes a follower when the leader dies. The
+ * ring contains only the shards' *base* ids — replica membership
+ * changes never remap VM ownership. Replica 0 keeps the base id and
+ * boots as the round-1 leader.
  *
- * A 1-shard, 1-replica fabric is bit-identical to the pre-sharding
- * single controller (same id, same seed, same message bytes and
- * timings); tests/controller/shard_conformance_test.cpp pins that
- * equivalence against a golden digest.
+ * A 1-shard, 1-replica fabric reproduces the pre-sharding single
+ * controller (same id, same seed, same message bytes and timings);
+ * tests/controller/shard_conformance_test.cpp pins that equivalence
+ * against a golden digest.
  */
 
 #ifndef MONATT_CONTROLLER_CONTROLLER_FABRIC_H
@@ -69,7 +69,6 @@ class ControllerFabric
     {
         return nodes.size() / replicas_;
     }
-    std::size_t replicasPerShard() const { return replicas_; }
     std::size_t numNodes() const { return nodes.size(); }
 
     /** Shard primary (replica 0, base id) by shard index. */
@@ -93,13 +92,6 @@ class ControllerFabric
         return *nodes.at(index);
     }
 
-    /** Replica of a shard by (shard, replica) index. */
-    CloudController &replica(std::size_t shardIndex,
-                             std::size_t replicaIndex)
-    {
-        return *nodes.at(shardIndex * replicas_ + replicaIndex);
-    }
-
     /** Node (any replica of any shard) by id; nullptr when unknown. */
     CloudController *shardById(const std::string &id);
 
@@ -116,12 +108,6 @@ class ControllerFabric
 
     /** Current leader of the group owning a VM id. */
     CloudController &ownerOf(const std::string &vid);
-
-    /** All shard base ids, in shard-index order. */
-    std::vector<std::string> shardIds() const;
-
-    /** All node ids (every replica of every shard), shard-major. */
-    std::vector<std::string> allNodeIds() const;
 
     /** Replica-group member ids of one shard, replica-index order. */
     std::vector<std::string> groupIds(std::size_t shardIndex) const;
@@ -144,8 +130,9 @@ class ControllerFabric
 
     // --- Whole-plane operations ----------------------------------------
 
-    /** Restart every crashed node (leaders replay their journal,
-     *  replicated nodes rejoin as followers). */
+    /** Restart every crashed node: a group of one leads again at
+     *  once and replays its journal; a larger group's replicas rejoin
+     *  as followers. */
     void restartAll();
 
     /** Counters summed across all nodes. */

@@ -53,7 +53,7 @@ ElectionState::bootstrapLeader()
     prevotes_.clear();
 }
 
-void
+bool
 ElectionState::startCandidacy()
 {
     ++round_;
@@ -62,6 +62,16 @@ ElectionState::startCandidacy()
     votes_.clear();
     prevotes_.clear();
     votes_.insert(self_);
+    return tally();
+}
+
+bool
+ElectionState::tally()
+{
+    if (votes_.size() < majority())
+        return false;
+    role_ = ReplicaRole::Leader;
+    return true;
 }
 
 void
@@ -126,10 +136,7 @@ ElectionState::recordVote(const std::string &voter, std::uint64_t round)
     if (role_ != ReplicaRole::PotentialLeader || round != round_)
         return false;
     votes_.insert(voter);
-    if (votes_.size() < majority())
-        return false;
-    role_ = ReplicaRole::Leader;
-    return true;
+    return tally();
 }
 
 bool

@@ -25,7 +25,7 @@
  * the property tests/controller/replica_group_test.cpp pins.
  *
  * ElectionState is pure bookkeeping: it owns no timers and sends no
- * messages. CloudController drives it from the event loop and the
+ * messages. ReplicatedLog drives it from its timer fires and the
  * replication message handlers.
  */
 
@@ -79,6 +79,7 @@ class ElectionState
     const std::string &self() const { return self_; }
     std::size_t groupSize() const { return group_.size(); }
     const std::vector<std::string> &group() const { return group_; }
+    const ElectionTuning &tuning() const { return tuning_; }
 
     /** Votes needed to win: strict majority of the group. */
     std::size_t majority() const { return group_.size() / 2 + 1; }
@@ -91,14 +92,16 @@ class ElectionState
 
     /**
      * Seed the group: the primary replica starts as the round-1
-     * leader so an unreplicated boot needs no election.
+     * leader so a freshly built group needs no election.
      */
     void bootstrapLeader();
 
     /**
      * Become a candidate for the next round, voting for self.
+     * @return True when the own vote is already a majority (a group of
+     *         one): the replica is leader at once.
      */
-    void startCandidacy();
+    bool startCandidacy();
 
     /**
      * Begin a pre-vote probe for round() + 1: no round is bumped and
@@ -160,6 +163,9 @@ class ElectionState
     void resetToFollower();
 
   private:
+    /** Promote on a majority of votes; true exactly when it promotes. */
+    bool tally();
+
     std::string self_;
     std::vector<std::string> group_;
     ElectionTuning tuning_;

@@ -198,9 +198,8 @@ Cloud::addCustomer(const std::string &id)
         groups.push_back(controlPlane->groupIds(k));
     auto customer = std::make_unique<Customer>(
         eventQueue, fabric, keyDirectory, id,
-        controlPlane->shard(0).id(),
         cfg.seed + 10000 + customers.size(), cfg.reliability,
-        &controlPlane->ring(), std::move(groups));
+        controlPlane->ring(), std::move(groups));
     customer->setWireContext(cfg.wire);
     keyDirectory.publish(id, customer->identityPublic());
     customers.push_back(std::move(customer));

@@ -131,11 +131,12 @@ struct CloudConfig
         controller::HashRing::kDefaultVirtualNodes;
 
     /**
-     * Replicas per controller shard. 1 (the default) runs each shard
-     * as the classic unreplicated controller, bit-identical to the
-     * pre-replication cloud. Larger values give every shard a replica
-     * group: the leader streams its journal to the followers and
-     * releases externally visible output only once a majority holds
+     * Replicas per controller shard; every shard is a replica group,
+     * and 1 (the default) is a group of one: it is its own majority,
+     * so it releases output at each handler's commit point, arms no
+     * replication timer, and after a restart leads again at once.
+     * Larger groups stream the leader's journal to the followers and
+     * release externally visible output only once a majority holds
      * it durably; when a leader crashes, a follower wins a
      * deterministic election and resumes from the mirrored journal.
      * Replica 0 keeps the shard's base id; replica r is

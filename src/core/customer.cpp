@@ -1,5 +1,7 @@
 #include "core/customer.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "controller/hash_ring.h"
 
@@ -13,12 +15,11 @@ using proto::ReportToCustomer;
 
 Customer::Customer(sim::EventQueue &eq, net::Network &network,
                    net::KeyDirectory &directory, std::string id,
-                   std::string controllerId, std::uint64_t seed,
+                   std::uint64_t seed,
                    proto::ReliabilityModel reliabilityModel,
-                   const controller::HashRing *controllerRing,
+                   const controller::HashRing &controllerRing,
                    std::vector<std::vector<std::string>> controllerGroups)
-    : events(eq), self(std::move(id)), controller(std::move(controllerId)),
-      ring(controllerRing),
+    : events(eq), self(std::move(id)), ring(controllerRing),
       keys(crypto::deriveKeyPair("customer-identity", self, seed, 512)),
       dir(directory),
       endpoint(network, self, keys, directory,
@@ -26,21 +27,11 @@ Customer::Customer(sim::EventQueue &eq, net::Network &network,
       nonceDrbg(toBytes("customer-nonces:" + self)),
       reliability(reliabilityModel)
 {
-    // All-singleton groups carry no routing information: drop to the
-    // classic fixed-target path so an unreplicated plane stays
-    // byte-identical whether or not groups were passed.
-    bool replicated = false;
-    for (const std::vector<std::string> &group : controllerGroups)
-        replicated |= group.size() > 1;
-    if (replicated) {
-        for (std::vector<std::string> &group : controllerGroups) {
-            if (group.empty())
-                continue;
-            const std::string base = group.front();
-            for (const std::string &member : group)
-                memberGroup[member] = base;
-            groups[base] = std::move(group);
-        }
+    for (std::vector<std::string> &group : controllerGroups) {
+        const std::string base = group.front();
+        for (const std::string &member : group)
+            memberGroup[member] = base;
+        groups[base] = std::move(group);
     }
 
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
@@ -55,43 +46,21 @@ Customer::Customer(sim::EventQueue &eq, net::Network &network,
 const std::string &
 Customer::shardFor(const std::string &vid) const
 {
-    if (ring == nullptr || ring->empty())
-        return controller;
-    return ring->owner(vid);
+    return ring.owner(vid);
 }
 
 const std::string &
 Customer::launchShardFor(std::uint64_t requestId,
                          const std::string &name) const
 {
-    if (ring == nullptr || ring->empty())
-        return controller;
-    return ring->owner("launch:" + self + ":" +
-                       std::to_string(requestId) + ":" + name);
+    return ring.owner("launch:" + self + ":" + std::to_string(requestId) +
+                      ":" + name);
 }
 
 bool
 Customer::isController(const net::NodeId &node) const
 {
-    if (node == controller)
-        return true;
-    if (memberGroup.count(node) != 0)
-        return true;
-    return ring != nullptr && ring->contains(node);
-}
-
-const std::vector<std::string> *
-Customer::groupFor(const std::string &base) const
-{
-    const auto it = groups.find(base);
-    return it == groups.end() ? nullptr : &it->second;
-}
-
-const std::string &
-Customer::baseOf(const net::NodeId &node) const
-{
-    const auto it = memberGroup.find(node);
-    return it == memberGroup.end() ? node : it->second;
+    return memberGroup.count(node) != 0;
 }
 
 const std::string &
@@ -121,8 +90,7 @@ Customer::requestLaunch(
     launches[requestId] = LaunchOutcome{};
     const std::string &base = launchShardFor(requestId, name);
     Bytes packed = pack(MessageKind::LaunchRequest, req);
-    if (!groups.empty())
-        pendingLaunchSends[requestId] = PendingLaunchSend{packed, base};
+    pendingLaunchSends[requestId] = packed;
     endpoint.sendSecure(routeTo(base), std::move(packed));
     return requestId;
 }
@@ -188,9 +156,8 @@ Customer::requestRetryFired(std::uint64_t requestId)
         return;
     PendingAttest &pending = it->second;
     pending.retryTimer = 0;
-    const std::string &base =
-        pending.target.empty() ? controller : pending.target;
-    std::string target = routeTo(base);
+    const std::vector<std::string> &group = groups.at(pending.target);
+    std::string target = routeTo(pending.target);
     if (pending.retries < reliability.customerRetryLimit) {
         ++pending.retries;
         ++counters.requestRetries;
@@ -199,18 +166,10 @@ Customer::requestRetryFired(std::uint64_t requestId)
         // without a successor yet) the resend eventually lands on
         // whichever replica wins the election, which answers — or
         // redirects via NotLeader.
-        if (const std::vector<std::string> *group = groupFor(base)) {
-            std::size_t start = 0;
-            for (std::size_t i = 0; i < group->size(); ++i) {
-                if ((*group)[i] == target) {
-                    start = i;
-                    break;
-                }
-            }
-            target = (*group)[(start +
-                               static_cast<std::size_t>(pending.retries)) %
-                              group->size()];
-        }
+        const auto start = static_cast<std::size_t>(
+            std::find(group.begin(), group.end(), target) - group.begin());
+        target = group[(start + static_cast<std::size_t>(pending.retries)) %
+                       group.size()];
         // Identical plaintext; the controller shard dedups on
         // (customer, request id), so at most one protocol run is
         // triggered.
@@ -319,11 +278,8 @@ Customer::handleMessage(const net::NodeId &from, const Bytes &plaintext)
     // Substantive replies only ever come from a group's leader (the
     // output gate holds them back on every other replica), so any of
     // them is an authenticated leader sighting.
-    if (!groups.empty() && kind != MessageKind::NotLeader) {
-        const auto it = memberGroup.find(from);
-        if (it != memberGroup.end())
-            leaderHint[it->second] = from;
-    }
+    if (kind != MessageKind::NotLeader)
+        leaderHint[memberGroup.at(from)] = from;
     switch (kind) {
       case MessageKind::LaunchResponse:
         onLaunchResponse(body);
@@ -370,7 +326,7 @@ Customer::onNotLeader(const net::NodeId &from, const Bytes &body)
     if (msg.isLaunch) {
         const auto it = pendingLaunchSends.find(msg.requestId);
         if (it != pendingLaunchSends.end())
-            endpoint.sendSecure(target, Bytes(it->second.packed));
+            endpoint.sendSecure(target, Bytes(it->second));
         return;
     }
     const auto it = pendingAttests.find(msg.requestId);
@@ -461,21 +417,18 @@ Customer::onReportToCustomer(const net::NodeId &from, const Bytes &body)
     const PendingAttest &pending = it->second;
 
     // End-to-end verification: the signature of the controller shard
-    // this request was routed to, quote, nonce. With replica groups
-    // the signer is whichever replica of that shard currently leads —
-    // require group membership, then verify under the sender's key.
-    const std::string &base =
-        pending.target.empty() ? controller : pending.target;
-    const std::string &signer = groups.empty() ? base : from;
-    if (!groups.empty() && baseOf(from) != base) {
+    // this request was routed to, quote, nonce. The signer is whichever
+    // replica of that shard currently leads — require group
+    // membership, then verify under the sender's key.
+    if (memberGroup.at(from) != pending.target) {
         ++counters.reportsRejected;
         return;
     }
-    auto ccKey = dir.lookup(signer);
+    auto ccKey = dir.lookup(from);
     const Bytes expectedQ1 = ReportToCustomer::quoteInput(
         msg.vid, msg.properties, msg.report, msg.nonce1);
     if (!ccKey ||
-        !crypto::rsaVerify(controllerContext(signer, ccKey.value()),
+        !crypto::rsaVerify(controllerContext(from, ccKey.value()),
                            msg.signedPortion(), msg.signature) ||
         !constantTimeEqual(expectedQ1, msg.quote1) ||
         !constantTimeEqual(msg.nonce1, pending.nonce1) ||

@@ -99,27 +99,21 @@ class Customer
   public:
     /**
      * `controllerRing` is the control plane's consistent-hash
-     * ownership ring (non-owning, must outlive the customer): when
-     * set, every request is routed client-side to the shard owning
-     * its VM id and replies are accepted from any shard. nullptr (or
-     * a ring of one node) reproduces the classic single-controller
-     * behaviour against `controllerId`.
+     * ownership ring (non-owning, must outlive the customer): every
+     * request is routed client-side to the shard owning its VM id.
      *
      * `controllerGroups` lists each shard's replica group (member ids
      * in replica-index order, index 0 = the base id the ring routes
-     * to). When a group has more than one member the customer
-     * discovers the current leader: NotLeader redirects and
-     * leader-signed replies update a per-group leader hint, and the
-     * retransmission timer rotates through the group members until one
-     * answers. Empty groups (or all-singleton groups) reproduce the
-     * classic fixed-target behaviour byte for byte.
+     * to); a group of one included. The customer follows each group's
+     * leader: NotLeader redirects and leader-signed replies update a
+     * per-group leader hint, and the retransmission timer rotates
+     * through the group members until one answers.
      */
     Customer(sim::EventQueue &eq, net::Network &network,
              net::KeyDirectory &directory, std::string id,
-             std::string controllerId, std::uint64_t seed,
-             proto::ReliabilityModel reliabilityModel = {},
-             const controller::HashRing *controllerRing = nullptr,
-             std::vector<std::vector<std::string>> controllerGroups = {});
+             std::uint64_t seed, proto::ReliabilityModel reliabilityModel,
+             const controller::HashRing &controllerRing,
+             std::vector<std::vector<std::string>> controllerGroups);
 
     const std::string &id() const { return self; }
 
@@ -200,12 +194,6 @@ class Customer
         sim::EventId retryTimer = 0; //!< 0 = none pending.
     };
 
-    struct PendingLaunchSend
-    {
-        Bytes packed;     //!< For identical resend on redirect.
-        std::string base; //!< Shard (group) the launch is routed to.
-    };
-
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
     /** Pack an outgoing message at this node's schema version. */
@@ -229,8 +217,7 @@ class Customer
     void scheduleRequestRetry(std::uint64_t requestId);
     void requestRetryFired(std::uint64_t requestId);
 
-    /** Owning controller shard for a VM id (ring routing); the single
-     * configured controller when no ring is attached. */
+    /** Owning controller shard for a VM id (ring routing). */
     const std::string &shardFor(const std::string &vid) const;
 
     /** Shard handling a launch request (no vid exists yet; routed by a
@@ -241,14 +228,6 @@ class Customer
     /** True when `node` is a controller shard we accept replies from. */
     bool isController(const net::NodeId &node) const;
 
-    /** Replica group of a shard base id; nullptr when unreplicated. */
-    const std::vector<std::string> *groupFor(
-        const std::string &base) const;
-
-    /** Base (group) id of a controller node; `node` itself when it is
-     * not a known replica. */
-    const std::string &baseOf(const net::NodeId &node) const;
-
     /** Send target for a shard: the hinted leader, else the base. */
     const std::string &routeTo(const std::string &base) const;
 
@@ -258,8 +237,7 @@ class Customer
 
     sim::EventQueue &events;
     std::string self;
-    std::string controller;
-    const controller::HashRing *ring; //!< nullptr = unsharded plane.
+    const controller::HashRing &ring;
     crypto::RsaKeyPair keys;
     const net::KeyDirectory &dir;
     net::SecureEndpoint endpoint;
@@ -267,14 +245,15 @@ class Customer
     /** Compiled relay-verification keys, one per controller shard. */
     std::map<std::string, crypto::RsaPublicContext> ccCtx;
 
-    /** Replica groups, base id → member ids (empty = unreplicated). */
+    /** Replica groups, base id → member ids. */
     std::map<std::string, std::vector<std::string>> groups;
     /** Member id → its group's base id. */
     std::map<std::string, std::string> memberGroup;
     /** Discovered leader per group base id (absent = use the base). */
     std::map<std::string, std::string> leaderHint;
-    /** Launch requests kept resendable for NotLeader redirects. */
-    std::map<std::uint64_t, PendingLaunchSend> pendingLaunchSends;
+    /** Packed launch requests, kept for identical resends on
+     * NotLeader redirects. */
+    std::map<std::uint64_t, Bytes> pendingLaunchSends;
 
     proto::ReliabilityModel reliability;
     std::map<std::uint64_t, LaunchOutcome> launches;

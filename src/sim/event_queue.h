@@ -9,7 +9,7 @@
  * monotone sequence number), which keeps every simulation
  * deterministic.
  *
- * Layout (the million-VM soak hot path):
+ * Layout (the hot path of large fleets):
  *  - The pending set is a flat 4-ary min-heap of 24-byte nodes
  *    (timestamp, sequence, slot index). Sift operations move small
  *    PODs and touch 4 children per cache line-ish level, never the
@@ -107,7 +107,7 @@ class EventQueue
     /** Total events executed since construction. */
     std::size_t executed() const { return executedCount; }
 
-    // --- Introspection (tests, soak bench) -----------------------------
+    // --- Introspection (tests) ----------------------------------------
 
     /** Slots ever allocated: peak concurrent pending events. Bounded
      * by the workload's high-water mark, never by cancel history. */

@@ -159,8 +159,7 @@ class StableStore
      * Append a batch of same-type records in one call: one reserve,
      * consecutive LSNs, identical digest to the equivalent sequence of
      * append() calls. This is the bulk-journal path for fan-outs that
-     * mutate many records in one handler (the soak bench's provisioning
-     * and completion waves).
+     * mutate many records in one handler.
      *
      * @return The LSN of the *last* record (0 when `payloads` is
      *         empty).

@@ -11,7 +11,7 @@
 
 #include "controller/election.h"
 #include "controller/hash_ring.h"
-#include "controller/replica_group.h"
+#include "controller/replicated_log.h"
 #include "core/cloud.h"
 
 namespace monatt::controller

@@ -221,6 +221,54 @@ TEST(TcbRollbackTest, FirmwareRollbackMidFleetQuarantinesAndMigrates)
         << "no attacked VM landed on an honest host";
 }
 
+TEST(TcbRollbackTest, FabricAggregateCountsEveryShardsRollbackVerdicts)
+{
+    // The mid-fleet rollback scenario on two shards: whichever shard
+    // owns an attacked VM counts the rollback report and quarantine,
+    // and the fabric-wide totals must include them.
+    CloudConfig cfg;
+    cfg.numServers = 4;
+    cfg.seed = 93001;
+    cfg.minimumTcbVersion = 2;
+    cfg.controllerShards = 2;
+    Cloud cloud(cfg);
+    Customer &customer = cloud.addCustomer("alice");
+
+    std::vector<std::string> vids;
+    for (int i = 0; i < 4; ++i) {
+        auto vid = cloud.launchVm(customer, "vm-" + std::to_string(i),
+                                  "cirros", "small",
+                                  proto::allProperties());
+        ASSERT_TRUE(vid.isOk()) << vid.errorMessage();
+        vids.push_back(vid.take());
+    }
+    sim::FaultPlanConfig plan;
+    plan.seed = 0x7CB1;
+    plan.rollback.rollbackProbability = 0.5;
+    plan.rollback.rollbackVersion = 1;
+    plan.activeFrom = cloud.events().now();
+    cloud.installFaultPlan(plan);
+    for (const auto &r : cloud.attestMany(customer, vids, integrityProps()))
+        ASSERT_TRUE(r.isOk()) << r.errorMessage();
+    cloud.runFor(seconds(60));
+
+    controller::ControllerFabric &fab = cloud.controllerFabric();
+    controller::ControllerStats perNode;
+    for (std::size_t i = 0; i < fab.numNodes(); ++i) {
+        const controller::ControllerStats s = fab.node(i).stats();
+        perNode.tcbRollbackReports += s.tcbRollbackReports;
+        perNode.serversQuarantined += s.serversQuarantined;
+        perNode.corruptRecoveries += s.corruptRecoveries;
+    }
+    ASSERT_GE(perNode.tcbRollbackReports, 1u);
+    ASSERT_GE(perNode.serversQuarantined, 1u);
+
+    const controller::ControllerStats total = fab.aggregateStats();
+    EXPECT_EQ(total.tcbRollbackReports, perNode.tcbRollbackReports);
+    EXPECT_EQ(total.serversQuarantined, perNode.serversQuarantined);
+    EXPECT_EQ(total.corruptRecoveries, perNode.corruptRecoveries);
+}
+
 TEST(TcbRollbackTest, StaleQuoteReplayWithValidSignatureIsEvicted)
 {
     CloudConfig cfg;
