@@ -8,7 +8,7 @@ namespace monatt::hypervisor
 
 CreditScheduler::CreditScheduler(sim::EventQueue &eq, Params params,
                                  std::uint64_t rngSeed)
-    : events(eq), cfg(params), rng(rngSeed)
+    : sim::HostTimers(eq), events(eq), cfg(params), rng(rngSeed)
 {
 }
 
@@ -49,13 +49,27 @@ CreditScheduler::start()
     started = true;
 
     nextTick = events.now() + cfg.tickPeriod;
-    events.schedule(nextTick, [this] { tick(); }, "sched.tick");
-    events.scheduleAfter(cfg.accountPeriod, [this] { accounting(); },
-                         "sched.account");
+    arm(kTickTimer, nextTick);
+    arm(kAccountTimer, events.now() + cfg.accountPeriod);
 
     for (VCpuId id = 0; id < static_cast<VCpuId>(vcpus.size()); ++id) {
         if (vcpus[id].behavior)
             wake(id, /*interrupt=*/false);
+    }
+}
+
+void
+CreditScheduler::onTimer(TimerId id)
+{
+    if (id == kTickTimer)
+        tick();
+    else if (id == kAccountTimer)
+        accounting();
+    else if (id % 2 == 0)
+        onStopEvent(static_cast<int>(id - 2) / 2);
+    else {
+        const VCpuId vcpu = static_cast<VCpuId>(id - 3) / 2;
+        wake(vcpu, vcpus[vcpu].wakeIsInterrupt);
     }
 }
 
@@ -153,13 +167,8 @@ CreditScheduler::armStop(int pcpu)
 {
     PCpu &p = pcpus[pcpu];
     const VCpu &v = vcpus[p.current];
-    const SimTime stopAt =
-        std::min(p.sliceEnd, events.now() + v.remainingBurst);
-    p.stopPending = true;
-    p.stopEvent = events.schedule(stopAt, [this, pcpu] {
-        pcpus[pcpu].stopPending = false;
-        onStopEvent(pcpu);
-    }, "sched.stop");
+    arm(stopTimer(pcpu),
+        std::min(p.sliceEnd, events.now() + v.remainingBurst));
 }
 
 void
@@ -194,13 +203,8 @@ CreditScheduler::executePlanEnd(VCpuId id)
 
     v.state = VCpuState::Blocked;
     if (plan.blockFor != kTimeNever) {
-        v.wakePending = true;
-        const bool asInterrupt = plan.wakeIsInterrupt;
-        v.wakeEvent = events.scheduleAfter(
-            plan.blockFor, [this, id, asInterrupt] {
-                vcpus[id].wakePending = false;
-                wake(id, asInterrupt);
-            }, "sched.wake");
+        v.wakeIsInterrupt = plan.wakeIsInterrupt;
+        arm(wakeTimer(id), events.now() + plan.blockFor);
     }
     for (VCpuId target : plan.ipiTargets)
         sendIpi(id, target);
@@ -278,10 +282,7 @@ CreditScheduler::preemptCurrent(int pcpu)
     if (id == -1)
         return;
     VCpu &v = vcpus[id];
-    if (p.stopPending) {
-        events.cancel(p.stopEvent);
-        p.stopPending = false;
-    }
+    disarm(stopTimer(pcpu));
     accountSegment(pcpu);
     v.boosted = false;
     ++v.counters.preemptions;
@@ -308,10 +309,7 @@ CreditScheduler::wake(VCpuId id, bool interrupt)
         return;
     }
 
-    if (v.wakePending) {
-        events.cancel(v.wakeEvent);
-        v.wakePending = false;
-    }
+    disarm(wakeTimer(id));
 
     ++v.counters.wakes;
     v.boosted = cfg.boostEnabled && interrupt && v.credits > 0;
@@ -339,10 +337,7 @@ void
 CreditScheduler::retire(VCpuId id)
 {
     VCpu &v = vcpus.at(id);
-    if (v.wakePending) {
-        events.cancel(v.wakeEvent);
-        v.wakePending = false;
-    }
+    disarm(wakeTimer(id));
     PCpu &p = pcpus[v.pcpu];
     if (p.current == id)
         preemptCurrent(v.pcpu);
@@ -362,10 +357,7 @@ CreditScheduler::suspend(VCpuId id)
     if (v.suspended)
         return;
     v.suspended = true;
-    if (v.wakePending) {
-        events.cancel(v.wakeEvent);
-        v.wakePending = false;
-    }
+    disarm(wakeTimer(id));
     PCpu &p = pcpus[v.pcpu];
     if (p.current == id) {
         // Deschedule; enqueue() diverts a suspended vCPU to Blocked.
@@ -398,7 +390,7 @@ CreditScheduler::tick()
     // debit happens in accounting() proportional to time consumed.
     if (cfg.exactAccounting) {
         nextTick = events.now() + cfg.tickPeriod;
-        events.schedule(nextTick, [this] { tick(); }, "sched.tick");
+        arm(kTickTimer, nextTick);
         return;
     }
     for (auto &p : pcpus) {
@@ -411,7 +403,7 @@ CreditScheduler::tick()
             v.boosted = false;
     }
     nextTick = events.now() + cfg.tickPeriod;
-    events.schedule(nextTick, [this] { tick(); }, "sched.tick");
+    arm(kTickTimer, nextTick);
 }
 
 void
@@ -422,9 +414,10 @@ CreditScheduler::accounting()
     // A vCPU is active when it can still run or has consumed CPU in
     // the closing period — Xen's active/inactive marking, which is
     // what lets an attacker that naps across ticks keep earning.
-    const auto isActive = [](const VCpu &v) {
+    const auto isActive = [this](VCpuId id) {
+        const VCpu &v = vcpus[id];
         return v.behavior &&
-               (v.state != VCpuState::Blocked || v.wakePending ||
+               (v.state != VCpuState::Blocked || armed(wakeTimer(id)) ||
                 v.ranSinceAccounting);
     };
 
@@ -449,19 +442,21 @@ CreditScheduler::accounting()
         }
     }
 
+    const VCpuId count = static_cast<VCpuId>(vcpus.size());
     std::int64_t totalWeight = 0;
-    for (const VCpu &v : vcpus) {
-        if (isActive(v))
-            totalWeight += v.weight;
+    for (VCpuId id = 0; id < count; ++id) {
+        if (isActive(id))
+            totalWeight += vcpus[id].weight;
     }
 
     if (totalWeight > 0) {
         const std::int64_t pool =
             static_cast<std::int64_t>(cfg.creditPool) *
             static_cast<std::int64_t>(pcpus.size());
-        for (VCpu &v : vcpus) {
-            if (!isActive(v))
+        for (VCpuId id = 0; id < count; ++id) {
+            if (!isActive(id))
                 continue;
+            VCpu &v = vcpus[id];
             const int share =
                 static_cast<int>(pool * v.weight / totalWeight);
             v.credits = std::min(v.credits + share, cfg.creditCap);
@@ -469,8 +464,7 @@ CreditScheduler::accounting()
     }
     for (VCpu &v : vcpus)
         v.ranSinceAccounting = false;
-    events.scheduleAfter(cfg.accountPeriod, [this] { accounting(); },
-                         "sched.account");
+    arm(kAccountTimer, events.now() + cfg.accountPeriod);
 }
 
 const VCpuStats &

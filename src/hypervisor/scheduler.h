@@ -21,10 +21,11 @@
  *    availability attacker (§4.5.1) use.
  *
  * vCPU workloads are pluggable Behavior objects that produce
- * burst/block plans; the scheduler executes them on the shared
- * discrete-event queue, supports preemption mid-burst, and reports
- * every completed run interval through a hook (consumed by the VMM
- * Profile Tool in monitors.h).
+ * burst/block plans; the scheduler executes them on its own host
+ * timers (sim/host_timers.h), which the shared discrete-event queue
+ * drains in exact (when, seq) order, supports preemption mid-burst,
+ * and reports every completed run interval through a hook (consumed
+ * by the VMM Profile Tool in monitors.h).
  */
 
 #ifndef MONATT_HYPERVISOR_SCHEDULER_H
@@ -39,6 +40,7 @@
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "sim/event_queue.h"
+#include "sim/host_timers.h"
 
 namespace monatt::hypervisor
 {
@@ -110,8 +112,12 @@ struct VCpuStats
     std::uint64_t ticksAbsorbed = 0; //!< Sampling ticks that hit it.
 };
 
-/** The credit scheduler. */
-class CreditScheduler
+/**
+ * The credit scheduler. Its timers — the sampling tick, the accounting
+ * pass, one stop per pCPU and one wake per vCPU — are host timers, so
+ * host code here must never schedule on the global queue.
+ */
+class CreditScheduler : private sim::HostTimers
 {
   public:
     /** Tunables (defaults follow Xen's credit scheduler). */
@@ -217,8 +223,7 @@ class CreditScheduler
         SimTime remainingBurst = 0;
         bool havePlan = false;
         BurstPlan plan;
-        bool wakePending = false;
-        sim::EventId wakeEvent = 0;
+        bool wakeIsInterrupt = true; //!< Kind of the armed wake timer.
         std::unique_ptr<Behavior> behavior;
         bool suspended = false;
         bool ranSinceAccounting = false;
@@ -230,12 +235,18 @@ class CreditScheduler
     {
         VCpuId current = -1;
         std::deque<VCpuId> runqueue;
-        bool stopPending = false;
-        sim::EventId stopEvent = 0;
         SimTime sliceEnd = 0;
         SimTime busyTime = 0;
     };
 
+    // Host timer ids: the tick, the accounting pass, then the stop
+    // timer of pCPU p at 2 + 2p and the wake timer of vCPU v at 3 + 2v.
+    static constexpr TimerId kTickTimer = 0;
+    static constexpr TimerId kAccountTimer = 1;
+    static TimerId stopTimer(int pcpu) { return 2 + 2 * pcpu; }
+    static TimerId wakeTimer(VCpuId vcpu) { return 3 + 2 * vcpu; }
+
+    void onTimer(TimerId id) override;
     void enqueue(VCpuId id);
     void dispatch(int pcpu);
     void armStop(int pcpu);

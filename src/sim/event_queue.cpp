@@ -1,10 +1,29 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+
+#include "sim/host_timers.h"
 
 namespace monatt::sim
 {
+
+namespace
+{
+
+/** Marks the queue as draining host timers for one scope. */
+class DrainScope
+{
+  public:
+    explicit DrainScope(bool &flag) : flag(flag) { flag = true; }
+    ~DrainScope() { flag = false; }
+
+  private:
+    bool &flag;
+};
+
+} // namespace
 
 std::uint32_t
 EventQueue::acquireSlot(Callback callback, const char *label)
@@ -95,6 +114,9 @@ EventQueue::removeAt(std::size_t pos)
 EventId
 EventQueue::schedule(SimTime when, Callback callback, const char *label)
 {
+    if (draining)
+        throw std::logic_error(
+            "EventQueue: a host timer scheduled a global event");
     if (when < currentTime)
         throw std::invalid_argument("EventQueue: scheduling in the past");
     const std::uint32_t s = acquireSlot(std::move(callback), label);
@@ -125,11 +147,46 @@ EventQueue::cancel(EventId id)
 }
 
 bool
+EventQueue::drainHosts(SimTime when, std::uint64_t seq)
+{
+    bool fired = false;
+    SimTime latest = currentTime;
+    for (HostTimers *host : hosts) {
+        if (!host->dueBefore(when, seq))
+            continue;
+        DrainScope scope(draining);
+        do
+            host->fireNext();
+        while (host->dueBefore(when, seq));
+        latest = std::max(latest, currentTime);
+        fired = true;
+    }
+    currentTime = latest;
+    return fired;
+}
+
+bool
 EventQueue::runOne()
 {
-    if (heap.empty())
-        return false;
+    if (heap.empty()) {
+        // Host timers only: step the earliest one.
+        HostTimers *earliest = nullptr;
+        for (HostTimers *host : hosts) {
+            if (!host->heap.empty() &&
+                (earliest == nullptr ||
+                 host->dueBefore(earliest->heap.front().when,
+                                 earliest->heap.front().seq)))
+                earliest = host;
+        }
+        if (earliest == nullptr)
+            return false;
+        DrainScope scope(draining);
+        earliest->fireNext();
+        return true;
+    }
     const HeapNode top = heap.front();
+    if (drainHosts(top.when, top.seq))
+        return true;
     const HeapNode last = heap.back();
     heap.pop_back();
     if (!heap.empty()) {
@@ -157,23 +214,22 @@ EventQueue::nextEventTime() const
 std::size_t
 EventQueue::run(SimTime until)
 {
-    std::size_t n = 0;
-    while (!heap.empty() && heap.front().when <= until) {
-        if (runOne())
-            ++n;
-    }
+    const std::size_t before = executedCount;
+    while (!heap.empty() && heap.front().when <= until)
+        runOne();
+    drainHosts(until, std::numeric_limits<std::uint64_t>::max());
     if (currentTime < until && until != kTimeNever)
         currentTime = until;
-    return n;
+    return executedCount - before;
 }
 
 std::size_t
 EventQueue::runAll(std::size_t maxEvents)
 {
-    std::size_t n = 0;
-    while (n < maxEvents && runOne())
-        ++n;
-    return n;
+    const std::size_t before = executedCount;
+    while (executedCount - before < maxEvents && runOne()) {
+    }
+    return executedCount - before;
 }
 
 void

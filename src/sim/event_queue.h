@@ -2,12 +2,12 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * The simulated cloud is single-clocked: the hypervisor's scheduler
- * ticks, network message deliveries, periodic attestation timers and
- * VM lifecycle stage completions are all events on one EventQueue.
- * Events at equal timestamps execute in scheduling order (FIFO via a
- * monotone sequence number), which keeps every simulation
- * deterministic.
+ * The simulated cloud is single-clocked: network message deliveries,
+ * periodic attestation timers and VM lifecycle stage completions are
+ * events on one EventQueue, and the hypervisors' scheduler timers are
+ * host timers the same queue drains. Events at equal timestamps
+ * execute in scheduling order (FIFO via a monotone sequence number),
+ * which keeps every simulation deterministic.
  *
  * Layout (the hot path of large fleets):
  *  - The pending set is a flat 4-ary min-heap of 24-byte nodes
@@ -23,6 +23,15 @@
  *  - Callbacks are InlineFunction<48>: captures up to 48 bytes (a
  *    `this` pointer plus a few ids — every timer in the codebase)
  *    store inline, so scheduling does not heap-allocate.
+ *
+ * Host timers (sim/host_timers.h) live beside the heap: each host's
+ * guest-CPU scheduler keeps its own small timer set, keyed by
+ * (when, seq) from this queue's one counter. runOne() either drains
+ * every host timer whose key precedes the next global event, or runs
+ * that event, so every host sees the exact order one heap would give
+ * it. pending() and nextEventTime() report global events only;
+ * run(until) drains host timers through `until`, and executed()
+ * counts host timer fires too.
  */
 
 #ifndef MONATT_SIM_EVENT_QUEUE_H
@@ -37,6 +46,8 @@
 
 namespace monatt::sim
 {
+
+class HostTimers;
 
 /**
  * Handle identifying a scheduled event (for cancellation).
@@ -55,7 +66,11 @@ class EventQueue
   public:
     using Callback = InlineFunction<48>;
 
-    /** Current simulated time. */
+    /**
+     * Current simulated time. While host timers drain it is the firing
+     * host's time, which may step back between hosts; after a drain it
+     * is the latest time fired.
+     */
     SimTime now() const { return currentTime; }
 
     /**
@@ -66,6 +81,8 @@ class EventQueue
      *              Stored as a raw pointer so scheduling never
      *              heap-allocates for it.
      * @throws std::invalid_argument when `when` is in the past.
+     * @throws std::logic_error from a host timer: host code never
+     *         schedules global events.
      */
     EventId schedule(SimTime when, Callback callback,
                      const char *label = nullptr);
@@ -80,31 +97,36 @@ class EventQueue
      */
     void cancel(EventId id);
 
-    /** Execute the next pending event. @return false when empty. */
+    /**
+     * One step: fire every host timer whose key precedes the next
+     * global event, or, when none does, run that event. With no global
+     * event pending, fire the earliest host timer.
+     * @return false when nothing is pending at all.
+     */
     bool runOne();
 
     /**
-     * Run all events with timestamps <= `until`, then advance the
-     * clock to `until` (unless `until` is kTimeNever).
-     * @return Number of events executed.
+     * Run all events and host timers with timestamps <= `until`, then
+     * advance the clock to `until` (unless `until` is kTimeNever).
+     * @return Number of events and host timers executed.
      */
     std::size_t run(SimTime until);
 
-    /** Run until the queue drains (bounded by maxEvents as a runaway
-     * backstop). @return Number of events executed. */
+    /** Run until nothing is pending (bounded by maxEvents as a runaway
+     * backstop). @return Number of events and host timers executed. */
     std::size_t runAll(std::size_t maxEvents = 100000000);
 
     /** Advance the clock by `delta`, executing everything due. */
     void advance(SimTime delta);
 
-    /** Timestamp of the next pending event, or kTimeNever when the
-     * queue is empty. */
+    /** Timestamp of the next pending global event, or kTimeNever when
+     * none is pending. Host timers are not reported. */
     SimTime nextEventTime() const;
 
-    /** Number of pending (non-cancelled) events. */
+    /** Number of pending (non-cancelled) global events. */
     std::size_t pending() const { return heap.size(); }
 
-    /** Total events executed since construction. */
+    /** Total events and host timers executed since construction. */
     std::size_t executed() const { return executedCount; }
 
     // --- Introspection (tests) ----------------------------------------
@@ -117,6 +139,8 @@ class EventQueue
     std::size_t freeSlots() const { return freeList.size(); }
 
   private:
+    friend class HostTimers;
+
     static constexpr std::uint32_t kNotInHeap = 0xffffffffu;
     static constexpr std::size_t kArity = 4;
 
@@ -149,12 +173,18 @@ class EventQueue
     void siftDown(std::size_t pos);
     void removeAt(std::size_t pos);
 
+    /** Fire, host by host, every host timer keyed before (when, seq).
+     * @return Whether any fired. */
+    bool drainHosts(SimTime when, std::uint64_t seq);
+
     std::vector<HeapNode> heap; //!< Flat 4-ary min-heap.
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeList; //!< Reusable slot indices.
     SimTime currentTime = 0;
     std::uint64_t nextSeq = 1;
     std::size_t executedCount = 0;
+    std::vector<HostTimers *> hosts; //!< Registered by HostTimers.
+    bool draining = false;           //!< Host timers are firing.
 };
 
 } // namespace monatt::sim
