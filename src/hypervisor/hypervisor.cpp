@@ -54,6 +54,7 @@ Hypervisor::destroyDomain(DomainId id)
     Domain &dom = domain(id);
     for (VCpuId vcpu : dom.vcpus)
         sched.retire(vcpu);
+    profileTool.dropDomain(id);
     domains.erase(id);
 }
 

@@ -59,7 +59,8 @@ class Hypervisor
     DomainId createDomain(const std::string &name, int numVcpus,
                           int pcpu, const Bytes &image, int weight = 256);
 
-    /** Destroy a domain: retire its vCPUs, drop its record. */
+    /** Destroy a domain: retire its vCPUs, drop its record and its
+     * profiler window. */
     void destroyDomain(DomainId id);
 
     /** Pause (block) all vCPUs of a domain. */

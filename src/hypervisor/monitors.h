@@ -73,6 +73,9 @@ class VmmProfileTool
     /** Lifetime (not window) runtime of a domain. */
     SimTime totalRuntime(DomainId domain) const;
 
+    /** Forget a destroyed domain's window and lifetime runtime. */
+    void dropDomain(DomainId domain) { windows.erase(domain); }
+
   private:
     struct DomainWindow
     {

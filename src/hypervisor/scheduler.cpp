@@ -42,6 +42,30 @@ CreditScheduler::setBehavior(VCpuId vcpu, std::unique_ptr<Behavior> b)
 }
 
 void
+CreditScheduler::dropWorkload(VCpuId id)
+{
+    VCpu &v = vcpus.at(id);
+    disarm(wakeTimer(id));
+    PCpu &p = pcpus[v.pcpu];
+    const bool wasRunning = p.current == id;
+    if (wasRunning) {
+        disarm(stopTimer(v.pcpu));
+        accountSegment(v.pcpu);
+        p.current = -1;
+    } else {
+        std::erase(p.runqueue, id);
+    }
+    v.state = VCpuState::Blocked;
+    v.boosted = false;
+    v.behavior.reset();
+    v.havePlan = false;
+    v.plan = BurstPlan{};
+    v.remainingBurst = 0;
+    if (wasRunning)
+        dispatch(v.pcpu);
+}
+
+void
 CreditScheduler::start()
 {
     if (started)
@@ -336,18 +360,7 @@ CreditScheduler::sendIpi(VCpuId from, VCpuId to)
 void
 CreditScheduler::retire(VCpuId id)
 {
-    VCpu &v = vcpus.at(id);
-    disarm(wakeTimer(id));
-    PCpu &p = pcpus[v.pcpu];
-    if (p.current == id)
-        preemptCurrent(v.pcpu);
-    // Remove from the runqueue if queued.
-    auto it = std::find(p.runqueue.begin(), p.runqueue.end(), id);
-    if (it != p.runqueue.end())
-        p.runqueue.erase(it);
-    v.state = VCpuState::Blocked;
-    v.behavior.reset();
-    v.havePlan = false;
+    dropWorkload(id);
 }
 
 void

@@ -173,7 +173,8 @@ class CreditScheduler : private sim::HostTimers
     /** Send an IPI from one vCPU to another (interrupt wake). */
     void sendIpi(VCpuId from, VCpuId to);
 
-    /** Block a vCPU permanently (e.g. domain shutdown). */
+    /** Block a vCPU permanently (e.g. domain shutdown): drop its
+     * workload and free its pCPU. */
     void retire(VCpuId vcpu);
 
     /** Force-block a vCPU, keeping its workload (domain pause). */
@@ -247,6 +248,9 @@ class CreditScheduler : private sim::HostTimers
     static TimerId wakeTimer(VCpuId vcpu) { return 3 + 2 * vcpu; }
 
     void onTimer(TimerId id) override;
+    /** Cancel the vCPU's timers, deschedule it without re-enqueueing
+     * and discard its behaviour and plan without firing the plan. */
+    void dropWorkload(VCpuId id);
     void enqueue(VCpuId id);
     void dispatch(int pcpu);
     void armStop(int pcpu);

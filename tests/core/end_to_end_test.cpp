@@ -291,6 +291,46 @@ TEST(CloudResponseTest, TerminationOnCompromise)
     EXPECT_EQ(f.cloud.serverHosting(f.vid), nullptr);
 }
 
+TEST(CloudResponseTest, TerminatingBusyGuestReleasesItsPCpus)
+{
+    // The Terminate response destroys the domain while its guest is
+    // mid-burst and alone on its pCPU: the host's pCPUs must go idle
+    // and the destroyed domain's profiler window must go with it.
+    RuntimeFixture f;
+    server::CloudServer &host = f.host();
+    auto &hv = host.hypervisor();
+    const auto domain = host.domainOf(f.vid);
+    for (std::size_t i = 0; i < hv.domain(domain).vcpus.size(); ++i) {
+        hv.setBehavior(domain, static_cast<int>(i),
+                       std::make_unique<workloads::SpinnerProgram>());
+    }
+    const auto busyTime = [&] {
+        SimTime busy = 0;
+        for (int p = 0; p < hv.numPCpus(); ++p)
+            busy += hv.scheduler().pcpuBusyTime(p);
+        return busy;
+    };
+    f.cloud.controller().setResponsePolicy(
+        f.vid, controller::ResponsePolicy::Terminate);
+    host.guestOs(f.vid).injectHiddenMalware("rootkit");
+
+    auto report = f.cloud.attestOnce(
+        f.customer, f.vid, {SecurityProperty::RuntimeIntegrity});
+    ASSERT_TRUE(report.isOk());
+    ASSERT_TRUE(f.cloud.runUntil(
+        [&] {
+            const auto &log = f.cloud.controller().responseLog();
+            return !log.empty() && log.front().completed;
+        },
+        seconds(60)));
+    ASSERT_FALSE(hv.hasDomain(domain));
+
+    const SimTime busy = busyTime();
+    f.cloud.runFor(seconds(1));
+    EXPECT_EQ(busyTime(), busy);
+    EXPECT_EQ(hv.profiler().totalRuntime(domain), 0);
+}
+
 TEST(CloudResponseTest, SuspensionOnCompromise)
 {
     RuntimeFixture f;

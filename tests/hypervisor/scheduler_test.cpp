@@ -242,6 +242,27 @@ TEST(SchedulerTest, RetireRemovesVCpu)
                 0.5 + 1.0, 0.3);
 }
 
+TEST(SchedulerTest, RetiringTheRunningVCpuReleasesItsPCpu)
+{
+    // Retiring a vCPU mid-burst must deschedule it for good: it may
+    // neither keep the pCPU for the rest of its burst nor ask its
+    // destroyed workload for another plan.
+    SchedFixture f;
+    const VCpuId v = f.sched.addVCpu(1, 0);
+    const VCpuId other = f.sched.addVCpu(2, 0);
+    f.sched.setBehavior(v, std::make_unique<CpuBoundProgram>(seconds(10)));
+    f.sched.start();
+    f.events.run(msec(5));
+    f.sched.retire(v);
+    EXPECT_EQ(f.sched.state(v), VCpuState::Blocked);
+    f.sched.setBehavior(other, std::make_unique<SpinnerProgram>());
+    f.events.run(msec(100));
+    EXPECT_EQ(f.sched.stats(v).runtime, msec(5));
+    EXPECT_EQ(f.sched.state(other), VCpuState::Running);
+    // The pCPU never idled: 5 ms of v, then the survivor.
+    EXPECT_EQ(f.sched.pcpuBusyTime(0), msec(100));
+}
+
 TEST(SchedulerTest, RunHookReportsIntervals)
 {
     SchedFixture f;
