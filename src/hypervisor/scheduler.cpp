@@ -36,7 +36,8 @@ CreditScheduler::addVCpu(DomainId domain, int pcpu, int weight)
 void
 CreditScheduler::setBehavior(VCpuId vcpu, std::unique_ptr<Behavior> b)
 {
-    vcpus.at(vcpu).behavior = std::move(b);
+    dropWorkload(vcpu);
+    vcpus[vcpu].behavior = std::move(b);
     if (started)
         wake(vcpu, /*interrupt=*/false);
 }

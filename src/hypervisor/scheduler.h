@@ -158,7 +158,8 @@ class CreditScheduler : private sim::HostTimers
      */
     VCpuId addVCpu(DomainId domain, int pcpu, int weight = 256);
 
-    /** Install the workload for a vCPU. */
+    /** Install the workload for a vCPU, dropping any previous one
+     * (its outstanding plan is discarded unfired). */
     void setBehavior(VCpuId vcpu, std::unique_ptr<Behavior> behavior);
 
     /**

@@ -263,6 +263,26 @@ TEST(SchedulerTest, RetiringTheRunningVCpuReleasesItsPCpu)
     EXPECT_EQ(f.sched.pcpuBusyTime(0), msec(100));
 }
 
+TEST(SchedulerTest, SetBehaviorDiscardsTheOutstandingPlan)
+{
+    // Replacing a workload mid-burst drops the old plan unfired: its
+    // completion callback would run on the destroyed workload.
+    SchedFixture f;
+    const VCpuId v = f.sched.addVCpu(1, 0);
+    bool oldCompleted = false;
+    f.sched.setBehavior(v, std::make_unique<CpuBoundProgram>(
+                               msec(10),
+                               [&](SimTime) { oldCompleted = true; }));
+    f.sched.start();
+    f.events.run(msec(5));
+    f.sched.setBehavior(v, std::make_unique<SpinnerProgram>());
+    f.events.run(msec(50));
+    EXPECT_FALSE(oldCompleted);
+    EXPECT_EQ(f.sched.state(v), VCpuState::Running);
+    // The spinner took over at once.
+    EXPECT_EQ(f.sched.pcpuBusyTime(0), msec(50));
+}
+
 TEST(SchedulerTest, RunHookReportsIntervals)
 {
     SchedFixture f;
