@@ -174,8 +174,8 @@ EventQueue::runOne()
         for (HostTimers *host : hosts) {
             if (!host->heap.empty() &&
                 (earliest == nullptr ||
-                 host->dueBefore(earliest->heap.front().when,
-                                 earliest->heap.front().seq)))
+                 HostTimers::before(host->heap.front(),
+                                    earliest->heap.front())))
                 earliest = host;
         }
         if (earliest == nullptr)

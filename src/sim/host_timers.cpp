@@ -30,7 +30,7 @@ HostTimers::siftUp(std::size_t pos)
     const Node node = heap[pos];
     while (pos > 0) {
         const std::size_t parent = (pos - 1) / 2;
-        if (!before(node, heap[parent].when, heap[parent].seq))
+        if (!before(node, heap[parent]))
             break;
         place(pos, heap[parent]);
         pos = parent;
@@ -47,10 +47,9 @@ HostTimers::siftDown(std::size_t pos)
         std::size_t child = 2 * pos + 1;
         if (child >= n)
             break;
-        if (child + 1 < n &&
-            before(heap[child + 1], heap[child].when, heap[child].seq))
+        if (child + 1 < n && before(heap[child + 1], heap[child]))
             ++child;
-        if (!before(heap[child], node.when, node.seq))
+        if (!before(heap[child], node))
             break;
         place(pos, heap[child]);
         pos = child;
@@ -67,8 +66,7 @@ HostTimers::removeAt(std::size_t pos)
     if (pos >= heap.size())
         return; // removed the tail itself
     place(pos, last);
-    if (pos > 0 && before(last, heap[(pos - 1) / 2].when,
-                          heap[(pos - 1) / 2].seq))
+    if (pos > 0 && before(last, heap[(pos - 1) / 2]))
         siftUp(pos);
     else
         siftDown(pos);

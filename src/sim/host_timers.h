@@ -83,6 +83,12 @@ class HostTimers
         return a.when != when ? a.when < when : a.seq < seq;
     }
 
+    static bool
+    before(const Node &a, const Node &b)
+    {
+        return before(a, b.when, b.seq);
+    }
+
     /** True when the earliest timer's key precedes (when, seq). */
     bool
     dueBefore(SimTime when, std::uint64_t seq) const
