@@ -50,12 +50,26 @@ TEST(Sha256Test, MillionA)
 
 TEST(Sha256Test, IncrementalMatchesOneShot)
 {
-    const Bytes msg = toBytes("The quick brown fox jumps over the lazy dog");
-    for (std::size_t split = 0; split <= msg.size(); ++split) {
-        Sha256 ctx;
-        ctx.update(Bytes(msg.begin(), msg.begin() + split));
-        ctx.update(Bytes(msg.begin() + split, msg.end()));
-        EXPECT_EQ(ctx.digest(), Sha256::hash(msg)) << "split=" << split;
+    // Splits at every offset, including lengths on both sides of the
+    // 55/56-byte padding boundary and of whole blocks, so every mix of
+    // buffered and direct block compression is compared.
+    std::vector<Bytes> messages = {
+        toBytes("The quick brown fox jumps over the lazy dog")};
+    for (std::size_t len : {55u, 56u, 63u, 64u, 119u, 120u, 128u}) {
+        Bytes msg(len);
+        for (std::size_t i = 0; i < len; ++i)
+            msg[i] = static_cast<std::uint8_t>(i * 13 + len);
+        messages.push_back(msg);
+    }
+    for (const Bytes &msg : messages) {
+        const Bytes expected = Sha256::hash(msg);
+        for (std::size_t split = 0; split <= msg.size(); ++split) {
+            Sha256 ctx;
+            ctx.update(Bytes(msg.begin(), msg.begin() + split));
+            ctx.update(Bytes(msg.begin() + split, msg.end()));
+            EXPECT_EQ(ctx.digest(), expected)
+                << "len=" << msg.size() << " split=" << split;
+        }
     }
 }
 
