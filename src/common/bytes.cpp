@@ -85,10 +85,16 @@ append(Bytes &dst, const Bytes &src)
 bool
 constantTimeEqual(const Bytes &a, const Bytes &b)
 {
-    if (a.size() != b.size())
-        return false;
+    return a.size() == b.size() &&
+           constantTimeEqual(a.data(), b.data(), a.size());
+}
+
+bool
+constantTimeEqual(const std::uint8_t *a, const std::uint8_t *b,
+                  std::size_t n)
+{
     std::uint8_t acc = 0;
-    for (std::size_t i = 0; i < a.size(); ++i)
+    for (std::size_t i = 0; i < n; ++i)
         acc |= static_cast<std::uint8_t>(a[i] ^ b[i]);
     return acc == 0;
 }

@@ -57,6 +57,10 @@ void append(Bytes &dst, const Bytes &src);
  */
 bool constantTimeEqual(const Bytes &a, const Bytes &b);
 
+/** Constant-time equality of two `n`-byte regions. */
+bool constantTimeEqual(const std::uint8_t *a, const std::uint8_t *b,
+                       std::size_t n);
+
 /** XOR `b` into `a` elementwise; buffers must have equal size. */
 void xorInPlace(Bytes &a, const Bytes &b);
 

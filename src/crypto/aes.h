@@ -26,7 +26,14 @@ constexpr std::size_t kAesBlockSize = 16;
 /** AES-128 key size in bytes. */
 constexpr std::size_t kAes128KeySize = 16;
 
-/** AES-128 with a precomputed key schedule. */
+/**
+ * AES-128 with a precomputed key schedule.
+ *
+ * Rounds run as 32-bit T-table lookups (SubBytes, ShiftRows and
+ * MixColumns folded into four 1 KiB tables). Table indices depend on
+ * key and data, so the cipher is not constant time; host cache timing
+ * is outside the threat model (DESIGN §6).
+ */
 class Aes128
 {
   public:
@@ -37,19 +44,24 @@ class Aes128
     void encryptBlock(std::uint8_t block[kAesBlockSize]) const;
 
     /**
-     * CTR-mode keystream transform (encrypt == decrypt).
-     *
-     * The counter block is nonce (12 bytes) || 32-bit big-endian block
-     * counter starting at 0.
-     *
-     * @param nonce 12-byte per-message nonce.
-     * @param data Input buffer.
-     * @return Transformed buffer of the same length.
+     * CTR-mode keystream transform (encrypt == decrypt) into caller
+     * memory. The counter block is nonce (12 bytes) || 32-bit
+     * big-endian block counter starting at 0. `in` may equal `out`.
+     */
+    void ctr(const std::uint8_t nonce[12], const std::uint8_t *in,
+             std::uint8_t *out, std::size_t n) const;
+
+    /**
+     * ctr() into a fresh buffer.
+     * @throws std::invalid_argument unless the nonce is 12 bytes.
      */
     Bytes ctrTransform(const Bytes &nonce, const Bytes &data) const;
 
   private:
-    std::uint8_t roundKeys[176]; // 11 round keys x 16 bytes.
+    void encrypt(const std::uint8_t in[kAesBlockSize],
+                 std::uint8_t out[kAesBlockSize]) const;
+
+    std::uint32_t roundKeys[44]; // 11 round keys x 4 big-endian words.
 };
 
 } // namespace monatt::crypto

@@ -14,11 +14,40 @@
 #define MONATT_CRYPTO_HMAC_H
 
 #include "common/bytes.h"
+#include "crypto/sha256.h"
 
 namespace monatt::crypto
 {
 
-/** Compute HMAC-SHA-256 over `data` with `key`. */
+/**
+ * HMAC-SHA-256 keyed once: the ipad and opad blocks are absorbed at
+ * construction, so each MAC costs only the message blocks plus two
+ * finishing compressions.
+ *
+ * Streaming use: copy innerContext(), feed it the message, then pass
+ * it to finish().
+ */
+class HmacSha256
+{
+  public:
+    explicit HmacSha256(const Bytes &key);
+
+    /** The inner hash with the ipad block already absorbed. */
+    const Sha256 &innerContext() const { return inner; }
+
+    /** Complete a MAC whose message `ctx` (a copy of innerContext())
+     * has absorbed; `ctx` is reset. */
+    void finish(Sha256 &ctx, std::uint8_t out[kSha256DigestSize]) const;
+
+    /** MAC of `data`. */
+    Bytes mac(const Bytes &data) const;
+
+  private:
+    Sha256 inner;
+    Sha256 outer;
+};
+
+/** One-shot HMAC-SHA-256: HmacSha256(key).mac(data). */
 Bytes hmacSha256(const Bytes &key, const Bytes &data);
 
 /** HKDF-Extract: PRK = HMAC(salt, ikm). */

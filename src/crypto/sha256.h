@@ -35,6 +35,9 @@ class Sha256
     /** Absorb raw memory. */
     void update(const std::uint8_t *data, std::size_t len);
 
+    /** Finalize into `out`; the context becomes reset. */
+    void finish(std::uint8_t out[kSha256DigestSize]);
+
     /** Finalize and return the 32-byte digest; context becomes reset. */
     Bytes digest();
 

@@ -1,10 +1,9 @@
 #include "net/secure_channel.h"
 
+#include <array>
 #include <stdexcept>
 
 #include "common/codec.h"
-#include "crypto/aes.h"
-#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
 namespace monatt::net
@@ -45,12 +44,16 @@ serverTranscript(const Bytes &clientTranscriptHash,
     return crypto::Sha256::hash(w.data());
 }
 
+/** Record layout: u64 seq || u32 len || ciphertext || tag. */
+constexpr std::size_t kRecordHeader = 8 + 4;
+constexpr std::size_t kTagSize = crypto::kSha256DigestSize;
 
-/** 12-byte CTR nonce derived from the record sequence number. */
-Bytes
+/** 12-byte CTR nonce: four zero bytes, then the little-endian
+ * sequence number. */
+std::array<std::uint8_t, 12>
 seqNonce(std::uint64_t seq)
 {
-    Bytes nonce(12, 0x00);
+    std::array<std::uint8_t, 12> nonce{};
     for (int i = 0; i < 8; ++i)
         nonce[4 + i] = static_cast<std::uint8_t>(seq >> (8 * i));
     return nonce;
@@ -58,17 +61,24 @@ seqNonce(std::uint64_t seq)
 
 } // namespace
 
-Bytes
-SecureChannel::macInput(std::uint8_t direction, std::uint64_t seq,
-                        const Bytes &ciphertext) const
+SecureChannel::Direction::Direction(const Bytes &encKey,
+                                    const Bytes &macKey, const Bytes &sid,
+                                    std::uint8_t dir)
+    : aes(encKey), mac(macKey), macHead(mac.innerContext())
 {
     ByteWriter w;
-    w.reserve(sid.size() + ciphertext.size() + 2 * 4 + 1 + 8);
     w.putBytes(sid);
-    w.putU8(direction);
-    w.putU64(seq);
-    w.putBytes(ciphertext);
-    return w.take();
+    w.putU8(dir);
+    macHead.update(w.data());
+}
+
+void
+SecureChannel::Direction::tag(const std::uint8_t *record, std::size_t len,
+                              std::uint8_t out[kTagSize]) const
+{
+    crypto::Sha256 ctx = macHead;
+    ctx.update(record, len);
+    mac.finish(ctx, out);
 }
 
 void
@@ -87,62 +97,56 @@ SecureChannel::derive(SecureChannel &ch, const Bytes &premaster,
     const Bytes s2cMac(material.begin() + 80, material.begin() + 112);
 
     if (isClient) {
-        ch.sendEncKey = c2sEnc;
-        ch.sendMacKey = c2sMac;
-        ch.recvEncKey = s2cEnc;
-        ch.recvMacKey = s2cMac;
-        ch.sendDirection = kDirClientToServer;
-        ch.recvDirection = kDirServerToClient;
+        ch.send.emplace(c2sEnc, c2sMac, ch.sid, kDirClientToServer);
+        ch.recv.emplace(s2cEnc, s2cMac, ch.sid, kDirServerToClient);
     } else {
-        ch.sendEncKey = s2cEnc;
-        ch.sendMacKey = s2cMac;
-        ch.recvEncKey = c2sEnc;
-        ch.recvMacKey = c2sMac;
-        ch.sendDirection = kDirServerToClient;
-        ch.recvDirection = kDirClientToServer;
+        ch.send.emplace(s2cEnc, s2cMac, ch.sid, kDirServerToClient);
+        ch.recv.emplace(c2sEnc, c2sMac, ch.sid, kDirClientToServer);
     }
-    ch.ready = true;
 }
 
 Bytes
 SecureChannel::seal(const Bytes &plaintext)
 {
-    if (!ready)
+    if (!send)
         throw std::logic_error("SecureChannel::seal: not established");
 
+    // The record's first kRecordHeader + n bytes are exactly the MAC
+    // input after the head: encrypt in place, MAC, append the tag.
     const std::uint64_t seq = ++sendSeq;
-    const crypto::Aes128 aes(sendEncKey);
-    const Bytes ciphertext = aes.ctrTransform(seqNonce(seq), plaintext);
-    const Bytes mac = crypto::hmacSha256(
-        sendMacKey, macInput(sendDirection, seq, ciphertext));
-
+    const std::size_t n = plaintext.size();
     ByteWriter w;
-    w.reserve(8 + 4 + ciphertext.size() + mac.size());
+    w.reserve(kRecordHeader + n + kTagSize);
     w.putU64(seq);
-    w.putBytes(ciphertext);
-    w.putRaw(mac);
-    return w.take();
+    w.putU32(static_cast<std::uint32_t>(n));
+    Bytes record = w.take();
+    record.resize(kRecordHeader + n + kTagSize);
+    std::uint8_t *ciphertext = record.data() + kRecordHeader;
+    send->aes.ctr(seqNonce(seq).data(), plaintext.data(), ciphertext, n);
+    send->tag(record.data(), kRecordHeader + n, ciphertext + n);
+    return record;
 }
 
 Result<Bytes>
 SecureChannel::open(const Bytes &record)
 {
-    if (!ready)
+    if (!recv)
         return Result<Bytes>::error("channel not established");
 
     ByteReader r(record);
     auto seq = r.getU64();
-    auto ciphertext = r.getBytes();
-    if (!seq || !ciphertext)
+    auto len = r.getU32();
+    if (!seq || !len || r.remaining() < len.value())
         return Result<Bytes>::error("malformed record framing");
-    auto mac = r.getRaw(crypto::kSha256DigestSize);
-    if (!mac || !r.atEnd())
+    const std::size_t n = len.value();
+    if (r.remaining() - n != kTagSize)
         return Result<Bytes>::error("malformed record MAC");
 
-    const Bytes expected = crypto::hmacSha256(
-        recvMacKey, macInput(recvDirection, seq.value(),
-                             ciphertext.value()));
-    if (!constantTimeEqual(expected, mac.value()))
+    // Verify over the record in place before touching the ciphertext.
+    const std::uint8_t *ciphertext = record.data() + kRecordHeader;
+    std::uint8_t expected[kTagSize];
+    recv->tag(record.data(), kRecordHeader + n, expected);
+    if (!constantTimeEqual(expected, ciphertext + n, kTagSize))
         return Result<Bytes>::error("record MAC verification failed");
 
     // Replay / reorder protection: sequence must strictly increase.
@@ -151,9 +155,10 @@ SecureChannel::open(const Bytes &record)
     lastRecvSeq = seq.value();
     sawRecv = true;
 
-    const crypto::Aes128 aes(recvEncKey);
-    return Result<Bytes>::ok(
-        aes.ctrTransform(seqNonce(seq.value()), ciphertext.value()));
+    Bytes plaintext(n);
+    recv->aes.ctr(seqNonce(seq.value()).data(), ciphertext,
+                  plaintext.data(), n);
+    return Result<Bytes>::ok(std::move(plaintext));
 }
 
 ClientHandshake::ClientHandshake(std::string clientId,
@@ -220,8 +225,8 @@ ClientHandshake::finish(const Bytes &serverHello)
 
     // Check the server's key-confirmation MAC: proves the server could
     // actually decrypt the premaster (not just sign a transcript).
-    const Bytes expected = crypto::hmacSha256(
-        channel.recvMacKey, toBytes("server-finished"));
+    const Bytes expected =
+        channel.recv->mac.mac(toBytes("server-finished"));
     if (!constantTimeEqual(expected, verifyData.value()))
         return Result<SecureChannel>::error(
             "server key-confirmation failed");
@@ -290,8 +295,8 @@ ServerHandshake::accept(const Bytes &clientHello,
                           /*isClient=*/false);
     out.clientId = clientId.value();
 
-    const Bytes verifyData = crypto::hmacSha256(
-        out.channel.sendMacKey, toBytes("server-finished"));
+    const Bytes verifyData =
+        out.channel.send->mac.mac(toBytes("server-finished"));
 
     ByteWriter w;
     w.putBytes(serverNonce);

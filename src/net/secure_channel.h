@@ -20,11 +20,14 @@
 #define MONATT_NET_SECURE_CHANNEL_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/aes.h"
 #include "crypto/drbg.h"
+#include "crypto/hmac.h"
 #include "crypto/rsa.h"
 
 namespace monatt::net
@@ -44,7 +47,7 @@ class SecureChannel
     SecureChannel() = default;
 
     /** True when the handshake completed. */
-    bool established() const { return ready; }
+    bool established() const { return send.has_value(); }
 
     /** 16-byte session identifier shared by both endpoints. */
     const Bytes &sessionId() const { return sid; }
@@ -70,8 +73,22 @@ class SecureChannel
     friend class ClientHandshake;
     friend class ServerHandshake;
 
-    Bytes macInput(std::uint8_t direction, std::uint64_t seq,
-                   const Bytes &ciphertext) const;
+    /** One direction's record keys, expanded once by derive(). */
+    struct Direction
+    {
+        Direction(const Bytes &encKey, const Bytes &macKey,
+                  const Bytes &sid, std::uint8_t dir);
+
+        /** MAC of the head, then the record's first `len` bytes. */
+        void tag(const std::uint8_t *record, std::size_t len,
+                 std::uint8_t out[crypto::kSha256DigestSize]) const;
+
+        crypto::Aes128 aes;
+        crypto::HmacSha256 mac;
+        /** mac's inner context with the head of every record's MAC
+         * input, u32 len(sid) || sid || dir, already absorbed. */
+        crypto::Sha256 macHead;
+    };
 
     /** Derive session id + directional keys from handshake secrets. */
     static void derive(SecureChannel &ch, const Bytes &premaster,
@@ -79,14 +96,11 @@ class SecureChannel
                        bool isClient);
 
     Bytes sid;
-    Bytes sendEncKey, sendMacKey;
-    Bytes recvEncKey, recvMacKey;
-    std::uint8_t sendDirection = 0;
-    std::uint8_t recvDirection = 0;
+    std::optional<Direction> send;
+    std::optional<Direction> recv;
     std::uint64_t sendSeq = 0;
     std::uint64_t lastRecvSeq = 0;
     bool sawRecv = false;
-    bool ready = false;
 };
 
 /**
