@@ -117,7 +117,6 @@ Network::acquireSlot()
 void
 Network::releaseSlot(Envelope *slot)
 {
-    recycleBuffer(std::move(slot->payload));
     slot->payload = Bytes();
     slot->src.clear();
     slot->dst.clear();
@@ -125,32 +124,6 @@ Network::releaseSlot(Envelope *slot)
     slot->seq = 0;
     slot->bulkBytes = 0;
     freeEnvelopes.push_back(slot);
-}
-
-Bytes
-Network::takeBuffer(std::size_t reserveHint)
-{
-    Bytes out;
-    if (!bufferPool.empty()) {
-        ++counters.bufferReuses;
-        out = std::move(bufferPool.back());
-        bufferPool.pop_back();
-    } else {
-        ++counters.bufferAllocs;
-    }
-    if (reserveHint > 0)
-        out.reserve(reserveHint);
-    return out;
-}
-
-void
-Network::recycleBuffer(Bytes buffer)
-{
-    if (buffer.capacity() < kMinRecycledCapacity ||
-        bufferPool.size() >= kMaxPooledBuffers)
-        return;
-    buffer.clear();
-    bufferPool.push_back(std::move(buffer));
 }
 
 void
@@ -181,9 +154,6 @@ void
 Network::deliver(Envelope env, SimTime extraDelay)
 {
     Envelope *slot = acquireSlot();
-    // Park the slot's retained payload capacity before the move-assign
-    // would free it; the sender's buffers then travel zero-copy.
-    recycleBuffer(std::move(slot->payload));
     *slot = std::move(env);
     scheduleDelivery(slot, extraDelay);
 }

@@ -54,13 +54,10 @@ struct NetworkStats
     std::uint64_t delayedByFault = 0;
     std::uint64_t partitioned = 0;
 
-    // Send-deliver slab: envelope slots and recycled payload buffers.
-    // At steady state reuses dominate and allocs stay flat at the
-    // in-flight high-water mark.
+    // Send-deliver slab: envelope slots. At steady state reuses
+    // dominate and allocs stay flat at the in-flight high-water mark.
     std::uint64_t envelopeAllocs = 0; //!< fresh slab slots created
     std::uint64_t envelopeReuses = 0; //!< slots served from the free list
-    std::uint64_t bufferAllocs = 0;   //!< takeBuffer() pool misses
-    std::uint64_t bufferReuses = 0;   //!< takeBuffer() pool hits
 };
 
 /**
@@ -125,18 +122,6 @@ class Network
     SimTime transferTime(const NodeId &a, const NodeId &b,
                          std::size_t bytes) const;
 
-    /**
-     * Borrow a payload buffer from the recycle pool (empty, with the
-     * retained capacity of a previously delivered datagram when one is
-     * available). Purely an allocation-churn optimization: senders on
-     * hot paths build payloads in a recycled buffer instead of a fresh
-     * vector; the buffer flows back into the pool after delivery.
-     */
-    Bytes takeBuffer(std::size_t reserveHint = 0);
-
-    /** Return a buffer to the recycle pool (bounded; excess is freed). */
-    void recycleBuffer(Bytes buffer);
-
     const NetworkStats &stats() const { return counters; }
 
     sim::EventQueue &eventQueue() { return events; }
@@ -169,11 +154,6 @@ class Network
      */
     std::vector<std::unique_ptr<Envelope>> envelopeSlab;
     std::vector<Envelope *> freeEnvelopes;
-    std::vector<Bytes> bufferPool; //!< Recycled payload buffers.
-
-    /** Pool bounds: keep slack memory proportional to real traffic. */
-    static constexpr std::size_t kMaxPooledBuffers = 4096;
-    static constexpr std::size_t kMinRecycledCapacity = 16;
 };
 
 } // namespace monatt::net
