@@ -8,13 +8,14 @@ namespace monatt::net
 namespace
 {
 
-/** Channel tags: "ssl-hello:<initiator>", "ssl-accept:<initiator>",
- * "data-out:<initiator>" (initiator→responder data),
- * "data-back:<initiator>" (responder→initiator data). */
+/** Channel tags: "ssl-hello" and "ssl-accept" carry the handshake,
+ * "data-out" carries records from a channel's initiator to its
+ * responder. Each endpoint sends only on channels it initiated, so a
+ * reply travels on the responder's own outbound channel, and every
+ * record arrives on the receiver's inbound channel for that peer. */
 const char *kHelloTag = "ssl-hello";
 const char *kAcceptTag = "ssl-accept";
 const char *kDataOutTag = "data-out";
-const char *kDataBackTag = "data-back";
 
 } // namespace
 
@@ -177,11 +178,7 @@ SecureEndpoint::handleDatagram(const Envelope &env)
     } else if (env.channel == kAcceptTag) {
         handleAccept(env);
     } else if (env.channel == kDataOutTag) {
-        // Peer-initiated channel, inbound data.
-        handleData(env, /*inbound=*/true);
-    } else if (env.channel == kDataBackTag) {
-        // Our channel, reply data.
-        handleData(env, /*inbound=*/false);
+        handleData(env);
     } else {
         MONATT_LOG(Warn, "endpoint")
             << self << ": unknown channel tag " << env.channel;
@@ -351,21 +348,10 @@ SecureEndpoint::failOutbound(const NodeId &peer)
 }
 
 void
-SecureEndpoint::handleData(const Envelope &env, bool inboundChannel)
+SecureEndpoint::handleData(const Envelope &env)
 {
-    SecureChannel *channel = nullptr;
-    if (inboundChannel) {
-        auto it = inbound.find(env.src);
-        if (it != inbound.end())
-            channel = &it->second.channel;
-    } else {
-        auto it = outbound.find(env.src);
-        if (it != outbound.end() &&
-            it->second.state == OutboundChannel::State::Open) {
-            channel = &it->second.channel;
-        }
-    }
-    if (!channel) {
+    const auto it = inbound.find(env.src);
+    if (it == inbound.end()) {
         ++counters.rejectedRecords;
         MONATT_LOG(Warn, "endpoint")
             << self << ": data on unestablished channel from "
@@ -373,7 +359,7 @@ SecureEndpoint::handleData(const Envelope &env, bool inboundChannel)
         return;
     }
 
-    auto plaintext = channel->open(env.payload);
+    auto plaintext = it->second.channel.open(env.payload);
     if (!plaintext) {
         ++counters.rejectedRecords;
         MONATT_LOG(Warn, "endpoint")

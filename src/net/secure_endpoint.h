@@ -190,7 +190,7 @@ class SecureEndpoint
     void handleDatagram(const Envelope &env);
     void handleHello(const Envelope &env);
     void handleAccept(const Envelope &env);
-    void handleData(const Envelope &env, bool inbound);
+    void handleData(const Envelope &env);
     void transmit(const NodeId &peer, const std::string &channelTag,
                   Bytes payload, std::uint64_t bulkBytes);
 
