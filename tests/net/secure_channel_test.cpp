@@ -115,6 +115,38 @@ TEST(SecureChannelTest, ReorderedRecordsRejected)
     EXPECT_FALSE(server.open(first).isOk());
 }
 
+TEST(SecureChannelTest, OpenChecksFramingThenMacThenReplay)
+{
+    ChannelFixture f;
+    auto [client, server] = f.establish();
+    const Bytes first = client.seal(toBytes("one"));
+    const Bytes second = client.seal(toBytes("two"));
+
+    const Bytes truncated(first.begin(), first.begin() + 11);
+    EXPECT_EQ(server.open(truncated).errorMessage(),
+              "malformed record framing");
+    Bytes extended = first;
+    extended.push_back(0x00);
+    EXPECT_EQ(server.open(extended).errorMessage(),
+              "malformed record MAC");
+
+    // A forged record never advances the replay window.
+    Bytes forged = second;
+    forged[8 + 4] ^= 0x01;
+    EXPECT_EQ(server.open(forged).errorMessage(),
+              "record MAC verification failed");
+    ASSERT_TRUE(server.open(first).isOk());
+
+    // A tampered replay fails on its MAC before the window is checked.
+    Bytes tamperedReplay = first;
+    tamperedReplay.back() ^= 0x01;
+    EXPECT_EQ(server.open(tamperedReplay).errorMessage(),
+              "record MAC verification failed");
+    EXPECT_EQ(server.open(first).errorMessage(),
+              "replayed or reordered record");
+    EXPECT_EQ(server.open(second).value(), toBytes("two"));
+}
+
 TEST(SecureChannelTest, ReflectionRejected)
 {
     // A record a client sealed cannot be fed back to the client: the
