@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "common/rng.h"
 #include "crypto/bignum.h"
+#include "crypto/sha256.h"
 
 namespace monatt::crypto
 {
@@ -192,6 +197,84 @@ TEST(BigUintTest, GeneratePrimeSmallWidthsAreTruePrimes)
         }
     }
     EXPECT_GT(ranPast, 0);
+}
+
+/**
+ * Leading 16 hex digits of SHA-256 over, for each seed, the prime that
+ * generatePrime returns and the caller's next Rng draw after it. The
+ * draw moves when the search tests a different candidate or draws one
+ * witness more or fewer, even if it lands on the same prime.
+ */
+std::string
+primeSearchDigest(std::size_t bits,
+                  std::initializer_list<std::uint64_t> seeds)
+{
+    Bytes trail;
+    for (const std::uint64_t seed : seeds) {
+        Rng rng(seed);
+        append(trail, BigUint::generatePrime(bits, rng).toBytes());
+        append(trail, BigUint::fromU64(rng.next()).toBytes(8));
+    }
+    return toHex(Sha256::hash(trail)).substr(0, 16);
+}
+
+// Frozen prime searches below RSA key size; any rewrite of the search
+// must keep every digest. At 8..14 bits a start may lie below some
+// sieve primes, so only the sieve primes below it apply (at 8 and 9
+// bits trial division may meet the candidate itself); from 15 bits
+// every start lies above all 1,899 of them.
+TEST(BigUintTest, GeneratePrimeKnownAnswer)
+{
+    const std::vector<std::pair<std::size_t, std::string>> expected = {
+        {8, "305470c1d5563292"}, {9, "2c1396958e5b6153"},
+        {10, "1a1966cba327e0cf"}, {11, "0997133652fc596f"},
+        {12, "2298466e578fc377"}, {13, "7da4ba6075507d8a"},
+        {14, "7093fd8e430c0dc1"}, {15, "e232d84a7ec1d688"},
+        {16, "cbb6add24c837722"}, {17, "3966f14eff6a2414"},
+        {18, "8c30269ed359f62a"}, {19, "e9f03accb9a4ea5f"},
+        {20, "48f7a4804868440b"}, {21, "7eec032c5a41d597"},
+        {22, "6056a3ee30893553"}, {23, "f84ec693c04719ef"},
+        {24, "fb94c271b3881e7c"}, {25, "baa79ed2287d5f96"},
+        {26, "dbf4d53d07e58ab3"}, {27, "42a7e988d995ef4a"},
+        {28, "c35074e25faba16f"}, {29, "de155839261d9f63"},
+        {30, "2e6d70997577d89f"}, {31, "994d04bc4e96d101"},
+        {32, "55d256a02600c540"}, {33, "96221a8824691963"},
+        {34, "678d181dac53ab8b"}, {35, "76403d2918ffb2b2"},
+        {36, "1553af95374e86dd"}, {37, "c62fd06321668ba2"},
+        {38, "65ed3ca007081f08"}, {39, "9db3d42e76972615"},
+        {40, "b7417340db0f75fc"}, {64, "bd094b1463785958"},
+        {128, "3d6d6b2ab3fa9262"}, {256, "76c01a74700508bc"},
+    };
+    for (const auto &[bits, digest] : expected) {
+        const std::uint64_t s = 0x9e37 * bits;
+        EXPECT_EQ(primeSearchDigest(bits, {s, s + 1, s + 2, s + 3, s + 4,
+                                           s + 5}),
+                  digest)
+            << bits << "-bit";
+    }
+}
+
+// 256-bit searches that scan past 512 and past 1,024 odd candidates
+// from their first start before reaching a prime: the long tail of the
+// prime gaps at the prime size of a 512-bit key.
+TEST(BigUintTest, GeneratePrimeLongGapsKnownAnswer)
+{
+    using Case = std::tuple<std::uint64_t, std::uint64_t, std::string>;
+    for (const auto &[seed, minScan, digest] :
+         {Case{2952, 512, "333b6c4c22933d40"},
+          Case{3920, 1024, "118adbfa14dd0789"}}) {
+        Rng probe(seed);
+        BigUint start = BigUint::randomWithBits(256, probe);
+        if (!start.bit(254))
+            start = start + BigUint::fromU64(1).shiftLeft(254);
+        if (!start.isOdd())
+            start = start + BigUint::fromU64(1);
+        Rng rng(seed);
+        const BigUint p = BigUint::generatePrime(256, rng);
+        ASSERT_GE(p, start) << seed;
+        EXPECT_GE(toU64((p - start).shiftRight(1)), minScan) << seed;
+        EXPECT_EQ(primeSearchDigest(256, {seed}), digest) << seed;
+    }
 }
 
 // Randomized algebraic properties over a sweep of bit widths. These
