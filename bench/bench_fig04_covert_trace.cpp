@@ -6,6 +6,7 @@
  * reports "a high bandwidth of 200 bps").
  */
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.h"
@@ -130,5 +131,12 @@ main()
     std::printf("receiver decode accuracy: %.1f %%\n",
                 100.0 * static_cast<double>(res.bitsCorrect) /
                     static_cast<double>(res.bitsSent));
-    return 0;
+
+    const bool shapeOk = std::abs(grossBps - 200) < 0.5 &&
+                         res.bitsSent > 0 &&
+                         res.bitsCorrect == res.bitsSent;
+    std::printf("\nexpected shape: the paper's ~200 bps channel, every "
+                "transmitted bit decoded\nby the receiver\n");
+    std::printf("shape check: %s\n", shapeOk ? "PASS" : "FAIL");
+    return shapeOk ? 0 : 1;
 }
