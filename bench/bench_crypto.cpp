@@ -129,9 +129,11 @@ BM_SecureChannelRecord(benchmark::State &state)
 }
 BENCHMARK(BM_SecureChannelRecord)->Arg(64)->Arg(226)->Arg(1024);
 
-/** Full-width modular exponentiation operands: an RSA verify-shaped
- * workload (base and exponent as wide as the modulus — worst case for
- * the ladder; the e=65537 public path is far cheaper). */
+/** Full-width modular exponentiation operands: an RSA private-key
+ * shaped workload (base and exponent as wide as the modulus — worst
+ * case for the ladder; the e=65537 public path is far cheaper). At 256
+ * bits they are one CRT half of a 512-bit key, p and dP, the size of
+ * every Miller-Rabin round in its key generation too. */
 struct ModExpOperands
 {
     BigUint base, exp, mod;
@@ -140,10 +142,10 @@ struct ModExpOperands
 ModExpOperands
 modExpOperands(std::size_t bits)
 {
-    const RsaKeyPair &kp = bits == 512 ? keyPair512() : keyPair1024();
+    const RsaKeyPair &kp = bits == 1024 ? keyPair1024() : keyPair512();
     ModExpOperands ops;
-    ops.mod = kp.pub.n;
-    ops.exp = kp.priv.d;
+    ops.mod = bits == 256 ? kp.priv.p : kp.pub.n;
+    ops.exp = bits == 256 ? kp.priv.dP : kp.priv.d;
     Rng rng(7 + bits);
     ops.base = BigUint::fromBytes(rng.nextBytes(bits / 8)) % ops.mod;
     return ops;
@@ -184,7 +186,7 @@ BM_ModExpMontgomeryCtxReuse(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(ops.base.modExp(ops.exp, ctx));
 }
-BENCHMARK(BM_ModExpMontgomeryCtxReuse)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ModExpMontgomeryCtxReuse)->Arg(256)->Arg(512)->Arg(1024);
 
 void
 BM_RsaSign(benchmark::State &state)
@@ -234,6 +236,19 @@ BM_RsaKeygenAik(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RsaKeygenAik)->Arg(512)->Unit(benchmark::kMillisecond);
+
+void
+BM_GeneratePrime(benchmark::State &state)
+{
+    // One prime of a key pair: the sieve plus Miller-Rabin on each
+    // survivor, 24 rounds on the prime it returns.
+    Rng rng(8);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(BigUint::generatePrime(
+            static_cast<std::size_t>(state.range(0)), rng));
+    }
+}
+BENCHMARK(BM_GeneratePrime)->Arg(256)->Unit(benchmark::kMicrosecond);
 
 void
 BM_HmacDrbg(benchmark::State &state)
