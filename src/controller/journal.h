@@ -22,6 +22,7 @@
 #include "controller/database.h"
 #include "proto/messages.h"
 #include "sim/event_queue.h"
+#include "sim/exchange.h"
 
 namespace monatt::controller
 {
@@ -115,13 +116,13 @@ struct AttestContext
     bool periodic = false;
     std::string serverId;   //!< Server the forward targeted.
     std::string attestorId; //!< AS currently responsible.
-    int retries = 0;
+    int retries = 0;        //!< Journaled copy of forward.attempts().
     int failovers = 0;
     bool acked = false;     //!< A verified report arrived.
     bool recovered = false; //!< Re-armed after a crash (skip RTT
                             //!< sampling: the send time spans the
                             //!< outage).
-    sim::EventId retryTimer = 0; //!< 0 = none pending (not journaled).
+    sim::Exchange forward;  //!< The AttestForward's (not journaled).
 
     static constexpr auto fields()
     {

@@ -234,6 +234,7 @@ CloudServer::beginAikSession(std::uint64_t requestId)
     creq.avkSignature = session.attestationKeySignature;
     certToRequest[pa.sessionLabel] = requestId;
     pa.certRequestBytes = pack(MessageKind::CertRequest, creq);
+    pa.cert.arm(events.now());
     endpoint.sendSecure(cfg.pcaId, Bytes(pa.certRequestBytes));
     if (cfg.reliability.enabled)
         scheduleCertRetry(requestId);
@@ -245,41 +246,34 @@ void
 CloudServer::scheduleCertRetry(std::uint64_t requestId)
 {
     PendingAttestation &pa = pending.at(requestId);
-    const SimTime delay = cfg.reliability.backoff(
-        cfg.reliability.certRto, pa.certRetries);
-    pa.certTimer = events.scheduleAfter(delay, [this, requestId] {
+    pa.cert.timer = events.scheduleAfter(
+        pa.cert.timeout(cfg.reliability.cert()), [this, requestId] {
         auto it = pending.find(requestId);
         if (it == pending.end() || it->second.haveCert)
             return;
         PendingAttestation &p = it->second;
-        p.certTimer = 0;
-        if (p.certRetries >= cfg.reliability.certRetryLimit) {
-            MONATT_LOG(Warn, "server")
-                << cfg.id << ": pCA unreachable, abandoning request "
-                << requestId;
-            certToRequest.erase(p.sessionLabel);
-            releaseSession(p.session);
-            pending.erase(it);
-            // The pCA may have crashed and restarted: force a fresh
-            // handshake before the next certification attempt.
-            endpoint.resetPeer(cfg.pcaId);
+        switch (p.cert.expire(cfg.reliability.cert())) {
+          case sim::Exchange::Expiry::Idle:
             return;
+          case sim::Exchange::Expiry::Resend:
+            // Identical retransmission: the pCA's dedup cache answers
+            // a duplicate with the already-issued certificate.
+            endpoint.sendSecure(cfg.pcaId, Bytes(p.certRequestBytes));
+            scheduleCertRetry(requestId);
+            return;
+          case sim::Exchange::Expiry::GiveUp:
+            break;
         }
-        ++p.certRetries;
-        // Identical retransmission: the pCA's dedup cache answers a
-        // duplicate with the already-issued certificate.
-        endpoint.sendSecure(cfg.pcaId, Bytes(p.certRequestBytes));
-        scheduleCertRetry(requestId);
+        MONATT_LOG(Warn, "server")
+            << cfg.id << ": pCA unreachable, abandoning request "
+            << requestId;
+        certToRequest.erase(p.sessionLabel);
+        releaseSession(p.session);
+        pending.erase(it);
+        // The pCA may have crashed and restarted: force a fresh
+        // handshake before the next certification attempt.
+        endpoint.resetPeer(cfg.pcaId);
     }, "server.cert.retry");
-}
-
-void
-CloudServer::cancelCertTimer(PendingAttestation &pa)
-{
-    if (pa.certTimer != 0) {
-        events.cancel(pa.certTimer);
-        pa.certTimer = 0;
-    }
 }
 
 void
@@ -415,7 +409,7 @@ CloudServer::onCertResponse(const Bytes &body)
     auto it = pending.find(requestId);
     if (it == pending.end())
         return;
-    cancelCertTimer(it->second);
+    events.cancel(it->second.cert.timer);
     if (!resp.value().ok) {
         MONATT_LOG(Warn, "server")
             << cfg.id << ": pCA refused certification: "
@@ -501,7 +495,7 @@ CloudServer::crash()
     // Hosted VMs keep running: the hypervisor sits below the crashing
     // Attestation/Management Clients.
     for (auto &[id, pa] : pending) {
-        cancelCertTimer(pa);
+        events.cancel(pa.cert.timer);
         if (pa.session != 0 && pa.session != aikCache.handle)
             trust.endSession(pa.session);
     }

@@ -238,9 +238,8 @@ class CloudServer
         bool haveCert = false;
         proto::MeasurementSet m;
         bool measured = false;
-        Bytes certRequestBytes;      //!< For identical pCA retries.
-        int certRetries = 0;
-        sim::EventId certTimer = 0; //!< 0 = none pending.
+        Bytes certRequestBytes; //!< For identical pCA retries.
+        sim::Exchange cert;     //!< The CertRequest's.
     };
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
@@ -288,9 +287,6 @@ class CloudServer
 
     /** Arm the pCA retransmission timer for a pending attestation. */
     void scheduleCertRetry(std::uint64_t requestId);
-
-    /** Cancel a pending attestation's pCA retry timer (if armed). */
-    void cancelCertTimer(PendingAttestation &pa);
 
     sim::EventQueue &events;
     CloudServerConfig cfg;

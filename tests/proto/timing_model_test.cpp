@@ -64,69 +64,34 @@ TEST(TimingModelTest, CalibrationLandsInPaperRanges)
     EXPECT_LT(toSeconds(t.suspendTime(2048)), 8.0);
 }
 
-// --- Adaptive retry budgets (RFC 6298-shaped estimator) ----------------
-
-TEST(RttEstimatorTest, FirstSampleSeedsSrttAndVariance)
-{
-    RttEstimator est;
-    EXPECT_EQ(est.samples, 0u);
-    est.addSample(msec(100));
-    EXPECT_EQ(est.samples, 1u);
-    EXPECT_EQ(est.srtt, msec(100));
-    EXPECT_EQ(est.rttvar, msec(50));
-}
-
-TEST(RttEstimatorTest, EwmaConvergesOnSteadyRtt)
-{
-    RttEstimator est;
-    for (int i = 0; i < 64; ++i)
-        est.addSample(msec(80));
-    EXPECT_EQ(est.srtt, msec(80));
-    // Constant RTT: the variance EWMA decays toward zero.
-    EXPECT_LT(est.rttvar, msec(1));
-}
-
-TEST(RttEstimatorTest, TracksRttShifts)
-{
-    RttEstimator est;
-    for (int i = 0; i < 32; ++i)
-        est.addSample(msec(10));
-    const SimTime fastSrtt = est.srtt;
-    for (int i = 0; i < 64; ++i)
-        est.addSample(msec(200));
-    EXPECT_GT(est.srtt, fastSrtt);
-    EXPECT_GT(est.srtt, msec(150));
-}
-
-TEST(RttEstimatorTest, NegativeSamplesIgnored)
-{
-    RttEstimator est;
-    est.addSample(-msec(5));
-    EXPECT_EQ(est.samples, 0u);
-}
+// --- Adaptive retry budgets: the hop policies ------------------------
 
 TEST(ReliabilityModelTest, RtoFallsBackToFixedKnob)
 {
     ReliabilityModel model;
-    const RttEstimator cold; // No samples yet.
-    EXPECT_EQ(model.rto(seconds(6), cold), seconds(6));
+    sim::Exchange ex;
+    ex.arm(0);
+    const sim::RttEstimator cold; // No samples yet.
+    EXPECT_EQ(ex.timeout(model.forward(), &cold), model.forwardRto);
 
-    RttEstimator warm;
+    sim::RttEstimator warm;
     warm.addSample(msec(100));
     model.adaptiveRto = false;
-    EXPECT_EQ(model.rto(seconds(6), warm), seconds(6));
+    EXPECT_EQ(ex.timeout(model.forward(), &warm), model.forwardRto);
 }
 
 TEST(ReliabilityModelTest, AdaptiveRtoTracksObservedRtt)
 {
     ReliabilityModel model;
-    RttEstimator est;
+    sim::RttEstimator est;
     for (int i = 0; i < 64; ++i)
         est.addSample(msec(500));
     // 2·SRTT + 4·RTTVAR with rttvar ~0: about one second, far below
     // the 6 s fixed forward RTO — a fast deployment detects loss
     // sooner.
-    const SimTime adaptive = model.rto(seconds(6), est);
+    sim::Exchange ex;
+    ex.arm(0);
+    const SimTime adaptive = ex.timeout(model.forward(), &est);
     EXPECT_LT(adaptive, seconds(2));
     EXPECT_GE(adaptive, 2 * est.srtt);
 }
@@ -134,13 +99,15 @@ TEST(ReliabilityModelTest, AdaptiveRtoTracksObservedRtt)
 TEST(ReliabilityModelTest, AdaptiveRtoIsClamped)
 {
     ReliabilityModel model;
-    RttEstimator tiny;
+    sim::Exchange ex;
+    ex.arm(0);
+    sim::RttEstimator tiny;
     tiny.addSample(usec(10));
-    EXPECT_EQ(model.rto(seconds(6), tiny), model.minRto);
+    EXPECT_EQ(ex.timeout(model.forward(), &tiny), model.minRto);
 
-    RttEstimator huge;
+    sim::RttEstimator huge;
     huge.addSample(seconds(100));
-    EXPECT_EQ(model.rto(seconds(6), huge), model.maxRto);
+    EXPECT_EQ(ex.timeout(model.forward(), &huge), model.maxRto);
 }
 
 TEST(CatalogTest, FlavorsAndImages)
