@@ -66,9 +66,10 @@ PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
     bool identityOk = false;
     if (from == req.serverId) {
         const auto serverKey = dir.lookup(req.serverId);
-        identityOk = serverKey && crypto::rsaVerify(serverKey.value(),
-                                                    req.avk,
-                                                    req.avkSignature);
+        identityOk =
+            serverKey &&
+            crypto::rsaVerify(serverKeys.get(req.serverId, serverKey.value()),
+                              req.avk, req.avkSignature);
     }
     if (!identityOk) {
         ++rejections;

@@ -158,6 +158,8 @@ class PrivacyCa
     /** Compiled signing key for certificate issuance. */
     crypto::RsaPrivateContext signCtx;
     const net::KeyDirectory &dir;
+    /** Compiled server identity keys for CertRequest verification. */
+    crypto::RsaPublicContextCache serverKeys;
     proto::TimingModel timing;
     net::SecureEndpoint endpoint;
     std::uint64_t serial = 0;

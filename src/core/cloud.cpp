@@ -256,13 +256,15 @@ Cloud::installFaultPlan(const sim::FaultPlanConfig &planConfig)
         eventQueue,
         [this](const std::string &node) {
             const Status st = crashNode(node);
-            if (!st)
+            if (!st) {
                 MONATT_LOG(Warn, "cloud") << st.errorMessage();
+            }
         },
         [this](const std::string &node) {
             const Status st = restartNode(node);
-            if (!st)
+            if (!st) {
                 MONATT_LOG(Warn, "cloud") << st.errorMessage();
+            }
         });
 }
 

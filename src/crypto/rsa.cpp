@@ -111,6 +111,17 @@ RsaPublicContext::encryptRaw(const BigUint &value) const
     return value.modExp(pub.e, pub.n);
 }
 
+const RsaPublicContext &
+RsaPublicContextCache::get(const std::string &id, const RsaPublicKey &key)
+{
+    const auto it = contexts.find(id);
+    if (it == contexts.end())
+        return contexts.emplace(id, RsaPublicContext(key)).first->second;
+    if (!(it->second.key() == key))
+        it->second = RsaPublicContext(key);
+    return it->second;
+}
+
 RsaPrivateContext::RsaPrivateContext(const RsaPrivateKey &key) : priv(key)
 {
     if (!priv.p.isZero() && priv.p.isOdd() && !priv.q.isZero() &&

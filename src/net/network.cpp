@@ -1,5 +1,7 @@
 #include "net/network.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace monatt::net
@@ -129,8 +131,17 @@ Network::releaseSlot(Envelope *slot)
 void
 Network::scheduleDelivery(Envelope *slot, SimTime extraDelay)
 {
-    const SimTime delay =
+    SimTime delay =
         transferTime(slot->src, slot->dst, slot->wireSize()) + extraDelay;
+    // A link carries one stream per direction, as TCP under the
+    // paper's SSL sessions does: a short record sent right after a
+    // long one must not arrive first, or the receiving channel drops
+    // the long one as reordered. Only a fault delay may reorder.
+    if (extraDelay == 0) {
+        SimTime &last = lastDelivery[{slot->src, slot->dst}];
+        delay = std::max(delay, last - events.now());
+        last = events.now() + delay;
+    }
     events.scheduleAfter(delay, [this, slot] { dispatch(slot); },
                          "net.deliver");
 }

@@ -64,9 +64,11 @@ struct NetworkStats
  * The simulated network.
  *
  * Nodes register a receive handler under a NodeId. send() schedules
- * delivery after the link's latency plus serialization time. The
- * adversary hook — when installed — sees every datagram before
- * delivery and decides its fate.
+ * delivery after the link's latency plus serialization time, and
+ * never ahead of an earlier datagram between the same two nodes
+ * unless a fault delayed that one. The adversary hook — when
+ * installed — sees every datagram before delivery and decides its
+ * fate.
  */
 class Network
 {
@@ -138,6 +140,8 @@ class Network
     sim::EventQueue &events;
     std::map<NodeId, Handler> nodes;
     std::map<std::pair<NodeId, NodeId>, LinkParams> links;
+    /** Latest fault-free delivery per (src, dst): the in-order floor. */
+    std::map<std::pair<NodeId, NodeId>, SimTime> lastDelivery;
     LinkParams defaultLink;
     AdversaryHook adversary;
     const sim::FaultPlan *faults = nullptr;

@@ -58,4 +58,21 @@ measurementsForProperty(SecurityProperty p)
     return {};
 }
 
+bool
+isWindowed(MeasurementType t)
+{
+    return t == MeasurementType::UsageIntervalHistogram ||
+           t == MeasurementType::CpuMeasure;
+}
+
+bool
+measuresWindow(const std::vector<SecurityProperty> &properties)
+{
+    for (SecurityProperty p : properties)
+        for (MeasurementType t : measurementsForProperty(p))
+            if (isWindowed(t))
+                return true;
+    return false;
+}
+
 } // namespace monatt::proto

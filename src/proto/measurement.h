@@ -107,6 +107,12 @@ inline constexpr std::size_t kMaxRequestList = 100;
  */
 MeasurementRequestList measurementsForProperty(SecurityProperty p);
 
+/** True when a measurement is taken over a runtime window (§4.4). */
+bool isWindowed(MeasurementType t);
+
+/** True when any property needs a windowed measurement. */
+bool measuresWindow(const std::vector<SecurityProperty> &properties);
+
 } // namespace monatt::proto
 
 #endif // MONATT_PROTO_MEASUREMENT_H

@@ -18,8 +18,7 @@ MonitorModule::MonitorModule(hypervisor::Hypervisor &hv,
 bool
 MonitorModule::isWindowed(MeasurementType t)
 {
-    return t == MeasurementType::UsageIntervalHistogram ||
-           t == MeasurementType::CpuMeasure;
+    return proto::isWindowed(t);
 }
 
 std::string
