@@ -96,8 +96,9 @@ struct CloudConfig
     /**
      * End-to-end reliability layer: retransmission timers, receive-side
      * dedup, AS failover, terminal verdicts. On by default in the full
-     * deployment; fault-free runs are unperturbed because every timer
-     * is schedule-then-cancel (see proto::ReliabilityModel).
+     * deployment; a loss-free run is unperturbed because every timer
+     * waits out its request's service time and is cancelled before it
+     * fires (see proto::ReliabilityModel).
      */
     proto::ReliabilityModel reliability =
         proto::ReliabilityModel::enabledDefaults();
