@@ -173,6 +173,13 @@ runPolicyLeg(const std::string &name, sim::CheckpointPolicyConfig policy,
     return leg;
 }
 
+/**
+ * Attestations before the storage-fault leg's crash. Long enough that
+ * the journal tail past the last checkpoint holds rotted records: a
+ * shorter journal can leave the leg with nothing to heal.
+ */
+constexpr int kStorageFaultAttests = 48;
+
 /** Recovery with the disk-failure model armed. */
 struct StorageFaultLeg
 {
@@ -205,7 +212,7 @@ runStorageFaultLeg()
 
     Customer &customer = cloud.addCustomer("bench-customer");
     const std::vector<std::string> vids =
-        runWorkload(cloud, customer, 32);
+        runWorkload(cloud, customer, kStorageFaultAttests);
 
     cloud.crashNode("cloud-controller");
     cloud.runFor(seconds(1));
@@ -414,10 +421,11 @@ main()
     // Recovery with a faulty disk: verified replay quarantines the
     // rot and the controller keeps serving.
     const StorageFaultLeg storage = runStorageFaultLeg();
-    std::printf("\nstorage-fault recovery (5%% bit-rot, 32 attests):\n"
+    std::printf("\nstorage-fault recovery (5%% bit-rot, %d attests):\n"
                 "  rotted %llu, quarantined %llu, truncated %llu, "
                 "replayed %llu,\n  corrupt recoveries %llu, replay "
                 "%.3f ms, serves after recovery: %s\n",
+                kStorageFaultAttests,
                 static_cast<unsigned long long>(storage.rotted),
                 static_cast<unsigned long long>(storage.quarantined),
                 static_cast<unsigned long long>(storage.truncated),
@@ -426,6 +434,10 @@ main()
                 storage.replayMs,
                 storage.servesAfterRecovery ? "yes" : "NO");
     shapeOk &= storage.servesAfterRecovery;
+    // The leg shows nothing unless the disk model damaged the journal
+    // and a recovery had to heal it.
+    shapeOk &= storage.rotted + storage.tornPersisted > 0 &&
+               storage.corruptRecoveries > 0;
 
     // Clean-wire A/B: journaling on an undisturbed run. Appends cost
     // zero simulated time, so the trace must be bit-identical; wall
