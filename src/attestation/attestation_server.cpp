@@ -14,6 +14,7 @@ using proto::HealthStatus;
 using proto::MeasureRequest;
 using proto::MeasureResponse;
 using proto::MessageKind;
+using proto::pack;
 using proto::PropertyResult;
 using proto::ReportToController;
 
@@ -541,21 +542,19 @@ AttestationServer::applyVerified(const Session &session,
             report.results.push_back(std::move(pr));
         }
         report.issuedAt = events.now();
-        issueReport(session, std::move(report), reportedTcb);
+        issueReport(session, std::move(report));
     }, "as.interpret");
 }
 
 void
 AttestationServer::issueReport(const Session &session,
-                               AttestationReport report,
-                               std::uint64_t tcbVersion)
+                               AttestationReport report)
 {
     ReportToController out;
     out.requestId = session.forward.requestId;
     out.vid = session.forward.vid;
     out.serverId = session.forward.serverId;
     out.properties = session.forward.properties;
-    out.tcbVersion = tcbVersion; // Unsigned wire-v3 diagnostic mirror.
     out.report = std::move(report);
     out.nonce2 = session.forward.nonce2;
     out.quote2 = ReportToController::quoteInput(
@@ -565,7 +564,7 @@ AttestationServer::issueReport(const Session &session,
     // The dedup cache and its journal record hold the body as sent;
     // a retransmitted forward is answered with the same bytes.
     ++counters.reportsIssued;
-    const Bytes body = proto::encode(out, cfg.wire);
+    const Bytes body = proto::encode(out);
     if (session.forward.mode == AttestMode::StartupOneTime ||
         session.forward.mode == AttestMode::RuntimeOneTime) {
         forwardInFlight.erase(out.requestId);

@@ -90,9 +90,6 @@ struct AttestationServerConfig
     /** Journal-compaction triggers (count / size / age); all 0 =
      * never checkpoint. */
     sim::CheckpointPolicyConfig checkpointPolicy;
-
-    /** Schema version this node encodes at (DESIGN.md §17). */
-    proto::WireContext wire;
 };
 
 /** Journal record: a cached signed report body (dedup cache). */
@@ -248,11 +245,6 @@ class AttestationServer
         return ids;
     }
 
-    /** Wire codec this node emits (mixed-version tests flip it at
-     * runtime to simulate a rolling upgrade). */
-    const proto::WireContext &wireContext() const { return cfg.wire; }
-    void setWireContext(const proto::WireContext &ctx) { cfg.wire = ctx; }
-
   private:
     struct Session
     {
@@ -272,13 +264,6 @@ class AttestationServer
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
-    /** Pack an outgoing message at this node's schema version. */
-    template <typename M>
-    Bytes pack(proto::MessageKind kind, const M &msg) const
-    {
-        return proto::packFor(cfg.wire, kind, msg);
-    }
-
     /** True when `node` is a controller shard we serve. */
     bool isKnownController(const net::NodeId &node) const;
     void onAttestForward(const net::NodeId &from, const Bytes &body);
@@ -296,8 +281,7 @@ class AttestationServer
     void runPeriodicRound(const std::string &key);
     /** Sign the report and send it to the session's controller. */
     void issueReport(const Session &session,
-                     proto::AttestationReport report,
-                     std::uint64_t tcbVersion = 0);
+                     proto::AttestationReport report);
 
     /** Steps 1-4 of response verification: certificate chain (through
      * the cache), session signature, quote and nonce binding. */

@@ -92,7 +92,7 @@ PrivacyCa::issue(const proto::CertRequest &req, const net::NodeId &from)
     // is resent byte for byte.
     const CertKey key{from, req.sessionLabel};
     inFlight.erase(key);
-    const Bytes body = proto::encode(resp, wire_);
+    const Bytes body = proto::encode(resp);
     if (issuedCache.insert(key, body))
         log.append(JournalType::CertIssued,
                    IssuedRecord{serial, rejections, key.first, key.second,

@@ -139,18 +139,12 @@ class PrivacyCa
     /** The pCA's durable store (journal + checkpoints). */
     const sim::StableStore &stableStore() const { return log.store(); }
 
-    /** Schema version this node emits (DESIGN.md §17). */
-    const proto::WireContext &wireContext() const { return wire_; }
-    void setWireContext(const proto::WireContext &ctx) { wire_ = ctx; }
-
   private:
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
     /** Check the requester's identity signature over AVKs, then
      * certify AVKs (or refuse), cache, journal and answer. */
     void issue(const proto::CertRequest &req, const net::NodeId &from);
-
-    proto::WireContext wire_;
 
     sim::EventQueue &events;
     std::string self;

@@ -12,6 +12,7 @@ using proto::AttestForward;
 using proto::AttestMode;
 using proto::AttestRequest;
 using proto::MessageKind;
+using proto::pack;
 using proto::ReportToController;
 using proto::ReportToCustomer;
 
@@ -60,7 +61,7 @@ CloudController::CloudController(sim::EventQueue &eq,
           [this] { return snapshotState(); },
           [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); }),
       repl(cfg.id, cfg.groupIds, cfg.election, cfg.replicaIndex == 0, log,
-           cfg.wire, *this)
+           *this)
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
@@ -838,7 +839,6 @@ CloudController::handleCustomerReport(const AttestContext &ctx,
     out.nonce1 = ctx.nonce1;
     out.quote1 = ReportToCustomer::quoteInput(ctx.vid, ctx.properties,
                                               msg.report, ctx.nonce1);
-    out.tcbVersion = msg.tcbVersion; // Unsigned wire-v3 diagnostic.
 
     out.signature = crypto::rsaSign(signCtx, out.signedPortion());
     ++counters.reportsRelayed;

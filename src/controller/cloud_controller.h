@@ -104,12 +104,6 @@ struct CloudControllerConfig
     std::vector<std::string> groupIds;
     int replicaIndex = 0;
     ElectionTuning election;
-
-    /**
-     * Schema version this node encodes at (DESIGN.md §17). Receivers
-     * decode any version, so nodes can be upgraded one at a time.
-     */
-    proto::WireContext wire;
 };
 
 /** Observable counters. */
@@ -264,11 +258,6 @@ class CloudController : private ReplicatedLog::Io
         return ids;
     }
 
-    /** Schema version this node emits (mixed-version tests flip it
-     * at runtime to simulate a rolling upgrade). */
-    const proto::WireContext &wireContext() const { return cfg.wire; }
-    void setWireContext(const proto::WireContext &ctx) { cfg.wire = ctx; }
-
   private:
     /** Per-AS responsiveness tracking (suspects are skipped for
      * failover targets until they answer again). */
@@ -279,13 +268,6 @@ class CloudController : private ReplicatedLog::Io
     };
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
-
-    /** Pack an outgoing message at this node's schema version. */
-    template <typename M>
-    Bytes pack(proto::MessageKind kind, const M &msg) const
-    {
-        return proto::packFor(cfg.wire, kind, msg);
-    }
 
     // ReplicatedLog::Io: the log's network, timers and leader callbacks.
     void send(const std::string &peer, Bytes packed) override;

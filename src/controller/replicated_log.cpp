@@ -29,10 +29,9 @@ ReplicaLedger::commitLsn(std::uint64_t leaderLsn,
 ReplicatedLog::ReplicatedLog(std::string self,
                              std::vector<std::string> group,
                              ElectionTuning tuning, bool primary,
-                             proto::DurableLog &journal,
-                             const proto::WireContext &wire, Io &io)
+                             proto::DurableLog &journal, Io &io)
     : election(std::move(self), std::move(group), tuning),
-      journal(journal), wire(wire), io(io)
+      journal(journal), io(io)
 {
     for (const std::string &id : election.group()) {
         if (id != election.self())

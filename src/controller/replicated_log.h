@@ -135,12 +135,10 @@ class ReplicatedLog
      * @param primary Boot as the round-1 leader (replica 0), so a
      *                freshly built group needs no election.
      * @param journal The host's journal; the log streams and mirrors it.
-     * @param wire    Schema version the host encodes at.
      */
     ReplicatedLog(std::string self, std::vector<std::string> group,
                   ElectionTuning tuning, bool primary,
-                  proto::DurableLog &journal,
-                  const proto::WireContext &wire, Io &io);
+                  proto::DurableLog &journal, Io &io);
 
     // --- Inputs --------------------------------------------------------
 
@@ -212,7 +210,7 @@ class ReplicatedLog
     void sendTo(const std::string &peer, proto::MessageKind kind,
                 const M &msg)
     {
-        io.send(peer, proto::packFor(wire, kind, msg));
+        io.send(peer, proto::pack(kind, msg));
     }
 
     bool isMember(const std::string &node) const;
@@ -244,7 +242,6 @@ class ReplicatedLog
     ElectionState election;
     std::vector<std::string> followers; //!< Group members but self.
     proto::DurableLog &journal;
-    const proto::WireContext &wire;
     Io &io;
 
     ReplicaLedger ledger;      //!< Leader-side follower ack cursors.

@@ -72,7 +72,6 @@ Cloud::Cloud(CloudConfig config)
     pca->setDurable(cfg.durableControlPlane);
     pca->setIssuedCacheCapacity(cfg.dedupCacheCapacity);
     pca->setCheckpointPolicy(cfg.checkpointPolicy);
-    pca->setWireContext(cfg.wire);
     keyDirectory.publish("privacy-ca", pca->publicKey());
 
     for (int i = 0; i < numAs; ++i) {
@@ -89,7 +88,6 @@ Cloud::Cloud(CloudConfig config)
         asCfg.reportCacheCapacity = cfg.dedupCacheCapacity;
         asCfg.tcbPolicy.fleetFloor = cfg.minimumTcbVersion;
         asCfg.tcbPolicy.propertyFloors = cfg.tcbPropertyFloors;
-        asCfg.wire = cfg.wire;
         auto as = std::make_unique<attestation::AttestationServer>(
             eventQueue, fabric, keyDirectory, asCfg,
             cfg.seed ^ (0x2 + static_cast<std::uint64_t>(i) * 0x1000));
@@ -109,7 +107,6 @@ Cloud::Cloud(CloudConfig config)
         ccCfg.durable = cfg.durableControlPlane;
         ccCfg.checkpointPolicy = cfg.checkpointPolicy;
         ccCfg.relayCacheCapacity = cfg.dedupCacheCapacity;
-        ccCfg.wire = cfg.wire;
         shardConfigs.push_back(std::move(ccCfg));
     }
     controlPlane = std::make_unique<controller::ControllerFabric>(
@@ -161,7 +158,6 @@ Cloud::Cloud(CloudConfig config)
         scfg.aikBits = cfg.aikBits;
         scfg.intrusivePause = cfg.serverIntrusivePause;
         scfg.aikReuseLimit = cfg.aikReuseLimit;
-        scfg.wire = cfg.wire;
 
         auto srv = std::make_unique<server::CloudServer>(
             eventQueue, fabric, keyDirectory, scfg,
@@ -200,7 +196,6 @@ Cloud::addCustomer(const std::string &id)
         eventQueue, fabric, keyDirectory, id,
         cfg.seed + 10000 + customers.size(), cfg.reliability,
         controlPlane->ring(), std::move(groups));
-    customer->setWireContext(cfg.wire);
     keyDirectory.publish(id, customer->identityPublic());
     customers.push_back(std::move(customer));
     return *customers.back();
@@ -320,41 +315,6 @@ Cloud::restartNode(const std::string &node)
     return Status::error("restart scheduled for unknown node \"" + node +
                          "\": no server, attestor, controller shard "
                          "replica or pCA has that id");
-}
-
-Status
-Cloud::setNodeWireContext(const std::string &node,
-                          const proto::WireContext &ctx)
-{
-    if (server::CloudServer *srv = serverById(node)) {
-        srv->setWireContext(ctx);
-        return Status::ok();
-    }
-    for (auto &as : attestors) {
-        if (as->id() == node) {
-            as->setWireContext(ctx);
-            return Status::ok();
-        }
-    }
-    if (controller::CloudController *shard =
-            controlPlane->shardById(node)) {
-        shard->setWireContext(ctx);
-        return Status::ok();
-    }
-    if (node == pca->id()) {
-        pca->setWireContext(ctx);
-        return Status::ok();
-    }
-    for (auto &customer : customers) {
-        if (customer->id() == node) {
-            customer->setWireContext(ctx);
-            return Status::ok();
-        }
-    }
-    return Status::error("wire-context switch for unknown node \"" +
-                         node +
-                         "\": no server, attestor, controller shard "
-                         "replica, pCA or customer has that id");
 }
 
 void

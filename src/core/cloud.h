@@ -163,13 +163,8 @@ struct CloudConfig
      */
     std::size_t dedupCacheCapacity = 128;
 
-    /**
-     * Schema version every node encodes at (DESIGN.md §17). Decoders
-     * skip unknown fields and default missing ones, so a mixed-version
-     * fleet interoperates without negotiation; flip individual nodes
-     * at runtime with setNodeWireContext() to simulate a rolling
-     * upgrade.
-     */
+    /** Empty and read by nothing here; kept only because perfbench's
+     * codec replay reads it. */
     proto::WireContext wire;
 };
 
@@ -253,15 +248,6 @@ class Cloud
      */
     Status crashNode(const std::string &node);
     Status restartNode(const std::string &node);
-
-    /**
-     * Switch one node's emitted schema version at runtime (rolling
-     * upgrade simulation). Resolves cloud servers, Attestation
-     * Servers, controller shard replicas, the pCA and customers. The
-     * node keeps decoding every version; only what it sends changes.
-     */
-    Status setNodeWireContext(const std::string &node,
-                              const proto::WireContext &ctx);
 
     /** Convenience: restart every crashed controller shard (each
      * replays its own journal). */

@@ -11,6 +11,7 @@ namespace monatt::core
 using proto::AttestMode;
 using proto::AttestRequest;
 using proto::MessageKind;
+using proto::pack;
 using proto::ReportToCustomer;
 
 Customer::Customer(sim::EventQueue &eq, net::Network &network,

@@ -177,10 +177,6 @@ class Customer
 
     const CustomerStats &stats() const { return counters; }
 
-    /** Schema version this node emits (DESIGN.md §17). */
-    const proto::WireContext &wireContext() const { return wire_; }
-    void setWireContext(const proto::WireContext &ctx) { wire_ = ctx; }
-
   private:
     struct PendingAttest
     {
@@ -194,15 +190,6 @@ class Customer
     };
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
-
-    /** Pack an outgoing message at this node's schema version. */
-    template <typename M>
-    Bytes pack(proto::MessageKind kind, const M &msg) const
-    {
-        return proto::packFor(wire_, kind, msg);
-    }
-
-    proto::WireContext wire_;
 
     void onLaunchResponse(const Bytes &body);
     void onReportToCustomer(const net::NodeId &from, const Bytes &body);

@@ -37,8 +37,7 @@ unpackMessage(const Bytes &framed)
 
 // The quote preimages and signed portions below are explicit field
 // lists behind a domain label. Lists and nested values inside them use
-// their declared encoding; none of those types has a field newer than
-// kWireV1, so every schema version hashes the same bytes.
+// their declared encoding.
 
 Bytes
 MeasureResponse::quoteInput(const std::string &vid,

@@ -83,12 +83,20 @@ struct UnpackedMessage
  * a body of that length. */
 Result<UnpackedMessage> unpackMessage(const Bytes &framed);
 
-/** Encode + frame a message at the sender's schema version. */
+/** Encode + frame a message. */
 template <typename M>
 Bytes
-packFor(const WireContext &ctx, MessageKind kind, const M &msg)
+pack(MessageKind kind, const M &msg)
 {
-    return packMessage(kind, encode(msg, ctx));
+    return packMessage(kind, encode(msg));
+}
+
+/** pack() under the signature perfbench's codec replay calls. */
+template <typename M>
+Bytes
+packFor(const WireContext &, MessageKind kind, const M &msg)
+{
+    return pack(kind, msg);
 }
 
 /** decode<M>(body) under the signature perfbench's codec replay
@@ -118,7 +126,6 @@ struct AttestRequest
     Bytes nonce1;
     AttestMode mode = AttestMode::RuntimeOneTime;
     SimTime period = 0; //!< For periodic mode.
-    std::uint32_t senderBuild = 0; //!< v2+ metadata (0 = pre-v2 peer).
 
     static constexpr auto fields()
     {
@@ -130,10 +137,11 @@ struct AttestRequest
             field(&M::nonce1, 4, "nonce1"),
             field(&M::mode, 5, "mode"),
             field(&M::period, 6, "period"),
-            field(&M::senderBuild, kSenderBuildField, "senderBuild")
-                .since(kWireV2),
         };
     }
+
+    /** Never reuse: 15 carried senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {15};
 };
 
 /** Cloud Controller → Attestation Server ((Vid, I, P, N2)). */
@@ -146,7 +154,6 @@ struct AttestForward
     Bytes nonce2;
     AttestMode mode = AttestMode::RuntimeOneTime;
     SimTime period = 0;
-    std::uint32_t senderBuild = 0; //!< v2+ metadata (0 = pre-v2 peer).
 
     static constexpr auto fields()
     {
@@ -159,10 +166,11 @@ struct AttestForward
             field(&M::nonce2, 5, "nonce2"),
             field(&M::mode, 6, "mode"),
             field(&M::period, 7, "period"),
-            field(&M::senderBuild, kSenderBuildField, "senderBuild")
-                .since(kWireV2),
         };
     }
+
+    /** Never reuse: 15 carried senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {15};
 };
 
 /** Attestation Server → Cloud Server ((Vid, rM, N3)). */
@@ -173,7 +181,6 @@ struct MeasureRequest
     MeasurementRequestList rm;
     Bytes nonce3;
     SimTime window = 0; //!< Collection window for runtime measurements.
-    std::uint32_t senderBuild = 0; //!< v2+ metadata (0 = pre-v2 peer).
 
     static constexpr auto fields()
     {
@@ -184,10 +191,11 @@ struct MeasureRequest
             field(&M::rm, 3, "rm").atMost(kMaxRequestList),
             field(&M::nonce3, 4, "nonce3"),
             field(&M::window, 5, "window"),
-            field(&M::senderBuild, kSenderBuildField, "senderBuild")
-                .since(kWireV2),
         };
     }
+
+    /** Never reuse: 15 carried senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {15};
 };
 
 /** Cloud Server → Attestation Server ([Vid, rM, M, N3, Q3]_ASKs). */
@@ -222,19 +230,12 @@ struct MeasureResponse
             field(&M::quote3, 6, "quote3"),
             field(&M::signature, 7, "signature"),
             field(&M::certificate, 8, "certificate"),
-            field(&M::tcbVersion, 9, "tcbVersion").since(kWireV3),
-            field(&M::senderBuild, kSenderBuildField, "senderBuild")
-                .since(kWireV2),
         };
     }
 
-    std::uint32_t senderBuild = 0; //!< v2+ metadata; not signed.
-
-    /** v3+ metadata: the host TCB version this quote vouches for (a
-     * mirror of the signed TcbVersion measurement, for diagnostics
-     * and wire-level skew tests; the AS trusts only the signed copy
-     * inside `m`). Not signed; 0 = pre-v3 peer. */
-    std::uint64_t tcbVersion = 0;
+    /** Never reuse: 9 carried an unsigned tcbVersion mirror, 15
+     * senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {9, 15};
 };
 
 /** One property's appraisal in a report. */
@@ -327,17 +328,12 @@ struct ReportToController
             field(&M::nonce2, 6, "nonce2"),
             field(&M::quote2, 7, "quote2"),
             field(&M::signature, 8, "signature"),
-            field(&M::tcbVersion, 9, "tcbVersion").since(kWireV3),
-            field(&M::senderBuild, kSenderBuildField, "senderBuild")
-                .since(kWireV2),
         };
     }
 
-    std::uint32_t senderBuild = 0; //!< v2+ metadata; not signed.
-
-    /** v3+ metadata: appraised host TCB version (0 = pre-v3 peer or
-     * no TCB evidence). Not signed. */
-    std::uint64_t tcbVersion = 0;
+    /** Never reuse: 9 carried an unsigned tcbVersion mirror, 15
+     * senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {9, 15};
 };
 
 /** Cloud Controller → Customer ([Vid, P, R, N1, Q1]_SKc). */
@@ -372,17 +368,12 @@ struct ReportToCustomer
             field(&M::quote1, 6, "quote1"),
             field(&M::signature, 7, "signature"),
             field(&M::finalPeriodic, 8, "finalPeriodic"),
-            field(&M::tcbVersion, 9, "tcbVersion").since(kWireV3),
-            field(&M::senderBuild, kSenderBuildField, "senderBuild")
-                .since(kWireV2),
         };
     }
 
-    std::uint32_t senderBuild = 0; //!< v2+ metadata; not signed.
-
-    /** v3+ metadata: appraised host TCB version (0 = pre-v3 peer or
-     * no TCB evidence). Not signed. */
-    std::uint64_t tcbVersion = 0;
+    /** Never reuse: 9 carried an unsigned tcbVersion mirror, 15
+     * senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {9, 15};
 };
 
 /** Terminal non-verdicts for an attestation request. */

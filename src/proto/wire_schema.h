@@ -1,14 +1,13 @@
 /**
  * @file
- * The one wire codec: versions, per-node wire context, field
- * declarations, and the generic encoder/decoder derived from them.
+ * The one wire codec: field declarations and the generic
+ * encoder/decoder derived from them.
  *
  * Every protocol message, journal record and snapshot entry declares
  * its fields exactly once, as a static `fields()` table of
- * (member pointer, field number, name, since-version, emit rule). The
- * encoder, the decoder and the wireSchemas() registry all walk that
- * table, so they cannot drift apart. The encoding is protobuf-style
- * tag||value (common/wire.h):
+ * (member pointer, field number, name, emit rule). The encoder and
+ * the decoder both walk that table, so they cannot drift apart. The
+ * encoding is protobuf-style tag||value (common/wire.h):
  *
  *   - integers, bools and enums are VARINT fields; signed integers
  *     are zigzag-mapped so small magnitudes stay short;
@@ -16,27 +15,25 @@
  *   - lists of integers or enums are one LEN field of packed varints;
  *     lists of strings or nested types repeat their field number;
  *   - a field equal to its default-constructed value is omitted unless
- *     it is declared always(), and a field whose `since` is newer than
- *     the encoding version is never written.
+ *     it is declared always().
  *
  * The decoder starts from a default-constructed value, skips unknown
  * field numbers and known numbers arriving with another wire type
- * (a future schema may produce them), and treats malformed bytes as
- * errors: truncated varints, over-long LEN prefixes, list counts
- * above a field's atMost() bound, and varints that do not fit the
- * member's type (enum underlying type, u32, int...).
+ * (an older or newer peer may produce them), and treats malformed
+ * bytes as errors: truncated varints, over-long LEN prefixes, list
+ * counts above a field's atMost() bound, and varints that do not fit
+ * the member's type (enum underlying type, u32, int...).
  *
- * Field-numbering rules (enforced by the conformance tests):
+ * Field-numbering rules (checked at compile time by numbersAreValid()):
  *   - numbers start at 1 in struct declaration order; 0 is invalid
- *   - a number is never reused or retyped once released
- *   - new fields take fresh numbers with `since` = the version that
- *     introduced them; senderBuild uses the reserved number 15 in
- *     every attest-chain message
+ *   - a number is never reused or retyped once released: a retired
+ *     number stays out of its message's table for good
  */
 
 #ifndef MONATT_PROTO_WIRE_SCHEMA_H
 #define MONATT_PROTO_WIRE_SCHEMA_H
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -52,43 +49,21 @@
 namespace monatt::proto
 {
 
-/**
- * The on-wire encoding. Tagged is the only one; the enum survives
- * because the benchmark's codec replay (perfbench) still spells
- * decodeAs<M>(format, body).
- */
+/** The on-wire encoding. Tagged is the only one; kept only because
+ * perfbench's codec replay spells decodeAs<M>(format, body). */
 enum class WireFormat : std::uint8_t
 {
     Tagged = 1,
 };
 
-/** First released tagged schema. */
-inline constexpr std::uint32_t kWireV1 = 1;
-
-/** Adds senderBuild (field 15) to the attest-chain messages. */
-inline constexpr std::uint32_t kWireV2 = 2;
-
-/** Adds tcbVersion (field 9) to quotes and property reports. */
-inline constexpr std::uint32_t kWireV3 = 3;
-
-/** The schema version this build encodes by default. */
-inline constexpr std::uint32_t kWireVersionLatest = kWireV3;
-
-/**
- * Per-node wire settings: the schema version this node encodes at.
- * Decoding is always version-tolerant (skip unknown / default
- * missing), so nodes on different versions interoperate.
- */
+/** Empty: there is one schema. Kept only because perfbench's codec
+ * replay passes one to packFor(). */
 struct WireContext
 {
-    std::uint32_t version = kWireVersionLatest;
 };
 
 /** First byte of every message frame: 0xC1 || kind || varint len. */
 inline constexpr std::uint8_t kTaggedFrameMarker = 0xC1;
-
-/** Reserved field number for senderBuild in attest-chain messages. */
-inline constexpr std::uint32_t kSenderBuildField = 15;
 
 // --- Field declarations ---------------------------------------------
 
@@ -103,17 +78,8 @@ struct Field
     M T::*member;
     std::uint32_t number;
     const char *name;
-    std::uint32_t sinceVersion = kWireV1;
     bool alwaysEmit = false;
     std::size_t maxCount = kUnbounded;
-
-    /** Introduced by schema version `v` (never written below it). */
-    constexpr Field since(std::uint32_t v) const
-    {
-        Field f = *this;
-        f.sinceVersion = v;
-        return f;
-    }
 
     /** Written even when equal to the default-constructed value. */
     constexpr Field always() const
@@ -152,21 +118,43 @@ struct CustomField
     wire::WireType type;
     void (*put)(wire::WireWriter &w, std::uint32_t number, const T &obj);
     bool (*take)(T &obj, const wire::WireField &in);
-    std::uint32_t sinceVersion = kWireV1;
 };
 
 /** A type with a declared field table. */
 template <typename T>
 concept Declared = requires { T::fields(); };
 
-/** One row of the registry, derived from a field declaration. */
-struct FieldSpec
+/**
+ * True when T's field numbers are nonzero and unique, and none is a
+ * number T retired (its optional `kRetiredFields` array). The codec
+ * asserts it at compile time for every type it encodes or decodes.
+ */
+template <Declared T>
+constexpr bool
+numbersAreValid()
 {
-    std::uint32_t number;
-    wire::WireType type;
-    const char *name;
-    std::uint32_t since; //!< Schema version that introduced the field.
-};
+    return std::apply(
+        [](const auto &...f) {
+            const std::array<std::uint32_t, sizeof...(f)> numbers{
+                f.number...};
+            for (std::size_t i = 0; i < numbers.size(); ++i) {
+                for (std::size_t j = 0; j < i; ++j) {
+                    if (numbers[j] == numbers[i])
+                        return false;
+                }
+                if constexpr (requires { T::kRetiredFields; }) {
+                    for (std::uint32_t retired : T::kRetiredFields) {
+                        if (retired == numbers[i])
+                            return false;
+                    }
+                }
+                if (numbers[i] == 0)
+                    return false;
+            }
+            return true;
+        },
+        T::fields());
+}
 
 // --- The generic codec ------------------------------------------------
 
@@ -263,18 +251,18 @@ defaults()
 } // namespace detail
 
 template <Declared T>
-void encodeInto(wire::WireWriter &w, const T &msg, const WireContext &ctx);
+void encodeInto(wire::WireWriter &w, const T &msg);
 
 template <Declared T>
 Status decodeInto(T &msg, const Bytes &data);
 
-/** Encode a declared value at the context's schema version. */
+/** Encode a declared value. */
 template <Declared T>
 Bytes
-encode(const T &msg, const WireContext &ctx = {})
+encode(const T &msg)
 {
     wire::WireWriter w;
-    encodeInto(w, msg, ctx);
+    encodeInto(w, msg);
     return w.take();
 }
 
@@ -307,19 +295,17 @@ namespace detail
 template <typename T, typename M>
 void
 putField(wire::WireWriter &w, const T &msg, const T &dflt,
-         const Field<T, M> &f, const WireContext &ctx)
+         const Field<T, M> &f)
 {
-    if (ctx.version < f.sinceVersion)
-        return;
     const M &v = msg.*(f.member);
     if constexpr (Declared<M>) {
-        Bytes body = encode(v, ctx);
+        Bytes body = encode(v);
         if (f.alwaysEmit || !body.empty())
             w.putLen(f.number, body);
     } else if constexpr (ListKind<M>::repeated) {
         for (const auto &e : v) {
             if constexpr (Declared<typename M::value_type>)
-                w.putLen(f.number, encode(e, ctx));
+                w.putLen(f.number, encode(e));
             else
                 w.putString(f.number, e);
         }
@@ -338,10 +324,9 @@ putField(wire::WireWriter &w, const T &msg, const T &dflt,
 template <typename T>
 void
 putField(wire::WireWriter &w, const T &msg, const T &,
-         const CustomField<T> &f, const WireContext &ctx)
+         const CustomField<T> &f)
 {
-    if (ctx.version >= f.sinceVersion)
-        f.put(w, f.number, msg);
+    f.put(w, f.number, msg);
 }
 
 /** Decode one element of a list field into `out`; error text or "". */
@@ -425,32 +410,17 @@ takeField(T &msg, const CustomField<T> &f, const wire::WireField &in,
     return false;
 }
 
-template <typename T, typename M>
-constexpr FieldSpec
-specOf(const Field<T, M> &f)
-{
-    return {f.number, wireTypeOf<M>(), f.name, f.sinceVersion};
-}
-
-template <typename T>
-constexpr FieldSpec
-specOf(const CustomField<T> &f)
-{
-    return {f.number, f.type, f.name, f.sinceVersion};
-}
-
 } // namespace detail
 
 template <Declared T>
 void
-encodeInto(wire::WireWriter &w, const T &msg, const WireContext &ctx)
+encodeInto(wire::WireWriter &w, const T &msg)
 {
+    static_assert(numbersAreValid<T>(), "reused or invalid field number");
     static constexpr auto kFields = T::fields();
     const T &dflt = detail::defaults<T>();
     std::apply(
-        [&](const auto &...f) {
-            (detail::putField(w, msg, dflt, f, ctx), ...);
-        },
+        [&](const auto &...f) { (detail::putField(w, msg, dflt, f), ...); },
         kFields);
 }
 
@@ -458,6 +428,7 @@ template <Declared T>
 Status
 decodeInto(T &msg, const Bytes &data)
 {
+    static_assert(numbersAreValid<T>(), "reused or invalid field number");
     static constexpr auto kFields = T::fields();
     wire::WireReader r(data);
     std::string err;
@@ -481,37 +452,6 @@ decodeInto(T &msg, const Bytes &data)
     }
     return Status::ok();
 }
-
-/** The declared fields of T as registry rows, in table order. */
-template <Declared T>
-std::vector<FieldSpec>
-fieldSpecs()
-{
-    return std::apply(
-        [](const auto &...f) {
-            return std::vector<FieldSpec>{detail::specOf(f)...};
-        },
-        T::fields());
-}
-
-// --- The message registry ---------------------------------------------
-
-/** The declared schema of one MessageKind. */
-struct MessageSchema
-{
-    std::uint8_t kind; //!< MessageKind value (avoids a header cycle).
-    const char *name;
-    std::vector<FieldSpec> fields;
-};
-
-/**
- * Every released message schema, in MessageKind order, derived from
- * the declared field tables of the message types.
- */
-const std::vector<MessageSchema> &wireSchemas();
-
-/** Schema for a MessageKind value; nullptr when the kind is unknown. */
-const MessageSchema *schemaFor(std::uint8_t kind);
 
 } // namespace monatt::proto
 

@@ -9,6 +9,7 @@ namespace monatt::server
 {
 
 using proto::MessageKind;
+using proto::pack;
 using proto::packMessage;
 using proto::unpackMessage;
 
@@ -458,13 +459,6 @@ CloudServer::maybeRespond(std::uint64_t requestId)
     resp.quote3 = proto::MeasureResponse::quoteInput(resp.vid, resp.rm,
                                                      resp.m, resp.nonce3);
     resp.certificate = pa.certificate;
-    if (const proto::Measurement *tv =
-            resp.m.find(proto::MeasurementType::TcbVersion);
-        tv != nullptr && !tv->values.empty()) {
-        // Unsigned diagnostic mirror of the measured TCB version
-        // (wire v3); appraisers only ever trust the signed copy.
-        resp.tcbVersion = tv->values[0];
-    }
 
     // Step 6 of Figure 2: the quote signature under the session's ASKs.
     Result<Bytes> sig =
@@ -478,7 +472,7 @@ CloudServer::maybeRespond(std::uint64_t requestId)
     // The dedup cache holds the body as sent; a retransmitted request
     // is answered with the same bytes.
     resp.signature = sig.take();
-    const Bytes body = proto::encode(resp, cfg.wire);
+    const Bytes body = proto::encode(resp);
     responseCache.insert(requestId, body);
     endpoint.sendSecure(requester,
                         packMessage(MessageKind::MeasureResponse, body));

@@ -111,9 +111,6 @@ struct CloudServerConfig
      * chain once per AVK session instead of once per response).
      */
     std::uint64_t aikReuseLimit = 16;
-
-    /** Schema version this node encodes at (DESIGN.md §17). */
-    proto::WireContext wire;
 };
 
 /** A hosted VM's record on the server. */
@@ -204,11 +201,6 @@ class CloudServer
     /** True while attached to the network. */
     bool isUp() const { return endpoint.attached(); }
 
-    /** Schema version this node emits (mixed-version tests flip it
-     * at runtime to simulate a rolling upgrade). */
-    const proto::WireContext &wireContext() const { return cfg.wire; }
-    void setWireContext(const proto::WireContext &ctx) { cfg.wire = ctx; }
-
     /**
      * Install the TCB-rollback attacker model (nullptr = honest
      * host). Wired by core::Cloud when a fault plan is installed; the
@@ -243,13 +235,6 @@ class CloudServer
     };
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
-
-    /** Pack an outgoing message at this node's schema version. */
-    template <typename M>
-    Bytes pack(proto::MessageKind kind, const M &msg) const
-    {
-        return proto::packFor(cfg.wire, kind, msg);
-    }
 
     void onMeasureRequest(const net::NodeId &from, const Bytes &body);
     void onCertResponse(const Bytes &body);

@@ -58,9 +58,7 @@ struct PcaFixture
         req.avkSignature = crypto::rsaSign(identity.priv, req.avk);
         answer.reset();
         server->sendSecure("privacy-ca",
-                           proto::packFor(proto::WireContext{},
-                                          proto::MessageKind::CertRequest,
-                                          req));
+                           proto::pack(proto::MessageKind::CertRequest, req));
         events.run(events.now() + seconds(1));
         EXPECT_TRUE(answer.has_value()) << label;
         return answer.value_or(proto::CertResponse{});

@@ -63,7 +63,7 @@ struct Replica : ReplicatedLog::Io
                   if (auto r = proto::decode<CountRecord>(rec.payload))
                       count = r.value().value;
               }),
-          log(id, std::move(group), {}, primary, journal, wire, *this)
+          log(id, std::move(group), {}, primary, journal, *this)
     {
         log.start();
     }
@@ -77,7 +77,7 @@ struct Replica : ReplicatedLog::Io
         resp.requestId = count;
         resp.vid = id;
         log.output("customer",
-                   proto::packFor(wire, MessageKind::LaunchResponse, resp));
+                   proto::pack(MessageKind::LaunchResponse, resp));
     }
 
     /** One whole event handler: work, then the commit point. */
@@ -112,7 +112,6 @@ struct Replica : ReplicatedLog::Io
 
     World &world;
     std::string id;
-    const proto::WireContext wire;
     std::uint64_t count = 0; //!< Volatile state, rebuilt from the journal.
     proto::DurableLog journal;
     ReplicatedLog log;

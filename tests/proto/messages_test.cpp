@@ -305,7 +305,7 @@ TEST(ProtoTest, DecodersRejectTruncation)
     AttestRequest m;
     m.vid = "vm-1";
     m.nonce1 = {1, 2, 3};
-    Bytes framed = packFor(WireContext{}, MessageKind::AttestRequest, m);
+    Bytes framed = pack(MessageKind::AttestRequest, m);
     for (std::size_t len = 0; len < framed.size(); ++len) {
         const Bytes prefix(framed.begin(),
                            framed.begin() + static_cast<std::ptrdiff_t>(len));

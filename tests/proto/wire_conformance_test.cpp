@@ -2,14 +2,12 @@
  * @file
  * Wire-codec conformance: frozen golden byte vectors for every message
  * type and every journal record type (field renumbering fails loudly
- * here), schema-registry invariants, the frame layout, decode range
- * checks, and the v1 ↔ v2 ↔ v3 mixed-version contract (unknown-field
- * skip + missing-field default) in both directions.
+ * here), the frame layout, decode range checks, and the skip rules
+ * that let bytes from an older or newer peer decode: unknown numbers,
+ * retired numbers and unexpected wire types.
  */
 
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "wire_samples.h"
 
@@ -20,17 +18,13 @@ namespace
 
 using namespace monatt::samples;
 
-const WireContext kV1{kWireV1};
-const WireContext kV2{kWireV2};
-const WireContext kV3{kWireV3};
-
 // --- Golden byte vectors ---------------------------------------------
 
 /**
- * The frozen encodings (kWireV2) of the shared samples. These
- * hex strings are the released wire layout: a mismatch means a field
- * was renumbered, retyped or reordered — which breaks rolling
- * upgrades — and must be a new field number instead.
+ * The frozen encodings of the shared samples. These hex strings are
+ * the released wire layout: a mismatch means a field was renumbered,
+ * retyped or reordered — which breaks decoding of a peer's bytes —
+ * and must be a new field number instead.
  */
 struct GoldenCase
 {
@@ -43,55 +37,55 @@ std::vector<GoldenCase>
 goldenCases()
 {
     return {
-        {"AttestRequest", encode(sampleAttestRequest(), kV2),
-         "08071205766d2d34321a02020422040102030428023080dac4097803"},
-        {"AttestForward", encode(sampleAttestForward(), kV2),
+        {"AttestRequest", encode(sampleAttestRequest()),
+         "08071205766d2d34321a02020422040102030428023080dac409"},
+        {"AttestForward", encode(sampleAttestForward()),
          "08091204766d2d311a087365727665722d322201012a020909300038"
-         "80897a7803"},
-        {"MeasureRequest", encode(sampleMeasureRequest(), kV2),
-         "080b1204766d2d6d1a02010622020a0b288092f4017803"},
-        {"MeasureResponse", encode(sampleMeasureResponse(), kV2),
+         "80897a"},
+        {"MeasureRequest", encode(sampleMeasureRequest()),
+         "080b1204766d2d6d1a02010622020a0b288092f401"},
+        {"MeasureResponse", encode(sampleMeasureResponse()),
          "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
-         "020e0f4201107803"},
-        {"ReportToController", encode(sampleReportToController(), kV2),
+         "020e0f420110"},
+        {"ReportToController", encode(sampleReportToController()),
          "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
-         "721208080210001a026f6b1880ade2043201113a0112420213147803"},
-        {"ReportToCustomer", encode(sampleReportToCustomer(), kV2),
+         "721208080210001a026f6b1880ade2043201113a011242021314"},
+        {"ReportToCustomer", encode(sampleReportToCustomer()),
          "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
-         "6b1880ade2042a01153201163a011740017803"},
-        {"AttestFailure", encode(sampleAttestFailure(), kV2),
+         "6b1880ade2042a01153201163a01174001"},
+        {"AttestFailure", encode(sampleAttestFailure()),
          "080f1204766d2d661801220b6e6f206174746573746f72"},
-        {"CertRequest", encode(sampleCertRequest(), kV2),
+        {"CertRequest", encode(sampleCertRequest()),
          "0a087365727665722d331206736573732d391a022122220123"},
-        {"CertResponse", encode(sampleCertResponse(), kV2),
+        {"CertResponse", encode(sampleCertResponse()),
          "0a06736573732d3910011a016522022425"},
-        {"LaunchVm", encode(sampleLaunchVm(), kV2),
+        {"LaunchVm", encode(sampleLaunchVm()),
          "0a04766d2d6c12037765621802208008280430643a023031408008"},
-        {"LaunchVmAck", encode(sampleLaunchVmAck(), kV2),
+        {"LaunchVmAck", encode(sampleLaunchVmAck()),
          "0a04766d2d6c10011a0178220132"},
-        {"VmCommand", encode(sampleVmCommand(), kV2),
+        {"VmCommand", encode(sampleVmCommand()),
          "0a04766d2d63"},
-        {"VmCommandAck", encode(sampleVmCommandAck(), kV2),
+        {"VmCommandAck", encode(sampleVmCommandAck()),
          "0a04766d2d6310011a0179"},
-        {"LaunchRequest", encode(sampleLaunchRequest(), kV2),
+        {"LaunchRequest", encode(sampleLaunchRequest()),
          "081012037765621a067562756e747522086d312e736d616c6c2a0103"
          "3201333832"},
-        {"LaunchResponse", encode(sampleLaunchResponse(), kV2),
+        {"LaunchResponse", encode(sampleLaunchResponse()),
          "08111204766d2d6e180122017a"},
-        {"ReplicateEntries", encode(sampleReplicateEntries(), kV2),
+        {"ReplicateEntries", encode(sampleReplicateEntries()),
          "080212066374726c2d611804220908051083021a024142280530013a"
          "01434003"},
-        {"ReplicateAck", encode(sampleReplicateAck(), kV2),
+        {"ReplicateAck", encode(sampleReplicateAck()),
          "08021005"},
-        {"VoteRequest", encode(sampleVoteRequest(), kV2),
+        {"VoteRequest", encode(sampleVoteRequest()),
          "0803100218092001"},
-        {"VoteGrant", encode(sampleVoteGrant(), kV2),
+        {"VoteGrant", encode(sampleVoteGrant()),
          "08031001"},
-        {"NotLeader", encode(sampleNotLeader(), kV2),
+        {"NotLeader", encode(sampleNotLeader()),
          "081210011a066374726c2d622003"},
-        {"MigrateOut", encode(sampleMigrateOut(), kV2),
+        {"MigrateOut", encode(sampleMigrateOut()),
          "0a04766d2d6712087365727665722d34"},
-        {"MigrateIn", encode(sampleMigrateIn(), kV2),
+        {"MigrateIn", encode(sampleMigrateIn()),
          "0a04766d2d67120377656218022080062802303c3a01504080024a04"
          "696e69744a04737368645202726b5a026131"},
     };
@@ -132,83 +126,88 @@ TEST(WireConformanceTest, FramesSelfDescribe)
     EXPECT_FALSE(unpackMessage(overflow).isOk());
 }
 
-// --- Schema-registry invariants --------------------------------------
-
-TEST(WireConformanceTest, SchemaRegistryInvariants)
-{
-    const auto &schemas = wireSchemas();
-    ASSERT_FALSE(schemas.empty());
-    std::set<std::uint8_t> kinds;
-    for (const MessageSchema &s : schemas) {
-        EXPECT_NE(s.name, nullptr);
-        EXPECT_TRUE(kinds.insert(s.kind).second)
-            << "duplicate kind " << unsigned(s.kind);
-        std::set<std::uint32_t> numbers;
-        for (const FieldSpec &f : s.fields) {
-            EXPECT_NE(f.number, 0u) << s.name;
-            EXPECT_TRUE(numbers.insert(f.number).second)
-                << s.name << " reuses field " << f.number;
-            EXPECT_GE(f.since, kWireV1) << s.name;
-            EXPECT_LE(f.since, kWireVersionLatest) << s.name;
-            EXPECT_NE(f.name, nullptr) << s.name;
-        }
-        EXPECT_EQ(schemaFor(s.kind), &s);
-    }
-    EXPECT_EQ(schemaFor(0xff), nullptr);
-
-    // senderBuild always sits at the reserved number with since=v2.
-    for (const MessageSchema &s : schemas) {
-        for (const FieldSpec &f : s.fields) {
-            if (std::string(f.name) == "senderBuild") {
-                EXPECT_EQ(f.number, kSenderBuildField) << s.name;
-                EXPECT_EQ(f.since, kWireV2) << s.name;
-            }
-        }
-    }
-}
-
 TEST(WireConformanceTest, DefaultMessagesEncodeEmptyAndDecode)
 {
     // A default-constructed message encodes to nothing (omit-default)
     // and nothing decodes back to a default-constructed message.
-    EXPECT_TRUE(encode(AttestRequest{}, kV1).empty());
-    EXPECT_TRUE(encode(VmCommandAck{}, kV1).empty());
-    EXPECT_TRUE(encode(ReplicateAck{}, kV1).empty());
+    EXPECT_TRUE(encode(AttestRequest{}).empty());
+    EXPECT_TRUE(encode(VmCommandAck{}).empty());
+    EXPECT_TRUE(encode(ReplicateAck{}).empty());
     auto d = decode<AttestRequest>(Bytes{});
     ASSERT_TRUE(d.isOk());
     EXPECT_EQ(encode(d.value()), encode(AttestRequest{}));
 }
 
-// --- Mixed-version contract (v1 ↔ v2, both directions) ---------------
+// --- Skip rules ---------------------------------------------------------
 
-TEST(WireConformanceTest, V1EncoderOmitsV2Fields)
+/** Bytes an older build sent: today's decoder must skip the retired
+ * fields and read the rest as `today`. */
+template <typename M>
+void
+expectRetiredSkipped(const char *name, const char *oldHex, const M &today)
 {
-    // Old encoder → new decoder: senderBuild never on the wire at v1,
-    // so the v2 decoder keeps its default (0 = pre-v2 peer).
-    AttestRequest m = sampleAttestRequest();
-    const Bytes v1Bytes = encode(m, kV1);
-    const Bytes v2Bytes = encode(m, kV2);
-    EXPECT_LT(v1Bytes.size(), v2Bytes.size());
-
-    auto d = decode<AttestRequest>(v1Bytes);
-    ASSERT_TRUE(d.isOk());
-    EXPECT_EQ(d.value().senderBuild, 0u);
-    EXPECT_EQ(d.value().vid, m.vid);
+    auto d = decode<M>(fromHex(oldHex));
+    ASSERT_TRUE(d.isOk()) << name << ": " << d.errorMessage();
+    EXPECT_EQ(toHex(encode(d.value())), toHex(encode(today))) << name;
 }
 
-TEST(WireConformanceTest, V2FieldsSurviveToV2Decoder)
+TEST(WireConformanceTest, RetiredFieldsAreSkipped)
 {
-    auto d = decode<AttestRequest>(encode(sampleAttestRequest(), kV2));
-    ASSERT_TRUE(d.isOk());
-    EXPECT_EQ(d.value().senderBuild, 3u);
+    // The golden vectors of the build that still sent senderBuild
+    // (field 15 = 3, "7803") on the attest-chain messages, and the
+    // unsigned tcbVersion mirror (field 9 = 7, "4807") on the quote
+    // and report messages.
+    expectRetiredSkipped(
+        "AttestRequest",
+        "08071205766d2d34321a02020422040102030428023080dac4097803",
+        sampleAttestRequest());
+    expectRetiredSkipped(
+        "AttestForward",
+        "08091204766d2d311a087365727665722d322201012a020909300038"
+        "80897a7803",
+        sampleAttestForward());
+    expectRetiredSkipped("MeasureRequest",
+                         "080b1204766d2d6d1a02010622020a0b288092f4017803",
+                         sampleMeasureRequest());
+    expectRetiredSkipped(
+        "MeasureResponse",
+        "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
+        "020e0f4201107803",
+        sampleMeasureResponse());
+    expectRetiredSkipped(
+        "MeasureResponse+tcbVersion",
+        "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
+        "020e0f42011048077803",
+        sampleMeasureResponse());
+    expectRetiredSkipped(
+        "ReportToController",
+        "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
+        "721208080210001a026f6b1880ade2043201113a0112420213147803",
+        sampleReportToController());
+    expectRetiredSkipped(
+        "ReportToController+tcbVersion",
+        "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
+        "721208080210001a026f6b1880ade2043201113a011242021314480778"
+        "03",
+        sampleReportToController());
+    expectRetiredSkipped(
+        "ReportToCustomer",
+        "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
+        "6b1880ade2042a01153201163a011740017803",
+        sampleReportToCustomer());
+    expectRetiredSkipped(
+        "ReportToCustomer+tcbVersion",
+        "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
+        "6b1880ade2042a01153201163a0117400148077803",
+        sampleReportToCustomer());
 }
 
 TEST(WireConformanceTest, UnknownFutureFieldsAreSkipped)
 {
-    // New encoder → old decoder: splice a hypothetical v3 field (a
-    // LEN at an unreleased number and a VARINT at another) into a v2
-    // message; today's decoder must skip both and decode the rest.
-    Bytes bytes = encode(sampleAttestRequest(), kV2);
+    // A newer peer's fields: splice a LEN at an unreleased number and
+    // a VARINT at another into a message; today's decoder must skip
+    // both and decode the rest.
+    Bytes bytes = encode(sampleAttestRequest());
     wire::WireWriter extra;
     extra.putString(1000, "from-the-future");
     extra.putVarint(999, 0xbeef);
@@ -222,8 +221,8 @@ TEST(WireConformanceTest, UnknownFutureFieldsAreSkipped)
 
 TEST(WireConformanceTest, WrongWireTypeOnKnownFieldIsSkipped)
 {
-    // A future schema may retype-by-renumber; a known number arriving
-    // with an unexpected wire type is skipped, not an error.
+    // A known number arriving with an unexpected wire type is
+    // skipped, not an error.
     wire::WireWriter w;
     w.putString(1, "not-a-varint"); // field 1 is requestId: VARINT
     w.putString(2, "vm-ok");
@@ -231,137 +230,6 @@ TEST(WireConformanceTest, WrongWireTypeOnKnownFieldIsSkipped)
     ASSERT_TRUE(d.isOk()) << d.errorMessage();
     EXPECT_EQ(d.value().requestId, 0u);
     EXPECT_EQ(d.value().vid, "vm-ok");
-}
-
-// --- v3: the TCB-version axis (field 9 on quote/report paths) --------
-
-MeasureResponse
-sampleMeasureResponseV3()
-{
-    MeasureResponse m = sampleMeasureResponse();
-    m.tcbVersion = 7;
-    return m;
-}
-
-ReportToController
-sampleReportToControllerV3()
-{
-    ReportToController m = sampleReportToController();
-    m.tcbVersion = 7;
-    return m;
-}
-
-ReportToCustomer
-sampleReportToCustomerV3()
-{
-    ReportToCustomer m = sampleReportToCustomer();
-    m.tcbVersion = 7;
-    return m;
-}
-
-TEST(WireConformanceTest, GoldenByteVectorsV3)
-{
-    // Frozen v3 encodings: tcbVersion rides field 9 (tag 0x48) on the
-    // three quote/report messages. A mismatch means the released TCB
-    // field moved — use a new number instead.
-    const std::vector<GoldenCase> cases = {
-        {"MeasureResponse", encode(sampleMeasureResponseV3(), kV3),
-         "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
-         "020e0f42011048077803"},
-        {"ReportToController",
-         encode(sampleReportToControllerV3(), kV3),
-         "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
-         "721208080210001a026f6b1880ade2043201113a011242021314480778"
-         "03"},
-        {"ReportToCustomer", encode(sampleReportToCustomerV3(), kV3),
-         "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
-         "6b1880ade2042a01153201163a0117400148077803"},
-    };
-    for (const GoldenCase &c : cases)
-        EXPECT_EQ(toHex(c.actual), c.expected) << c.name;
-}
-
-TEST(WireConformanceTest, V2EncoderOmitsTcbVersion)
-{
-    // Old (v2) encoder → new decoder: the field is version-gated, so
-    // a v2 peer never puts it on the wire even when the member is set;
-    // the v3 decoder keeps the default 0 — which the AS minimum-TCB
-    // floor deliberately treats as below-minimum (a host that strips
-    // the measurement must not out-trust one reporting an old build).
-    EXPECT_EQ(toHex(encode(sampleMeasureResponseV3(), kV2)),
-              toHex(encode(sampleMeasureResponse(), kV2)));
-    auto d = decode<MeasureResponse>(encode(sampleMeasureResponseV3(), kV2));
-    ASSERT_TRUE(d.isOk());
-    EXPECT_EQ(d.value().tcbVersion, 0u);
-}
-
-TEST(WireConformanceTest, TcbVersionDefaultIsOmittedAtV3)
-{
-    // Omit-default: a v3 encoder with the TCB axis disarmed (version
-    // 0) emits bytes identical to v2 — upgrading the fleet without
-    // arming the policy changes nothing on the wire.
-    EXPECT_EQ(toHex(encode(sampleMeasureResponse(), kV3)),
-              toHex(encode(sampleMeasureResponse(), kV2)));
-    EXPECT_EQ(toHex(encode(sampleReportToController(), kV3)),
-              toHex(encode(sampleReportToController(), kV2)));
-    EXPECT_EQ(toHex(encode(sampleReportToCustomer(), kV3)),
-              toHex(encode(sampleReportToCustomer(), kV2)));
-}
-
-TEST(WireConformanceTest, TcbVersionSurvivesV3RoundTrip)
-{
-    auto mr = decode<MeasureResponse>(encode(sampleMeasureResponseV3(), kV3));
-    ASSERT_TRUE(mr.isOk());
-    EXPECT_EQ(mr.value().tcbVersion, 7u);
-    auto rc = decode<ReportToController>(
-        encode(sampleReportToControllerV3(), kV3));
-    ASSERT_TRUE(rc.isOk());
-    EXPECT_EQ(rc.value().tcbVersion, 7u);
-    auto ru = decode<ReportToCustomer>(
-        encode(sampleReportToCustomerV3(), kV3));
-    ASSERT_TRUE(ru.isOk());
-    EXPECT_EQ(ru.value().tcbVersion, 7u);
-}
-
-TEST(WireConformanceTest, TcbSchemaRowsAreV3)
-{
-    EXPECT_EQ(kWireVersionLatest, kWireV3);
-    std::size_t rows = 0;
-    for (const MessageSchema &s : wireSchemas()) {
-        const std::string name = s.name;
-        const bool carrier = name == "MeasureResponse" ||
-                             name == "ReportToController" ||
-                             name == "ReportToCustomer";
-        for (const FieldSpec &f : s.fields) {
-            if (std::string(f.name) != "tcbVersion")
-                continue;
-            ++rows;
-            EXPECT_TRUE(carrier) << name << " must not carry tcbVersion";
-            EXPECT_EQ(f.number, 9u) << name;
-            EXPECT_EQ(f.since, kWireV3) << name;
-        }
-    }
-    EXPECT_EQ(rows, 3u) << "tcbVersion rides exactly the quote/report "
-                           "messages";
-}
-
-// --- Quote preimages ---------------------------------------------------
-
-TEST(WireConformanceTest, PreimageTypesHaveNoPostV1Fields)
-{
-    // Q1-Q3 and the signed portions hash the declared encoding of
-    // these types. A field newer than v1 would be dropped by a v1
-    // signer and kept by a v3 verifier (or the reverse), so the two
-    // would hash different bytes and reject honest reports.
-    const std::vector<std::pair<const char *, std::vector<FieldSpec>>>
-        embedded = {{"AttestationReport", fieldSpecs<AttestationReport>()},
-                    {"PropertyResult", fieldSpecs<PropertyResult>()},
-                    {"MeasurementSet", fieldSpecs<MeasurementSet>()},
-                    {"Measurement", fieldSpecs<Measurement>()}};
-    for (const auto &[type, fields] : embedded) {
-        for (const FieldSpec &f : fields)
-            EXPECT_EQ(f.since, kWireV1) << type << "." << f.name;
-    }
 }
 
 // --- Decode range checks ---------------------------------------------

@@ -35,7 +35,6 @@ sampleAttestRequest()
     m.nonce1 = {0x01, 0x02, 0x03, 0x04};
     m.mode = AttestMode::RuntimePeriodic;
     m.period = seconds(10);
-    m.senderBuild = 3;
     return m;
 }
 
@@ -50,7 +49,6 @@ sampleAttestForward()
     m.nonce2 = {0x09, 0x09};
     m.mode = AttestMode::StartupOneTime;
     m.period = seconds(1);
-    m.senderBuild = 3;
     return m;
 }
 
@@ -63,7 +61,6 @@ sampleMeasureRequest()
     m.rm = {MeasurementType::PlatformPcrs, MeasurementType::CpuMeasure};
     m.nonce3 = {0x0a, 0x0b};
     m.window = seconds(2);
-    m.senderBuild = 3;
     return m;
 }
 
@@ -82,7 +79,6 @@ sampleMeasureResponse()
     m.quote3 = {0x0d};
     m.signature = {0x0e, 0x0f};
     m.certificate = {0x10};
-    m.senderBuild = 3;
     return m;
 }
 
@@ -112,7 +108,6 @@ sampleReportToController()
     m.nonce2 = {0x11};
     m.quote2 = {0x12};
     m.signature = {0x13, 0x14};
-    m.senderBuild = 3;
     return m;
 }
 
@@ -128,7 +123,6 @@ sampleReportToCustomer()
     m.quote1 = {0x16};
     m.signature = {0x17};
     m.finalPeriodic = true;
-    m.senderBuild = 3;
     return m;
 }
 
@@ -428,7 +422,7 @@ sampleAvkBytes()
 
 // --- The type-erased table -------------------------------------------
 
-/** One sample value, encoded at the latest version, with its decoder. */
+/** One sample value, encoded, with its decoder. */
 struct Sample
 {
     std::string name;
