@@ -147,7 +147,6 @@ ReportToCustomer::signedPortion() const
     w.putBytes(report.encode());
     w.putBytes(nonce1);
     w.putBytes(quote1);
-    w.putU8(finalPeriodic ? 1 : 0);
     return w.take();
 }
 

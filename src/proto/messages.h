@@ -346,7 +346,6 @@ struct ReportToCustomer
     Bytes nonce1;
     Bytes quote1;
     Bytes signature; //!< By the controller's identity key SKc.
-    bool finalPeriodic = false; //!< Last report of a periodic stream.
 
     /** Q1 = H(Vid || P || R || N1). */
     static Bytes quoteInput(const std::string &vid,
@@ -367,13 +366,12 @@ struct ReportToCustomer
             field(&M::nonce1, 5, "nonce1"),
             field(&M::quote1, 6, "quote1"),
             field(&M::signature, 7, "signature"),
-            field(&M::finalPeriodic, 8, "finalPeriodic"),
         };
     }
 
-    /** Never reuse: 9 carried an unsigned tcbVersion mirror, 15
-     * senderBuild. */
-    static constexpr std::uint32_t kRetiredFields[] = {9, 15};
+    /** Never reuse: 8 carried finalPeriodic, 9 an unsigned tcbVersion
+     * mirror, 15 senderBuild. */
+    static constexpr std::uint32_t kRetiredFields[] = {8, 9, 15};
 };
 
 /** Terminal non-verdicts for an attestation request. */

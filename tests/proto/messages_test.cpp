@@ -203,10 +203,9 @@ TEST(ProtoTest, ReportToCustomerRoundTripAndQuoteBinding)
     m.quote1 = ReportToCustomer::quoteInput(m.vid, m.properties,
                                             m.report, m.nonce1);
     m.signature = {9};
-    m.finalPeriodic = true;
     auto d = decode<ReportToCustomer>(encode(m));
     ASSERT_TRUE(d.isOk());
-    EXPECT_TRUE(d.value().finalPeriodic);
+    EXPECT_EQ(encode(d.value()), encode(m));
 
     AttestationReport other = m.report;
     other.results[0].status = HealthStatus::Healthy;

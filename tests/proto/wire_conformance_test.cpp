@@ -52,7 +52,7 @@ goldenCases()
          "721208080210001a026f6b1880ade2043201113a011242021314"},
         {"ReportToCustomer", encode(sampleReportToCustomer()),
          "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
-         "6b1880ade2042a01153201163a01174001"},
+         "6b1880ade2042a01153201163a0117"},
         {"AttestFailure", encode(sampleAttestFailure()),
          "080f1204766d2d661801220b6e6f206174746573746f72"},
         {"CertRequest", encode(sampleCertRequest()),
@@ -154,9 +154,10 @@ expectRetiredSkipped(const char *name, const char *oldHex, const M &today)
 TEST(WireConformanceTest, RetiredFieldsAreSkipped)
 {
     // The golden vectors of the build that still sent senderBuild
-    // (field 15 = 3, "7803") on the attest-chain messages, and the
+    // (field 15 = 3, "7803") on the attest-chain messages, the
     // unsigned tcbVersion mirror (field 9 = 7, "4807") on the quote
-    // and report messages.
+    // and report messages, and finalPeriodic (field 8 = 1, "4001") on
+    // ReportToCustomer.
     expectRetiredSkipped(
         "AttestRequest",
         "08071205766d2d34321a02020422040102030428023080dac4097803",

@@ -122,7 +122,6 @@ sampleReportToCustomer()
     m.nonce1 = {0x15};
     m.quote1 = {0x16};
     m.signature = {0x17};
-    m.finalPeriodic = true;
     return m;
 }
 
