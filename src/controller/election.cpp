@@ -44,11 +44,11 @@ ElectionState::electionTimeout() const
 }
 
 void
-ElectionState::bootstrapLeader()
+ElectionState::bootstrap(bool primary)
 {
     round_ = 1;
     votedRound_ = 1;
-    role_ = ReplicaRole::Leader;
+    role_ = primary ? ReplicaRole::Leader : ReplicaRole::Follower;
     votes_.clear();
     prevotes_.clear();
 }

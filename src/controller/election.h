@@ -22,7 +22,7 @@
  * round) modulo the window. Distinct replicas thus never tie, the
  * same replica never picks the same point twice in a row, and a fixed
  * seed always elects the same leader in the same number of rounds —
- * the property tests/controller/replica_group_test.cpp pins.
+ * the property tests/controller/election_test.cpp pins.
  *
  * ElectionState is pure bookkeeping: it owns no timers and sends no
  * messages. ReplicatedLog drives it from its timer fires and the
@@ -91,10 +91,12 @@ class ElectionState
     SimTime electionTimeout() const;
 
     /**
-     * Seed the group: the primary replica starts as the round-1
-     * leader so a freshly built group needs no election.
+     * Seed the group: every replica starts in round 1 with its vote
+     * spent on the primary, which starts as the round-1 leader so a
+     * freshly built group needs no election. No other replica can
+     * then win round 1, even if the primary's heartbeats never arrive.
      */
-    void bootstrapLeader();
+    void bootstrap(bool primary);
 
     /**
      * Become a candidate for the next round, voting for self.

@@ -37,8 +37,7 @@ ReplicatedLog::ReplicatedLog(std::string self,
         if (id != election.self())
             followers.push_back(id);
     }
-    if (primary)
-        election.bootstrapLeader();
+    election.bootstrap(primary);
     knownLeader = groupId();
     ledger.reset(followers);
 }

@@ -132,10 +132,26 @@ TEST(ElectionTest, StaleLogsAreRefusedVotes)
     EXPECT_TRUE(voter.considerVote(5, 2, 3, 2, 3));
 }
 
+TEST(ElectionTest, BootstrapSpendsEveryReplicasRoundOneVote)
+{
+    const std::vector<std::string> group{"a", "b", "c"};
+    ElectionState primary("a", group, {});
+    ElectionState follower("b", group, {});
+    primary.bootstrap(/*primary=*/true);
+    follower.bootstrap(/*primary=*/false);
+    EXPECT_EQ(primary.role(), ReplicaRole::Leader);
+    EXPECT_EQ(follower.role(), ReplicaRole::Follower);
+    EXPECT_EQ(follower.round(), 1u);
+    // Round 1 is the primary's: no candidate can win it, a later
+    // round is open.
+    EXPECT_FALSE(follower.considerVote(1, 0, 0, 0, 0));
+    EXPECT_TRUE(follower.considerVote(2, 0, 0, 0, 0));
+}
+
 TEST(ElectionTest, ObservingAHigherRoundLeaderDemotes)
 {
     ElectionState node("a", {"a", "b", "c"}, {});
-    node.bootstrapLeader();
+    node.bootstrap(/*primary=*/true);
     ASSERT_EQ(node.role(), ReplicaRole::Leader);
     EXPECT_TRUE(node.observeLeader("b", 2));
     EXPECT_EQ(node.role(), ReplicaRole::Follower);

@@ -6,7 +6,8 @@
  * customer" with a LaunchResponse per handler; a small world delivers
  * datagrams in FIFO order and fires the earliest due timer. Three
  * replicas elect a leader and commit at a majority, the cursor stalls
- * with two of three down, and a deposed leader drops its gated output.
+ * with two of three down, a deposed leader drops its gated output, and
+ * a primary cut off at boot leaves no second leader in its round.
  * A group of one releases its staged sends at the commit point (journal
  * on or off), never arms a timer or sends a control message, and leads
  * again at once after a restart.
@@ -326,6 +327,27 @@ TEST(ReplicatedLogTest, DeposedLeaderDropsItsGatedOutput)
               successor.journal.store().lastDurableLsn());
     EXPECT_TRUE(world.outputs.empty())
         << "a deposed leader must never release its reign's output";
+}
+
+TEST(ReplicatedLogTest, PartitionAtBootElectsNoSecondRoundOneLeader)
+{
+    // The primary boots as the round-1 leader and is cut off before
+    // its first heartbeat reaches anyone. The other two elect a
+    // leader among themselves, which must not be a second round-1
+    // leader: a replica that later hears both would accept either
+    // stream.
+    World world;
+    Replica &a = world.add("a", kGroup, /*primary=*/true);
+    world.cut.insert("a");
+    Replica &b = world.add("b", kGroup, false);
+    Replica &c = world.add("c", kGroup, false);
+    world.runFor(seconds(10));
+
+    ASSERT_TRUE(a.log.leading());
+    ASSERT_NE(b.log.leading(), c.log.leading());
+    const Replica &successor = b.log.leading() ? b : c;
+    EXPECT_NE(successor.log.round(), a.log.round())
+        << "two replicas lead round " << a.log.round();
 }
 
 // --- A group of one ----------------------------------------------------
