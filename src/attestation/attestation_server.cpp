@@ -71,22 +71,9 @@ AttestationServer::setServerReference(const std::string &serverId,
 }
 
 void
-AttestationServer::setVmReference(const std::string &vid, VmReference ref)
-{
-    vmRefs[vid] = std::move(ref);
-}
-
-void
 AttestationServer::addKnownGoodImage(const Bytes &digest)
 {
     knownGoodImages.insert(digest);
-}
-
-const VmReference *
-AttestationServer::vmReference(const std::string &vid) const
-{
-    const auto it = vmRefs.find(vid);
-    return it == vmRefs.end() ? nullptr : &it->second;
 }
 
 const proto::MeasurementSet *
@@ -506,9 +493,6 @@ AttestationServer::applyVerified(const Session &session,
         const auto serverIt = serverRefs.find(session.forward.serverId);
         if (serverIt != serverRefs.end())
             ctx.serverRef = &serverIt->second;
-        const auto vmIt = vmRefs.find(session.forward.vid);
-        if (vmIt != vmRefs.end())
-            ctx.vmRef = &vmIt->second;
         ctx.knownGoodImages = &knownGoodImages;
 
         // Minimum-TCB appraisal: the verified (signed) TCB version
@@ -591,7 +575,7 @@ AttestationServer::crash()
         events.cancel(s.exchange.timer);
     // Volatile state dies: in-flight sessions, periodic tasks,
     // archives and dedup caches. The oat reference databases
-    // (serverRefs, vmRefs, knownGoodImages) are on disk and survive.
+    // (serverRefs, knownGoodImages) are on disk and survive.
     sessions.clear();
     periodic.clear();
     measurementArchive.clear();

@@ -170,14 +170,8 @@ class AttestationServer
     void setServerReference(const std::string &serverId,
                             ServerReference ref);
 
-    /** Record a VM's reference data. */
-    void setVmReference(const std::string &vid, VmReference ref);
-
     /** Register a pristine catalog image digest (IMA appraiser DB). */
     void addKnownGoodImage(const Bytes &digest);
-
-    /** Per-VM reference (nullptr when absent). */
-    const VmReference *vmReference(const std::string &vid) const;
 
     /** The interpreter registry (extensible, §4.1). */
     InterpreterRegistry &interpreters() { return registry; }
@@ -315,7 +309,6 @@ class AttestationServer
     std::optional<crypto::RsaPublicContext> pcaCtx;
 
     std::map<std::string, ServerReference> serverRefs;
-    std::map<std::string, VmReference> vmRefs;
     std::set<Bytes> knownGoodImages;
     std::map<std::uint64_t, Session> sessions;
     std::map<std::string, PeriodicTask> periodic;

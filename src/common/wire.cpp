@@ -1,7 +1,5 @@
 #include "common/wire.h"
 
-#include <cstring>
-
 namespace monatt::wire
 {
 
@@ -41,34 +39,6 @@ WireWriter::putVarint(std::uint32_t field, std::uint64_t v)
 }
 
 void
-WireWriter::putSigned(std::uint32_t field, std::int64_t v)
-{
-    putVarint(field, zigzagEncode(v));
-}
-
-void
-WireWriter::putBool(std::uint32_t field, bool v)
-{
-    putVarint(field, v ? 1 : 0);
-}
-
-void
-WireWriter::putFixed64(std::uint32_t field, std::uint64_t v)
-{
-    tag(field, WireType::I64);
-    for (int i = 0; i < 8; ++i)
-        buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-WireWriter::putDouble(std::uint32_t field, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putFixed64(field, bits);
-}
-
-void
 WireWriter::putLen(std::uint32_t field, const Bytes &v)
 {
     tag(field, WireType::Len);
@@ -82,14 +52,6 @@ WireWriter::putString(std::uint32_t field, const std::string &v)
     tag(field, WireType::Len);
     appendVarint(buf, v.size());
     buf.insert(buf.end(), v.begin(), v.end());
-}
-
-double
-WireField::asDouble() const
-{
-    double v;
-    std::memcpy(&v, &varint, sizeof(v));
-    return v;
 }
 
 Result<std::uint64_t>

@@ -82,18 +82,6 @@ class WireWriter
     /** field:VARINT = v. */
     void putVarint(std::uint32_t field, std::uint64_t v);
 
-    /** field:VARINT = zigzag(v) — signed values stay short. */
-    void putSigned(std::uint32_t field, std::int64_t v);
-
-    /** field:VARINT = 0/1. */
-    void putBool(std::uint32_t field, bool v);
-
-    /** field:I64 = 8 fixed little-endian bytes. */
-    void putFixed64(std::uint32_t field, std::uint64_t v);
-
-    /** field:I64 = IEEE-754 bit pattern. */
-    void putDouble(std::uint32_t field, double v);
-
     /** field:LEN = length-prefixed bytes (also nested messages). */
     void putLen(std::uint32_t field, const Bytes &v);
 
@@ -123,9 +111,6 @@ struct WireField
 
     /** Bool view of a VARINT payload. */
     bool asBool() const { return varint != 0; }
-
-    /** Double view of an I64 payload. */
-    double asDouble() const;
 
     /** String view of a LEN payload. */
     std::string asString() const

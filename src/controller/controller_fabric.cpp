@@ -127,22 +127,6 @@ ControllerFabric::assignAttestationCluster(const std::string &serverId,
         node->assignAttestationCluster(serverId, attestorId);
 }
 
-void
-ControllerFabric::setResponsePolicy(const std::string &vid,
-                                    ResponsePolicy policy)
-{
-    ownerOf(vid).setResponsePolicy(vid, policy);
-}
-
-void
-ControllerFabric::restartAll()
-{
-    for (auto &node : nodes) {
-        if (!node->isUp())
-            node->restart();
-    }
-}
-
 ControllerStats
 ControllerFabric::aggregateStats() const
 {

@@ -125,15 +125,7 @@ class ControllerFabric
     void assignAttestationCluster(const std::string &serverId,
                                   const std::string &attestorId);
 
-    /** Set a VM's remediation policy on its owning group's leader. */
-    void setResponsePolicy(const std::string &vid, ResponsePolicy policy);
-
     // --- Whole-plane operations ----------------------------------------
-
-    /** Restart every crashed node: a group of one leads again at
-     *  once and replays its journal; a larger group's replicas rejoin
-     *  as followers. */
-    void restartAll();
 
     /** Counters summed across all nodes. */
     ControllerStats aggregateStats() const;

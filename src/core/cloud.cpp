@@ -456,12 +456,4 @@ Cloud::attestMany(Customer &customer,
     return results;
 }
 
-void
-Cloud::provisionVmReference(const std::string &vid,
-                            attestation::VmReference ref)
-{
-    for (auto &as : attestors)
-        as->setVmReference(vid, ref);
-}
-
 } // namespace monatt::core

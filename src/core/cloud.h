@@ -249,10 +249,6 @@ class Cloud
     Status crashNode(const std::string &node);
     Status restartNode(const std::string &node);
 
-    /** Convenience: restart every crashed controller shard (each
-     * replays its own journal). */
-    void restartController() { controlPlane->restartAll(); }
-
     // --- Simulation driving --------------------------------------------
 
     /** Advance simulated time by `duration`. */
@@ -302,10 +298,6 @@ class Cloud
         Customer &customer, const std::vector<std::string> &vids,
         const std::vector<proto::SecurityProperty> &properties,
         SimTime timeout = seconds(120));
-
-    /** Register per-VM reference data with the Attestation Server. */
-    void provisionVmReference(const std::string &vid,
-                              attestation::VmReference ref);
 
   private:
     CloudConfig cfg;

@@ -381,12 +381,6 @@ BigUint::divmod(const BigUint &num, const BigUint &den)
 }
 
 BigUint
-BigUint::operator/(const BigUint &o) const
-{
-    return divmod(*this, o).first;
-}
-
-BigUint
 BigUint::operator%(const BigUint &o) const
 {
     return divmod(*this, o).second;

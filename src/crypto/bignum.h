@@ -90,7 +90,6 @@ class BigUint
     static std::pair<BigUint, BigUint> divmod(const BigUint &num,
                                               const BigUint &den);
 
-    BigUint operator/(const BigUint &o) const;
     BigUint operator%(const BigUint &o) const;
 
     /** Left shift by `bits`. */

@@ -125,13 +125,4 @@ Hypervisor::corruptHypervisorCode()
         config.hypervisorCode[0] ^= 0xff;
 }
 
-void
-Hypervisor::corruptHostOsCode()
-{
-    if (config.hostOsCode.empty())
-        config.hostOsCode.push_back(0xff);
-    else
-        config.hostOsCode[0] ^= 0xff;
-}
-
 } // namespace monatt::hypervisor

@@ -102,7 +102,6 @@ class Hypervisor
      * taken at subsequent boots.
      */
     void corruptHypervisorCode();
-    void corruptHostOsCode();
 
     /** Number of physical CPUs. */
     int numPCpus() const { return config.numPCpus; }

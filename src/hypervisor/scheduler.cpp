@@ -499,12 +499,6 @@ CreditScheduler::credits(VCpuId vcpu) const
     return vcpus.at(vcpu).credits;
 }
 
-Priority
-CreditScheduler::effectivePriority(VCpuId vcpu) const
-{
-    return effPrio(vcpus.at(vcpu));
-}
-
 VCpuState
 CreditScheduler::state(VCpuId vcpu) const
 {

@@ -193,9 +193,6 @@ class CreditScheduler : private sim::HostTimers
     /** Current credits (for tests/diagnostics). */
     int credits(VCpuId vcpu) const;
 
-    /** Live effective priority (for tests/diagnostics). */
-    Priority effectivePriority(VCpuId vcpu) const;
-
     /** Run state. */
     VCpuState state(VCpuId vcpu) const;
 

@@ -343,16 +343,6 @@ StableStore::durableSince(std::uint64_t lsn) const
 }
 
 void
-StableStore::adoptRecord(JournalRecord rec)
-{
-    nextLsn = rec.lsn + 1;
-    const std::uint64_t prev = chainTail();
-    buffered.push_back(seal(std::move(rec)));
-    buffered.back().prevLsn = prev;
-    ++counters.appends;
-}
-
-void
 StableStore::adoptMany(std::vector<JournalRecord> records)
 {
     if (records.empty())

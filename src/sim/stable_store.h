@@ -247,14 +247,9 @@ class StableStore
             fn(it->rec);
     }
 
-    /**
-     * Adopt a replicated record verbatim, preserving the leader's
-     * LSN. Volatile until the next sync(), like append().
-     */
-    void adoptRecord(JournalRecord rec);
-
-    /** Adopt a contiguous batch of replicated records in one call
-     * (a follower applying a leader's streamed tail). */
+    /** Adopt a contiguous batch of replicated records verbatim,
+     * preserving the leader's LSNs (a follower applying a leader's
+     * streamed tail). Volatile until the next sync(), like append(). */
     void adoptMany(std::vector<JournalRecord> records);
 
     /**

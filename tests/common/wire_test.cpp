@@ -68,14 +68,18 @@ TEST(WireTest, WriterReaderRoundTripAllTypes)
 {
     WireWriter w;
     w.putVarint(1, 300);
-    w.putSigned(2, -12345);
-    w.putBool(3, true);
-    w.putFixed64(4, 0x0123456789abcdefull);
-    w.putDouble(5, 2.5);
-    w.putLen(6, Bytes{0x00, 0xff, 0x10});
-    w.putString(7, "hello");
+    w.putVarint(2, zigzagEncode(-12345));
+    w.putVarint(3, 1);
+    Bytes bytes = w.take();
+    // No declared field is I64, but a peer's may be: field 4 (tag
+    // 0x21) and eight little-endian bytes.
+    append(bytes, fromHex("21efcdab8967452301"));
+    WireWriter tail;
+    tail.putLen(6, Bytes{0x00, 0xff, 0x10});
+    tail.putString(7, "hello");
+    append(bytes, tail.data());
 
-    WireReader r(w.data());
+    WireReader r(bytes);
     auto f = r.next();
     ASSERT_TRUE(f.isOk());
     EXPECT_EQ(f.value().number, 1u);
@@ -92,12 +96,9 @@ TEST(WireTest, WriterReaderRoundTripAllTypes)
 
     f = r.next();
     ASSERT_TRUE(f.isOk());
+    EXPECT_EQ(f.value().number, 4u);
     EXPECT_EQ(f.value().type, WireType::I64);
     EXPECT_EQ(f.value().varint, 0x0123456789abcdefull);
-
-    f = r.next();
-    ASSERT_TRUE(f.isOk());
-    EXPECT_EQ(f.value().asDouble(), 2.5);
 
     f = r.next();
     ASSERT_TRUE(f.isOk());
