@@ -29,7 +29,7 @@ namespace
 struct Sample
 {
     std::string name;
-    Bytes frame; //!< packFor(latest, kind, msg)
+    Bytes frame; //!< pack(kind, msg)
     double wallEncodeNs = 0;
     double wallDecodeNs = 0;
 };

@@ -140,7 +140,7 @@ struct AttestRequest
         };
     }
 
-    /** Never reuse: 15 carried senderBuild. */
+    /** Never reuse: 15 carried the sender's build number. */
     static constexpr std::uint32_t kRetiredFields[] = {15};
 };
 
@@ -169,7 +169,7 @@ struct AttestForward
         };
     }
 
-    /** Never reuse: 15 carried senderBuild. */
+    /** Never reuse: 15 carried the sender's build number. */
     static constexpr std::uint32_t kRetiredFields[] = {15};
 };
 
@@ -194,7 +194,7 @@ struct MeasureRequest
         };
     }
 
-    /** Never reuse: 15 carried senderBuild. */
+    /** Never reuse: 15 carried the sender's build number. */
     static constexpr std::uint32_t kRetiredFields[] = {15};
 };
 
@@ -233,8 +233,8 @@ struct MeasureResponse
         };
     }
 
-    /** Never reuse: 9 carried an unsigned tcbVersion mirror, 15
-     * senderBuild. */
+    /** Never reuse: 9 carried an unsigned copy of the TCB version, 15
+     * the sender's build number. */
     static constexpr std::uint32_t kRetiredFields[] = {9, 15};
 };
 
@@ -331,8 +331,8 @@ struct ReportToController
         };
     }
 
-    /** Never reuse: 9 carried an unsigned tcbVersion mirror, 15
-     * senderBuild. */
+    /** Never reuse: 9 carried an unsigned copy of the TCB version, 15
+     * the sender's build number. */
     static constexpr std::uint32_t kRetiredFields[] = {9, 15};
 };
 
@@ -369,8 +369,8 @@ struct ReportToCustomer
         };
     }
 
-    /** Never reuse: 8 carried finalPeriodic, 9 an unsigned tcbVersion
-     * mirror, 15 senderBuild. */
+    /** Never reuse: 8 carried a last-of-a-periodic-stream flag, 9 an
+     * unsigned copy of the TCB version, 15 the sender's build number. */
     static constexpr std::uint32_t kRetiredFields[] = {8, 9, 15};
 };
 

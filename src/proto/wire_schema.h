@@ -138,6 +138,8 @@ numbersAreValid()
             const std::array<std::uint32_t, sizeof...(f)> numbers{
                 f.number...};
             for (std::size_t i = 0; i < numbers.size(); ++i) {
+                if (numbers[i] == 0)
+                    return false;
                 for (std::size_t j = 0; j < i; ++j) {
                     if (numbers[j] == numbers[i])
                         return false;
@@ -148,8 +150,6 @@ numbersAreValid()
                             return false;
                     }
                 }
-                if (numbers[i] == 0)
-                    return false;
             }
             return true;
         },

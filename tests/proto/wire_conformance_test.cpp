@@ -153,11 +153,11 @@ expectRetiredSkipped(const char *name, const char *oldHex, const M &today)
 
 TEST(WireConformanceTest, RetiredFieldsAreSkipped)
 {
-    // The golden vectors of the build that still sent senderBuild
-    // (field 15 = 3, "7803") on the attest-chain messages, the
-    // unsigned tcbVersion mirror (field 9 = 7, "4807") on the quote
-    // and report messages, and finalPeriodic (field 8 = 1, "4001") on
-    // ReportToCustomer.
+    // The golden vectors of the build that still sent its build
+    // number (field 15 = 3, "7803") on the attest-chain messages, an
+    // unsigned copy of the TCB version (field 9 = 7, "4807") on the
+    // quote and report messages, and a last-of-a-periodic-stream flag
+    // (field 8 = 1, "4001") on ReportToCustomer.
     expectRetiredSkipped(
         "AttestRequest",
         "08071205766d2d34321a02020422040102030428023080dac4097803",
@@ -176,7 +176,7 @@ TEST(WireConformanceTest, RetiredFieldsAreSkipped)
         "020e0f4201107803",
         sampleMeasureResponse());
     expectRetiredSkipped(
-        "MeasureResponse+tcbVersion",
+        "MeasureResponse+tcb",
         "080c1204766d2d6d1a010222080a0608022202dead2a010c32010d3a"
         "020e0f42011048077803",
         sampleMeasureResponse());
@@ -186,7 +186,7 @@ TEST(WireConformanceTest, RetiredFieldsAreSkipped)
         "721208080210001a026f6b1880ade2043201113a0112420213147803",
         sampleReportToController());
     expectRetiredSkipped(
-        "ReportToController+tcbVersion",
+        "ReportToController+tcb",
         "080d1204766d2d721a087365727665722d312201022a150a04766d2d"
         "721208080210001a026f6b1880ade2043201113a011242021314480778"
         "03",
@@ -197,7 +197,7 @@ TEST(WireConformanceTest, RetiredFieldsAreSkipped)
         "6b1880ade2042a01153201163a011740017803",
         sampleReportToCustomer());
     expectRetiredSkipped(
-        "ReportToCustomer+tcbVersion",
+        "ReportToCustomer+tcb",
         "080e1204766d2d721a010222150a04766d2d721208080210001a026f"
         "6b1880ade2042a01153201163a0117400148077803",
         sampleReportToCustomer());
