@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """List the src/ functions that no product binary links, against an allowlist.
 
-    python3 scripts/unreached.py [--build-dir build-unreached] [--jobs 4]
+    python3 scripts/unreached.py
 
-Run from anywhere inside a checkout. The product binaries are the
-figure and ablation binaries with a golden under bench/golden/,
+Run from anywhere inside a checkout; it builds under build-unreached/
+at the root. The product binaries are the figure and ablation
+binaries with a golden under bench/golden/,
 bench_{shards,faults,recovery,failover,codec}, every program under
 examples/ and perfbench's fleet_bench. They are built at -O0 with one
 section per function and linked with --gc-sections, so a function
@@ -16,16 +17,16 @@ libraries define and none of those binaries keeps, by qualified name
 which ones a library holds depends on what its own code happens to
 instantiate.
 
-scripts/unreached_allowlist.txt names the functions that are meant to
-be unreached: test seams, each with the test or bench that drives or
-observes the product through it. The script exits 1 when a function is
-unreached and not listed (delete it, move it into the tests, or list it
-with its user) or when a listed function is no longer unreached (drop
-the line). It configures perfbench/ in its own build directory and
-writes nothing under it.
+scripts/unreached_allowlist.txt names the functions allowed to stay
+unreached, each with the tests or benches that use it: test seams,
+through which tests drive or observe the product, and deletion
+candidates that only their own unit tests reach. It exits 1 when a
+function is unreached and not listed (delete it, move it into the
+tests, or list it with its users) or when a listed function is no
+longer unreached (drop the line). It configures perfbench/ in its own
+build directory and writes nothing under it.
 """
 
-import argparse
 import glob
 import os
 import re
@@ -34,6 +35,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWLIST = os.path.join(ROOT, "scripts", "unreached_allowlist.txt")
+BUILD = os.path.join(ROOT, "build-unreached")
+JOBS = str(min(os.cpu_count() or 1, 4))
 
 FLAGS = [
     "-G", "Ninja",
@@ -57,22 +60,22 @@ def run(cmd, log):
                  " (see " + log.name + ")")
 
 
-def build(build_dir, jobs):
+def build():
     """Build the product binaries; return (libraries, binaries)."""
-    main = os.path.join(build_dir, "main")
-    perf = os.path.join(build_dir, "perfbench")
+    main = os.path.join(BUILD, "main")
+    perf = os.path.join(BUILD, "perfbench")
     goldens = sorted(stem(p) for p in
                      glob.glob(os.path.join(ROOT, "bench", "golden", "*.txt")))
     examples = sorted(stem(p) for p in
                       glob.glob(os.path.join(ROOT, "examples", "*.cpp")))
-    os.makedirs(build_dir, exist_ok=True)
-    with open(os.path.join(build_dir, "build.log"), "w") as log:
+    os.makedirs(BUILD, exist_ok=True)
+    with open(os.path.join(BUILD, "build.log"), "w") as log:
         run(["cmake", "-S", ROOT, "-B", main] + FLAGS, log)
-        run(["cmake", "--build", main, "-j", str(jobs), "--target"] +
+        run(["cmake", "--build", main, "-j", JOBS, "--target"] +
             goldens + BENCHES + examples, log)
         run(["cmake", "-S", os.path.join(ROOT, "perfbench"), "-B", perf] +
             FLAGS, log)
-        run(["cmake", "--build", perf, "-j", str(jobs), "--target",
+        run(["cmake", "--build", perf, "-j", JOBS, "--target",
              "fleet_bench"], log)
     libraries = sorted(glob.glob(os.path.join(main, "src", "*", "*.a")))
     binaries = ([os.path.join(main, "bench", b) for b in goldens + BENCHES] +
@@ -128,14 +131,7 @@ def read_allowlist():
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--build-dir",
-                        default=os.path.join(ROOT, "build-unreached"))
-    parser.add_argument("--jobs", type=int,
-                        default=min(os.cpu_count() or 1, 4))
-    args = parser.parse_args()
-
-    libraries, binaries = build(os.path.abspath(args.build_dir), args.jobs)
+    libraries, binaries = build()
     linked = set()
     for b in binaries:
         linked |= functions(b)
