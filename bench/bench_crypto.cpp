@@ -241,7 +241,7 @@ void
 BM_GeneratePrime(benchmark::State &state)
 {
     // One prime of a key pair: the sieve plus Miller-Rabin on each
-    // survivor, 24 rounds on the prime it returns.
+    // survivor, 12 rounds on the 256-bit prime it returns.
     Rng rng(8);
     for (auto _ : state) {
         benchmark::DoNotOptimize(BigUint::generatePrime(

@@ -706,8 +706,14 @@ BigUint::modInverse(const BigUint &m) const
     return t0 % m;
 }
 
+int
+BigUint::millerRabinRounds(std::size_t bits)
+{
+    return bits >= 250 ? 12 : 24;
+}
+
 bool
-BigUint::isProbablePrime(Rng &rng, int rounds) const
+BigUint::isProbablePrime(Rng &rng) const
 {
     if (limb.size() == 1 && limb[0] < 4)
         return limb[0] >= 2;
@@ -719,7 +725,7 @@ BigUint::isProbablePrime(Rng &rng, int rounds) const
         if (modSmall(primes[i]) == 0)
             return limb.size() == 1 && limb[0] == primes[i];
     }
-    return millerRabin(rng, rounds);
+    return millerRabin(rng, millerRabinRounds(bitLength()));
 }
 
 bool
@@ -760,6 +766,7 @@ BigUint::generatePrime(std::size_t bits, Rng &rng)
     if (bits < 8)
         throw std::invalid_argument("generatePrime: too few bits");
     const std::vector<std::uint32_t> &primes = smallOddPrimes();
+    const int rounds = millerRabinRounds(bits);
     std::vector<std::uint32_t> nextHit(primes.size());
     std::bitset<kSieveWindow> composite;
     for (;;) {
@@ -811,7 +818,7 @@ BigUint::generatePrime(std::size_t bits, Rng &rng)
                 // can neither reject nor accept a survivor.
                 const bool prime =
                     count == primes.size()
-                        ? candidate.millerRabin(rng, kMillerRabinRounds)
+                        ? candidate.millerRabin(rng, rounds)
                         : candidate.isProbablePrime(rng);
                 if (prime)
                     return candidate;

@@ -130,10 +130,11 @@ class BigUint
 
     /**
      * Probabilistic primality test: trial division by the odd primes
-     * up to 463, then `rounds` Miller-Rabin rounds with randomBelow
-     * witnesses, all under one MontgomeryContext.
+     * up to 463, then millerRabinRounds(bitLength()) Miller-Rabin
+     * rounds with randomBelow witnesses, all under one
+     * MontgomeryContext.
      */
-    bool isProbablePrime(Rng &rng, int rounds = kMillerRabinRounds) const;
+    bool isProbablePrime(Rng &rng) const;
 
     /**
      * Generate a random probable prime with exactly `bits` bits, the
@@ -146,7 +147,10 @@ class BigUint
      * isProbablePrime in ascending order (Miller-Rabin alone once every
      * sieve prime lies below the start, as trial division can then
      * decide nothing), and a search that runs past `bits` bits draws a
-     * new start.
+     * new start. Each survivor faces millerRabinRounds(bits) rounds;
+     * composites almost always fail at their first witness, so the
+     * round count mostly sets how many witnesses the returned prime
+     * draws.
      *
      * @throws std::invalid_argument when bits < 8.
      */
@@ -155,7 +159,27 @@ class BigUint
   private:
     friend class MontgomeryContext;
 
-    static constexpr int kMillerRabinRounds = 24;
+    /**
+     * Miller-Rabin rounds for a candidate of `bits` bits: 12 from 250
+     * bits on, 24 below.
+     *
+     * The Handbook of Applied Cryptography (Menezes, van Oorschot and
+     * Vanstone, Table 4.4, after Damgard, Landrock and Pomerance,
+     * Math. Comp. 61, 1993) lists the rounds that keep the chance of
+     * accepting a composite below 2^-80 for a random odd k-bit
+     * integer: 12 at k = 250, and the bound falls as k grows, so 12
+     * rounds hold it for the 256-bit primes of every 512-bit key.
+     * Caveat: the table assumes independent draws, while
+     * generatePrime's candidates come from a sieved incremental
+     * search, the case Brandt and Damgard treat ("On generation of
+     * probable primes by incremental search", CRYPTO '92); for it the
+     * 2^-80 figure is an estimate, not a proven bound. For scale, a
+     * 512-bit modulus has been factored publicly since 1999
+     * (RSA-155). Below 250 bits, where only tests and the 128-bit
+     * primes of 256-bit keys search, the table asks for 15-27 rounds;
+     * those widths keep 24.
+     */
+    static int millerRabinRounds(std::size_t bits);
 
     void trim();
 

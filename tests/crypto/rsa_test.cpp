@@ -63,11 +63,11 @@ primesDigest(const RsaKeyPair &kp)
 TEST(RsaTest, KeyGenKnownAnswer)
 {
     EXPECT_EQ(primesDigest(testPair()),
-              "4f4e28d78128203bb8f00cd756287110"
-              "ebe22905d85bc6650faab5224ff91534");
+              "1d32c1dbdba0d844719951be393ec6b7"
+              "77aeb7a7fd6319d79c2aac4fc7ec00bb");
     EXPECT_EQ(primesDigest(otherPair()),
-              "69bbb6416855d44eb02665429603d691"
-              "91270f334aeff45194539a65b26eb8dc");
+              "d22cf03af37b4e4327cf701f183284f7"
+              "cff2d8af8c6d6f84dd6032fbe118d692");
 }
 
 TEST(RsaTest, KeyGenPrimesCarryTopTwoBits)
@@ -80,6 +80,26 @@ TEST(RsaTest, KeyGenPrimesCarryTopTwoBits)
             EXPECT_EQ(prime->bitLength(), 256u) << seed;
             EXPECT_TRUE(prime->bit(254)) << seed;
         }
+    }
+}
+
+// The CRT parts that every signature uses: qInv, dP and dQ must agree
+// with p, q and d, not only on the suite's shared pair.
+TEST(RsaTest, KeyGenCrtPartsAreConsistent)
+{
+    const BigUint one = BigUint::fromU64(1);
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        Rng rng(seed);
+        const RsaPrivateKey k = rsaGenerateKeyPair(512, rng).priv;
+        const BigUint pMinus1 = k.p - one;
+        const BigUint qMinus1 = k.q - one;
+        EXPECT_GT(k.p, k.q) << seed;
+        EXPECT_EQ((k.q * k.qInv) % k.p, one) << seed;
+        EXPECT_EQ(k.dP, k.d % pMinus1) << seed;
+        EXPECT_EQ(k.dQ, k.d % qMinus1) << seed;
+        EXPECT_EQ((BigUint::fromU64(65537) * k.d) % (pMinus1 * qMinus1),
+                  one)
+            << seed;
     }
 }
 
