@@ -93,11 +93,7 @@ runScenario(const std::string &scenario)
     set.items.push_back(victimMeasure);
 
     attestation::CpuAvailabilityInterpreter interp;
-    attestation::InterpretationContext ctx;
-    attestation::VmReference ref;
-    ref.slaMinCpuShare = 0.30;
-    ctx.vmRef = &ref;
-    out.verdict = interp.interpret(set, ctx).status;
+    out.verdict = interp.interpret(set, {}).status;
     return out;
 }
 

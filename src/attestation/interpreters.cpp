@@ -59,16 +59,9 @@ StartupIntegrityInterpreter::interpret(
                           "platform configuration hash mismatch");
     }
 
-    // Image: either the per-VM reference digest or the appraiser's
-    // known-good catalog vouches for it.
-    bool imageOk = false;
-    if (ctx.vmRef && !ctx.vmRef->expectedImageDigest.empty()) {
-        imageOk = constantTimeEqual(image->digest,
-                                    ctx.vmRef->expectedImageDigest);
-    } else if (ctx.knownGoodImages) {
-        imageOk = ctx.knownGoodImages->count(image->digest) != 0;
-    }
-    if (!imageOk) {
+    // Image: the appraiser's known-good catalog vouches for it.
+    if (!ctx.knownGoodImages ||
+        ctx.knownGoodImages->count(image->digest) == 0) {
         return makeResult(p, HealthStatus::Compromised,
                           "vm image hash mismatch");
     }
@@ -86,6 +79,7 @@ PropertyResult
 RuntimeIntegrityInterpreter::interpret(
     const MeasurementSet &m, const InterpretationContext &ctx) const
 {
+    (void)ctx;
     const SecurityProperty p = property();
     const Measurement *vmi = m.find(MeasurementType::TaskListVmi);
     const Measurement *guest = m.find(MeasurementType::TaskListGuest);
@@ -108,20 +102,6 @@ RuntimeIntegrityInterpreter::interpret(
         for (const std::string &task : hidden)
             oss << " " << task;
         return makeResult(p, HealthStatus::Compromised, oss.str());
-    }
-
-    // Optional allow-list check against the customer's declared
-    // services.
-    if (ctx.vmRef && !ctx.vmRef->expectedTasks.empty()) {
-        const std::set<std::string> expected(
-            ctx.vmRef->expectedTasks.begin(),
-            ctx.vmRef->expectedTasks.end());
-        for (const std::string &task : vmi->strings) {
-            if (!expected.count(task)) {
-                return makeResult(p, HealthStatus::Compromised,
-                                  "unexpected process: " + task);
-            }
-        }
     }
     return makeResult(p, HealthStatus::Healthy,
                       "VMI and guest task lists consistent");
@@ -251,6 +231,7 @@ PropertyResult
 CpuAvailabilityInterpreter::interpret(
     const MeasurementSet &m, const InterpretationContext &ctx) const
 {
+    (void)ctx;
     const SecurityProperty p = property();
     const Measurement *cpu = m.find(MeasurementType::CpuMeasure);
     if (!cpu || cpu->values.empty() || cpu->windowLength <= 0)
@@ -260,11 +241,10 @@ CpuAvailabilityInterpreter::interpret(
     const double share =
         static_cast<double>(cpu->values[0]) /
         static_cast<double>(cpu->windowLength);
-    const double floor = ctx.vmRef ? ctx.vmRef->slaMinCpuShare : 0.30;
-
     std::ostringstream oss;
-    oss << "relative CPU usage " << share << " vs SLA floor " << floor;
-    if (share < floor) {
+    oss << "relative CPU usage " << share << " vs SLA floor "
+        << kSlaMinCpuShare;
+    if (share < kSlaMinCpuShare) {
         return makeResult(p, HealthStatus::Compromised,
                           "CPU availability degraded: " + oss.str());
     }

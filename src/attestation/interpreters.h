@@ -28,19 +28,6 @@
 namespace monatt::attestation
 {
 
-/** Per-VM reference data held in the AS database. */
-struct VmReference
-{
-    Bytes expectedImageDigest;
-
-    /** Expected guest services; empty = rely on VMI/guest diffing. */
-    std::vector<std::string> expectedTasks;
-
-    /** SLA floor on the VM's relative CPU usage while it demands CPU
-     * (fair share with one CPU-bound co-tenant is 0.5). */
-    double slaMinCpuShare = 0.30;
-};
-
 /** Per-server reference data (known-good platform configuration). */
 struct ServerReference
 {
@@ -82,7 +69,6 @@ struct TcbPolicy
 /** Everything an interpreter may consult. */
 struct InterpretationContext
 {
-    const VmReference *vmRef = nullptr;
     const ServerReference *serverRef = nullptr;
 
     /** IMA-style appraiser knowledge: digests of pristine catalog
@@ -123,7 +109,7 @@ class StartupIntegrityInterpreter : public PropertyInterpreter
 };
 
 /** §4.3: VMI task list vs guest-reported task list (hidden-process
- * detection), plus optional expected-service checking. */
+ * detection). */
 class RuntimeIntegrityInterpreter : public PropertyInterpreter
 {
   public:
@@ -189,6 +175,10 @@ class AuditLogIntegrityInterpreter : public PropertyInterpreter
 class CpuAvailabilityInterpreter : public PropertyInterpreter
 {
   public:
+    /** SLA floor on a VM's relative CPU usage while it demands CPU
+     * (fair share with one CPU-bound co-tenant is 0.5). */
+    static constexpr double kSlaMinCpuShare = 0.30;
+
     proto::SecurityProperty property() const override;
     proto::PropertyResult interpret(
         const proto::MeasurementSet &m,

@@ -63,19 +63,6 @@ toString(const Bytes &data)
     return std::string(data.begin(), data.end());
 }
 
-Bytes
-concat(std::initializer_list<const Bytes *> parts)
-{
-    std::size_t total = 0;
-    for (const Bytes *part : parts)
-        total += part->size();
-    Bytes out;
-    out.reserve(total);
-    for (const Bytes *part : parts)
-        out.insert(out.end(), part->begin(), part->end());
-    return out;
-}
-
 void
 append(Bytes &dst, const Bytes &src)
 {
@@ -97,15 +84,6 @@ constantTimeEqual(const std::uint8_t *a, const std::uint8_t *b,
     for (std::size_t i = 0; i < n; ++i)
         acc |= static_cast<std::uint8_t>(a[i] ^ b[i]);
     return acc == 0;
-}
-
-void
-xorInPlace(Bytes &a, const Bytes &b)
-{
-    if (a.size() != b.size())
-        throw std::invalid_argument("xorInPlace: size mismatch");
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] ^= b[i];
 }
 
 } // namespace monatt

@@ -4,7 +4,7 @@
  *
  * All wire formats, hash inputs and key material in the library are
  * carried as `monatt::Bytes`. The helpers here are deliberately small:
- * hex round-tripping for debugging/fixtures, concatenation for building
+ * hex round-tripping for debugging/fixtures, appending for building
  * hash preimages, and a constant-time comparison for authenticator
  * checks (MACs, quotes) where a short-circuiting memcmp would leak the
  * match length through timing.
@@ -14,7 +14,6 @@
 #define MONATT_COMMON_BYTES_H
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,9 +42,6 @@ Bytes toBytes(std::string_view text);
 /** Convert a byte buffer holding ASCII text back into a string. */
 std::string toString(const Bytes &data);
 
-/** Concatenate any number of buffers into a fresh buffer. */
-Bytes concat(std::initializer_list<const Bytes *> parts);
-
 /** Append `src` to `dst` in place. */
 void append(Bytes &dst, const Bytes &src);
 
@@ -60,9 +56,6 @@ bool constantTimeEqual(const Bytes &a, const Bytes &b);
 /** Constant-time equality of two `n`-byte regions. */
 bool constantTimeEqual(const std::uint8_t *a, const std::uint8_t *b,
                        std::size_t n);
-
-/** XOR `b` into `a` elementwise; buffers must have equal size. */
-void xorInPlace(Bytes &a, const Bytes &b);
 
 } // namespace monatt
 

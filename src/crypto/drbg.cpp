@@ -29,12 +29,6 @@ HmacDrbg::update(const Bytes &providedData)
     }
 }
 
-void
-HmacDrbg::reseed(const Bytes &entropy)
-{
-    update(entropy);
-}
-
 Bytes
 HmacDrbg::generate(std::size_t n)
 {

@@ -5,8 +5,7 @@
  * The Trust Module of Figure 2 contains an RNG block used to generate
  * nonces and per-session attestation keys. We model it as an
  * HMAC-SHA-256 DRBG: cryptographically strong expansion from a seed,
- * deterministic under a fixed seed so simulations stay reproducible,
- * reseedable with fresh entropy.
+ * deterministic under a fixed seed so simulations stay reproducible.
  */
 
 #ifndef MONATT_CRYPTO_DRBG_H
@@ -27,9 +26,6 @@ class HmacDrbg
   public:
     /** Instantiate from seed material (entropy || nonce || personal). */
     explicit HmacDrbg(const Bytes &seedMaterial);
-
-    /** Mix additional entropy into the state. */
-    void reseed(const Bytes &entropy);
 
     /** Generate `n` pseudo-random bytes. */
     Bytes generate(std::size_t n);

@@ -14,6 +14,7 @@
 #define MONATT_CRYPTO_SHA256_H
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/bytes.h"
 

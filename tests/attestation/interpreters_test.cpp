@@ -26,7 +26,7 @@ using proto::SecurityProperty;
 struct StartupFixture
 {
     ServerReference serverRef;
-    VmReference vmRef;
+    Bytes image = crypto::Sha256::hash(toBytes("img"));
     std::set<Bytes> knownGood;
     StartupIntegrityInterpreter interp;
 
@@ -34,8 +34,7 @@ struct StartupFixture
     {
         serverRef.expectedPlatformDigest = core::expectedPlatformDigest(
             toBytes("hv"), toBytes("os"));
-        vmRef.expectedImageDigest = crypto::Sha256::hash(toBytes("img"));
-        knownGood.insert(crypto::Sha256::hash(toBytes("catalog-img")));
+        knownGood.insert(image);
     }
 
     InterpretationContext
@@ -43,7 +42,6 @@ struct StartupFixture
     {
         InterpretationContext c;
         c.serverRef = &serverRef;
-        c.vmRef = &vmRef;
         c.knownGoodImages = &knownGood;
         return c;
     }
@@ -68,8 +66,7 @@ TEST(StartupIntegrityTest, HealthyWhenBothMatch)
 {
     StartupFixture f;
     const auto m = StartupFixture::measurements(
-        f.serverRef.expectedPlatformDigest,
-        f.vmRef.expectedImageDigest);
+        f.serverRef.expectedPlatformDigest, f.image);
     EXPECT_EQ(f.interp.interpret(m, f.ctx()).status,
               HealthStatus::Healthy);
 }
@@ -77,8 +74,7 @@ TEST(StartupIntegrityTest, HealthyWhenBothMatch)
 TEST(StartupIntegrityTest, PlatformMismatchNamesPlatform)
 {
     StartupFixture f;
-    const auto m = StartupFixture::measurements(
-        Bytes(64, 0xab), f.vmRef.expectedImageDigest);
+    const auto m = StartupFixture::measurements(Bytes(64, 0xab), f.image);
     const auto r = f.interp.interpret(m, f.ctx());
     EXPECT_EQ(r.status, HealthStatus::Compromised);
     EXPECT_NE(r.detail.find("platform"), std::string::npos)
@@ -95,15 +91,21 @@ TEST(StartupIntegrityTest, ImageMismatchNamesImage)
     EXPECT_NE(r.detail.find("image"), std::string::npos);
 }
 
+// Only the catalog vouches for an image: any image it holds passes,
+// and without a catalog no image does.
 TEST(StartupIntegrityTest, KnownGoodCatalogAccepted)
 {
     StartupFixture f;
-    f.vmRef.expectedImageDigest.clear(); // No per-VM reference.
+    const Bytes other = crypto::Sha256::hash(toBytes("catalog-img"));
+    f.knownGood.insert(other);
     const auto m = StartupFixture::measurements(
-        f.serverRef.expectedPlatformDigest,
-        crypto::Sha256::hash(toBytes("catalog-img")));
+        f.serverRef.expectedPlatformDigest, other);
     EXPECT_EQ(f.interp.interpret(m, f.ctx()).status,
               HealthStatus::Healthy);
+    InterpretationContext noCatalog = f.ctx();
+    noCatalog.knownGoodImages = nullptr;
+    EXPECT_EQ(f.interp.interpret(m, noCatalog).status,
+              HealthStatus::Compromised);
 }
 
 TEST(StartupIntegrityTest, UnknownWithoutReferences)
@@ -150,21 +152,6 @@ TEST(RuntimeIntegrityTest, HiddenProcessDetected)
     const auto r = interp.interpret(m, {});
     EXPECT_EQ(r.status, HealthStatus::Compromised);
     EXPECT_NE(r.detail.find("rootkit"), std::string::npos);
-}
-
-TEST(RuntimeIntegrityTest, AllowListViolationDetected)
-{
-    RuntimeIntegrityInterpreter interp;
-    VmReference ref;
-    ref.expectedTasks = {"init", "sshd"};
-    InterpretationContext ctx;
-    ctx.vmRef = &ref;
-    // Visible to both lists, but not on the declared service list.
-    const auto m = taskLists({"init", "sshd", "cryptominer"},
-                             {"init", "sshd", "cryptominer"});
-    const auto r = interp.interpret(m, ctx);
-    EXPECT_EQ(r.status, HealthStatus::Compromised);
-    EXPECT_NE(r.detail.find("cryptominer"), std::string::npos);
 }
 
 TEST(RuntimeIntegrityTest, MissingMeasurementsUnknown)
@@ -255,21 +242,6 @@ TEST(CpuAvailabilityTest, StarvationCompromised)
     const auto r = interp.interpret(
         cpuMeasurement(msec(600), seconds(10)), {});
     EXPECT_EQ(r.status, HealthStatus::Compromised);
-}
-
-TEST(CpuAvailabilityTest, SlaFloorFromVmReference)
-{
-    CpuAvailabilityInterpreter interp;
-    VmReference ref;
-    ref.slaMinCpuShare = 0.8; // Dedicated-core SLA.
-    InterpretationContext ctx;
-    ctx.vmRef = &ref;
-    // 50% would pass the default floor but violates this SLA.
-    EXPECT_EQ(interp
-                  .interpret(cpuMeasurement(seconds(5), seconds(10)),
-                             ctx)
-                  .status,
-              HealthStatus::Compromised);
 }
 
 TEST(CpuAvailabilityTest, MissingDataUnknown)

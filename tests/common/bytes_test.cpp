@@ -1,6 +1,6 @@
 /**
  * @file
- * Byte utilities: hex round trips, concatenation, constant-time
+ * Byte utilities: hex round trips, appending, constant-time
  * comparison semantics.
  */
 
@@ -40,15 +40,6 @@ TEST(BytesTest, StringRoundTrip)
     EXPECT_TRUE(toBytes("").empty());
 }
 
-TEST(BytesTest, Concat)
-{
-    const Bytes a = {1, 2};
-    const Bytes b = {};
-    const Bytes c = {3};
-    EXPECT_EQ(concat({&a, &b, &c}), (Bytes{1, 2, 3}));
-    EXPECT_TRUE(concat({&b}).empty());
-}
-
 TEST(BytesTest, Append)
 {
     Bytes dst = {1};
@@ -62,14 +53,6 @@ TEST(BytesTest, ConstantTimeEqual)
     EXPECT_FALSE(constantTimeEqual({1, 2, 3}, {1, 2, 4}));
     EXPECT_FALSE(constantTimeEqual({1, 2}, {1, 2, 3}));
     EXPECT_TRUE(constantTimeEqual({}, {}));
-}
-
-TEST(BytesTest, XorInPlace)
-{
-    Bytes a = {0xff, 0x00, 0x55};
-    xorInPlace(a, {0x0f, 0xf0, 0x55});
-    EXPECT_EQ(a, (Bytes{0xf0, 0xf0, 0x00}));
-    EXPECT_THROW(xorInPlace(a, Bytes{0x01}), std::invalid_argument);
 }
 
 } // namespace

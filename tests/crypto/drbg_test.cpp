@@ -1,7 +1,7 @@
 /**
  * @file
  * HMAC-DRBG behavioural tests: determinism under a fixed seed,
- * divergence across seeds and after reseeding, output shape.
+ * divergence across seeds, output shape.
  */
 
 #include <gtest/gtest.h>
@@ -32,16 +32,6 @@ TEST(HmacDrbgTest, SuccessiveOutputsDiffer)
 {
     HmacDrbg d(toBytes("seed"));
     EXPECT_NE(d.generate(32), d.generate(32));
-}
-
-TEST(HmacDrbgTest, ReseedChangesStream)
-{
-    HmacDrbg a(toBytes("seed"));
-    HmacDrbg b(toBytes("seed"));
-    a.generate(16);
-    b.generate(16);
-    a.reseed(toBytes("fresh entropy"));
-    EXPECT_NE(a.generate(32), b.generate(32));
 }
 
 TEST(HmacDrbgTest, GenerateArbitraryLengths)

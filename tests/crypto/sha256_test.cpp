@@ -86,7 +86,8 @@ TEST(Sha256Test, HashConcatMatchesManualConcat)
 {
     const Bytes a = toBytes("hello");
     const Bytes b = toBytes("world");
-    const Bytes both = concat({&a, &b});
+    Bytes both = a;
+    append(both, b);
     EXPECT_EQ(Sha256::hashConcat({&a, &b}), Sha256::hash(both));
 }
 
