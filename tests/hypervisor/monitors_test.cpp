@@ -95,6 +95,65 @@ TEST(VmmProfileToolTest, UnknownDomainIsEmpty)
     EXPECT_EQ(tool.totalRuntime(99), 0);
 }
 
+TEST(VmmProfileToolTest, RunOfANeverSeenDomainCountsOnlyItsLifetime)
+{
+    VmmProfileTool tool;
+    tool.startWindow(1, 0);
+    tool.recordRun(0, 1, msec(0), msec(2));
+    // Domain 40 was never seen and has no window: its runs count
+    // toward its lifetime runtime only.
+    tool.recordRun(1, 40, msec(1), msec(4));
+    tool.recordRun(1, 40, msec(4), msec(6));
+    EXPECT_EQ(tool.totalRuntime(40), msec(5));
+    EXPECT_EQ(tool.windowRuntime(40), 0);
+    EXPECT_TRUE(tool.windowIntervals(40).empty());
+    EXPECT_EQ(tool.windowLength(40, msec(9)), 0);
+    // Ids between and beyond the seen ones read as empty, and stopping
+    // a window on one of them is a no-op.
+    for (DomainId id : {0, 2, 39, 41, 1000}) {
+        tool.stopWindow(id, msec(7));
+        EXPECT_EQ(tool.windowLength(id, msec(9)), 0) << id;
+        EXPECT_EQ(tool.totalRuntime(id), 0) << id;
+        EXPECT_EQ(tool.windowRuntime(id), 0) << id;
+        EXPECT_TRUE(tool.windowIntervals(id).empty()) << id;
+    }
+    // Domain 1's window is untouched by domain 40's runs.
+    tool.stopWindow(1, msec(10));
+    EXPECT_EQ(tool.windowRuntime(1), msec(2));
+    EXPECT_EQ(tool.totalRuntime(1), msec(2));
+}
+
+TEST(VmmProfileToolTest, DroppedDomainStartsAfreshOnNewRuns)
+{
+    VmmProfileTool tool;
+    tool.startWindow(3, 0);
+    tool.recordRun(0, 3, msec(0), msec(4));
+    tool.recordRun(0, 3, msec(6), msec(9));
+    tool.dropDomain(3);
+    EXPECT_EQ(tool.totalRuntime(3), 0);
+    EXPECT_EQ(tool.windowRuntime(3), 0);
+    EXPECT_TRUE(tool.windowIntervals(3).empty());
+    EXPECT_EQ(tool.windowLength(3, msec(20)), 0);
+
+    // New runs after the drop: the lifetime restarts from zero and the
+    // dropped window stays closed, so nothing is counted in it.
+    tool.recordRun(0, 3, msec(10), msec(12));
+    EXPECT_EQ(tool.totalRuntime(3), msec(2));
+    EXPECT_EQ(tool.windowRuntime(3), 0);
+    EXPECT_TRUE(tool.windowIntervals(3).empty());
+
+    // A new window sees only its own runs.
+    tool.startWindow(3, msec(20));
+    tool.recordRun(0, 3, msec(20), msec(23));
+    tool.recordRun(0, 3, msec(23), msec(24)); // Contiguous: merges.
+    tool.stopWindow(3, msec(30));
+    EXPECT_EQ(tool.windowRuntime(3), msec(4));
+    EXPECT_EQ(tool.windowLength(3, msec(99)), msec(10));
+    ASSERT_EQ(tool.windowIntervals(3).size(), 1u);
+    EXPECT_DOUBLE_EQ(tool.windowIntervals(3)[0], 4.0);
+    EXPECT_EQ(tool.totalRuntime(3), msec(6));
+}
+
 TEST(PmuTest, CountersScaleWithRuntime)
 {
     const auto c1 = PerformanceMonitorUnit::fromRuntime(msec(1));

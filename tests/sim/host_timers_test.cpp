@@ -1,16 +1,22 @@
 /**
  * @file
  * Host timers: exact (when, seq) order against global events, cancel
- * and re-arm, the drain contract of runOne() and run(until), and the
- * rule that host code never schedules global events.
+ * and re-arm, the drain contract of runOne() and run(until), the rule
+ * that host code never schedules global events, handlers that throw,
+ * and a randomized check of the fire order against a reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 #include "sim/host_timers.h"
 
@@ -179,6 +185,283 @@ TEST(HostTimersTest, HostTimerSchedulingGloballyIsRejected)
     q.scheduleAfter(usec(1), [&] { ran = true; });
     q.runAll();
     EXPECT_TRUE(ran);
+}
+
+TEST(HostTimersTest, HandlerThatArmsThenThrowsLeavesItsTimerFired)
+{
+    // The fired timer is gone before its handler runs, so a handler
+    // that arms another timer and then throws leaves the same state as
+    // one that returned: its own timer disarmed, the new one armed.
+    EventQueue q;
+    std::vector<std::string> log;
+    LogHost h(q, "h", log);
+    h.arm(0, usec(10));
+    h.arm(1, usec(30));
+    h.arm(2, usec(20));
+    h.onFire = [&](HostTimers::TimerId id) {
+        if (id == 0) {
+            h.arm(3, usec(25));
+            throw std::runtime_error("handler failed");
+        }
+    };
+    q.schedule(usec(40), [&] { log.push_back("global"); });
+    EXPECT_THROW(q.runOne(), std::runtime_error);
+    EXPECT_FALSE(h.armed(0));
+    EXPECT_TRUE(h.armed(1));
+    EXPECT_TRUE(h.armed(2));
+    EXPECT_TRUE(h.armed(3));
+    EXPECT_EQ(q.now(), usec(10));
+    EXPECT_EQ(q.executed(), 1u);
+
+    q.runAll();
+    EXPECT_EQ(log, (std::vector<std::string>{"h:0@10", "h:2@20", "h:3@25",
+                                             "h:1@30", "global"}));
+    EXPECT_EQ(q.executed(), 5u);
+    EXPECT_FALSE(h.armed(3));
+}
+
+TEST(HostTimersTest, HandlerThatThrowsWithoutArmingLeavesItsTimerFired)
+{
+    EventQueue q;
+    std::vector<std::string> log;
+    LogHost h(q, "h", log);
+    h.arm(0, usec(10));
+    h.arm(1, usec(30));
+    h.arm(2, usec(20));
+    h.onFire = [&](HostTimers::TimerId id) {
+        if (id == 0 && q.now() == usec(10))
+            throw std::runtime_error("handler failed");
+    };
+    // No global event: runOne() steps the earliest host timer.
+    EXPECT_THROW(q.runOne(), std::runtime_error);
+    EXPECT_FALSE(h.armed(0));
+    EXPECT_TRUE(h.armed(1));
+    EXPECT_TRUE(h.armed(2));
+    EXPECT_EQ(q.now(), usec(10));
+    EXPECT_EQ(q.executed(), 1u);
+
+    // The timer can be armed again, and the rest fire in key order.
+    h.arm(0, usec(20));
+    q.runAll();
+    EXPECT_EQ(log, (std::vector<std::string>{"h:0@10", "h:2@20", "h:0@20",
+                                             "h:1@30"}));
+    EXPECT_EQ(q.executed(), 4u);
+}
+
+/** (when, seq): the order one global heap would fire in. */
+struct Key
+{
+    SimTime when;
+    std::uint64_t seq;
+
+    auto operator<=>(const Key &) const = default;
+};
+
+class RandomHost;
+
+/**
+ * Several hosts plus a stream of global events, all making random
+ * arm, disarm and re-arm calls from their handlers, with same-instant
+ * ties. The model mirrors the queue's sequence counter (every arm and
+ * schedule draws one), so it knows each pending key, and it checks
+ * every fire against the reference order: a host timer fires first
+ * among its host's armed timers and the pending global events, and a
+ * global event fires first among everything pending.
+ */
+class RandomFleet
+{
+  public:
+    static constexpr int kHosts = 4;
+    static constexpr HostTimers::TimerId kIds = 6;
+
+    explicit RandomFleet(std::uint64_t seed);
+
+    void run();
+
+    EventQueue queue;
+    std::size_t fires = 0;
+
+    void onHostFire(int host, HostTimers::TimerId id);
+
+  private:
+    void arm(int host, HostTimers::TimerId id, SimTime when);
+    void disarm(int host, HostTimers::TimerId id);
+    void scheduleGlobal(SimTime when);
+    void onGlobal(Key key);
+    /** Random arms and disarms on `host`, as host or global code. */
+    void poke(int host);
+    SimTime later();
+    static bool spend(int &budget);
+    void checkArmed(int host) const;
+
+    std::vector<std::unique_ptr<RandomHost>> hosts;
+    std::vector<std::map<HostTimers::TimerId, Key>> armedKeys;
+    std::set<Key> globals;
+    std::uint64_t seq = 0;
+    // The global stream ends first, so host timers then step alone.
+    int globalBudget = 400;
+    int hostBudget = 2000;
+    Rng rng;
+};
+
+class RandomHost : public HostTimers
+{
+  public:
+    RandomHost(RandomFleet &fleet, int index)
+        : HostTimers(fleet.queue), fleet(fleet), index(index)
+    {
+    }
+
+  protected:
+    void onTimer(TimerId id) override { fleet.onHostFire(index, id); }
+
+  private:
+    RandomFleet &fleet;
+    int index;
+};
+
+RandomFleet::RandomFleet(std::uint64_t seed) : armedKeys(kHosts), rng(seed)
+{
+    for (int h = 0; h < kHosts; ++h)
+        hosts.push_back(std::make_unique<RandomHost>(*this, h));
+}
+
+SimTime
+RandomFleet::later()
+{
+    // Small steps, a third of them zero: many same-instant ties.
+    static constexpr SimTime kSteps[] = {0, 0, 1, 2, 3, 5};
+    return queue.now() + kSteps[rng.nextBounded(std::size(kSteps))];
+}
+
+bool
+RandomFleet::spend(int &budget)
+{
+    if (budget == 0)
+        return false;
+    --budget;
+    return true;
+}
+
+void
+RandomFleet::arm(int host, HostTimers::TimerId id, SimTime when)
+{
+    hosts[host]->arm(id, when);
+    armedKeys[host][id] = Key{when, ++seq};
+}
+
+void
+RandomFleet::disarm(int host, HostTimers::TimerId id)
+{
+    hosts[host]->disarm(id);
+    armedKeys[host].erase(id);
+}
+
+void
+RandomFleet::scheduleGlobal(SimTime when)
+{
+    const Key key{when, ++seq};
+    queue.schedule(when, [this, key] { onGlobal(key); });
+    globals.insert(key);
+}
+
+void
+RandomFleet::checkArmed(int host) const
+{
+    for (HostTimers::TimerId id = 0; id < kIds; ++id)
+        EXPECT_EQ(hosts[host]->armed(id), armedKeys[host].count(id) != 0)
+            << "host " << host << " timer " << id;
+}
+
+void
+RandomFleet::poke(int host)
+{
+    const int ops = static_cast<int>(rng.nextBounded(3));
+    for (int i = 0; i < ops; ++i) {
+        const auto id =
+            static_cast<HostTimers::TimerId>(rng.nextBounded(kIds));
+        if (!rng.nextBool(0.7))
+            disarm(host, id);
+        else if (spend(hostBudget))
+            arm(host, id, later());
+    }
+}
+
+void
+RandomFleet::onHostFire(int host, HostTimers::TimerId id)
+{
+    ++fires;
+    const auto it = armedKeys[host].find(id);
+    ASSERT_NE(it, armedKeys[host].end()) << "fired a disarmed timer";
+    const Key key = it->second;
+    EXPECT_EQ(queue.now(), key.when);
+    for (const auto &[other, k] : armedKeys[host])
+        EXPECT_LE(key, k) << "host " << host << " fired " << id
+                          << " before " << other;
+    if (!globals.empty()) {
+        EXPECT_LT(key, *globals.begin()) << "host timer after a global";
+    }
+    armedKeys[host].erase(it);
+    checkArmed(host);
+
+    // Re-arm the fired timer from its own handler, then poke others.
+    if (rng.nextBool(0.6) && spend(hostBudget))
+        arm(host, id, later());
+    poke(host);
+    checkArmed(host);
+}
+
+void
+RandomFleet::onGlobal(Key key)
+{
+    ++fires;
+    EXPECT_EQ(queue.now(), key.when);
+    ASSERT_EQ(*globals.begin(), key) << "global events out of order";
+    for (int h = 0; h < kHosts; ++h)
+        for (const auto &[id, k] : armedKeys[h])
+            EXPECT_LT(key, k) << "host " << h << " timer " << id
+                              << " was due before a global event";
+    globals.erase(globals.begin());
+
+    poke(static_cast<int>(rng.nextBounded(kHosts)));
+    if (spend(globalBudget))
+        scheduleGlobal(later());
+    if (rng.nextBool(0.3) && spend(globalBudget))
+        scheduleGlobal(later());
+}
+
+void
+RandomFleet::run()
+{
+    for (int h = 0; h < kHosts; ++h)
+        for (HostTimers::TimerId id = 0; id < kIds; id += 2)
+            arm(h, id, later());
+    for (int i = 0; i < 4; ++i)
+        scheduleGlobal(later());
+    // Through a bound first (run(until) drains through it inclusive),
+    // then to quiescence: once the global stream ends, runOne() steps
+    // host timers alone.
+    queue.run(usec(40));
+    for (int h = 0; h < kHosts; ++h)
+        for (const auto &[id, k] : armedKeys[h])
+            EXPECT_GT(k.when, usec(40)) << "run(until) left a timer due";
+    queue.runAll();
+    for (int h = 0; h < kHosts; ++h) {
+        EXPECT_TRUE(armedKeys[h].empty());
+        checkArmed(h);
+    }
+    EXPECT_TRUE(globals.empty());
+    EXPECT_EQ(queue.executed(), fires);
+}
+
+TEST(HostTimersTest, RandomArmsFireInReferenceOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        RandomFleet fleet(seed);
+        fleet.run();
+        EXPECT_GT(fleet.fires, 400u);
+    }
 }
 
 TEST(HostTimersTest, ArmingInThePastThrows)
