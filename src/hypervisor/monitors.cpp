@@ -1,6 +1,7 @@
 #include "hypervisor/monitors.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "crypto/sha256.h"
 
@@ -20,12 +21,41 @@ VmmProfileTool::closeOpenInterval(DomainWindow &w)
     w.intervalOpen = false;
 }
 
+VmmProfileTool::DomainWindow &
+VmmProfileTool::entry(DomainId domain)
+{
+    if (domain < 0)
+        throw std::out_of_range("VmmProfileTool: negative domain id");
+    const auto index = static_cast<std::size_t>(domain);
+    if (index >= windows.size())
+        windows.resize(index + 1);
+    DomainWindow &w = windows[index];
+    w.seen = true;
+    return w;
+}
+
+const VmmProfileTool::DomainWindow *
+VmmProfileTool::find(DomainId domain) const
+{
+    const auto index = static_cast<std::size_t>(domain);
+    if (domain < 0 || index >= windows.size() || !windows[index].seen)
+        return nullptr;
+    return &windows[index];
+}
+
+void
+VmmProfileTool::dropDomain(DomainId domain)
+{
+    if (find(domain) != nullptr)
+        windows[static_cast<std::size_t>(domain)] = DomainWindow{};
+}
+
 void
 VmmProfileTool::recordRun(VCpuId vcpu, DomainId domain, SimTime start,
                           SimTime end)
 {
     (void)vcpu;
-    DomainWindow &w = windows[domain];
+    DomainWindow &w = entry(domain);
     w.lifetimeRuntime += end - start;
     if (!w.open)
         return;
@@ -50,7 +80,7 @@ VmmProfileTool::recordRun(VCpuId vcpu, DomainId domain, SimTime start,
 void
 VmmProfileTool::startWindow(DomainId domain, SimTime now)
 {
-    DomainWindow &w = windows[domain];
+    DomainWindow &w = entry(domain);
     w.open = true;
     w.windowStart = now;
     w.windowEnd = now;
@@ -63,10 +93,9 @@ VmmProfileTool::startWindow(DomainId domain, SimTime now)
 void
 VmmProfileTool::stopWindow(DomainId domain, SimTime now)
 {
-    const auto it = windows.find(domain);
-    if (it == windows.end())
+    if (find(domain) == nullptr)
         return;
-    DomainWindow &w = it->second;
+    DomainWindow &w = windows[static_cast<std::size_t>(domain)];
     closeOpenInterval(w);
     w.open = false;
     w.windowEnd = now;
@@ -75,25 +104,24 @@ VmmProfileTool::stopWindow(DomainId domain, SimTime now)
 SimTime
 VmmProfileTool::windowRuntime(DomainId domain) const
 {
-    const auto it = windows.find(domain);
-    return it == windows.end() ? 0 : it->second.runtime;
+    const DomainWindow *w = find(domain);
+    return w == nullptr ? 0 : w->runtime;
 }
 
 SimTime
 VmmProfileTool::windowLength(DomainId domain, SimTime now) const
 {
-    const auto it = windows.find(domain);
-    if (it == windows.end())
+    const DomainWindow *w = find(domain);
+    if (w == nullptr)
         return 0;
-    const DomainWindow &w = it->second;
-    return (w.open ? now : w.windowEnd) - w.windowStart;
+    return (w->open ? now : w->windowEnd) - w->windowStart;
 }
 
 const std::vector<double> &
 VmmProfileTool::windowIntervals(DomainId domain) const
 {
-    const auto it = windows.find(domain);
-    return it == windows.end() ? kNoIntervals : it->second.intervals;
+    const DomainWindow *w = find(domain);
+    return w == nullptr ? kNoIntervals : w->intervals;
 }
 
 Histogram
@@ -109,8 +137,8 @@ VmmProfileTool::intervalHistogram(DomainId domain, std::size_t bins,
 SimTime
 VmmProfileTool::totalRuntime(DomainId domain) const
 {
-    const auto it = windows.find(domain);
-    return it == windows.end() ? 0 : it->second.lifetimeRuntime;
+    const DomainWindow *w = find(domain);
+    return w == nullptr ? 0 : w->lifetimeRuntime;
 }
 
 std::vector<std::string>

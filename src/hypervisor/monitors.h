@@ -16,7 +16,6 @@
 #define MONATT_HYPERVISOR_MONITORS_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/stats.h"
@@ -74,11 +73,12 @@ class VmmProfileTool
     SimTime totalRuntime(DomainId domain) const;
 
     /** Forget a destroyed domain's window and lifetime runtime. */
-    void dropDomain(DomainId domain) { windows.erase(domain); }
+    void dropDomain(DomainId domain);
 
   private:
     struct DomainWindow
     {
+        bool seen = false; //!< Run or window recorded since the drop.
         bool open = false;
         SimTime windowStart = 0;
         SimTime windowEnd = 0;
@@ -91,8 +91,14 @@ class VmmProfileTool
     };
 
     void closeOpenInterval(DomainWindow &w);
+    /** The domain's entry, created on first use. */
+    DomainWindow &entry(DomainId domain);
+    /** The domain's entry; nullptr when none was recorded. */
+    const DomainWindow *find(DomainId domain) const;
 
-    std::map<DomainId, DomainWindow> windows;
+    /** Indexed by DomainId: the hypervisor numbers its domains 1, 2,
+     * ... so every completed run costs one indexed load. */
+    std::vector<DomainWindow> windows;
     static const std::vector<double> kNoIntervals;
 };
 

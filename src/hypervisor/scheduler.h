@@ -32,7 +32,6 @@
 #define MONATT_HYPERVISOR_SCHEDULER_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -210,30 +209,33 @@ class CreditScheduler : private sim::HostTimers
     const Params &params() const { return cfg; }
 
   private:
+    /** Fields a dispatch, stop or wake touches come first. */
     struct VCpu
     {
-        DomainId domain = -1;
-        int pcpu = 0;
-        int weight = 256;
         VCpuState state = VCpuState::Blocked;
+        int pcpu = 0;
+        DomainId domain = -1;
         int credits = 0;
         bool boosted = false;
+        bool havePlan = false;
+        bool suspended = false;
+        bool wakeIsInterrupt = true; //!< Kind of the armed wake timer.
+        bool ranSinceAccounting = false;
         SimTime runStart = 0;
         SimTime remainingBurst = 0;
-        bool havePlan = false;
-        BurstPlan plan;
-        bool wakeIsInterrupt = true; //!< Kind of the armed wake timer.
-        std::unique_ptr<Behavior> behavior;
-        bool suspended = false;
-        bool ranSinceAccounting = false;
         SimTime runtimeSinceAccounting = 0;
+        std::unique_ptr<Behavior> behavior;
+        BurstPlan plan;
         VCpuStats counters;
+        int weight = 256;
     };
 
     struct PCpu
     {
         VCpuId current = -1;
-        std::deque<VCpuId> runqueue;
+        /** Runnable vCPUs pinned here, in arrival order: a handful at
+         * most, so a vector beats a deque on every push and pick. */
+        std::vector<VCpuId> runqueue;
         SimTime sliceEnd = 0;
         SimTime busyTime = 0;
     };
@@ -251,8 +253,16 @@ class CreditScheduler : private sim::HostTimers
     void dropWorkload(VCpuId id);
     void enqueue(VCpuId id);
     void dispatch(int pcpu);
+    /** Run `id`, just taken off idle `pcpu`'s runqueue, or consume its
+     * zero-length plan and leave the pCPU idle. */
+    void runOn(int pcpu, VCpuId id);
     void armStop(int pcpu);
     void accountSegment(int pcpu);
+    /** Mark the vCPU's plan finished and run its completion callback.
+     * The plan's IPI targets are taken off the vCPU first and returned:
+     * the callback and the IPIs may re-enter the scheduler and plan
+     * the vCPU afresh. */
+    std::vector<VCpuId> finishPlan(VCpuId id);
     void executePlanEnd(VCpuId id);
     void onStopEvent(int pcpu);
     void preemptCurrent(int pcpu);

@@ -67,6 +67,7 @@ class HostTimers
 
   private:
     friend class EventQueue;
+    class FiredRoot;
 
     static constexpr std::uint32_t kDisarmed = 0xffffffffu;
 
@@ -96,17 +97,27 @@ class HostTimers
         return !heap.empty() && before(heap.front(), when, seq);
     }
 
-    /** Disarm and run the earliest timer. */
+    /**
+     * Disarm and run the earliest timer. Its node stays at the root
+     * while the handler runs: the handler's first arm() overwrites it
+     * in place, and a handler that arms nothing or throws has it
+     * removed on the way out, as if it had been removed before.
+     */
     void fireNext();
 
     void place(std::size_t pos, const Node &node);
-    void siftUp(std::size_t pos);
-    void siftDown(std::size_t pos);
+    /** Fill the hole at `pos` with `node` (not a heap element),
+     * moving it up or down to where it belongs. */
+    void siftUp(std::size_t pos, const Node &node);
+    void siftDown(std::size_t pos, const Node &node);
     void removeAt(std::size_t pos);
 
     EventQueue &queue;
     std::vector<Node> heap;              //!< Binary min-heap.
     std::vector<std::uint32_t> position; //!< Heap index per id.
+    /** heap[0] is the fired timer's node, no longer armed. Its key
+     * precedes every armed key, so no sift ever moves it. */
+    bool rootHeld = false;
 };
 
 } // namespace monatt::sim
