@@ -409,19 +409,21 @@ AttestationServer::verifyResponse(const Session &session,
     // 1. Certificate chain, memoized by certificate digest: a reused
     // AVK session is chain-checked once. Failures are never cached.
     const Bytes digest = crypto::Sha256::hash(resp.certificate);
-    if (const crypto::RsaPublicKey *hit = certCache.find(digest)) {
+    if (const crypto::RsaPublicContext *hit = certCache.find(digest)) {
         ++counters.certCacheHits;
-        return verifyWithAvk(session, resp, crypto::RsaPublicContext(*hit));
+        return verifyWithAvk(session, resp, *hit);
     }
     ++counters.certCacheMisses;
     auto avk = checkCertificate(resp.certificate, cfg.pcaId, pca);
     if (!avk)
         return R::error(avk.errorMessage());
-    certCache.insert(digest, avk.value());
+    // The find above missed, so the insert stores the new entry.
+    const crypto::RsaPublicContext &compiled =
+        *certCache.insert(digest, crypto::RsaPublicContext(avk.value()));
     log.append(JournalType::CertInsert,
                CertRecord{digest, avk.value().encode()});
     // 2-4. Session signature, quote and nonce binding.
-    return verifyWithAvk(session, resp, crypto::RsaPublicContext(avk.value()));
+    return verifyWithAvk(session, resp, compiled);
 }
 
 void
@@ -608,7 +610,8 @@ AttestationServer::snapshotState() const
         snap.add(JournalType::ReportRemember,
                  ReportRecord{requestId, encoded});
     for (const auto &[digest, avk] : certCache)
-        snap.add(JournalType::CertInsert, CertRecord{digest, avk.encode()});
+        snap.add(JournalType::CertInsert,
+                 CertRecord{digest, avk.key().encode()});
     return snap;
 }
 
@@ -625,7 +628,8 @@ AttestationServer::applyJournalRecord(const sim::JournalRecord &rec)
         if (auto r = proto::decode<CertRecord>(rec.payload)) {
             auto avk = crypto::RsaPublicKey::decode(r.value().avk);
             if (avk)
-                certCache.insert(r.value().digest, avk.take());
+                certCache.insert(r.value().digest,
+                                 crypto::RsaPublicContext(avk.take()));
         }
         break;
     }

@@ -198,7 +198,7 @@ class AttestationServer
      * verification; failures are never cached, and a tampered
      * certificate changes the digest and takes the cold path.
      */
-    const FifoMap<Bytes, crypto::RsaPublicKey> &certificateCache() const
+    const FifoMap<Bytes, crypto::RsaPublicContext> &certificateCache() const
     {
         return certCache;
     }
@@ -305,7 +305,8 @@ class AttestationServer
     InterpreterRegistry registry;
     Rng rng;
     static constexpr std::size_t kCertCacheCapacity = 256;
-    FifoMap<Bytes, crypto::RsaPublicKey> certCache;
+    /** Certified AVKs, compiled once: a hit verifies with no division. */
+    FifoMap<Bytes, crypto::RsaPublicContext> certCache;
     std::optional<crypto::RsaPublicContext> pcaCtx;
 
     std::map<std::string, ServerReference> serverRefs;

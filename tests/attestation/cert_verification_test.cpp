@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "attestation/attestation_server.h"
 #include "common/fifo_map.h"
 #include "crypto/sha256.h"
@@ -204,6 +206,13 @@ class CertCacheEndToEnd : public ::testing::Test
      * `certBytes`, signed by the fixture AIK, and run the network. */
     void respond(const proto::MeasureRequest &req, const Bytes &certBytes)
     {
+        respond(req, certBytes, aik.priv);
+    }
+
+    /** As above, with the response signed by `signer`. */
+    void respond(const proto::MeasureRequest &req, const Bytes &certBytes,
+                 const crypto::RsaPrivateKey &signer)
+    {
         proto::MeasureResponse resp;
         resp.requestId = req.requestId;
         resp.vid = req.vid;
@@ -212,7 +221,7 @@ class CertCacheEndToEnd : public ::testing::Test
         resp.nonce3 = req.nonce3;
         resp.quote3 = proto::MeasureResponse::quoteInput(
             resp.vid, resp.rm, resp.m, resp.nonce3);
-        resp.signature = crypto::rsaSign(aik.priv, resp.signedPortion());
+        resp.signature = crypto::rsaSign(signer, resp.signedPortion());
         resp.certificate = certBytes;
         server.sendSecure(as.id(),
                           proto::packMessage(MessageKind::MeasureResponse,
@@ -252,6 +261,44 @@ TEST_F(CertCacheEndToEnd, ReusedCertificateHitsCache)
     EXPECT_EQ(as.stats().certCacheMisses, 1u);
     EXPECT_EQ(as.stats().certCacheHits, 1u);
     ASSERT_EQ(reports.size(), 2u);
+}
+
+TEST_F(CertCacheEndToEnd, CachedAvkStillChecksEverySignature)
+{
+    const Bytes cert = issueAikCert();
+    respond(forwardAndCapture(1), cert);
+    ASSERT_EQ(as.certificateCache().size(), 1u);
+    // The cache keeps the certified key compiled; the journal records
+    // it exactly as before: the digest and the key's encoding.
+    EXPECT_EQ(as.certificateCache().begin()->second.key(), aik.pub);
+    const std::vector<sim::JournalRecord> journal =
+        as.stableStore().durableSince(0);
+    const Bytes certRecord = proto::encode(
+        CertRecord{crypto::Sha256::hash(cert), aik.pub.encode()});
+    EXPECT_EQ(std::count_if(journal.begin(), journal.end(),
+                            [&](const sim::JournalRecord &r) {
+                                return r.payload == certRecord;
+                            }),
+              1);
+
+    // A second response under the cached AVK verifies.
+    respond(forwardAndCapture(2), cert);
+    EXPECT_EQ(as.stats().certCacheHits, 1u);
+    EXPECT_EQ(as.stats().responsesVerified, 2u);
+    EXPECT_EQ(as.stats().verificationFailures, 0u);
+
+    // A forged signature under that AVK hits the cache and is still
+    // rejected: every property comes back Unknown.
+    const crypto::RsaKeyPair forger = generate(0xf0f);
+    respond(forwardAndCapture(3), cert, forger.priv);
+    EXPECT_EQ(as.stats().certCacheHits, 2u);
+    EXPECT_EQ(as.stats().certCacheMisses, 1u);
+    EXPECT_EQ(as.stats().responsesVerified, 2u);
+    EXPECT_EQ(as.stats().verificationFailures, 1u);
+    ASSERT_EQ(reports.size(), 3u);
+    ASSERT_FALSE(reports.back().report.results.empty());
+    for (const proto::PropertyResult &pr : reports.back().report.results)
+        EXPECT_EQ(pr.status, HealthStatus::Unknown);
 }
 
 TEST_F(CertCacheEndToEnd, TamperedCertificateMissesAndYieldsUnknown)
