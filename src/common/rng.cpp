@@ -59,13 +59,6 @@ Rng::nextBounded(std::uint64_t bound)
     }
 }
 
-std::int64_t
-Rng::nextRange(std::int64_t lo, std::int64_t hi)
-{
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
 double
 Rng::nextDouble()
 {
@@ -120,12 +113,6 @@ Rng::nextBytes(std::size_t n)
         }
     }
     return out;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next());
 }
 
 } // namespace monatt

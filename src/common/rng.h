@@ -40,9 +40,6 @@ class Rng
     /** Uniform integer in [0, bound), bound > 0, without modulo bias. */
     std::uint64_t nextBounded(std::uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
-
     /** Uniform double in [0, 1). */
     double nextDouble();
 
@@ -57,9 +54,6 @@ class Rng
 
     /** Fill and return a buffer of `n` pseudo-random bytes. */
     Bytes nextBytes(std::size_t n);
-
-    /** Fork an independent child stream (for per-component RNGs). */
-    Rng fork();
 
   private:
     std::uint64_t state[4];

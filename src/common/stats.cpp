@@ -7,41 +7,6 @@
 namespace monatt
 {
 
-double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    return sum / static_cast<double>(xs.size());
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    const double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double
-median(std::vector<double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    const std::size_t n = xs.size();
-    if (n % 2 == 1)
-        return xs[n / 2];
-    return 0.5 * (xs[n / 2 - 1] + xs[n / 2]);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lowBound(lo), highBound(hi), bucket(bins, 0)
 {

@@ -6,8 +6,7 @@
  * of CPU-usage intervals and clusters it ("The Attestation Server can
  * use machine learning techniques to cluster the covert-channel
  * results and benign results"). This file provides the histogram,
- * summary statistics, peak detection and a 1-D k-means used for that
- * clustering, plus small helpers shared by benches.
+ * peak detection and a 1-D k-means used for that clustering.
  */
 
 #ifndef MONATT_COMMON_STATS_H
@@ -18,15 +17,6 @@
 
 namespace monatt
 {
-
-/** Arithmetic mean of a sample; 0 for empty input. */
-double mean(const std::vector<double> &xs);
-
-/** Population standard deviation; 0 for fewer than two samples. */
-double stddev(const std::vector<double> &xs);
-
-/** Median (by copy-and-sort); 0 for empty input. */
-double median(std::vector<double> xs);
 
 /**
  * Fixed-width histogram over [lo, hi) with `bins` buckets.

@@ -48,21 +48,6 @@ TEST(RngTest, BoundedCoversRange)
         EXPECT_GT(count, 150); // ~250 expected per bucket.
 }
 
-TEST(RngTest, RangeInclusive)
-{
-    Rng rng(3);
-    bool sawLo = false, sawHi = false;
-    for (int i = 0; i < 500; ++i) {
-        const std::int64_t v = rng.nextRange(-2, 2);
-        EXPECT_GE(v, -2);
-        EXPECT_LE(v, 2);
-        sawLo |= v == -2;
-        sawHi |= v == 2;
-    }
-    EXPECT_TRUE(sawLo);
-    EXPECT_TRUE(sawHi);
-}
-
 TEST(RngTest, DoubleInUnitInterval)
 {
     Rng rng(5);
@@ -114,16 +99,6 @@ TEST(RngTest, BytesSizeAndDeterminism)
     const Bytes x = a.nextBytes(37);
     EXPECT_EQ(x.size(), 37u);
     EXPECT_EQ(x, b.nextBytes(37));
-}
-
-TEST(RngTest, ForkDecorrelates)
-{
-    Rng parent(31);
-    Rng child = parent.fork();
-    int differing = 0;
-    for (int i = 0; i < 64; ++i)
-        differing += parent.next() != child.next();
-    EXPECT_GT(differing, 60);
 }
 
 } // namespace

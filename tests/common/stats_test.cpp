@@ -14,18 +14,6 @@ namespace monatt
 namespace
 {
 
-TEST(StatsTest, MeanStddevMedian)
-{
-    const std::vector<double> xs = {1, 2, 3, 4, 5};
-    EXPECT_DOUBLE_EQ(mean(xs), 3.0);
-    EXPECT_NEAR(stddev(xs), 1.4142, 1e-3);
-    EXPECT_DOUBLE_EQ(median(xs), 3.0);
-    EXPECT_DOUBLE_EQ(median({1, 2, 3, 4}), 2.5);
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_DOUBLE_EQ(stddev({}), 0.0);
-    EXPECT_DOUBLE_EQ(median({}), 0.0);
-}
-
 TEST(HistogramTest, BasicBinning)
 {
     Histogram h(0.0, 30.0, 30);
