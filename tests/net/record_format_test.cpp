@@ -27,17 +27,31 @@ struct KnownChannel
 {
     SecureChannel client;
     SecureChannel server;
+    Bytes clientHello;
     Bytes serverHello;
 
-    KnownChannel()
+    /**
+     * @param lend Lend both handshakes compiled keys, as SecureEndpoint
+     *        does; otherwise each handshake compiles its own.
+     */
+    explicit KnownChannel(bool lend = false)
     {
         Rng rng(0x2b);
         const auto clientKeys = crypto::rsaGenerateKeyPair(512, rng);
         const auto serverKeys = crypto::rsaGenerateKeyPair(512, rng);
+        const crypto::RsaPrivateContext clientOwn(clientKeys.priv);
+        const crypto::RsaPrivateContext serverOwn(serverKeys.priv);
+        const crypto::RsaPublicContext clientPub(clientKeys.pub);
+        const crypto::RsaPublicContext serverPub(serverKeys.pub);
         crypto::HmacDrbg cd(toBytes("c")), sd(toBytes("s"));
-        ClientHandshake hs("c", "s", clientKeys, serverKeys.pub, cd);
-        ServerHandshake sh("s", serverKeys, sd);
-        auto accepted = sh.accept(hs.helloMessage(), clientKeys.pub);
+        ClientHandshake hs("c", "s", clientKeys, serverKeys.pub, cd,
+                           lend ? &clientOwn : nullptr,
+                           lend ? &serverPub : nullptr);
+        ServerHandshake sh("s", serverKeys, sd,
+                           lend ? &serverOwn : nullptr);
+        clientHello = hs.helloMessage();
+        auto accepted = sh.accept(clientHello, clientKeys.pub,
+                                  lend ? &clientPub : nullptr);
         EXPECT_TRUE(accepted.isOk()) << accepted.errorMessage();
         serverHello = accepted.value().reply;
         auto finished = hs.finish(serverHello);
@@ -99,11 +113,22 @@ const KnownRecord kRecords[] = {
      "2d7bade247ae7e4f10f7179acb67799b56b0b5d83bdc1f324debabb9776499b3"},
 };
 
+// The hellos carry both RSA signatures and the encrypted premaster,
+// so these digests pin the RSA layer's bytes as well as the framing.
+const char *const kClientHelloDigest =
+    "ae8a13f6b625ea43714713c1b8e635d7a3ae0c1fac9cac2c57413ed82dc392e0";
+const char *const kServerHelloDigest =
+    "75a66b936f3b40ce9529f152a08da78d2247b24d95c498376c0ea1e95c297899";
+
 TEST(RecordFormatTest, HandshakeIsPinned)
 {
     KnownChannel ch;
     EXPECT_EQ(toHex(ch.client.sessionId()),
               "a0d9ef0ce1e1ff40d71c256ec1adb5c4");
+    EXPECT_EQ(toHex(crypto::Sha256::hash(ch.clientHello)),
+              kClientHelloDigest);
+    EXPECT_EQ(toHex(crypto::Sha256::hash(ch.serverHello)),
+              kServerHelloDigest);
     ByteReader r(ch.serverHello);
     ASSERT_TRUE(r.getBytes().isOk()); // Server nonce.
     ASSERT_TRUE(r.getBytes().isOk()); // Signature.
@@ -112,6 +137,24 @@ TEST(RecordFormatTest, HandshakeIsPinned)
     EXPECT_EQ(toHex(verifyData.value()),
               "762f1b17403e32c0d87cd4ae01e85842fa0fec2575df00fe986f898c"
               "f1f6d5d9");
+}
+
+TEST(RecordFormatTest, LentContextsGiveTheSameBytes)
+{
+    KnownChannel own;
+    KnownChannel lent(/*lend=*/true);
+    EXPECT_EQ(toHex(crypto::Sha256::hash(lent.clientHello)),
+              kClientHelloDigest);
+    EXPECT_EQ(toHex(crypto::Sha256::hash(lent.serverHello)),
+              kServerHelloDigest);
+    EXPECT_EQ(lent.clientHello, own.clientHello);
+    EXPECT_EQ(lent.serverHello, own.serverHello);
+    EXPECT_EQ(lent.client.sessionId(), own.client.sessionId());
+    for (const KnownRecord &known : kRecords) {
+        const Bytes plain = payload(known.size);
+        EXPECT_EQ(lent.client.seal(plain), own.client.seal(plain));
+        EXPECT_EQ(lent.server.seal(plain), own.server.seal(plain));
+    }
 }
 
 TEST(RecordFormatTest, SealedRecordsArePinned)
