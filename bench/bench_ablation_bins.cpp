@@ -35,8 +35,7 @@ collectIntervals(bool covert, SimTime duration)
     cfg.hypervisorCode = toBytes("xen");
     cfg.hostOsCode = toBytes("dom0");
     hypervisor::Hypervisor hv(events, cfg);
-    Rng keyRng(8);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, keyRng));
+    tpm::TpmEmulator tpm;
     hv.boot(tpm);
 
     hypervisor::DomainId monitored = -1;

@@ -42,8 +42,7 @@ attackSlowdown(hypervisor::CreditScheduler::Params sched)
     cfg.hypervisorCode = toBytes("xen");
     cfg.hostOsCode = toBytes("dom0");
     hypervisor::Hypervisor hv(events, cfg);
-    Rng rng(55);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, rng));
+    tpm::TpmEmulator tpm;
     hv.boot(tpm);
 
     const auto victim = hv.createDomain("victim", 1, 0, toBytes("v"));

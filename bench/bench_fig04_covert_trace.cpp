@@ -38,8 +38,7 @@ runTrace(const CovertChannelParams &params, std::size_t numBits)
     cfg.hypervisorCode = toBytes("xen");
     cfg.hostOsCode = toBytes("dom0");
     hypervisor::Hypervisor hv(events, cfg);
-    Rng keyRng(42);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, keyRng));
+    tpm::TpmEmulator tpm;
     hv.boot(tpm);
 
     const auto receiver = hv.createDomain("receiver", 1, 0,

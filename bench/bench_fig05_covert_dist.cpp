@@ -40,8 +40,7 @@ struct World
         hv = std::make_unique<hypervisor::Hypervisor>(events, cfg);
         Rng rng(5);
         tm = std::make_unique<tpm::TrustModule>(
-            "bench-server", crypto::rsaGenerateKeyPair(512, rng),
-            toBytes("seed"));
+            crypto::rsaGenerateKeyPair(512, rng), toBytes("seed"));
         monitor = std::make_unique<server::MonitorModule>(*hv, *tm);
         hv->boot(tm->tpmDevice());
     }

@@ -33,8 +33,7 @@ runScenario(const std::string &scenario, SimTime victimWork)
     cfg.hypervisorCode = toBytes("xen");
     cfg.hostOsCode = toBytes("dom0");
     hypervisor::Hypervisor hv(events, cfg);
-    Rng keyRng(6);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, keyRng));
+    tpm::TpmEmulator tpm;
     hv.boot(tpm);
 
     const auto victim = hv.createDomain("victim", 1, 0, toBytes("v"));

@@ -40,11 +40,10 @@ runScenario(const std::string &scenario)
     cfg.hypervisorCode = toBytes("xen");
     cfg.hostOsCode = toBytes("dom0");
     hypervisor::Hypervisor hv(events, cfg);
-    Rng keyRng(7);
-    tpm::TpmEmulator tpmDev(crypto::rsaGenerateKeyPair(256, keyRng));
+    tpm::TpmEmulator tpmDev;
     hv.boot(tpmDev);
-    tpm::TrustModule tm("bench-server",
-                        crypto::rsaGenerateKeyPair(512, keyRng),
+    Rng keyRng(7);
+    tpm::TrustModule tm(crypto::rsaGenerateKeyPair(512, keyRng),
                         toBytes("seed"));
     server::MonitorModule monitor(hv, tm);
 

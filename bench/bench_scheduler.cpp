@@ -81,8 +81,7 @@ BM_AvailabilityAttackSimulatedSecond(benchmark::State &state)
         cfg.hypervisorCode = toBytes("xen");
         cfg.hostOsCode = toBytes("dom0");
         Hypervisor hv(events, cfg);
-        Rng rng(9);
-        tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, rng));
+        tpm::TpmEmulator tpm;
         hv.boot(tpm);
         const DomainId victim = hv.createDomain("victim", 1, 0,
                                                 toBytes("v"));
@@ -125,8 +124,7 @@ BM_FleetSimulatedSecond(benchmark::State &state)
     // iteration.
     constexpr int kHosts = 32;
     constexpr int kVcpus = 4;
-    Rng keyRng(9);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, keyRng));
+    tpm::TpmEmulator tpm;
     HypervisorConfig cfg;
     cfg.numPCpus = kVcpus;
     cfg.hypervisorCode = toBytes("xen");

@@ -77,38 +77,15 @@ RsaPublicKey::decode(const Bytes &data)
     return Result<RsaPublicKey>::ok(std::move(key));
 }
 
-BigUint
-RsaPrivateKey::decryptRaw(const BigUint &c) const
+RsaPublicContext::RsaPublicContext(const RsaPublicKey &key)
+    : pub(key), mont(pub.n)
 {
-    if (p.isZero() || q.isZero()) {
-        // No CRT components available: plain exponentiation.
-        return c.modExp(d, n);
-    }
-    // CRT: m1 = c^dP mod p, m2 = c^dQ mod q,
-    // h = qInv (m1 - m2) mod p, m = m2 + h q.
-    const BigUint m1 = (c % p).modExp(dP, p);
-    const BigUint m2 = (c % q).modExp(dQ, q);
-    BigUint diff;
-    if (m1 >= m2)
-        diff = m1 - m2;
-    else
-        diff = p - ((m2 - m1) % p);
-    const BigUint h = (qInv * diff) % p;
-    return m2 + h * q;
-}
-
-RsaPublicContext::RsaPublicContext(const RsaPublicKey &key) : pub(key)
-{
-    if (pub.n.isOdd())
-        mont.emplace(pub.n);
 }
 
 BigUint
 RsaPublicContext::encryptRaw(const BigUint &value) const
 {
-    if (mont)
-        return mont->modExp(value, pub.e);
-    return value.modExp(pub.e, pub.n);
+    return mont.modExp(value, pub.e);
 }
 
 const RsaPublicContext &
@@ -122,27 +99,18 @@ RsaPublicContextCache::get(const std::string &id, const RsaPublicKey &key)
     return it->second;
 }
 
-RsaPrivateContext::RsaPrivateContext(const RsaPrivateKey &key) : priv(key)
+RsaPrivateContext::RsaPrivateContext(const RsaPrivateKey &key)
+    : priv(key), montP(priv.p), montQ(priv.q)
 {
-    if (!priv.p.isZero() && priv.p.isOdd() && !priv.q.isZero() &&
-        priv.q.isOdd()) {
-        montP.emplace(priv.p);
-        montQ.emplace(priv.q);
-    }
-    if (priv.n.isOdd())
-        montN.emplace(priv.n);
 }
 
 BigUint
 RsaPrivateContext::decryptRaw(const BigUint &c) const
 {
-    if (!montP || !montQ) {
-        if (montN)
-            return montN->modExp(c, priv.d);
-        return priv.decryptRaw(c);
-    }
-    const BigUint m1 = montP->modExp(c, priv.dP);
-    const BigUint m2 = montQ->modExp(c, priv.dQ);
+    // CRT: m1 = c^dP mod p, m2 = c^dQ mod q,
+    // h = qInv (m1 - m2) mod p, m = m2 + h q.
+    const BigUint m1 = montP.modExp(c, priv.dP);
+    const BigUint m2 = montQ.modExp(c, priv.dQ);
     BigUint diff;
     if (m1 >= m2)
         diff = m1 - m2;
@@ -206,41 +174,12 @@ deriveKeyPair(const std::string &label, const std::string &id,
 }
 
 Bytes
-rsaSign(const RsaPrivateKey &key, const Bytes &message)
-{
-    const std::size_t k = (key.n.bitLength() + 7) / 8;
-    const Bytes em = emsaEncode(Sha256::hash(message), k);
-    const BigUint m = BigUint::fromBytes(em);
-    return key.decryptRaw(m).toBytes(k);
-}
-
-Bytes
 rsaSign(const RsaPrivateContext &ctx, const Bytes &message)
 {
     const std::size_t k = (ctx.key().n.bitLength() + 7) / 8;
     const Bytes em = emsaEncode(Sha256::hash(message), k);
     const BigUint m = BigUint::fromBytes(em);
     return ctx.decryptRaw(m).toBytes(k);
-}
-
-bool
-rsaVerify(const RsaPublicKey &key, const Bytes &message,
-          const Bytes &signature)
-{
-    const std::size_t k = key.modulusBytes();
-    if (signature.size() != k)
-        return false;
-    const BigUint s = BigUint::fromBytes(signature);
-    if (s >= key.n)
-        return false;
-    const Bytes em = s.modExp(key.e, key.n).toBytes(k);
-    Bytes expected;
-    try {
-        expected = emsaEncode(Sha256::hash(message), k);
-    } catch (const std::invalid_argument &) {
-        return false;
-    }
-    return constantTimeEqual(em, expected);
 }
 
 bool
@@ -307,17 +246,6 @@ emeUnpad(const Bytes &em)
 } // namespace
 
 Result<Bytes>
-rsaEncrypt(const RsaPublicKey &key, const Bytes &message, Rng &rng)
-{
-    const std::size_t k = key.modulusBytes();
-    auto em = emePad(message, k, rng);
-    if (!em)
-        return em;
-    const BigUint m = BigUint::fromBytes(em.value());
-    return Result<Bytes>::ok(m.modExp(key.e, key.n).toBytes(k));
-}
-
-Result<Bytes>
 rsaEncrypt(const RsaPublicContext &ctx, const Bytes &message, Rng &rng)
 {
     const std::size_t k = ctx.key().modulusBytes();
@@ -326,18 +254,6 @@ rsaEncrypt(const RsaPublicContext &ctx, const Bytes &message, Rng &rng)
         return em;
     const BigUint m = BigUint::fromBytes(em.value());
     return Result<Bytes>::ok(ctx.encryptRaw(m).toBytes(k));
-}
-
-Result<Bytes>
-rsaDecrypt(const RsaPrivateKey &key, const Bytes &cipher)
-{
-    const std::size_t k = (key.n.bitLength() + 7) / 8;
-    if (cipher.size() != k)
-        return Result<Bytes>::error("rsaDecrypt: bad ciphertext length");
-    const BigUint c = BigUint::fromBytes(cipher);
-    if (c >= key.n)
-        return Result<Bytes>::error("rsaDecrypt: ciphertext out of range");
-    return emeUnpad(key.decryptRaw(c).toBytes(k));
 }
 
 Result<Bytes>

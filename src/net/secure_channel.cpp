@@ -44,6 +44,14 @@ serverTranscript(const Bytes &clientTranscriptHash,
     return crypto::Sha256::hash(w.data());
 }
 
+/** The lent compiled key, or `slot` compiled from `key`. */
+template <typename Context, typename Key>
+const Context &
+compiled(const Context *lent, std::optional<Context> &slot, const Key &key)
+{
+    return lent ? *lent : slot.emplace(key);
+}
+
 /** Record layout: u64 seq || u32 len || ciphertext || tag. */
 constexpr std::size_t kRecordHeader = 8 + 4;
 constexpr std::size_t kTagSize = crypto::kSha256DigestSize;
@@ -169,15 +177,13 @@ ClientHandshake::ClientHandshake(std::string clientId,
                                  const crypto::RsaPrivateContext *clientCtx,
                                  const crypto::RsaPublicContext *serverCtx)
     : client(std::move(clientId)), server(std::move(serverId)),
-      serverPublic(serverPub), serverCtx_(serverCtx)
+      serverKey(compiled(serverCtx, serverCompiled, serverPub))
 {
     clientNonce = drbg.generate(32);
     premaster = drbg.generate(32);
 
     Rng padRng = drbg.forkRng();
-    auto encPremaster =
-        serverCtx_ ? crypto::rsaEncrypt(*serverCtx_, premaster, padRng)
-                   : crypto::rsaEncrypt(serverPublic, premaster, padRng);
+    auto encPremaster = crypto::rsaEncrypt(serverKey, premaster, padRng);
     if (!encPremaster)
         throw std::logic_error("ClientHandshake: premaster encryption "
                                "failed: " + encPremaster.errorMessage());
@@ -185,9 +191,10 @@ ClientHandshake::ClientHandshake(std::string clientId,
     const Bytes clientPub = clientKeys.pub.encode();
     transcriptHash = clientTranscript(client, server, clientNonce,
                                       clientPub, encPremaster.value());
-    const Bytes signature =
-        clientCtx ? crypto::rsaSign(*clientCtx, transcriptHash)
-                  : crypto::rsaSign(clientKeys.priv, transcriptHash);
+    std::optional<crypto::RsaPrivateContext> clientCompiled;
+    const Bytes signature = crypto::rsaSign(
+        compiled(clientCtx, clientCompiled, clientKeys.priv),
+        transcriptHash);
 
     ByteWriter w;
     w.putString(client);
@@ -210,12 +217,7 @@ ClientHandshake::finish(const Bytes &serverHello)
 
     const Bytes toSign = serverTranscript(transcriptHash,
                                           serverNonce.value());
-    const bool sigOk =
-        serverCtx_ ? crypto::rsaVerify(*serverCtx_, toSign,
-                                       signature.value())
-                   : crypto::rsaVerify(serverPublic, toSign,
-                                       signature.value());
-    if (!sigOk)
+    if (!crypto::rsaVerify(serverKey, toSign, signature.value()))
         return Result<SecureChannel>::error(
             "server identity signature verification failed");
 
@@ -238,8 +240,8 @@ ServerHandshake::ServerHandshake(std::string serverId,
                                  const crypto::RsaKeyPair &serverKeys,
                                  crypto::HmacDrbg &drbg,
                                  const crypto::RsaPrivateContext *ownCtx)
-    : server(std::move(serverId)), keys(serverKeys), rng(drbg),
-      ownCtx_(ownCtx)
+    : server(std::move(serverId)), rng(drbg),
+      ownKey(compiled(ownCtx, ownCompiled, serverKeys.priv))
 {
 }
 
@@ -270,24 +272,21 @@ ServerHandshake::accept(const Bytes &clientHello,
     const Bytes transcript = clientTranscript(
         clientId.value(), server, clientNonce.value(), clientPub.value(),
         encPremaster.value());
-    const bool sigOk =
-        clientCtx ? crypto::rsaVerify(*clientCtx, transcript,
-                                      signature.value())
-                  : crypto::rsaVerify(expectedClientPub, transcript,
-                                      signature.value());
-    if (!sigOk)
+    // Compiled only now: expectedClientPub equals a decoded key, so
+    // its modulus is odd.
+    std::optional<crypto::RsaPublicContext> clientCompiled;
+    if (!crypto::rsaVerify(
+            compiled(clientCtx, clientCompiled, expectedClientPub),
+            transcript, signature.value()))
         return R::error("client identity signature verification failed");
 
-    auto premaster =
-        ownCtx_ ? crypto::rsaDecrypt(*ownCtx_, encPremaster.value())
-                : crypto::rsaDecrypt(keys.priv, encPremaster.value());
+    auto premaster = crypto::rsaDecrypt(ownKey, encPremaster.value());
     if (!premaster)
         return R::error("premaster decryption failed");
 
     const Bytes serverNonce = rng.generate(32);
     const Bytes toSign = serverTranscript(transcript, serverNonce);
-    const Bytes serverSig = ownCtx_ ? crypto::rsaSign(*ownCtx_, toSign)
-                                    : crypto::rsaSign(keys.priv, toSign);
+    const Bytes serverSig = crypto::rsaSign(ownKey, toSign);
 
     Accepted out;
     SecureChannel::derive(out.channel, premaster.value(),

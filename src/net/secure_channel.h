@@ -108,6 +108,11 @@ class SecureChannel
  *
  * Usage: build, send helloMessage() to the server, feed the reply to
  * finish() to obtain the established channel.
+ *
+ * Every RSA operation runs through a compiled key. A caller that
+ * keeps compiled keys across handshakes (SecureEndpoint does) lends
+ * them; otherwise the handshake compiles its own. Either way the
+ * bytes are the same. Not copyable: it may point into itself.
  */
 class ClientHandshake
 {
@@ -120,11 +125,13 @@ class ClientHandshake
      *                  (obtained from the cloud's certificate
      *                  infrastructure).
      * @param drbg Randomness source for nonce and premaster.
-     * @param clientCtx Optional compiled client signing key; when set
-     *        (it must outlive the handshake) the hello signature
-     *        reuses its Montgomery constants.
-     * @param serverCtx Optional compiled peer key, reused for the
-     *        premaster encryption and the ServerHello verification.
+     * @param clientCtx Compiled clientKeys.priv to lend (it must
+     *        outlive the constructor), or null to compile one for the
+     *        hello signature.
+     * @param serverCtx Compiled serverPub to lend (it must outlive the
+     *        handshake), or null for the handshake to compile and
+     *        keep its own, for the premaster encryption and the
+     *        ServerHello verification.
      */
     ClientHandshake(std::string clientId, std::string serverId,
                     const crypto::RsaKeyPair &clientKeys,
@@ -132,6 +139,9 @@ class ClientHandshake
                     crypto::HmacDrbg &drbg,
                     const crypto::RsaPrivateContext *clientCtx = nullptr,
                     const crypto::RsaPublicContext *serverCtx = nullptr);
+
+    ClientHandshake(const ClientHandshake &) = delete;
+    ClientHandshake &operator=(const ClientHandshake &) = delete;
 
     /** The ClientHello message to transmit. */
     const Bytes &helloMessage() const { return hello; }
@@ -142,28 +152,34 @@ class ClientHandshake
   private:
     std::string client;
     std::string server;
-    const crypto::RsaPublicKey serverPublic;
-    const crypto::RsaPublicContext *serverCtx_;
+    std::optional<crypto::RsaPublicContext> serverCompiled;
+    const crypto::RsaPublicContext &serverKey;
     Bytes clientNonce;
     Bytes premaster;
     Bytes hello;
     Bytes transcriptHash;
 };
 
-/** Server (responder) side of the handshake. */
+/**
+ * Server (responder) side of the handshake. Lends and compiles keys as
+ * ClientHandshake does, and is not copyable for the same reason.
+ */
 class ServerHandshake
 {
   public:
     /**
-     * @param ownCtx Optional compiled private key (must outlive the
-     *        handshake); lets every accept() on this endpoint reuse
-     *        one set of Montgomery constants for the premaster
-     *        decryption and the ServerHello signature.
+     * @param ownCtx Compiled serverKeys.priv to lend (it must outlive
+     *        the handshake), or null for the handshake to compile and
+     *        keep its own, for the premaster decryption and the
+     *        ServerHello signature of every accept().
      */
     ServerHandshake(std::string serverId,
                     const crypto::RsaKeyPair &serverKeys,
                     crypto::HmacDrbg &drbg,
                     const crypto::RsaPrivateContext *ownCtx = nullptr);
+
+    ServerHandshake(const ServerHandshake &) = delete;
+    ServerHandshake &operator=(const ServerHandshake &) = delete;
 
     /** Result of a successful accept(). */
     struct Accepted
@@ -180,8 +196,8 @@ class ServerHandshake
      * @param expectedClientPub The client's public identity key, as
      *        known to this server via the cloud's key infrastructure —
      *        a hello signed by any other key is rejected.
-     * @param clientCtx Optional compiled form of expectedClientPub,
-     *        reused for the hello signature check.
+     * @param clientCtx Compiled expectedClientPub to lend, or null
+     *        to compile one for the hello signature check.
      */
     Result<Accepted> accept(
         const Bytes &clientHello,
@@ -190,9 +206,9 @@ class ServerHandshake
 
   private:
     std::string server;
-    const crypto::RsaKeyPair keys;
     crypto::HmacDrbg &rng;
-    const crypto::RsaPrivateContext *ownCtx_;
+    std::optional<crypto::RsaPrivateContext> ownCompiled;
+    const crypto::RsaPrivateContext &ownKey;
 };
 
 } // namespace monatt::net

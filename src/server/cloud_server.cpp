@@ -33,8 +33,7 @@ CloudServer::CloudServer(sim::EventQueue &eq, net::Network &network,
                          net::KeyDirectory &directory,
                          CloudServerConfig config, std::uint64_t seed)
     : events(eq), cfg(std::move(config)),
-      trust(cfg.id,
-            crypto::deriveKeyPair("server-identity", cfg.id, seed,
+      trust(crypto::deriveKeyPair("server-identity", cfg.id, seed,
                                   cfg.identityKeyBits),
             crypto::seedMaterial("server-entropy", cfg.id, seed),
             cfg.aikBits),

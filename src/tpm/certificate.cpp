@@ -53,12 +53,6 @@ Certificate::decode(const Bytes &data)
 }
 
 bool
-Certificate::verify(const crypto::RsaPublicKey &issuerKey) const
-{
-    return crypto::rsaVerify(issuerKey, encodeTbs(), signature);
-}
-
-bool
 Certificate::verify(const crypto::RsaPublicContext &issuerCtx) const
 {
     return crypto::rsaVerify(issuerCtx, encodeTbs(), signature);
@@ -68,21 +62,6 @@ Result<crypto::RsaPublicKey>
 Certificate::publicKey() const
 {
     return crypto::RsaPublicKey::decode(subjectKey);
-}
-
-Certificate
-issueCertificate(const std::string &subject,
-                 const crypto::RsaPublicKey &subjectKey,
-                 const std::string &issuer, std::uint64_t serial,
-                 const crypto::RsaPrivateKey &issuerKey)
-{
-    Certificate cert;
-    cert.subject = subject;
-    cert.subjectKey = subjectKey.encode();
-    cert.issuer = issuer;
-    cert.serial = serial;
-    cert.signature = crypto::rsaSign(issuerKey, cert.encodeTbs());
-    return cert;
 }
 
 Certificate

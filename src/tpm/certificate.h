@@ -43,10 +43,7 @@ struct Certificate
     /** Parse; error on malformed input. */
     static Result<Certificate> decode(const Bytes &data);
 
-    /** Check the issuer signature. */
-    bool verify(const crypto::RsaPublicKey &issuerKey) const;
-
-    /** Check the issuer signature through a compiled issuer key (the
+    /** Check the issuer signature under the compiled issuer key (the
      * Attestation Server keeps one per pCA across sessions). */
     bool verify(const crypto::RsaPublicContext &issuerCtx) const;
 
@@ -54,14 +51,7 @@ struct Certificate
     Result<crypto::RsaPublicKey> publicKey() const;
 };
 
-/** Create and sign a certificate. */
-Certificate issueCertificate(const std::string &subject,
-                             const crypto::RsaPublicKey &subjectKey,
-                             const std::string &issuer,
-                             std::uint64_t serial,
-                             const crypto::RsaPrivateKey &issuerKey);
-
-/** issueCertificate through a precomputed issuer signing context (the
+/** Create a certificate and sign it under the compiled issuer key (the
  * pCA signs every certificate with the same key). */
 Certificate issueCertificate(const std::string &subject,
                              const crypto::RsaPublicKey &subjectKey,

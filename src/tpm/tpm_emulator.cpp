@@ -2,71 +2,13 @@
 
 #include <stdexcept>
 
-#include "common/codec.h"
 #include "crypto/sha256.h"
 
 namespace monatt::tpm
 {
 
-Bytes
-TpmQuote::signedPortion() const
-{
-    ByteWriter w;
-    w.putString("tpm-quote");
-    w.putU32(static_cast<std::uint32_t>(pcrIndices.size()));
-    for (std::size_t i = 0; i < pcrIndices.size(); ++i) {
-        w.putU32(pcrIndices[i]);
-        w.putBytes(pcrValues[i]);
-    }
-    w.putBytes(nonce);
-    return w.take();
-}
-
-Bytes
-TpmQuote::encode() const
-{
-    ByteWriter w;
-    w.putU32(static_cast<std::uint32_t>(pcrIndices.size()));
-    for (std::size_t i = 0; i < pcrIndices.size(); ++i) {
-        w.putU32(pcrIndices[i]);
-        w.putBytes(pcrValues[i]);
-    }
-    w.putBytes(nonce);
-    w.putBytes(signature);
-    return w.take();
-}
-
-Result<TpmQuote>
-TpmQuote::decode(const Bytes &data)
-{
-    using R = Result<TpmQuote>;
-    ByteReader r(data);
-    auto count = r.getU32();
-    if (!count)
-        return R::error("TpmQuote: bad count");
-    if (count.value() > kNumPcrs)
-        return R::error("TpmQuote: too many PCRs");
-    TpmQuote q;
-    for (std::uint32_t i = 0; i < count.value(); ++i) {
-        auto idx = r.getU32();
-        auto val = r.getBytes();
-        if (!idx || !val)
-            return R::error("TpmQuote: truncated PCR entry");
-        q.pcrIndices.push_back(idx.value());
-        q.pcrValues.push_back(val.take());
-    }
-    auto nonce = r.getBytes();
-    auto sig = r.getBytes();
-    if (!nonce || !sig || !r.atEnd())
-        return R::error("TpmQuote: truncated trailer");
-    q.nonce = nonce.take();
-    q.signature = sig.take();
-    return R::ok(std::move(q));
-}
-
-TpmEmulator::TpmEmulator(crypto::RsaKeyPair endorsementKey)
-    : ek(std::move(endorsementKey)),
-      pcrs(kNumPcrs, Bytes(crypto::kSha256DigestSize, 0x00))
+TpmEmulator::TpmEmulator()
+    : pcrs(kNumPcrs, Bytes(crypto::kSha256DigestSize, 0x00))
 {
 }
 
@@ -92,43 +34,6 @@ TpmEmulator::reset()
 {
     for (auto &pcr : pcrs)
         pcr.assign(crypto::kSha256DigestSize, 0x00);
-}
-
-TpmQuote
-TpmEmulator::quote(const std::vector<std::uint32_t> &indices,
-                   const Bytes &nonce) const
-{
-    TpmQuote q;
-    q.pcrIndices = indices;
-    for (std::uint32_t idx : indices)
-        q.pcrValues.push_back(pcrRead(idx));
-    q.nonce = nonce;
-    q.signature = crypto::rsaSign(ek.priv, q.signedPortion());
-    return q;
-}
-
-bool
-TpmEmulator::verifyQuote(const TpmQuote &q,
-                         const crypto::RsaPublicKey &ekPub)
-{
-    if (q.pcrIndices.size() != q.pcrValues.size())
-        return false;
-    return crypto::rsaVerify(ekPub, q.signedPortion(), q.signature);
-}
-
-void
-TpmEmulator::nvWrite(std::uint32_t slot, const Bytes &data)
-{
-    nvram[slot] = data;
-}
-
-Result<Bytes>
-TpmEmulator::nvRead(std::uint32_t slot) const
-{
-    const auto it = nvram.find(slot);
-    if (it == nvram.end())
-        return Result<Bytes>::error("TpmEmulator::nvRead: empty slot");
-    return Result<Bytes>::ok(it->second);
 }
 
 } // namespace monatt::tpm

@@ -4,23 +4,19 @@
  *
  * The paper's prototype "integrated the TPM-emulator [39] and
  * leveraged it to emulate the functions of the Trust Module in the
- * hardware". This class is that emulator: a PCR bank with the TCG
- * extend semantics (PCR <- H(PCR || H(data))), small NVRAM, an
- * endorsement key, and quote generation (a signed hash over selected
- * PCR values and a caller nonce — the TCG "Quote" the paper borrows
- * its terminology from).
+ * hardware". This class is the part of that emulator CloudMonatt
+ * measures into: a PCR bank with the TCG extend semantics
+ * (PCR <- H(PCR || H(data))). The Trust Module, not the TPM, signs
+ * every quote, with a per-session attestation key (§3.4.2).
  */
 
 #ifndef MONATT_TPM_TPM_EMULATOR_H
 #define MONATT_TPM_TPM_EMULATOR_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
-#include "crypto/rsa.h"
 
 namespace monatt::tpm
 {
@@ -28,32 +24,11 @@ namespace monatt::tpm
 /** Number of PCRs, as in TPM 1.2. */
 constexpr std::size_t kNumPcrs = 24;
 
-/** A quote: selected PCR values bound to a nonce, signed by the EK. */
-struct TpmQuote
-{
-    std::vector<std::uint32_t> pcrIndices;
-    std::vector<Bytes> pcrValues;
-    Bytes nonce;
-    Bytes signature; //!< EK signature over the quote digest input.
-
-    /** The exact bytes the signature covers. */
-    Bytes signedPortion() const;
-
-    /** Serialize for transport. */
-    Bytes encode() const;
-
-    /** Parse; error on malformed input. */
-    static Result<TpmQuote> decode(const Bytes &data);
-};
-
-/** Software TPM. */
+/** Software TPM: a bank of kNumPcrs zeroed PCRs. */
 class TpmEmulator
 {
   public:
-    /**
-     * @param endorsementKey The device's burned-in key pair.
-     */
-    explicit TpmEmulator(crypto::RsaKeyPair endorsementKey);
+    TpmEmulator();
 
     /** Extend PCR `index` with `data` (TCG semantics). */
     void extend(std::uint32_t index, const Bytes &data);
@@ -64,34 +39,8 @@ class TpmEmulator
     /** Reset all PCRs to zero (platform reboot). */
     void reset();
 
-    /** Produce a signed quote over the selected PCRs and `nonce`. */
-    TpmQuote quote(const std::vector<std::uint32_t> &indices,
-                   const Bytes &nonce) const;
-
-    /**
-     * Verify a quote against an expected EK public key. Checks the
-     * signature only; the caller compares PCR values against its
-     * reference database.
-     */
-    static bool verifyQuote(const TpmQuote &q,
-                            const crypto::RsaPublicKey &ekPub);
-
-    /** Endorsement public key. */
-    const crypto::RsaPublicKey &endorsementPublic() const
-    {
-        return ek.pub;
-    }
-
-    /** Write a small NVRAM slot. */
-    void nvWrite(std::uint32_t slot, const Bytes &data);
-
-    /** Read an NVRAM slot; error when the slot was never written. */
-    Result<Bytes> nvRead(std::uint32_t slot) const;
-
   private:
-    crypto::RsaKeyPair ek;
     std::vector<Bytes> pcrs;
-    std::map<std::uint32_t, Bytes> nvram;
 };
 
 } // namespace monatt::tpm

@@ -16,26 +16,13 @@ drbgSeed(const Bytes &entropySeed, const crypto::RsaKeyPair &identity)
     return seed;
 }
 
-/** Deterministic endorsement key for a server id and entropy seed. */
-crypto::RsaKeyPair
-endorsementKey(const std::string &serverId, const Bytes &entropySeed)
-{
-    Bytes seed = toBytes("tpm-ek:" + serverId);
-    append(seed, entropySeed);
-    crypto::HmacDrbg drbg(seed);
-    Rng rng = drbg.forkRng();
-    return crypto::rsaGenerateKeyPair(512, rng);
-}
-
 } // namespace
 
-TrustModule::TrustModule(std::string serverId,
-                         crypto::RsaKeyPair identityKey,
+TrustModule::TrustModule(crypto::RsaKeyPair identityKey,
                          const Bytes &entropySeed,
                          std::size_t sessionKeyBits)
-    : server(std::move(serverId)), identity(std::move(identityKey)),
-      identityCtx(identity.priv), drbg(drbgSeed(entropySeed, identity)),
-      aikBits(sessionKeyBits), tpmDev(endorsementKey(server, entropySeed))
+    : identity(std::move(identityKey)), identityCtx(identity.priv),
+      drbg(drbgSeed(entropySeed, identity)), aikBits(sessionKeyBits)
 {
 }
 
@@ -43,12 +30,6 @@ Bytes
 TrustModule::signWithIdentity(const Bytes &message) const
 {
     return crypto::rsaSign(identityCtx, message);
-}
-
-Result<Bytes>
-TrustModule::decryptWithIdentity(const Bytes &cipher) const
-{
-    return crypto::rsaDecrypt(identityCtx, cipher);
 }
 
 Bytes
@@ -79,16 +60,6 @@ TrustModule::writeRegister(const std::string &bank, std::size_t index,
     it->second[index] = value;
 }
 
-void
-TrustModule::incrementRegister(const std::string &bank, std::size_t index,
-                               std::uint64_t delta)
-{
-    auto it = banks.find(bank);
-    if (it == banks.end() || index >= it->second.size())
-        throw std::out_of_range("TrustModule: bad TER address " + bank);
-    it->second[index] += delta;
-}
-
 std::uint64_t
 TrustModule::readRegister(const std::string &bank, std::size_t index) const
 {
@@ -105,15 +76,6 @@ TrustModule::readBank(const std::string &bank) const
     if (it == banks.end())
         throw std::out_of_range("TrustModule: unknown TER bank " + bank);
     return it->second;
-}
-
-void
-TrustModule::clearBank(const std::string &bank)
-{
-    auto it = banks.find(bank);
-    if (it == banks.end())
-        throw std::out_of_range("TrustModule: unknown TER bank " + bank);
-    std::fill(it->second.begin(), it->second.end(), 0);
 }
 
 AttestationSessionInfo

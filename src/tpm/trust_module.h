@@ -20,8 +20,8 @@
  * attestation key pair {AVKs, ASKs} (§3.4.2), signs the public half
  * with the long-term identity key SKs for pCA certification, and signs
  * measurement quotes with ASKs. The private identity key never leaves
- * the module — expressed here by the class exposing only sign/decrypt
- * operations, never the key material.
+ * the module — expressed here by the class signing with it and lending
+ * the pair only to the server's secure endpoint for its handshakes.
  */
 
 #ifndef MONATT_TPM_TRUST_MODULE_H
@@ -57,14 +57,13 @@ class TrustModule
 {
   public:
     /**
-     * @param serverId Owning server's id (goes into signed blobs).
      * @param identityKey Long-term {VKs, SKs}; conceptually inserted
      *        into the tamper-proof register at deployment (§3.4.2).
      * @param entropySeed Seed for the RNG block.
      * @param sessionKeyBits Modulus size for per-session AIKs.
      */
-    TrustModule(std::string serverId, crypto::RsaKeyPair identityKey,
-                const Bytes &entropySeed, std::size_t sessionKeyBits = 512);
+    TrustModule(crypto::RsaKeyPair identityKey, const Bytes &entropySeed,
+                std::size_t sessionKeyBits = 512);
 
     /** Public identity key VKs. */
     const crypto::RsaPublicKey &identityPublic() const
@@ -75,12 +74,9 @@ class TrustModule
     /** Sign with the long-term identity key SKs. */
     Bytes signWithIdentity(const Bytes &message) const;
 
-    /** Decrypt a blob encrypted to VKs (for channel handshakes). */
-    Result<Bytes> decryptWithIdentity(const Bytes &cipher) const;
-
     /** Identity key pair view for SSL handshakes (private half stays
-     * inside the module; the channel layer only calls sign/decrypt
-     * through this reference). */
+     * inside the module; the channel layer only signs and decrypts
+     * with it). */
     const crypto::RsaKeyPair &identityKeyPair() const { return identity; }
 
     /** RNG block: generate `n` random bytes (nonces etc.). */
@@ -98,10 +94,6 @@ class TrustModule
     void writeRegister(const std::string &bank, std::size_t index,
                        std::uint64_t value);
 
-    /** Add `delta` to one register. */
-    void incrementRegister(const std::string &bank, std::size_t index,
-                           std::uint64_t delta = 1);
-
     /** Read one register. */
     std::uint64_t readRegister(const std::string &bank,
                                std::size_t index) const;
@@ -109,9 +101,6 @@ class TrustModule
     /** Read a whole bank. @throws std::out_of_range on unknown bank. */
     const std::vector<std::uint64_t> &readBank(
         const std::string &bank) const;
-
-    /** Zero a bank. */
-    void clearBank(const std::string &bank);
 
     // --- Attestation sessions ----------------------------------------
 
@@ -146,10 +135,9 @@ class TrustModule
         crypto::RsaPrivateContext ctx;
     };
 
-    std::string server;
     crypto::RsaKeyPair identity;
-    /** Compiled identity key: periodic attestation rounds sign and
-     * decrypt through this instead of re-deriving constants. */
+    /** Compiled identity key: every AVK signature goes through this
+     * instead of re-deriving constants. */
     crypto::RsaPrivateContext identityCtx;
     crypto::HmacDrbg drbg;
     std::size_t aikBits;

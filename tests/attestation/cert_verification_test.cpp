@@ -176,7 +176,7 @@ class CertCacheEndToEnd : public ::testing::Test
     Bytes issueAikCert()
     {
         return tpm::issueCertificate("aik-e2e", aik.pub, "privacy-ca", 7,
-                                     pcaKeys.priv)
+                                     crypto::RsaPrivateContext(pcaKeys.priv))
             .encode();
     }
 
@@ -221,7 +221,8 @@ class CertCacheEndToEnd : public ::testing::Test
         resp.nonce3 = req.nonce3;
         resp.quote3 = proto::MeasureResponse::quoteInput(
             resp.vid, resp.rm, resp.m, resp.nonce3);
-        resp.signature = crypto::rsaSign(signer, resp.signedPortion());
+        resp.signature = crypto::rsaSign(crypto::RsaPrivateContext(signer),
+                                         resp.signedPortion());
         resp.certificate = certBytes;
         server.sendSecure(as.id(),
                           proto::packMessage(MessageKind::MeasureResponse,
@@ -327,7 +328,7 @@ TEST_F(CertCacheEndToEnd, TamperedCertificateMissesAndYieldsUnknown)
     for (const proto::PropertyResult &pr : bad.report.results)
         EXPECT_EQ(pr.status, HealthStatus::Unknown);
     // The report itself is authentic: signed by the AS identity key.
-    EXPECT_TRUE(crypto::rsaVerify(as.identityPublic(),
+    EXPECT_TRUE(crypto::rsaVerify(crypto::RsaPublicContext(as.identityPublic()),
                                   bad.signedPortion(), bad.signature));
 }
 

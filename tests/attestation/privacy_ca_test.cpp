@@ -55,7 +55,8 @@ struct PcaFixture
         req.serverId = "server-1";
         req.sessionLabel = label;
         req.avk = crypto::deriveKeyPair("avk", label, 4, 512).pub.encode();
-        req.avkSignature = crypto::rsaSign(identity.priv, req.avk);
+        req.avkSignature =
+            crypto::rsaSign(crypto::RsaPrivateContext(identity.priv), req.avk);
         answer.reset();
         server->sendSecure("privacy-ca",
                            proto::pack(proto::MessageKind::CertRequest, req));

@@ -1,10 +1,10 @@
 /**
  * @file
  * Differential tests of the Montgomery modular-exponentiation engine
- * against the legacy division-based ladder, plus equivalence of the
- * precomputed RSA key contexts with the plain key operations. The
- * legacy ladder is the reference implementation: any disagreement is
- * a bug in the fast path.
+ * against the legacy division-based ladder, and of the compiled RSA
+ * key contexts against RSA on that ladder. The legacy ladder is the
+ * reference implementation: any disagreement is a bug in the fast
+ * path.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "crypto/bignum.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 
 namespace monatt::crypto
 {
@@ -247,7 +248,7 @@ TEST(MontgomeryTest, ContextReuseMatchesOneShot)
     }
 }
 
-// --- RSA context equivalence ------------------------------------------
+// --- RSA contexts against the reference ladder -----------------------
 
 const RsaKeyPair &
 testKeyPair()
@@ -259,6 +260,9 @@ testKeyPair()
     return kp;
 }
 
+// A signature is the EMSA block raised to d mod n: check the compiled
+// CRT path against the legacy ladder in both directions, and the
+// block's frame (00 01 ... digest) without the library's encoder.
 TEST(RsaContextTest, SignaturesInterchangeable)
 {
     const RsaKeyPair &kp = testKeyPair();
@@ -266,15 +270,24 @@ TEST(RsaContextTest, SignaturesInterchangeable)
     const RsaPublicContext pub(kp.pub);
     const Bytes msg = toBytes("context equivalence message");
 
-    const Bytes sigKey = rsaSign(kp.priv, msg);
-    const Bytes sigCtx = rsaSign(priv, msg);
-    // Deterministic padding: the context path must be byte-identical.
-    EXPECT_EQ(sigKey, sigCtx);
-    EXPECT_TRUE(rsaVerify(kp.pub, msg, sigCtx));
-    EXPECT_TRUE(rsaVerify(pub, msg, sigKey));
-    EXPECT_FALSE(rsaVerify(pub, toBytes("other message"), sigCtx));
+    const Bytes sig = rsaSign(priv, msg);
+    const BigUint s = BigUint::fromBytes(sig);
+    const BigUint em = s.modExpLegacy(kp.pub.e, kp.pub.n);
+    EXPECT_EQ(em.modExpLegacy(kp.priv.d, kp.priv.n), s);
+    EXPECT_EQ(pub.encryptRaw(s), em);
+    const Bytes block = em.toBytes(kp.pub.modulusBytes());
+    EXPECT_EQ(block[0], 0x00);
+    EXPECT_EQ(block[1], 0x01);
+    EXPECT_EQ(Bytes(block.end() - 32, block.end()), Sha256::hash(msg));
+
+    // A second compilation of the same key signs the same bytes.
+    EXPECT_EQ(rsaSign(RsaPrivateContext(kp.priv), msg), sig);
+    EXPECT_TRUE(rsaVerify(pub, msg, sig));
+    EXPECT_FALSE(rsaVerify(pub, toBytes("other message"), sig));
 }
 
+// A ciphertext is the EME block raised to e mod n: the legacy ladder
+// under d recovers a block that frames the message.
 TEST(RsaContextTest, EncryptionInterchangeable)
 {
     const RsaKeyPair &kp = testKeyPair();
@@ -284,17 +297,34 @@ TEST(RsaContextTest, EncryptionInterchangeable)
     Rng rng(0xdd);
     const Bytes msg = toBytes("premaster secret bytes");
 
-    auto c1 = rsaEncrypt(pub, msg, rng);
-    ASSERT_TRUE(c1.isOk());
-    auto p1 = rsaDecrypt(kp.priv, c1.value());
-    ASSERT_TRUE(p1.isOk());
-    EXPECT_EQ(p1.value(), msg);
+    auto cipher = rsaEncrypt(pub, msg, rng);
+    ASSERT_TRUE(cipher.isOk());
+    const BigUint c = BigUint::fromBytes(cipher.value());
+    const BigUint em = c.modExpLegacy(kp.priv.d, kp.priv.n);
+    EXPECT_EQ(priv.decryptRaw(c), em);
+    EXPECT_EQ(em.modExpLegacy(kp.pub.e, kp.pub.n), c);
+    const Bytes block = em.toBytes(kp.pub.modulusBytes());
+    EXPECT_EQ(block[0], 0x00);
+    EXPECT_EQ(block[1], 0x02);
+    EXPECT_EQ(Bytes(block.end() - msg.size(), block.end()), msg);
 
-    auto c2 = rsaEncrypt(kp.pub, msg, rng);
-    ASSERT_TRUE(c2.isOk());
-    auto p2 = rsaDecrypt(priv, c2.value());
-    ASSERT_TRUE(p2.isOk());
-    EXPECT_EQ(p2.value(), msg);
+    auto plain = rsaDecrypt(priv, cipher.value());
+    ASSERT_TRUE(plain.isOk());
+    EXPECT_EQ(plain.value(), msg);
+}
+
+// Every key the product compiles has an odd modulus and its CRT
+// primes; a context refuses anything else rather than falling back.
+TEST(RsaContextTest, RejectsKeysWithoutOddModuli)
+{
+    const RsaKeyPair &kp = testKeyPair();
+    RsaPublicKey even = kp.pub;
+    even.n = even.n + BigUint::fromU64(1);
+    EXPECT_THROW(RsaPublicContext{even}, std::domain_error);
+    RsaPrivateKey noCrt = kp.priv;
+    noCrt.p = BigUint();
+    noCrt.q = BigUint();
+    EXPECT_THROW(RsaPrivateContext{noCrt}, std::domain_error);
 }
 
 } // namespace

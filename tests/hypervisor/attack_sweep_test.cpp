@@ -41,11 +41,7 @@ bootHv(Hypervisor &hv)
 {
     // boot() only uses the TPM during the call (IMU measurement), so
     // a throwaway device is fine for scheduler-focused tests.
-    static const crypto::RsaKeyPair kp = [] {
-        Rng rng(4242);
-        return crypto::rsaGenerateKeyPair(256, rng);
-    }();
-    tpm::TpmEmulator tpm(kp);
+    tpm::TpmEmulator tpm;
     hv.boot(tpm);
 }
 

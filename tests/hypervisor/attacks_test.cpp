@@ -30,8 +30,7 @@ struct AttackFixture
     Hypervisor hv;
     tpm::TpmEmulator tpm;
 
-    AttackFixture()
-        : hv(events, makeConfig()), tpm(makeTpmKey())
+    AttackFixture() : hv(events, makeConfig())
     {
         hv.boot(tpm);
     }
@@ -44,13 +43,6 @@ struct AttackFixture
         cfg.hypervisorCode = toBytes("xen-4.2");
         cfg.hostOsCode = toBytes("dom0-linux");
         return cfg;
-    }
-
-    static crypto::RsaKeyPair
-    makeTpmKey()
-    {
-        Rng rng(515);
-        return crypto::rsaGenerateKeyPair(256, rng);
     }
 };
 

@@ -165,8 +165,7 @@ TEST(PmuTest, CountersScaleWithRuntime)
 
 TEST(ImuTest, BootMeasurementsMatchExpectedValues)
 {
-    Rng rng(77);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, rng));
+    tpm::TpmEmulator tpm;
     IntegrityMeasurementUnit imu(tpm);
     imu.measureBoot(toBytes("hv-code"), toBytes("os-code"));
     EXPECT_EQ(imu.hypervisorPcr(),
@@ -176,9 +175,7 @@ TEST(ImuTest, BootMeasurementsMatchExpectedValues)
 
 TEST(ImuTest, CorruptedSoftwareChangesPcr)
 {
-    Rng rng(77);
-    tpm::TpmEmulator a(crypto::rsaGenerateKeyPair(256, rng));
-    tpm::TpmEmulator b(crypto::rsaGenerateKeyPair(256, rng));
+    tpm::TpmEmulator a, b;
     IntegrityMeasurementUnit imuA(a), imuB(b);
     imuA.measureBoot(toBytes("hv"), toBytes("os"));
     Bytes corrupted = toBytes("hv");
@@ -190,8 +187,7 @@ TEST(ImuTest, CorruptedSoftwareChangesPcr)
 
 TEST(ImuTest, VmImageMeasurement)
 {
-    Rng rng(78);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, rng));
+    tpm::TpmEmulator tpm;
     IntegrityMeasurementUnit imu(tpm);
     const Bytes digest = imu.measureVmImage(toBytes("image-bytes"));
     EXPECT_EQ(digest, crypto::Sha256::hash(toBytes("image-bytes")));
@@ -206,8 +202,7 @@ TEST(HypervisorTest, DomainLifecycle)
     cfg.hypervisorCode = toBytes("hv");
     cfg.hostOsCode = toBytes("os");
     Hypervisor hv(events, cfg);
-    Rng rng(79);
-    tpm::TpmEmulator tpm(crypto::rsaGenerateKeyPair(256, rng));
+    tpm::TpmEmulator tpm;
     hv.boot(tpm);
     EXPECT_TRUE(hv.booted());
 

@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/rsa.h"
 #include "crypto/sha256.h"
 #include "hypervisor/hypervisor.h"
 #include "sim/event_queue.h"
@@ -71,8 +70,7 @@ struct Host
 };
 
 Host
-makeHost(sim::EventQueue &events, int pcpus, bool exactAccounting,
-         std::uint64_t keySeed)
+makeHost(sim::EventQueue &events, int pcpus, bool exactAccounting)
 {
     HypervisorConfig cfg;
     cfg.numPCpus = pcpus;
@@ -81,9 +79,7 @@ makeHost(sim::EventQueue &events, int pcpus, bool exactAccounting,
     cfg.hostOsCode = toBytes("dom0");
     Host h;
     h.hv = std::make_unique<Hypervisor>(events, cfg);
-    Rng rng(keySeed);
-    h.tpm = std::make_unique<tpm::TpmEmulator>(
-        crypto::rsaGenerateKeyPair(256, rng));
+    h.tpm = std::make_unique<tpm::TpmEmulator>();
     h.hv->boot(*h.tpm);
     return h;
 }
@@ -98,7 +94,7 @@ multiHostDigest()
 
     // Host 0: a spinner and a database service on pCPU 0, the
     // availability attack and a CPU-bound victim on pCPU 1.
-    Host h0 = makeHost(events, 2, false, 11);
+    Host h0 = makeHost(events, 2, false);
     const DomainId spin0 = h0.hv->createDomain("spin", 1, 0, toBytes("a"));
     const DomainId db0 = h0.hv->createDomain("db", 1, 0, toBytes("b"));
     const DomainId attacker0 =
@@ -117,7 +113,7 @@ multiHostDigest()
 
     // Host 1: a covert-channel sender against a spinning receiver on
     // pCPU 0, two services on pCPU 1.
-    Host h1 = makeHost(events, 2, false, 12);
+    Host h1 = makeHost(events, 2, false);
     const DomainId receiver1 =
         h1.hv->createDomain("receiver", 1, 0, toBytes("e"));
     const DomainId sender1 =
@@ -137,7 +133,7 @@ multiHostDigest()
 
     // Host 2: exact accounting, one pCPU, a repeating CPU-bound
     // program against a mail service and a spinner.
-    Host h2 = makeHost(events, 1, true, 13);
+    Host h2 = makeHost(events, 1, true);
     const DomainId loop2 = h2.hv->createDomain("loop", 1, 0, toBytes("i"));
     const DomainId mail2 = h2.hv->createDomain("mail", 1, 0, toBytes("j"));
     const DomainId spin2 = h2.hv->createDomain("spin", 1, 0, toBytes("k"));

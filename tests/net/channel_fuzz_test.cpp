@@ -100,6 +100,7 @@ TEST_P(MessageFuzzTest, MutatedMeasureResponsesNeverVerify)
     Rng rng(GetParam());
     // Build a legitimate signed response.
     const auto aik = crypto::rsaGenerateKeyPair(512, rng);
+    const crypto::RsaPublicContext aikPub(aik.pub);
     proto::MeasureResponse resp;
     resp.requestId = 1;
     resp.vid = "vm-1";
@@ -111,9 +112,10 @@ TEST_P(MessageFuzzTest, MutatedMeasureResponsesNeverVerify)
     resp.nonce3 = rng.nextBytes(16);
     resp.quote3 = proto::MeasureResponse::quoteInput(resp.vid, resp.rm,
                                                      resp.m, resp.nonce3);
-    resp.signature = crypto::rsaSign(aik.priv, resp.signedPortion());
-    ASSERT_TRUE(crypto::rsaVerify(aik.pub, resp.signedPortion(),
-                                  resp.signature));
+    resp.signature = crypto::rsaSign(crypto::RsaPrivateContext(aik.priv),
+                                     resp.signedPortion());
+    ASSERT_TRUE(
+        crypto::rsaVerify(aikPub, resp.signedPortion(), resp.signature));
 
     const Bytes wire = proto::encode(resp);
     for (int trial = 0; trial < 64; ++trial) {
@@ -134,8 +136,8 @@ TEST_P(MessageFuzzTest, MutatedMeasureResponsesNeverVerify)
         const Bytes expectedQ3 = proto::MeasureResponse::quoteInput(
             d.vid, d.rm, d.m, d.nonce3);
         const bool quoteOk = constantTimeEqual(expectedQ3, d.quote3);
-        const bool sigOk = crypto::rsaVerify(aik.pub, d.signedPortion(),
-                                             d.signature);
+        const bool sigOk =
+            crypto::rsaVerify(aikPub, d.signedPortion(), d.signature);
         EXPECT_FALSE(quoteOk && sigOk)
             << "mutation at byte " << pos << " survived verification";
     }
@@ -147,16 +149,17 @@ TEST_P(MessageFuzzTest, RandomBytesNeverDecodeToReports)
     // is a default message), so the property is that garbage never
     // decodes to a report that verifies under the signer's key.
     Rng rng(GetParam() ^ 0xabcd);
-    const auto signer = crypto::rsaGenerateKeyPair(512, rng);
+    const crypto::RsaPublicContext signer(
+        crypto::rsaGenerateKeyPair(512, rng).pub);
     int verified = 0;
     for (int trial = 0; trial < 200; ++trial) {
         const Bytes garbage = rng.nextBytes(rng.nextBounded(128));
         if (auto r = proto::decode<proto::ReportToCustomer>(garbage))
-            verified += crypto::rsaVerify(signer.pub,
+            verified += crypto::rsaVerify(signer,
                                           r.value().signedPortion(),
                                           r.value().signature);
         if (auto m = proto::decode<proto::MeasureResponse>(garbage))
-            verified += crypto::rsaVerify(signer.pub,
+            verified += crypto::rsaVerify(signer,
                                           m.value().signedPortion(),
                                           m.value().signature);
     }
