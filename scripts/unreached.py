@@ -19,11 +19,10 @@ instantiate.
 
 scripts/unreached_allowlist.txt names the functions allowed to stay
 unreached, each with the tests or benches that use it: test seams,
-through which tests drive or observe the product, and deletion
-candidates that only their own unit tests reach. It exits 1 when a
-function is unreached and not listed (delete it, move it into the
-tests, or list it with its users) or when a listed function is no
-longer unreached (drop the line). It configures perfbench/ in its own
+through which tests drive or observe the product. It exits 1 when a
+function is unreached and not listed (delete it, or list it with the
+tests that drive or observe the product through it) or when a listed
+function is no longer unreached (drop the line). It configures perfbench/ in its own
 build directory and writes nothing under it.
 """
 

@@ -1,7 +1,5 @@
 #include "common/codec.h"
 
-#include <cstring>
-
 namespace monatt
 {
 
@@ -9,13 +7,6 @@ void
 ByteWriter::putU8(std::uint8_t v)
 {
     buf.push_back(v);
-}
-
-void
-ByteWriter::putU16(std::uint16_t v)
-{
-    buf.push_back(static_cast<std::uint8_t>(v));
-    buf.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 void
@@ -33,20 +24,6 @@ ByteWriter::putU64(std::uint64_t v)
 }
 
 void
-ByteWriter::putI64(std::int64_t v)
-{
-    putU64(static_cast<std::uint64_t>(v));
-}
-
-void
-ByteWriter::putDouble(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    putU64(bits);
-}
-
-void
 ByteWriter::putBytes(const Bytes &v)
 {
     putU32(static_cast<std::uint32_t>(v.size()));
@@ -58,31 +35,6 @@ ByteWriter::putString(const std::string &v)
 {
     putU32(static_cast<std::uint32_t>(v.size()));
     buf.insert(buf.end(), v.begin(), v.end());
-}
-
-void
-ByteWriter::putRaw(const Bytes &v)
-{
-    buf.insert(buf.end(), v.begin(), v.end());
-}
-
-Result<std::uint8_t>
-ByteReader::getU8()
-{
-    if (remaining() < 1)
-        return Result<std::uint8_t>::error("truncated u8");
-    return Result<std::uint8_t>::ok(buf[pos++]);
-}
-
-Result<std::uint16_t>
-ByteReader::getU16()
-{
-    if (remaining() < 2)
-        return Result<std::uint16_t>::error("truncated u16");
-    std::uint16_t v = static_cast<std::uint16_t>(buf[pos]) |
-                      static_cast<std::uint16_t>(buf[pos + 1]) << 8;
-    pos += 2;
-    return Result<std::uint16_t>::ok(v);
 }
 
 Result<std::uint32_t>
@@ -109,27 +61,6 @@ ByteReader::getU64()
     return Result<std::uint64_t>::ok(v);
 }
 
-Result<std::int64_t>
-ByteReader::getI64()
-{
-    auto r = getU64();
-    if (!r)
-        return Result<std::int64_t>::error(r.errorMessage());
-    return Result<std::int64_t>::ok(static_cast<std::int64_t>(r.value()));
-}
-
-Result<double>
-ByteReader::getDouble()
-{
-    auto r = getU64();
-    if (!r)
-        return Result<double>::error(r.errorMessage());
-    double v;
-    std::uint64_t bits = r.value();
-    std::memcpy(&v, &bits, sizeof(v));
-    return Result<double>::ok(v);
-}
-
 Result<Bytes>
 ByteReader::getBytes()
 {
@@ -151,16 +82,6 @@ ByteReader::getString()
         return Result<std::string>::error(r.errorMessage());
     const Bytes &b = r.value();
     return Result<std::string>::ok(std::string(b.begin(), b.end()));
-}
-
-Result<Bytes>
-ByteReader::getRaw(std::size_t n)
-{
-    if (remaining() < n)
-        return Result<Bytes>::error("truncated raw field");
-    Bytes out(buf.begin() + pos, buf.begin() + pos + n);
-    pos += n;
-    return Result<Bytes>::ok(std::move(out));
 }
 
 } // namespace monatt

@@ -41,29 +41,17 @@ class ByteWriter
     /** Append a single byte. */
     void putU8(std::uint8_t v);
 
-    /** Append a 16-bit little-endian integer. */
-    void putU16(std::uint16_t v);
-
     /** Append a 32-bit little-endian integer. */
     void putU32(std::uint32_t v);
 
     /** Append a 64-bit little-endian integer. */
     void putU64(std::uint64_t v);
 
-    /** Append a 64-bit signed integer (two's complement). */
-    void putI64(std::int64_t v);
-
-    /** Append an IEEE-754 double (bit pattern, little-endian). */
-    void putDouble(double v);
-
     /** Append a length-prefixed byte buffer. */
     void putBytes(const Bytes &v);
 
     /** Append a length-prefixed UTF-8/ASCII string. */
     void putString(const std::string &v);
-
-    /** Append raw bytes with no length prefix (for fixed-size fields). */
-    void putRaw(const Bytes &v);
 
     /**
      * Finished buffer, borrowed: a reference into the writer, valid
@@ -86,21 +74,14 @@ class ByteReader
     /** Wrap a buffer; the reader does not own the memory. */
     explicit ByteReader(const Bytes &data) : buf(data) {}
 
-    Result<std::uint8_t> getU8();
-    Result<std::uint16_t> getU16();
     Result<std::uint32_t> getU32();
     Result<std::uint64_t> getU64();
-    Result<std::int64_t> getI64();
-    Result<double> getDouble();
 
     /** Read a length-prefixed byte buffer. */
     Result<Bytes> getBytes();
 
     /** Read a length-prefixed string. */
     Result<std::string> getString();
-
-    /** Read exactly n raw bytes (no prefix). */
-    Result<Bytes> getRaw(std::size_t n);
 
     /** Bytes not yet consumed. */
     std::size_t remaining() const { return buf.size() - pos; }

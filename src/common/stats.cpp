@@ -56,13 +56,6 @@ Histogram::binCenter(std::size_t i) const
     return lowBound + width * (static_cast<double>(i) + 0.5);
 }
 
-void
-Histogram::clear()
-{
-    std::fill(bucket.begin(), bucket.end(), 0);
-    n = 0;
-}
-
 std::vector<Peak>
 findPeaks(const std::vector<double> &dist, double minMass)
 {

@@ -51,9 +51,6 @@ class Histogram
     /** Number of bins. */
     std::size_t size() const { return bucket.size(); }
 
-    /** Reset all counts to zero. */
-    void clear();
-
   private:
     double lowBound;
     double highBound;

@@ -19,10 +19,8 @@ HashRing::hashKey(const std::string &key)
 void
 HashRing::addNode(const std::string &nodeId, int virtualNodes)
 {
-    if (perNode.count(nodeId) != 0)
+    if (!nodeIds.insert(nodeId).second)
         return;
-    std::vector<std::uint64_t> placed;
-    placed.reserve(static_cast<std::size_t>(virtualNodes));
     for (int i = 0; i < virtualNodes; ++i) {
         std::uint64_t point =
             hashKey(nodeId + "#" + std::to_string(i));
@@ -32,26 +30,13 @@ HashRing::addNode(const std::string &nodeId, int virtualNodes)
         while (points.count(point) != 0)
             ++point;
         points.emplace(point, nodeId);
-        placed.push_back(point);
     }
-    perNode.emplace(nodeId, std::move(placed));
-}
-
-void
-HashRing::removeNode(const std::string &nodeId)
-{
-    auto it = perNode.find(nodeId);
-    if (it == perNode.end())
-        return;
-    for (std::uint64_t point : it->second)
-        points.erase(point);
-    perNode.erase(it);
 }
 
 bool
 HashRing::contains(const std::string &nodeId) const
 {
-    return perNode.count(nodeId) != 0;
+    return nodeIds.count(nodeId) != 0;
 }
 
 const std::string &
@@ -69,11 +54,7 @@ HashRing::owner(const std::string &key) const
 std::vector<std::string>
 HashRing::nodes() const
 {
-    std::vector<std::string> out;
-    out.reserve(perNode.size());
-    for (const auto &[id, placed] : perNode)
-        out.push_back(id);
-    return out;
+    return {nodeIds.begin(), nodeIds.end()};
 }
 
 } // namespace monatt::controller

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,9 +39,6 @@ class HashRing
     void addNode(const std::string &nodeId,
                  int virtualNodes = kDefaultVirtualNodes);
 
-    /** Remove a node and all of its virtual points. */
-    void removeNode(const std::string &nodeId);
-
     /** True if the node currently sits on the ring. */
     bool contains(const std::string &nodeId) const;
 
@@ -51,13 +49,13 @@ class HashRing
     std::vector<std::string> nodes() const;
 
     /** Number of distinct nodes. */
-    std::size_t size() const { return perNode.size(); }
+    std::size_t size() const { return nodeIds.size(); }
 
     bool empty() const { return points.empty(); }
 
   private:
     std::map<std::uint64_t, std::string> points;
-    std::map<std::string, std::vector<std::uint64_t>> perNode;
+    std::set<std::string> nodeIds;
 };
 
 } // namespace monatt::controller

@@ -36,16 +36,6 @@ propertyName(SecurityProperty p)
     return "unknown";
 }
 
-SecurityProperty
-propertyFromName(const std::string &name)
-{
-    for (SecurityProperty p : allProperties()) {
-        if (propertyName(p) == name)
-            return p;
-    }
-    throw std::invalid_argument("unknown security property: " + name);
-}
-
 std::string
 healthStatusName(HealthStatus s)
 {

@@ -48,9 +48,6 @@ inline constexpr std::size_t kMaxProperties = 64;
 /** Human-readable property name. */
 std::string propertyName(SecurityProperty p);
 
-/** Parse a property name; throws std::invalid_argument when unknown. */
-SecurityProperty propertyFromName(const std::string &name);
-
 /** The appraisal outcome for one property. */
 enum class HealthStatus : std::uint8_t
 {

@@ -75,27 +75,6 @@ StableStore::append(std::uint16_t type, Bytes payload)
     return buffered.back().rec.lsn;
 }
 
-std::uint64_t
-StableStore::appendMany(std::uint16_t type, std::vector<Bytes> payloads)
-{
-    if (payloads.empty())
-        return 0;
-    ++counters.appendBatches;
-    counters.appends += payloads.size();
-    buffered.reserve(buffered.size() + payloads.size());
-    for (Bytes &payload : payloads)
-    {
-        JournalRecord rec;
-        rec.lsn = nextLsn++;
-        rec.type = type;
-        rec.payload = std::move(payload);
-        const std::uint64_t prev = chainTail();
-        buffered.push_back(seal(std::move(rec)));
-        buffered.back().prevLsn = prev;
-    }
-    return buffered.back().rec.lsn;
-}
-
 void
 StableStore::sync()
 {

@@ -63,7 +63,7 @@ struct JournalRecord
 struct StableStoreStats
 {
     std::uint64_t appends = 0;      //!< records appended (volatile)
-    std::uint64_t appendBatches = 0; //!< appendMany/adoptMany calls
+    std::uint64_t appendBatches = 0; //!< adoptMany calls
     std::uint64_t syncs = 0;        //!< fsync barriers issued
     std::uint64_t checkpoints = 0;  //!< snapshots taken
     std::uint64_t crashes = 0;      //!< simulated power cuts
@@ -154,18 +154,6 @@ class StableStore
      * @return The record's LSN (monotone, starts at 1).
      */
     std::uint64_t append(std::uint16_t type, Bytes payload);
-
-    /**
-     * Append a batch of same-type records in one call: one reserve,
-     * consecutive LSNs, identical digest to the equivalent sequence of
-     * append() calls. This is the bulk-journal path for fan-outs that
-     * mutate many records in one handler.
-     *
-     * @return The LSN of the *last* record (0 when `payloads` is
-     *         empty).
-     */
-    std::uint64_t appendMany(std::uint16_t type,
-                             std::vector<Bytes> payloads);
 
     /** Fsync barrier: make every appended record durable. The whole
      * buffered tail moves in one bulk splice (group commit), not

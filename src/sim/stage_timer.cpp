@@ -29,15 +29,6 @@ StageTimer::record(const std::string &name, SimTime start, SimTime end)
 }
 
 SimTime
-StageTimer::total() const
-{
-    SimTime sum = 0;
-    for (const auto &stage : done)
-        sum += stage.duration();
-    return sum;
-}
-
-SimTime
 StageTimer::durationOf(const std::string &name) const
 {
     SimTime sum = 0;
@@ -46,13 +37,6 @@ StageTimer::durationOf(const std::string &name) const
             sum += stage.duration();
     }
     return sum;
-}
-
-void
-StageTimer::clear()
-{
-    done.clear();
-    open = false;
 }
 
 } // namespace monatt::sim

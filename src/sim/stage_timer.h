@@ -47,14 +47,8 @@ class StageTimer
     /** All completed stages, in order. */
     const std::vector<StageRecord> &stages() const { return done; }
 
-    /** Total duration across all completed stages. */
-    SimTime total() const;
-
     /** Duration of the named stage (sums duplicates); 0 if absent. */
     SimTime durationOf(const std::string &name) const;
-
-    /** Drop all records. */
-    void clear();
 
     /** True when a stage is currently open. */
     bool hasOpenStage() const { return open; }

@@ -47,12 +47,6 @@ Term::Term(TermKind kind, std::string atom, std::vector<TermPtr> children)
     repr_ += ")";
 }
 
-bool
-Term::equals(const Term &other) const
-{
-    return repr_ == other.repr_;
-}
-
 TermPtr
 Term::make(TermKind kind, std::string atom, std::vector<TermPtr> children)
 {

@@ -54,10 +54,8 @@ class Term
     /** Sub-terms. */
     const std::vector<TermPtr> &children() const { return children_; }
 
-    /** Structural equality. */
-    bool equals(const Term &other) const;
-
-    /** Canonical string form (used for hashing and debugging). */
+    /** Canonical string form: equal exactly when the terms are
+     * structurally equal (used for hashing and debugging). */
     const std::string &repr() const { return repr_; }
 
     // --- Factories -----------------------------------------------------

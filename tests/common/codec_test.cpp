@@ -18,19 +18,18 @@ TEST(CodecTest, ScalarRoundTrip)
 {
     ByteWriter w;
     w.putU8(0xab);
-    w.putU16(0x1234);
     w.putU32(0xdeadbeef);
     w.putU64(0x0123456789abcdefULL);
-    w.putI64(-42);
-    w.putDouble(3.14159);
+    // One byte, then little-endian fixed widths.
+    ASSERT_EQ(w.data().size(), 13u);
+    EXPECT_EQ(w.data()[0], 0xab);
+    EXPECT_EQ(w.data()[1], 0xef);
+    EXPECT_EQ(w.data()[5], 0xef);
 
-    ByteReader r(w.data());
-    EXPECT_EQ(r.getU8().value(), 0xab);
-    EXPECT_EQ(r.getU16().value(), 0x1234);
+    const Bytes tail(w.data().begin() + 1, w.data().end());
+    ByteReader r(tail);
     EXPECT_EQ(r.getU32().value(), 0xdeadbeefu);
     EXPECT_EQ(r.getU64().value(), 0x0123456789abcdefULL);
-    EXPECT_EQ(r.getI64().value(), -42);
-    EXPECT_DOUBLE_EQ(r.getDouble().value(), 3.14159);
     EXPECT_TRUE(r.atEnd());
 }
 
@@ -48,15 +47,6 @@ TEST(CodecTest, BytesAndStringRoundTrip)
     EXPECT_TRUE(r.getBytes().value().empty());
     EXPECT_EQ(r.getString().value(), "");
     EXPECT_TRUE(r.atEnd());
-}
-
-TEST(CodecTest, RawRoundTrip)
-{
-    ByteWriter w;
-    w.putRaw({9, 8, 7});
-    ByteReader r(w.data());
-    EXPECT_EQ(r.getRaw(3).value(), (Bytes{9, 8, 7}));
-    EXPECT_FALSE(r.getRaw(1).isOk());
 }
 
 TEST(CodecTest, TruncatedScalarFails)
@@ -82,8 +72,9 @@ TEST(CodecTest, OverlongLengthPrefixFails)
 {
     ByteWriter w;
     w.putU32(1000); // Claims 1000 bytes follow.
-    w.putRaw({1, 2, 3});
-    ByteReader r(w.data());
+    Bytes buf = w.take();
+    buf.insert(buf.end(), {1, 2, 3});
+    ByteReader r(buf);
     EXPECT_FALSE(r.getBytes().isOk());
 }
 
@@ -91,10 +82,11 @@ TEST(CodecTest, RemainingTracksConsumption)
 {
     ByteWriter w;
     w.putU32(7);
+    w.putU32(8);
     ByteReader r(w.data());
+    EXPECT_EQ(r.remaining(), 8u);
+    ASSERT_TRUE(r.getU32().isOk());
     EXPECT_EQ(r.remaining(), 4u);
-    ASSERT_TRUE(r.getU16().isOk());
-    EXPECT_EQ(r.remaining(), 2u);
     EXPECT_FALSE(r.atEnd());
 }
 
@@ -103,17 +95,8 @@ TEST(CodecTest, EmptyBuffer)
     const Bytes empty;
     ByteReader r(empty);
     EXPECT_TRUE(r.atEnd());
-    EXPECT_FALSE(r.getU8().isOk());
-}
-
-TEST(CodecTest, DoubleSpecialValues)
-{
-    ByteWriter w;
-    w.putDouble(0.0);
-    w.putDouble(-1.5e300);
-    ByteReader r(w.data());
-    EXPECT_DOUBLE_EQ(r.getDouble().value(), 0.0);
-    EXPECT_DOUBLE_EQ(r.getDouble().value(), -1.5e300);
+    EXPECT_FALSE(r.getU32().isOk());
+    EXPECT_FALSE(r.getBytes().isOk());
 }
 
 } // namespace

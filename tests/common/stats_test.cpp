@@ -61,14 +61,13 @@ TEST(HistogramTest, BinCenters)
     EXPECT_DOUBLE_EQ(h.binCenter(29), 29.5);
 }
 
-TEST(HistogramTest, AddCountAndClear)
+TEST(HistogramTest, AddCount)
 {
     Histogram h(0.0, 30.0, 30);
     h.addCount(5, 100);
     EXPECT_EQ(h.total(), 100u);
     EXPECT_THROW(h.addCount(30, 1), std::out_of_range);
-    h.clear();
-    EXPECT_EQ(h.total(), 0u);
+    EXPECT_EQ(h.total(), 100u);
 }
 
 TEST(HistogramTest, RejectsBadConstruction)

@@ -149,57 +149,7 @@ TEST(StableStoreTest, DurableBytesCountsSnapshotAndJournal)
     EXPECT_EQ(store.durableBytes(), 8u);
 }
 
-// --- Bulk paths (appendMany / adoptMany / forEachDurableSince) ---------
-
-TEST(StableStoreTest, AppendManyMatchesIndividualAppends)
-{
-    StableStore one("node-a");
-    one.append(7, payload("alpha"));
-    one.append(7, payload("beta"));
-    one.append(7, payload("gamma"));
-    one.sync();
-
-    StableStore bulk("node-a");
-    std::vector<Bytes> batch;
-    batch.push_back(payload("alpha"));
-    batch.push_back(payload("beta"));
-    batch.push_back(payload("gamma"));
-    const std::uint64_t last = bulk.appendMany(7, std::move(batch));
-    bulk.sync();
-
-    EXPECT_EQ(last, 3u);
-    EXPECT_EQ(bulk.durableRecords(), 3u);
-    EXPECT_EQ(bulk.digest(), one.digest()); // Byte-identical journal.
-    EXPECT_EQ(bulk.stats().appends, 3u);
-    EXPECT_EQ(bulk.stats().appendBatches, 1u);
-}
-
-TEST(StableStoreTest, AppendManyEmptyIsNoOp)
-{
-    StableStore store("node-a");
-    EXPECT_EQ(store.appendMany(7, {}), 0u);
-    EXPECT_EQ(store.pendingRecords(), 0u);
-    store.append(1, payload("x"));
-    EXPECT_EQ(store.appendMany(7, {}), 0u);
-    EXPECT_EQ(store.pendingRecords(), 1u);
-}
-
-TEST(StableStoreTest, AppendManyInterleavesWithAppend)
-{
-    StableStore store("node-a");
-    store.append(1, payload("head"));
-    std::vector<Bytes> batch;
-    batch.push_back(payload("mid-1"));
-    batch.push_back(payload("mid-2"));
-    EXPECT_EQ(store.appendMany(2, std::move(batch)), 3u);
-    EXPECT_EQ(store.append(3, payload("tail")), 4u);
-    store.sync();
-
-    const auto records = store.durableSince(0);
-    ASSERT_EQ(records.size(), 4u);
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(records[i].lsn, i + 1);
-}
+// --- Bulk paths (adoptMany / forEachDurableSince) ---------------------
 
 TEST(StableStoreTest, AdoptManyPreservesLeaderLsns)
 {

@@ -23,7 +23,7 @@ TEST(StageTimerTest, SequentialStages)
     EXPECT_EQ(t.stages()[0].name, "a");
     EXPECT_EQ(t.stages()[0].duration(), msec(10));
     EXPECT_EQ(t.stages()[1].duration(), msec(20));
-    EXPECT_EQ(t.total(), msec(30));
+    EXPECT_FALSE(t.hasOpenStage());
 }
 
 TEST(StageTimerTest, DurationOfSumsDuplicates)
@@ -42,16 +42,6 @@ TEST(StageTimerTest, EndWithoutBeginIsNoop)
     StageTimer t;
     t.endStage(msec(10));
     EXPECT_TRUE(t.stages().empty());
-}
-
-TEST(StageTimerTest, ClearResets)
-{
-    StageTimer t;
-    t.beginStage("a", 0);
-    t.endStage(msec(1));
-    t.clear();
-    EXPECT_TRUE(t.stages().empty());
-    EXPECT_EQ(t.total(), 0);
 }
 
 } // namespace
