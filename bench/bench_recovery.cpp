@@ -286,7 +286,7 @@ writeRecoveryJson(const std::string &path,
             "    {\"attests\": %d, \"checkpoint_every\": %zu, "
             "\"durable_records\": %zu, \"durable_bytes\": %zu, "
             "\"checkpoints\": %llu, \"records_replayed\": %llu, "
-            "\"recovery_ms\": %.3f, \"intact\": %s}%s\n",
+            "\"wall_recovery_ms\": %.3f, \"intact\": %s}%s\n",
             p.attests, p.checkpointEvery, p.durableRecords,
             p.durableBytes, static_cast<unsigned long long>(p.checkpoints),
             static_cast<unsigned long long>(p.replayed), p.recoveryMs,
