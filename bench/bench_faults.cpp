@@ -3,15 +3,16 @@
  * Reliability under injected faults: attestation success rate, p50/p99
  * end-to-end latency and retry/failover activity across a drop-rate
  * sweep (with a mid-protocol Attestation Server crash at the higher
- * rates), plus a clean-wire A/B leg showing the retry machinery costs
- * nothing when no faults occur.
+ * rates). The drop = 0 point is the clean wire, where every request
+ * must verify; tests/core/clean_wire_test.cpp checks that no timer
+ * fires there.
  *
  * The paper's protocols assume a reliable fabric; this bench
  * characterizes the reliability layer this reproduction adds on top:
  * retransmission with exponential backoff, receive-side dedup, AS
  * failover and terminal verdicts (no request ever hangs).
  *
- * A third leg exercises the TCB-rollback response path: with a
+ * A second leg exercises the TCB-rollback response path: with a
  * minimum-TCB floor armed and the fault plane downgrading part of the
  * fleet, it reports detection latency (attestation issue to the
  * customer receiving a TcbRollback verdict) and how many completed
@@ -61,24 +62,21 @@ percentile(std::vector<double> sorted, double p)
 }
 
 CloudConfig
-baseConfig(bool reliable)
+baseConfig()
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 99173;
-    if (!reliable)
-        cfg.reliability = proto::ReliabilityModel{};
     return cfg;
 }
 
 /** Launch 5 VMs fault-free, then fan out `requests` attestations
  * under the given drop rate (and optional AS crash). */
 SweepPoint
-runSweepPoint(double drop, bool crash, int requests,
-              bool reliable = true, bool installPlan = true)
+runSweepPoint(double drop, bool crash, int requests)
 {
-    Cloud cloud(baseConfig(reliable));
+    Cloud cloud(baseConfig());
     Customer &customer = cloud.addCustomer("bench-customer");
 
     std::vector<std::string> vids;
@@ -91,18 +89,16 @@ runSweepPoint(double drop, bool crash, int requests,
         vids.push_back(vid.take());
     }
 
-    if (installPlan) {
-        sim::FaultPlanConfig plan;
-        plan.seed = 0xFA57;
-        plan.faults.dropProbability = drop;
-        plan.activeFrom = cloud.events().now();
-        if (crash) {
-            plan.crashes.push_back(sim::CrashEvent{
-                "attestation-server", cloud.events().now() + msec(800),
-                cloud.events().now() + seconds(12)});
-        }
-        cloud.installFaultPlan(plan);
+    sim::FaultPlanConfig plan;
+    plan.seed = 0xFA57;
+    plan.faults.dropProbability = drop;
+    plan.activeFrom = cloud.events().now();
+    if (crash) {
+        plan.crashes.push_back(sim::CrashEvent{
+            "attestation-server", cloud.events().now() + msec(800),
+            cloud.events().now() + seconds(12)});
     }
+    cloud.installFaultPlan(plan);
 
     std::vector<std::string> many;
     many.reserve(static_cast<std::size_t>(requests));
@@ -159,7 +155,7 @@ struct RollbackLeg
 RollbackLeg
 runRollbackLeg()
 {
-    CloudConfig cfg = baseConfig(/*reliable=*/true);
+    CloudConfig cfg = baseConfig();
     cfg.numServers = 6;
     cfg.seed = 99174;
     cfg.minimumTcbVersion = 2;
@@ -231,8 +227,7 @@ runRollbackLeg()
 bool
 writeFaultsJson(const std::string &path,
                 const std::vector<SweepPoint> &sweep,
-                const RollbackLeg &rollback, double wallReliable,
-                double wallLegacy, double simReliable, double simLegacy)
+                const RollbackLeg &rollback)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -257,8 +252,6 @@ writeFaultsJson(const std::string &path,
             static_cast<unsigned long long>(p.unreachable),
             i + 1 < sweep.size() ? "," : "");
     }
-    const double overhead =
-        wallLegacy > 0 ? (wallReliable - wallLegacy) / wallLegacy : 0;
     std::fprintf(
         f,
         "  ],\n"
@@ -270,25 +263,13 @@ writeFaultsJson(const std::string &path,
         "    \"migrations_per_rollback\": %.4f,\n"
         "    \"sim_seconds\": %.6f\n"
         "  },\n"
-        "  \"clean_wire_ab\": {\n",
+        "  \"metadata\": %s\n"
+        "}\n",
         rollback.requests, rollback.flagged, rollback.rolledServers,
         rollback.migrations,
         static_cast<unsigned long long>(rollback.verdicts),
         rollback.detectP50Ms, rollback.detectP99Ms,
-        rollback.migrationsPerRollback, rollback.simSeconds);
-    std::fprintf(
-        f,
-        "    \"reliable\": {\"wall_seconds\": %.6f, \"sim_seconds\": "
-        "%.6f},\n"
-        "    \"legacy\": {\"wall_seconds\": %.6f, \"sim_seconds\": "
-        "%.6f},\n"
-        "    \"wall_overhead\": %.4f,\n"
-        "    \"sim_time_identical\": %s\n"
-        "  },\n"
-        "  \"metadata\": %s\n"
-        "}\n",
-        wallReliable, simReliable, wallLegacy, simLegacy, overhead,
-        simReliable == simLegacy ? "true" : "false",
+        rollback.migrationsPerRollback, rollback.simSeconds,
         bench::metadataJson().c_str());
     std::fclose(f);
     return true;
@@ -303,8 +284,7 @@ main()
         "Reliability sweep",
         "Attestation success rate and latency under injected loss "
         "(50 concurrent requests,\n5 VMs, 2 AS clusters; AS crash + "
-        "failover at drop >= 10%), plus the clean-wire\ncost of the "
-        "retry machinery.");
+        "failover at drop >= 10%).");
 
     const int requests = 50;
     const std::vector<double> drops = {0.0, 0.01, 0.05, 0.1, 0.3};
@@ -354,42 +334,7 @@ main()
     shapeOk &= rollback.verdicts > 0;
     shapeOk &= rollback.migrations >= rollback.flagged;
 
-    // Clean-wire A/B: the reliability layer on an undisturbed fabric.
-    // Every retry timer is schedule-then-cancel, so simulated time is
-    // bit-identical; host wall time pays only the timer bookkeeping.
-    std::printf("\nclean-wire A/B (drop = 0, no fault plan):\n");
-    bench::WallTimer legacyTimer;
-    const SweepPoint legacy =
-        runSweepPoint(0.0, false, requests, /*reliable=*/false,
-                      /*installPlan=*/false);
-    const double wallLegacy = legacyTimer.elapsedSeconds();
-
-    bench::WallTimer reliableTimer;
-    const SweepPoint reliable =
-        runSweepPoint(0.0, false, requests, /*reliable=*/true,
-                      /*installPlan=*/false);
-    const double wallReliable = reliableTimer.elapsedSeconds();
-
-    std::printf("  legacy (no reliability layer): %.3f s wall, %.3f s "
-                "simulated\n",
-                wallLegacy, legacy.simSeconds);
-    std::printf("  reliable (timers + dedup armed): %.3f s wall, %.3f s "
-                "simulated\n",
-                wallReliable, reliable.simSeconds);
-    std::printf("  wall overhead: %.1f%%, simulated time identical: %s\n",
-                wallLegacy > 0
-                    ? 100.0 * (wallReliable - wallLegacy) / wallLegacy
-                    : 0.0,
-                legacy.simSeconds == reliable.simSeconds ? "yes" : "no");
-    // The hard invariant is zero perturbation of the simulation: the
-    // armed timers never fire on a clean wire. (Host wall-clock delta
-    // is reported but too noisy for a hard gate on shared CI runners.)
-    shapeOk &= legacy.simSeconds == reliable.simSeconds;
-    shapeOk &= legacy.ok == reliable.ok;
-
-    if (!writeFaultsJson("BENCH_faults.json", sweep, rollback,
-                         wallReliable, wallLegacy, reliable.simSeconds,
-                         legacy.simSeconds))
+    if (!writeFaultsJson("BENCH_faults.json", sweep, rollback))
         std::printf("\n(could not write BENCH_faults.json)\n");
     else
         std::printf("\nwrote BENCH_faults.json\n");

@@ -35,16 +35,15 @@ UsageResult
 runScenario(const std::string &scenario)
 {
     sim::EventQueue events;
+    Rng keyRng(7);
+    tpm::TrustModule tm(crypto::rsaGenerateKeyPair(512, keyRng),
+                        toBytes("seed"));
     hypervisor::HypervisorConfig cfg;
     cfg.numPCpus = 1;
     cfg.hypervisorCode = toBytes("xen");
     cfg.hostOsCode = toBytes("dom0");
     hypervisor::Hypervisor hv(events, cfg);
-    tpm::TpmEmulator tpmDev;
-    hv.boot(tpmDev);
-    Rng keyRng(7);
-    tpm::TrustModule tm(crypto::rsaGenerateKeyPair(512, keyRng),
-                        toBytes("seed"));
+    hv.boot(tm.tpmDevice());
     server::MonitorModule monitor(hv, tm);
 
     const auto victim = hv.createDomain("victim", 1, 0, toBytes("v"));

@@ -1,9 +1,7 @@
 /**
  * @file
  * Durability-plane cost model: controller recovery latency as a
- * function of journal length and checkpoint cadence, plus a clean-wire
- * A/B leg showing the write-ahead journal costs zero simulated time
- * (and only bookkeeping wall time) when no crash ever happens.
+ * function of journal length and checkpoint cadence.
  *
  * Two SLO sections ride on top:
  *  - "slo": one leg per CheckpointPolicy axis (count / size / age),
@@ -52,13 +50,12 @@ struct RecoveryPoint
 };
 
 CloudConfig
-baseConfig(sim::CheckpointPolicyConfig policy, bool durable = true)
+baseConfig(sim::CheckpointPolicyConfig policy)
 {
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.numAttestationServers = 2;
     cfg.seed = 424242;
-    cfg.durableControlPlane = durable;
     cfg.checkpointPolicy = policy;
     return cfg;
 }
@@ -246,33 +243,11 @@ runStorageFaultLeg()
     return leg;
 }
 
-struct CleanLeg
-{
-    double wallSeconds = 0;
-    double simSeconds = 0;
-    std::size_t reports = 0;
-};
-
-/** The fault-free workload with the journal armed or disarmed. */
-CleanLeg
-runCleanLeg(bool durable, int attests)
-{
-    Cloud cloud(baseConfig(countPolicy(512), durable));
-    Customer &customer = cloud.addCustomer("bench-customer");
-    runWorkload(cloud, customer, attests);
-
-    CleanLeg leg;
-    leg.simSeconds = toSeconds(cloud.events().now());
-    leg.reports = customer.reports().size();
-    return leg;
-}
-
 bool
 writeRecoveryJson(const std::string &path,
                   const std::vector<RecoveryPoint> &sweep,
                   const std::vector<PolicySlo> &slos,
-                  const StorageFaultLeg &storage, const CleanLeg &durable,
-                  const CleanLeg &volatileOnly)
+                  const StorageFaultLeg &storage)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -319,7 +294,9 @@ writeRecoveryJson(const std::string &path,
         "    \"corrupt_recoveries\": %llu,\n"
         "    \"wall_replay_ms\": %.3f,\n"
         "    \"serves_after_recovery\": %s\n"
-        "  },\n",
+        "  },\n"
+        "  \"metadata\": %s\n"
+        "}\n",
         static_cast<unsigned long long>(storage.rotted),
         static_cast<unsigned long long>(storage.tornPersisted),
         static_cast<unsigned long long>(storage.quarantined),
@@ -327,28 +304,7 @@ writeRecoveryJson(const std::string &path,
         static_cast<unsigned long long>(storage.replayed),
         static_cast<unsigned long long>(storage.corruptRecoveries),
         storage.replayMs,
-        storage.servesAfterRecovery ? "true" : "false");
-    const double overhead =
-        volatileOnly.wallSeconds > 0
-            ? (durable.wallSeconds - volatileOnly.wallSeconds) /
-                  volatileOnly.wallSeconds
-            : 0;
-    std::fprintf(
-        f,
-        "  \"clean_wire_ab\": {\n"
-        "    \"durable\": {\"wall_seconds\": %.6f, \"sim_seconds\": "
-        "%.6f, \"reports\": %zu},\n"
-        "    \"volatile\": {\"wall_seconds\": %.6f, \"sim_seconds\": "
-        "%.6f, \"reports\": %zu},\n"
-        "    \"wall_overhead\": %.4f,\n"
-        "    \"sim_time_identical\": %s\n"
-        "  },\n"
-        "  \"metadata\": %s\n"
-        "}\n",
-        durable.wallSeconds, durable.simSeconds, durable.reports,
-        volatileOnly.wallSeconds, volatileOnly.simSeconds,
-        volatileOnly.reports, overhead,
-        durable.simSeconds == volatileOnly.simSeconds ? "true" : "false",
+        storage.servesAfterRecovery ? "true" : "false",
         bench::metadataJson().c_str());
     std::fclose(f);
     return true;
@@ -364,8 +320,7 @@ main()
         "Controller crash/replay latency vs journal length and "
         "checkpoint cadence\n(4 VMs, 2 AS clusters, fault-free "
         "attestation fan-out before the crash), plus\ncheckpoint-policy "
-        "SLOs, recovery under disk faults, and the clean-wire\ncost of "
-        "the write-ahead journal.");
+        "SLOs and recovery under disk faults.");
 
     std::vector<RecoveryPoint> sweep;
     bench::row("workload", {"ckpt every", "records", "bytes", "replayed",
@@ -439,41 +394,7 @@ main()
     shapeOk &= storage.rotted + storage.tornPersisted > 0 &&
                storage.corruptRecoveries > 0;
 
-    // Clean-wire A/B: journaling on an undisturbed run. Appends cost
-    // zero simulated time, so the trace must be bit-identical; wall
-    // time pays only the serialization bookkeeping.
-    std::printf("\nclean-wire A/B (no crash, 50 attestations):\n");
-    bench::WallTimer volatileTimer;
-    CleanLeg volatileOnly = runCleanLeg(/*durable=*/false, 50);
-    volatileOnly.wallSeconds = volatileTimer.elapsedSeconds();
-
-    bench::WallTimer durableTimer;
-    CleanLeg durable = runCleanLeg(/*durable=*/true, 50);
-    durable.wallSeconds = durableTimer.elapsedSeconds();
-
-    std::printf("  volatile (journal disarmed): %.3f s wall, %.3f s "
-                "simulated, %zu reports\n",
-                volatileOnly.wallSeconds, volatileOnly.simSeconds,
-                volatileOnly.reports);
-    std::printf("  durable  (journal armed):    %.3f s wall, %.3f s "
-                "simulated, %zu reports\n",
-                durable.wallSeconds, durable.simSeconds, durable.reports);
-    std::printf("  wall overhead: %.1f%%, simulated time identical: %s\n",
-                volatileOnly.wallSeconds > 0
-                    ? 100.0 *
-                          (durable.wallSeconds - volatileOnly.wallSeconds) /
-                          volatileOnly.wallSeconds
-                    : 0.0,
-                durable.simSeconds == volatileOnly.simSeconds ? "yes"
-                                                              : "no");
-    // Hard invariants: zero perturbation of the simulation and no
-    // change in delivered reports. (Wall-clock delta is reported but
-    // not gated — shared CI runners are too noisy.)
-    shapeOk &= durable.simSeconds == volatileOnly.simSeconds;
-    shapeOk &= durable.reports == volatileOnly.reports;
-
-    if (!writeRecoveryJson("BENCH_recovery.json", sweep, slos, storage,
-                           durable, volatileOnly))
+    if (!writeRecoveryJson("BENCH_recovery.json", sweep, slos, storage))
         std::printf("\n(could not write BENCH_recovery.json)\n");
     else
         std::printf("\nwrote BENCH_recovery.json\n");

@@ -6,7 +6,7 @@
  * attestation traffic through a busy-cursor queue, so a concurrent
  * fan-out serializes behind one shard but spreads across many. This
  * bench sweeps shard count x deployment size over the same workload —
- * concurrent runtime attestations of every VM, two fan-out rounds —
+ * concurrent runtime attestations of every VM, one fan-out round —
  * and reports *simulated* attestation throughput: total attestations
  * divided by the simulated makespan of the fan-out. Host wall-clock is
  * recorded per cell for reference.
@@ -19,7 +19,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -46,8 +45,7 @@ struct Cell
 };
 
 Cell
-runCell(int shards, int servers, int vmsPerServer, int rounds,
-        int fanout)
+runCell(int shards, int servers, int vmsPerServer, int fanout)
 {
     CloudConfig cfg;
     cfg.numServers = servers;
@@ -71,13 +69,13 @@ runCell(int shards, int servers, int vmsPerServer, int rounds,
         proto::allProperties();
 
     // Warm-up round: AVK sessions and verification caches populated,
-    // so the timed fan-outs measure steady-state service capacity.
+    // so the timed fan-out measures steady-state service capacity.
     for (auto &r : cloud.attestMany(customer, vids, props)) {
         if (!r.isOk())
             throw std::runtime_error(r.errorMessage());
     }
 
-    // Each VM is attested `fanout` times per round, all concurrently:
+    // Each VM is attested `fanout` times, all concurrently:
     // the control plane sees far more requests in flight than the
     // per-request pipeline latency can hide, so the makespan tracks
     // the controllers' aggregate service capacity.
@@ -89,13 +87,11 @@ runCell(int shards, int servers, int vmsPerServer, int rounds,
     bench::WallTimer timer;
     const SimTime t0 = cloud.events().now();
     int attests = 0;
-    for (int round = 0; round < rounds; ++round) {
-        for (auto &r : cloud.attestMany(customer, many, props)) {
-            if (!r.isOk())
-                throw std::runtime_error(r.errorMessage());
-            digest.update(r.value().report.encode());
-            ++attests;
-        }
+    for (auto &r : cloud.attestMany(customer, many, props)) {
+        if (!r.isOk())
+            throw std::runtime_error(r.errorMessage());
+        digest.update(r.value().report.encode());
+        ++attests;
     }
 
     Cell cell;
@@ -113,7 +109,7 @@ runCell(int shards, int servers, int vmsPerServer, int rounds,
 
 bool
 writeJson(const std::string &path, const std::vector<Cell> &cells,
-          const Cell &before, const Cell &after, int rounds)
+          const Cell &before, const Cell &after)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
@@ -125,10 +121,9 @@ writeJson(const std::string &path, const std::vector<Cell> &cells,
     std::fprintf(f,
                  "{\n"
                  "  \"benchmark\": \"bench_shards\",\n"
-                 "  \"workload\": \"attestMany x%d rounds over every "
+                 "  \"workload\": \"attestMany x1 rounds over every "
                  "VM, simulated makespan\",\n"
-                 "  \"sweep\": [\n",
-                 rounds);
+                 "  \"sweep\": [\n");
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const Cell &c = cells[i];
         std::fprintf(f,
@@ -157,13 +152,6 @@ writeJson(const std::string &path, const std::vector<Cell> &cells,
     return true;
 }
 
-int
-envInt(const char *name, int fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atoi(v) : fallback;
-}
-
 } // namespace
 
 int
@@ -176,7 +164,6 @@ main()
         "service queue, so a concurrent fan-out\nscales with the shard "
         "count.");
 
-    const int rounds = envInt("MONATT_BENCH_ROUNDS", 2);
     const int vmsPerServer = 3;
     const int fanout = 3;
     const std::vector<int> shardCounts = {1, 2, 4, 8};
@@ -191,8 +178,7 @@ main()
     for (int servers : serverCounts) {
         std::vector<std::string> row;
         for (int shards : shardCounts) {
-            Cell cell =
-                runCell(shards, servers, vmsPerServer, rounds, fanout);
+            Cell cell = runCell(shards, servers, vmsPerServer, fanout);
             row.push_back(
                 bench::fmt("%.1f", cell.attestationsPerSimSec));
             cells.push_back(std::move(cell));
@@ -224,7 +210,7 @@ main()
                 "shard count until the\nper-request pipeline latency "
                 "(measurement, signing, verification) dominates\n");
 
-    if (!writeJson("BENCH_shards.json", cells, *before, *after, rounds))
+    if (!writeJson("BENCH_shards.json", cells, *before, *after))
         return 1;
     std::printf("wrote BENCH_shards.json\n");
     return speedup >= 2.0 ? 0 : 2;

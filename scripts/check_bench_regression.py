@@ -34,7 +34,10 @@ gate. Per-metric overrides loosen or tighten individual paths or keys:
 
 A baseline metric missing from the fresh run fails too: that means the
 bench's shape changed and the baseline must be regenerated (rerun the
-bench and copy its JSON over the baseline in the same PR).
+bench and copy its JSON over the baseline in the same PR). So does a
+fresh run whose top-level ``benchmark`` or ``workload`` string differs
+from its baseline's: it measured something else, so the gate prints
+that one line and compares none of its metrics.
 
 Usage:
   check_bench_regression.py --baseline-dir bench/baselines \
@@ -63,6 +66,9 @@ LOWER_IS_BETTER = {"sim_makespan_sec", "sim_seconds",
                    # customer holding a TcbRollback verdict.
                    "sim_detect_p50_ms", "sim_detect_p99_ms"}
 WALL_PREFIX = "wall_"
+# Top-level strings naming what a run measured; a fresh run must match
+# its baseline's before any metric is compared.
+SHAPE_KEYS = ("benchmark", "workload")
 
 
 def gated_class(key):
@@ -105,6 +111,17 @@ def tolerance_for(path, key, default, overrides):
     if key in overrides:
         return overrides[key]
     return default
+
+
+def shape_mismatch(name, baseline, current):
+    """One failure line when the fresh run measured another benchmark or
+    workload than its baseline, else None."""
+    for key in SHAPE_KEYS:
+        base, cur = baseline.get(key), current.get(key)
+        if base != cur:
+            return (f"{name}: {key} differs: baseline {base!r}, "
+                    f"fresh run {cur!r}")
+    return None
 
 
 def compare(name, baseline, current, tolerance, overrides):
@@ -188,6 +205,11 @@ def main():
             baseline = json.load(f)
         with open(curfile) as f:
             current = json.load(f)
+        mismatch = shape_mismatch(basefile.name, baseline, current)
+        if mismatch:
+            all_failures.append(mismatch)
+            print(f"{basefile.name}: FAIL")
+            continue
         checked, failures, warnings = compare(
             basefile.name, baseline, current, args.tolerance, overrides)
         total += checked

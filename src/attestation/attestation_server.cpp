@@ -50,7 +50,7 @@ AttestationServer::AttestationServer(sim::EventQueue &eq,
                crypto::seedMaterial("as-endpoint", cfg.id, seed)),
       registry(InterpreterRegistry::withDefaults()), rng(seed ^ 0xa5a5),
       certCache(kCertCacheCapacity), reportCache(cfg.reportCacheCapacity),
-      log(cfg.id, cfg.durable, cfg.checkpointPolicy,
+      log(cfg.id, cfg.checkpointPolicy,
           [this] { return snapshotState(); },
           [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); }),
       nextSession(sessionBase(cfg.id))
@@ -58,9 +58,6 @@ AttestationServer::AttestationServer(sim::EventQueue &eq,
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
     });
-    endpoint.setReliability(net::EndpointReliability{
-        cfg.reliability.enabled, cfg.reliability.handshakeRto,
-        cfg.reliability.handshakeRetryLimit});
 }
 
 void
@@ -111,7 +108,7 @@ AttestationServer::handleMessage(const net::NodeId &from,
     const Bytes &body = unpacked.value().body;
     switch (unpacked.value().kind) {
       case MessageKind::AttestForward:
-        if (isKnownController(from))
+        if (cfg.controllerIds.count(from) != 0)
             onAttestForward(from, body);
         break;
       case MessageKind::MeasureResponse:
@@ -122,14 +119,6 @@ AttestationServer::handleMessage(const net::NodeId &from,
                                << ": unexpected message from " << from;
         break;
     }
-}
-
-bool
-AttestationServer::isKnownController(const net::NodeId &node) const
-{
-    if (cfg.controllerIds.empty())
-        return node == cfg.controllerId;
-    return cfg.controllerIds.count(node) != 0;
 }
 
 void
@@ -259,8 +248,7 @@ AttestationServer::startMeasurement(const AttestForward &fwd,
     session.requestBytes = packed;
     sessions[sessionId] = std::move(session);
     ++counters.measurementRequestsSent;
-    if (cfg.reliability.enabled)
-        scheduleMeasureRetry(sessionId);
+    scheduleMeasureRetry(sessionId);
     endpoint.sendSecure(fwd.serverId, std::move(packed));
 }
 
@@ -269,14 +257,14 @@ AttestationServer::scheduleMeasureRetry(std::uint64_t sessionId)
 {
     Session &s = sessions.at(sessionId);
     s.exchange.timer = events.scheduleAfter(
-        s.exchange.timeout(cfg.reliability.measure(),
+        s.exchange.timeout(proto::ReliabilityModel::kMeasure,
                            &serverRtt[s.forward.serverId]),
         [this, sessionId, eraNow = log.era()] {
         auto it = sessions.find(sessionId);
         if (log.stale(eraNow) || it == sessions.end())
             return;
         Session &s = it->second;
-        switch (s.exchange.expire(cfg.reliability.measure(),
+        switch (s.exchange.expire(proto::ReliabilityModel::kMeasure,
                                   &serverRtt[s.forward.serverId])) {
           case sim::Exchange::Expiry::Idle:
             return;
@@ -498,9 +486,9 @@ AttestationServer::applyVerified(const Session &session,
         ctx.knownGoodImages = &knownGoodImages;
 
         // Minimum-TCB appraisal: the verified (signed) TCB version
-        // measurement, held against each property's floor. Absence
-        // counts as version 0 — a host that strips the measurement
-        // must not out-trust one that honestly reports an old build.
+        // measurement, held against the fleet floor. Absence counts as
+        // version 0 — a host that strips the measurement must not
+        // out-trust one that honestly reports an old build.
         std::uint64_t reportedTcb = 0;
         bool haveTcb = false;
         if (const proto::Measurement *tv =
@@ -512,9 +500,9 @@ AttestationServer::applyVerified(const Session &session,
 
         AttestationReport report;
         report.vid = session.forward.vid;
+        const std::uint64_t floor = cfg.tcbPolicy.fleetFloor;
         for (proto::SecurityProperty p : session.forward.properties) {
             PropertyResult pr = registry.interpret(p, m, ctx);
-            const std::uint64_t floor = cfg.tcbPolicy.floorFor(p);
             if (floor > 0 && reportedTcb < floor) {
                 pr.status = HealthStatus::TcbRollback;
                 pr.detail =
@@ -556,8 +544,7 @@ AttestationServer::issueReport(const Session &session,
         forwardInFlight.erase(out.requestId);
         rememberReport(out.requestId, body);
     }
-    endpoint.sendSecure(session.controller.empty() ? cfg.controllerId
-                                                   : session.controller,
+    endpoint.sendSecure(session.controller,
                         proto::packMessage(MessageKind::ReportToController,
                                            body));
     log.commit(events.now());

@@ -47,19 +47,17 @@ namespace monatt::attestation
 struct AttestationServerConfig
 {
     std::string id = "attestation-server";
-    std::string controllerId = "cloud-controller";
 
     /**
-     * Every controller shard allowed to forward attestations here.
-     * Under a sharded control plane any shard may own VMs on any
-     * cluster, so forwards arrive from all of them; each report is
-     * answered to the shard that forwarded the request. Empty = just
-     * controllerId (the classic single controller).
+     * Every controller node allowed to forward attestations here (all
+     * replicas of all shards): under a sharded control plane any shard
+     * may own VMs on any cluster, so forwards arrive from all of them;
+     * each report is answered to the node that forwarded the request.
+     * Forwards from any other node are dropped.
      */
     std::set<std::string> controllerIds;
     std::string pcaId = "privacy-ca";
     proto::TimingModel timing;
-    proto::ReliabilityModel reliability;
     std::size_t identityKeyBits = 512;
 
     /** Bounds for randomized periodic attestation intervals. */
@@ -79,16 +77,11 @@ struct AttestationServerConfig
      */
     TcbPolicy tcbPolicy;
 
-    /**
-     * Durable appraiser state: journal dedup-cache and verified-chain
-     * insertions to a write-ahead StableStore so a restarted AS keeps
-     * answering retransmitted forwards idempotently instead of
-     * double-signing reports it already issued.
-     */
-    bool durable = true;
-
     /** Journal-compaction triggers (count / size / age); all 0 =
-     * never checkpoint. */
+     * never checkpoint. The journal (dedup-cache and verified-chain
+     * insertions) lets a restarted AS keep answering retransmitted
+     * forwards idempotently instead of double-signing reports it
+     * already issued. */
     sim::CheckpointPolicyConfig checkpointPolicy;
 };
 
@@ -258,8 +251,6 @@ class AttestationServer
 
     void handleMessage(const net::NodeId &from, const Bytes &plaintext);
 
-    /** True when `node` is a controller shard we serve. */
-    bool isKnownController(const net::NodeId &node) const;
     void onAttestForward(const net::NodeId &from, const Bytes &body);
     void processForward(const net::NodeId &from,
                         const proto::AttestForward &fwd);
@@ -341,7 +332,8 @@ class AttestationServer
      * checks, so a crashed AS never signs, sends or syncs again. */
     proto::DurableLog log;
 
-    /** Per-server RTT estimators feeding the adaptive measureRto. */
+    /** Per-server RTT estimators feeding the measure hop's adaptive
+     * RTO. */
     std::map<std::string, sim::RttEstimator> serverRtt;
 
     std::uint64_t nextSession = 1;

@@ -36,34 +36,19 @@ struct ServerReference
 
 /**
  * Minimum-TCB policy (DESIGN.md §18): the appraiser refuses evidence
- * produced by firmware older than a floor version, turning a
- * rollback/downgrade attack into an explicit TcbRollback verdict
- * instead of a trusted-looking Healthy one.
- *
- * `fleetFloor` applies to every property; individual properties can
- * demand a newer build via `propertyFloors` (e.g. a covert-channel
- * detector that needs a fixed side-channel patch). A floor of 0
- * disarms the policy. A verified response carrying *no* TCB version
- * measurement is treated as below-floor — absence of evidence is how
- * a pre-upgrade host looks, and trusting it would let an attacker
- * strip the field.
+ * produced by firmware older than one fleet-wide floor version,
+ * turning a rollback/downgrade attack into an explicit TcbRollback
+ * verdict instead of a trusted-looking Healthy one. The floor applies
+ * to every property; 0 disarms the policy. A verified response
+ * carrying *no* TCB version measurement is treated as below-floor —
+ * absence of evidence is how a pre-upgrade host looks, and trusting
+ * it would let an attacker strip the field.
  */
 struct TcbPolicy
 {
     std::uint64_t fleetFloor = 0;
-    std::map<proto::SecurityProperty, std::uint64_t> propertyFloors;
 
-    bool enabled() const
-    {
-        return fleetFloor > 0 || !propertyFloors.empty();
-    }
-
-    /** Effective floor for one property (override beats fleet). */
-    std::uint64_t floorFor(proto::SecurityProperty p) const
-    {
-        const auto it = propertyFloors.find(p);
-        return it != propertyFloors.end() ? it->second : fleetFloor;
-    }
+    bool enabled() const { return fleetFloor > 0; }
 };
 
 /** Everything an interpreter may consult. */

@@ -16,7 +16,7 @@ PrivacyCa::PrivacyCa(sim::EventQueue &eq, net::Network &network,
       signCtx(keys.priv), dir(directory), timing(timingModel),
       endpoint(network, self, keys, directory,
                crypto::seedMaterial("pca-endpoint", self, seed)),
-      log(self, true, {}, [this] { return snapshotState(); },
+      log(self, {}, [this] { return snapshotState(); },
           [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); })
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {

@@ -94,11 +94,6 @@ class PrivacyCa
     /** True while attached to the network. */
     bool isUp() const { return endpoint.attached(); }
 
-    /** Durable issuance state: journal issued certificates so a
-     * restarted pCA answers retransmissions idempotently and never
-     * reuses a serial number. On by default. */
-    void setDurable(bool on) { log.setEnabled(on); }
-
     /** Issued-certificate dedup cache bound (FIFO eviction). */
     void setIssuedCacheCapacity(std::size_t capacity)
     {
@@ -183,7 +178,9 @@ class PrivacyCa
     void applyJournalRecord(const sim::JournalRecord &rec);
 
     /** Journal, checkpoints and the crash era that fences pending
-     * issuances. */
+     * issuances. Issued certificates are journaled so a restarted pCA
+     * answers retransmissions idempotently and never reuses a serial
+     * number. */
     proto::DurableLog log;
 };
 

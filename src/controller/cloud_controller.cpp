@@ -57,18 +57,14 @@ CloudController::CloudController(sim::EventQueue &eq,
       endpoint(network, cfg.id, keys, directory,
                crypto::seedMaterial("cc-endpoint", cfg.id, seed)),
       rng(seed ^ 0xcc), relayCache(cfg.relayCacheCapacity),
-      log(cfg.id, cfg.durable, cfg.checkpointPolicy,
+      log(cfg.id, cfg.checkpointPolicy,
           [this] { return snapshotState(); },
           [this](const sim::JournalRecord &rec) { applyJournalRecord(rec); }),
-      repl(cfg.id, cfg.groupIds, cfg.election, cfg.replicaIndex == 0, log,
-           *this)
+      repl(cfg.id, cfg.groupIds, cfg.replicaIndex == 0, log, *this)
 {
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
     });
-    endpoint.setReliability(net::EndpointReliability{
-        cfg.reliability.enabled, cfg.reliability.handshakeRto,
-        cfg.reliability.handshakeRetryLimit});
     repl.start();
 }
 
@@ -408,7 +404,7 @@ CloudController::forwardAttestation(AttestContext ctx)
     transmitForward(attestId);
     // StopPeriodic is unacknowledged fire-and-forget (idempotent at
     // the AS); everything else is retried until a report arrives.
-    if (cfg.reliability.enabled && expectReply)
+    if (expectReply)
         scheduleForwardRetry(attestId);
     return attestId;
 }
@@ -443,7 +439,7 @@ CloudController::scheduleForwardRetry(std::uint64_t attestId)
         return;
     AttestContext &ctx = it->second;
     ctx.forward.timer = events.scheduleAfter(
-        ctx.forward.timeout(cfg.reliability.forward(),
+        ctx.forward.timeout(proto::ReliabilityModel::kForward,
                             &pathRtt[{ctx.attestorId, ctx.serverId}]),
         [this, attestId, eraNow = log.era()] {
             if (log.stale(eraNow))
@@ -461,7 +457,7 @@ CloudController::forwardRetryFired(std::uint64_t attestId)
     if (it == attests.end())
         return;
     AttestContext &ctx = it->second;
-    switch (ctx.forward.expire(cfg.reliability.forward(),
+    switch (ctx.forward.expire(proto::ReliabilityModel::kForward,
                                &pathRtt[{ctx.attestorId, ctx.serverId}])) {
       case sim::Exchange::Expiry::Idle:
         return;
@@ -482,13 +478,14 @@ CloudController::forwardRetryFired(std::uint64_t attestId)
     // next contact must re-handshake.
     AsHealth &health = asHealth[ctx.attestorId];
     ++health.strikes;
-    if (health.strikes >= cfg.reliability.suspectThreshold)
+    if (health.strikes >= proto::ReliabilityModel::kSuspectThreshold)
         health.suspect = true;
     journalAsHealth(ctx.attestorId);
     endpoint.resetPeer(ctx.attestorId);
 
     const std::string alt = alternativeAttestor(ctx.attestorId);
-    if (ctx.failovers < cfg.reliability.failoverLimit && !alt.empty()) {
+    if (ctx.failovers < proto::ReliabilityModel::kFailoverLimit &&
+        !alt.empty()) {
         MONATT_LOG(Warn, "cc")
             << "attestation " << attestId << " failing over from "
             << ctx.attestorId << " to " << alt;
@@ -1379,7 +1376,7 @@ CloudController::rearmRecoveredWork()
         ctx.recovered = true;
         journalAttest(attestId);
         transmitForward(attestId);
-        if (cfg.reliability.enabled && !ctx.acked)
+        if (!ctx.acked)
             scheduleForwardRetry(attestId);
     }
 
@@ -1416,7 +1413,7 @@ CloudController::rearmRecoveredWork()
             // ack landed by then.
             const SimTime grace =
                 cfg.timing.spawnTime(rec->imageSizeMb, rec->ramMb) +
-                cfg.reliability.forwardRto;
+                proto::ReliabilityModel::kForward.rto;
             ++counters.recoveredLaunches;
             events.scheduleAfter(grace, [this, vid, eraNow = log.era()] {
                 if (log.stale(eraNow))

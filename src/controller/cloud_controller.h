@@ -50,7 +50,6 @@ struct CloudControllerConfig
 {
     std::string id = "cloud-controller";
     proto::TimingModel timing;
-    proto::ReliabilityModel reliability;
     std::size_t identityKeyBits = 512;
 
     /**
@@ -60,15 +59,6 @@ struct CloudControllerConfig
      * one serves servers mapped to no cluster.
      */
     std::vector<std::string> attestorIds;
-
-    /**
-     * Durable control plane: journal every database and protocol-state
-     * mutation to a write-ahead StableStore and recover from it after
-     * a crash. Journal appends cost zero simulated time and every
-     * recovery action happens only after a crash, so clean-wire runs
-     * are byte-identical with durability on or off.
-     */
-    bool durable = true;
 
     /**
      * Journal-compaction triggers (count / size / age); all axes 0 =
@@ -98,12 +88,10 @@ struct CloudControllerConfig
      * ControllerFabric; a group of one included): every replica id of
      * the shard, index 0 = the primary, whose id is the shard's base
      * id and who boots as the round-1 leader. `replicaIndex` is this
-     * node's position. A group of more than one requires `durable`
-     * (the journal is what streams).
+     * node's position.
      */
     std::vector<std::string> groupIds;
     int replicaIndex = 0;
-    ElectionTuning election;
 };
 
 /** Observable counters. */
@@ -484,8 +472,8 @@ class CloudController : private ReplicatedLog::Io
 
     /** Forward RTT estimate per (attestor, server) path: a forward's
      * network remainder runs through both, so a failed-over request
-     * starts from the fixed knob on its new path (volatile; adaptive
-     * RTOs fall back to the fixed knob until fresh samples arrive). */
+     * starts from the fixed RTO on its new path (volatile; adaptive
+     * RTOs fall back to the fixed RTO until fresh samples arrive). */
     std::map<std::pair<std::string, std::string>, sim::RttEstimator>
         pathRtt;
 

@@ -15,8 +15,7 @@ ControllerFabric::ControllerFabric(
     sim::EventQueue &eq, net::Network &network,
     net::KeyDirectory &directory,
     std::vector<CloudControllerConfig> shardConfigs,
-    const std::vector<std::uint64_t> &seeds, int virtualNodes,
-    int replicasPerShard, ElectionTuning election)
+    const std::vector<std::uint64_t> &seeds, int replicasPerShard)
 {
     if (shardConfigs.empty())
         throw std::invalid_argument("fabric needs at least one shard");
@@ -30,7 +29,7 @@ ControllerFabric::ControllerFabric(
     // consults it from the first launch. Only base ids go on the ring,
     // so replica membership never influences VM ownership.
     for (const CloudControllerConfig &cfg : shardConfigs)
-        ownership.addNode(cfg.id, virtualNodes);
+        ownership.addNode(cfg.id);
 
     nodes.reserve(shardConfigs.size() * replicas_);
     for (std::size_t k = 0; k < shardConfigs.size(); ++k) {
@@ -46,9 +45,6 @@ ControllerFabric::ControllerFabric(
             cfg.ring = &ownership;
             cfg.groupIds = group;
             cfg.replicaIndex = static_cast<int>(r);
-            cfg.election = election;
-            if (replicas_ > 1)
-                cfg.durable = true; // the journal is what streams
             const std::uint64_t seed =
                 seeds[k] ^ (static_cast<std::uint64_t>(r) *
                             kReplicaSeedStride);

@@ -53,17 +53,13 @@ class ControllerFabric
      * base id); the fabric fills in the shard index, ring pointer and
      * replica-group membership before constructing each node. `seeds`
      * supplies the per-shard RNG seed, parallel to `shardConfigs`;
-     * replica r derives its seed from the shard seed. Replication
-     * requires a durable journal, so `durable` is forced on when
-     * `replicasPerShard` > 1.
+     * replica r derives its seed from the shard seed.
      */
     ControllerFabric(sim::EventQueue &eq, net::Network &network,
                      net::KeyDirectory &directory,
                      std::vector<CloudControllerConfig> shardConfigs,
                      const std::vector<std::uint64_t> &seeds,
-                     int virtualNodes = HashRing::kDefaultVirtualNodes,
-                     int replicasPerShard = 1,
-                     ElectionTuning election = {});
+                     int replicasPerShard = 1);
 
     std::size_t numShards() const
     {

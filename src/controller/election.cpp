@@ -23,24 +23,20 @@ fnvIdRound(const std::string &id, std::uint64_t round)
 } // namespace
 
 ElectionState::ElectionState(std::string self,
-                             std::vector<std::string> group,
-                             ElectionTuning tuning)
-    : self_(std::move(self)), group_(std::move(group)), tuning_(tuning)
+                             std::vector<std::string> group)
+    : self_(std::move(self)), group_(std::move(group))
 {
 }
 
 SimTime
 ElectionState::electionTimeout() const
 {
-    const SimTime window =
-        tuning_.electionTimeoutMax > tuning_.electionTimeoutMin
-            ? tuning_.electionTimeoutMax - tuning_.electionTimeoutMin
-            : 1;
+    static_assert(kElectionTimeoutMin < kElectionTimeoutMax);
     const std::uint64_t jitter =
         fnvIdRound(self_, round_ + 1) %
-        static_cast<std::uint64_t>(window);
-    return tuning_.electionTimeoutMin +
-           static_cast<SimTime>(jitter);
+        static_cast<std::uint64_t>(kElectionTimeoutMax -
+                                   kElectionTimeoutMin);
+    return kElectionTimeoutMin + static_cast<SimTime>(jitter);
 }
 
 void

@@ -18,7 +18,7 @@
  *    steps down to follower.
  *
  * Timeouts are *deterministic*: each replica's timeout for a given
- * round is the configured minimum plus an FNV-1a hash of (replica id,
+ * round is kElectionTimeoutMin plus an FNV-1a hash of (replica id,
  * round) modulo the window. Distinct replicas thus never tie, the
  * same replica never picks the same point twice in a row, and a fixed
  * seed always elects the same leader in the same number of rounds —
@@ -50,36 +50,30 @@ enum class ReplicaRole
     Leader,
 };
 
-/** Election timing knobs (per CloudControllerConfig). */
-struct ElectionTuning
-{
-    /** Leader → follower heartbeat / replication cadence. */
-    SimTime heartbeatInterval = msec(500);
-    /** Election timeout window: [min, max). Must satisfy min < max
-     *  and min well above the heartbeat interval. */
-    SimTime electionTimeoutMin = msec(1500);
-    SimTime electionTimeoutMax = msec(3000);
-};
-
 /** Per-replica election bookkeeping; see file header. */
 class ElectionState
 {
   public:
+    /** Leader → follower heartbeat / replication cadence. */
+    static constexpr SimTime kHeartbeatInterval = msec(500);
+    /** Election timeout window [min, max): min well above the
+     *  heartbeat interval. */
+    static constexpr SimTime kElectionTimeoutMin = msec(1500);
+    static constexpr SimTime kElectionTimeoutMax = msec(3000);
+
     ElectionState() = default;
 
     /**
      * @param self  This replica's node id.
      * @param group All replica ids in the group, index 0 = primary.
      */
-    ElectionState(std::string self, std::vector<std::string> group,
-                  ElectionTuning tuning);
+    ElectionState(std::string self, std::vector<std::string> group);
 
     ReplicaRole role() const { return role_; }
     std::uint64_t round() const { return round_; }
     const std::string &self() const { return self_; }
     std::size_t groupSize() const { return group_.size(); }
     const std::vector<std::string> &group() const { return group_; }
-    const ElectionTuning &tuning() const { return tuning_; }
 
     /** Votes needed to win: strict majority of the group. */
     std::size_t majority() const { return group_.size() / 2 + 1; }
@@ -170,7 +164,6 @@ class ElectionState
 
     std::string self_;
     std::vector<std::string> group_;
-    ElectionTuning tuning_;
     ReplicaRole role_ = ReplicaRole::Follower;
     std::uint64_t round_ = 0;
     std::uint64_t votedRound_ = 0; //!< Highest round we voted in.

@@ -27,10 +27,9 @@ ReplicaLedger::commitLsn(std::uint64_t leaderLsn,
 }
 
 ReplicatedLog::ReplicatedLog(std::string self,
-                             std::vector<std::string> group,
-                             ElectionTuning tuning, bool primary,
+                             std::vector<std::string> group, bool primary,
                              proto::DurableLog &journal, Io &io)
-    : election(std::move(self), std::move(group), tuning),
+    : election(std::move(self), std::move(group)),
       journal(journal), io(io)
 {
     for (const std::string &id : election.group()) {
@@ -97,7 +96,7 @@ ReplicatedLog::commit(SimTime now)
     if (journal.sync())
         mirrorRound = election.round();
     // Everything this handler staged is gated on the records it just
-    // made durable (LSN 0 when the journal is off).
+    // made durable.
     const std::uint64_t gateLsn = journal.store().lastDurableLsn();
     for (Send &s : staged) {
         s.lsn = gateLsn;
@@ -246,7 +245,7 @@ ReplicatedLog::onVoteRequest(const std::string &from, const Bytes &body,
         if (leading())
             return;
         if (lastLeaderContact != 0 &&
-            now - lastLeaderContact < election.tuning().electionTimeoutMin)
+            now - lastLeaderContact < ElectionState::kElectionTimeoutMin)
             return;
         if (!election.considerPrevote(msg.round, msg.lastLogRound,
                                       msg.lastLsn, mirrorRound, ownLsn))
@@ -437,7 +436,7 @@ ReplicatedLog::armHeartbeat()
     // A leader whose own copy is a majority has nobody to feed.
     if (!ownVoteIsMajority())
         io.armTimer(ReplicaTimer::Heartbeat,
-                    election.tuning().heartbeatInterval);
+                    ElectionState::kHeartbeatInterval);
 }
 
 void

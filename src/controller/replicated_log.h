@@ -27,9 +27,8 @@
  * majority wins at once, so a restarted replica leads again without
  * waiting out an election timeout, and a leader whose own copy is a
  * majority commits at its own durable LSN — its staged sends leave at
- * the handler's commit point, also at LSN 0 when the journal is off. It
- * has nobody to feed or to keep from campaigning, so it arms no timer
- * and sends no control message.
+ * the handler's commit point. It has nobody to feed or to keep from
+ * campaigning, so it arms no timer and sends no control message.
  */
 
 #ifndef MONATT_CONTROLLER_REPLICATED_LOG_H
@@ -137,8 +136,7 @@ class ReplicatedLog
      * @param journal The host's journal; the log streams and mirrors it.
      */
     ReplicatedLog(std::string self, std::vector<std::string> group,
-                  ElectionTuning tuning, bool primary,
-                  proto::DurableLog &journal, Io &io);
+                  bool primary, proto::DurableLog &journal, Io &io);
 
     // --- Inputs --------------------------------------------------------
 
@@ -258,7 +256,7 @@ class ReplicatedLog
     std::map<std::string, int> followerSilence;
     static constexpr int kSilentBeatLimit = 3;
     /** When we last accepted the leader's stream. Contact within
-     * electionTimeoutMin denies pre-vote probes, so a replica that is
+     * kElectionTimeoutMin denies pre-vote probes, so a replica that is
      * merely resyncing after a restart never deposes a live leader. */
     SimTime lastLeaderContact = 0;
     std::vector<Send> staged; //!< This handler's sends, pre-commit.

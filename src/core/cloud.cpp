@@ -28,8 +28,6 @@ expectedPlatformDigest(const Bytes &hypervisorCode, const Bytes &hostOsCode)
 Cloud::Cloud(CloudConfig config)
     : cfg(std::move(config)), fabric(eventQueue)
 {
-    fabric.setDefaultLink(cfg.link);
-
     const int numAs = std::max(cfg.numAttestationServers, 1);
     std::vector<std::string> asIds(static_cast<std::size_t>(numAs));
     for (int i = 0; i < numAs; ++i) {
@@ -69,7 +67,6 @@ Cloud::Cloud(CloudConfig config)
     pca = std::make_unique<attestation::PrivacyCa>(
         eventQueue, fabric, keyDirectory, "privacy-ca", cfg.timing,
         cfg.seed ^ 0x1);
-    pca->setDurable(cfg.durableControlPlane);
     pca->setIssuedCacheCapacity(cfg.dedupCacheCapacity);
     pca->setCheckpointPolicy(cfg.checkpointPolicy);
     keyDirectory.publish("privacy-ca", pca->publicKey());
@@ -79,15 +76,12 @@ Cloud::Cloud(CloudConfig config)
         if (i > 0)
             asCfg.id = asIds[static_cast<std::size_t>(i)];
         asCfg.timing = cfg.timing;
-        asCfg.reliability = cfg.reliability;
         asCfg.controllerIds.insert(controllerNodeIds.begin(),
                                    controllerNodeIds.end());
         asCfg.identityKeyBits = cfg.identityKeyBits;
-        asCfg.durable = cfg.durableControlPlane;
         asCfg.checkpointPolicy = cfg.checkpointPolicy;
         asCfg.reportCacheCapacity = cfg.dedupCacheCapacity;
         asCfg.tcbPolicy.fleetFloor = cfg.minimumTcbVersion;
-        asCfg.tcbPolicy.propertyFloors = cfg.tcbPropertyFloors;
         auto as = std::make_unique<attestation::AttestationServer>(
             eventQueue, fabric, keyDirectory, asCfg,
             cfg.seed ^ (0x2 + static_cast<std::uint64_t>(i) * 0x1000));
@@ -101,18 +95,15 @@ Cloud::Cloud(CloudConfig config)
         controller::CloudControllerConfig ccCfg;
         ccCfg.id = shardIds[k];
         ccCfg.timing = cfg.timing;
-        ccCfg.reliability = cfg.reliability;
         ccCfg.attestorIds = asIds;
         ccCfg.identityKeyBits = cfg.identityKeyBits;
-        ccCfg.durable = cfg.durableControlPlane;
         ccCfg.checkpointPolicy = cfg.checkpointPolicy;
         ccCfg.relayCacheCapacity = cfg.dedupCacheCapacity;
         shardConfigs.push_back(std::move(ccCfg));
     }
     controlPlane = std::make_unique<controller::ControllerFabric>(
         eventQueue, fabric, keyDirectory, std::move(shardConfigs),
-        shardSeeds, cfg.controllerRingVirtualNodes, numReplicas,
-        cfg.controllerElection);
+        shardSeeds, numReplicas);
     for (std::size_t i = 0; i < controlPlane->numNodes(); ++i) {
         controller::CloudController &node = controlPlane->node(i);
         keyDirectory.publish(node.id(), node.identityPublic());
@@ -140,19 +131,14 @@ Cloud::Cloud(CloudConfig config)
             *attestors[static_cast<std::size_t>(i) % attestors.size()];
         server::CloudServerConfig scfg;
         scfg.id = "server-" + std::to_string(i + 1);
-        scfg.controllerId = controlPlane->shard(0).id();
         scfg.controllerIds.insert(controllerNodeIds.begin(),
                                   controllerNodeIds.end());
-        scfg.attestationServerId = clusterAs.id();
         scfg.pcaId = pca->id();
         scfg.capabilities = caps;
-        scfg.pcpus = cfg.serverPcpus;
         scfg.sched = cfg.sched;
         scfg.hypervisorCode = cfg.hypervisorCode;
         scfg.hostOsCode = cfg.hostOsCode;
-        scfg.firmwareVersion = cfg.serverFirmwareVersion;
         scfg.timing = cfg.timing;
-        scfg.reliability = cfg.reliability;
         scfg.attestorIds.insert(asIds.begin(), asIds.end());
         scfg.identityKeyBits = cfg.identityKeyBits;
         scfg.aikBits = cfg.aikBits;
@@ -194,8 +180,8 @@ Cloud::addCustomer(const std::string &id)
         groups.push_back(controlPlane->groupIds(k));
     auto customer = std::make_unique<Customer>(
         eventQueue, fabric, keyDirectory, id,
-        cfg.seed + 10000 + customers.size(), cfg.reliability,
-        controlPlane->ring(), std::move(groups));
+        cfg.seed + 10000 + customers.size(), controlPlane->ring(),
+        std::move(groups));
     keyDirectory.publish(id, customer->identityPublic());
     customers.push_back(std::move(customer));
     return *customers.back();

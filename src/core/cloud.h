@@ -50,9 +50,7 @@ struct CloudConfig
     int numAttestationServers = 1;
     std::uint64_t seed = 20150613;
     proto::TimingModel timing;
-    net::LinkParams link; //!< 1 Gbps, 100 us by default.
     hypervisor::CreditScheduler::Params sched;
-    int serverPcpus = 4;
 
     /** Capabilities granted to every server; empty = all four. */
     std::set<proto::SecurityProperty> serverCapabilities;
@@ -62,22 +60,16 @@ struct CloudConfig
     Bytes hostOsCode = toBytes("dom0-linux-3.11-pristine");
 
     /**
-     * Firmware TCB version every server boots with (reported in the
-     * TcbVersion measurement when an AS demands it). A rolled-back
-     * host reports the fault plan's downgraded version instead.
-     */
-    std::uint64_t serverFirmwareVersion = 2;
-
-    /**
      * Minimum-TCB policy installed on every Attestation Server
      * (DESIGN.md §18): 0 (the default) disarms the policy and keeps
      * legacy golden traces byte-identical; a positive floor makes the
-     * AS demand the TcbVersion measurement and fail any property with
-     * TcbRollback when the host's firmware is below it (or when a
-     * stale quote is replayed). Per-property overrides beat the floor.
+     * AS demand the TcbVersion measurement and fail every property
+     * with TcbRollback when the host's firmware is below it (or when a
+     * stale quote is replayed). Servers boot firmware version
+     * server::CloudServerConfig::firmwareVersion (2); a rolled-back
+     * host reports the fault plan's downgraded version instead.
      */
     std::uint64_t minimumTcbVersion = 0;
-    std::map<proto::SecurityProperty, std::uint64_t> tcbPropertyFloors;
 
     std::size_t identityKeyBits = 512;
     std::size_t aikBits = 512;
@@ -94,26 +86,12 @@ struct CloudConfig
     std::uint64_t aikReuseLimit = 16;
 
     /**
-     * End-to-end reliability layer: retransmission timers, receive-side
-     * dedup, AS failover, terminal verdicts. On by default in the full
-     * deployment; a loss-free run is unperturbed because every timer
-     * waits out its request's service time and is cancelled before it
-     * fires (see proto::ReliabilityModel).
+     * Journal-compaction triggers (count / size / age) passed to every
+     * durable entity. The controller, Attestation Servers and pCA
+     * always journal their recoverable state to write-ahead
+     * StableStores and replay it on restart, and every hop runs the
+     * retransmission timers of proto::ReliabilityModel.
      */
-    proto::ReliabilityModel reliability =
-        proto::ReliabilityModel::enabledDefaults();
-
-    /**
-     * Durable control plane: the controller, Attestation Servers and
-     * pCA journal their recoverable state to write-ahead StableStores
-     * and replay it on restart. Journal writes cost zero simulated
-     * time and recovery only runs after a crash, so clean-wire runs
-     * are byte-identical either way (bench_recovery A/Bs this knob).
-     */
-    bool durableControlPlane = true;
-
-    /** Journal-compaction triggers (count / size / age) passed to
-     * every durable entity. */
     sim::CheckpointPolicyConfig checkpointPolicy;
 
     /**
@@ -127,10 +105,6 @@ struct CloudConfig
      */
     int controllerShards = 1;
 
-    /** Virtual nodes per shard on the ownership ring. */
-    int controllerRingVirtualNodes =
-        controller::HashRing::kDefaultVirtualNodes;
-
     /**
      * Replicas per controller shard; every shard is a replica group,
      * and 1 (the default) is a group of one: it is its own majority,
@@ -142,18 +116,11 @@ struct CloudConfig
      * deterministic election and resumes from the mirrored journal.
      * Replica 0 keeps the shard's base id; replica r is
      * "<base-id>-replica-<r>". Only base ids sit on the ownership
-     * ring, so replica failures never remap VM ownership. Forces the
-     * durable control plane on (the journal is what streams).
+     * ring, so replica failures never remap VM ownership. Election
+     * timeouts are drawn deterministically per (replica, round), so a
+     * fixed seed elects the same leader every run.
      */
     int controllerReplicas = 1;
-
-    /**
-     * Replication heartbeat / election tuning (heartbeatInterval,
-     * electionTimeoutMin/Max). Election timeouts are drawn
-     * deterministically per (replica, round), so a fixed seed elects
-     * the same leader every run. Ignored at controllerReplicas = 1.
-     */
-    controller::ElectionTuning controllerElection;
 
     /**
      * Bound for every receive-side dedup cache (controller relay

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "controller/hash_ring.h"
+#include "proto/timing_model.h"
 
 namespace monatt::core
 {
@@ -17,7 +18,6 @@ using proto::ReportToCustomer;
 Customer::Customer(sim::EventQueue &eq, net::Network &network,
                    net::KeyDirectory &directory, std::string id,
                    std::uint64_t seed,
-                   proto::ReliabilityModel reliabilityModel,
                    const controller::HashRing &controllerRing,
                    std::vector<std::vector<std::string>> controllerGroups)
     : events(eq), self(std::move(id)), ring(controllerRing),
@@ -25,8 +25,7 @@ Customer::Customer(sim::EventQueue &eq, net::Network &network,
       dir(directory),
       endpoint(network, self, keys, directory,
                crypto::seedMaterial("customer-endpoint", self, seed)),
-      nonceDrbg(toBytes("customer-nonces:" + self)),
-      reliability(reliabilityModel)
+      nonceDrbg(toBytes("customer-nonces:" + self))
 {
     for (std::vector<std::string> &group : controllerGroups) {
         const std::string base = group.front();
@@ -39,9 +38,6 @@ Customer::Customer(sim::EventQueue &eq, net::Network &network,
         if (isController(from))
             handleMessage(from, msg);
     });
-    endpoint.setReliability(net::EndpointReliability{
-        reliability.enabled, reliability.handshakeRto,
-        reliability.handshakeRetryLimit});
 }
 
 const std::string &
@@ -131,7 +127,7 @@ Customer::sendAttest(const std::string &vid,
     // fire-and-forget with no reply to wait for.
     const bool oneShot = mode == AttestMode::StartupOneTime ||
                          mode == AttestMode::RuntimeOneTime;
-    if (reliability.enabled && oneShot)
+    if (oneShot)
         scheduleRequestRetry(requestId);
     return requestId;
 }
@@ -144,7 +140,7 @@ Customer::scheduleRequestRetry(std::uint64_t requestId)
         return;
     PendingAttest &pending = it->second;
     pending.exchange.timer = events.scheduleAfter(
-        pending.exchange.timeout(reliability.customer()),
+        pending.exchange.timeout(proto::ReliabilityModel::kCustomer),
         [this, requestId] { requestRetryFired(requestId); },
         "customer.attest.retry");
 }
@@ -158,7 +154,7 @@ Customer::requestRetryFired(std::uint64_t requestId)
     PendingAttest &pending = it->second;
     const std::vector<std::string> &group = groups.at(pending.target);
     std::string target = routeTo(pending.target);
-    switch (pending.exchange.expire(reliability.customer())) {
+    switch (pending.exchange.expire(proto::ReliabilityModel::kCustomer)) {
       case sim::Exchange::Expiry::Idle:
         return;
       case sim::Exchange::Expiry::Resend: {

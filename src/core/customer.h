@@ -29,8 +29,8 @@
 
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
-#include "proto/timing_model.h"
 #include "sim/event_queue.h"
+#include "sim/exchange.h"
 
 namespace monatt::controller
 {
@@ -44,12 +44,12 @@ namespace monatt::core
  * Terminal state of one attestation request. Every request reaches a
  * definitive state: a verified report (Verified/Degraded), an explicit
  * controller failure (Failed/Unreachable), or a local retransmission
- * give-up (Unreachable). Nothing hangs in Pending forever while the
- * reliability layer is enabled.
+ * give-up (Unreachable). A one-shot request never hangs in Pending:
+ * its retransmission timer is always armed.
  */
 enum class AttestationOutcome : std::uint8_t
 {
-    Pending = 0,     //!< Still in flight (or reliability disabled).
+    Pending = 0,     //!< Still in flight.
     Verified = 1,    //!< Report arrived and verified end to end.
     Degraded = 2,    //!< Verified, but some property came back Unknown.
     Unreachable = 3, //!< Service did not answer within the budget.
@@ -111,8 +111,7 @@ class Customer
      */
     Customer(sim::EventQueue &eq, net::Network &network,
              net::KeyDirectory &directory, std::string id,
-             std::uint64_t seed, proto::ReliabilityModel reliabilityModel,
-             const controller::HashRing &controllerRing,
+             std::uint64_t seed, const controller::HashRing &controllerRing,
              std::vector<std::vector<std::string>> controllerGroups);
 
     const std::string &id() const { return self; }
@@ -237,7 +236,6 @@ class Customer
      * NotLeader redirects. */
     std::map<std::uint64_t, Bytes> pendingLaunchSends;
 
-    proto::ReliabilityModel reliability;
     std::map<std::uint64_t, LaunchOutcome> launches;
     std::map<std::uint64_t, PendingAttest> pendingAttests;
     std::map<std::uint64_t, AttestOutcomeRecord> outcomes;

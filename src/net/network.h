@@ -94,9 +94,6 @@ class Network
     /** Configure the link between two nodes (symmetric). */
     void setLink(const NodeId &a, const NodeId &b, LinkParams params);
 
-    /** Default parameters for unconfigured links. */
-    void setDefaultLink(LinkParams params) { defaultLink = params; }
-
     /**
      * Send a datagram from env.src to env.dst.
      *

@@ -1,6 +1,7 @@
 #include "net/secure_endpoint.h"
 
 #include "common/logging.h"
+#include "proto/timing_model.h"
 
 namespace monatt::net
 {
@@ -131,8 +132,7 @@ SecureEndpoint::sendSecure(const NodeId &peer, Bytes plaintext,
         oc.exchange.arm(net.eventQueue().now());
         Bytes hello = oc.helloBytes;
         auto &slot = outbound.emplace(peer, std::move(oc)).first->second;
-        if (reliability.enabled)
-            scheduleHelloRetry(peer, slot);
+        scheduleHelloRetry(peer, slot);
         transmit(peer, kHelloTag, std::move(hello), 0);
         return;
     }
@@ -241,8 +241,8 @@ SecureEndpoint::handleAccept(const Envelope &env)
         // from scratch (fresh hello) instead of silently discarding
         // the queued plaintexts, up to the retry budget.
         net.eventQueue().cancel(oc.exchange.timer);
-        if (reliability.enabled && oc.exchange.expire(reliability.hello()) ==
-                                       sim::Exchange::Expiry::Resend) {
+        if (oc.exchange.expire(proto::ReliabilityModel::kHello) ==
+            sim::Exchange::Expiry::Resend) {
             ++counters.handshakeRetries;
             auto serverKey = dir.lookup(env.src);
             if (serverKey) {
@@ -273,7 +273,7 @@ void
 SecureEndpoint::scheduleHelloRetry(const NodeId &peer, OutboundChannel &oc)
 {
     oc.exchange.timer = net.eventQueue().scheduleAfter(
-        oc.exchange.timeout(reliability.hello()),
+        oc.exchange.timeout(proto::ReliabilityModel::kHello),
         [this, peer] { helloRetryFired(peer); }, "endpoint.helloRetry");
 }
 
@@ -285,7 +285,7 @@ SecureEndpoint::helloRetryFired(const NodeId &peer)
         it->second.state != OutboundChannel::State::Handshaking)
         return;
     OutboundChannel &oc = it->second;
-    if (oc.exchange.expire(reliability.hello()) !=
+    if (oc.exchange.expire(proto::ReliabilityModel::kHello) !=
         sim::Exchange::Expiry::Resend) {
         failOutbound(peer);
         return;

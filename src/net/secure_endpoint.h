@@ -13,6 +13,12 @@
  * from a KeyDirectory — the certificate infrastructure the paper
  * assumes ("this is minimally what is required for SSL support, and
  * is already present in all cloud servers").
+ *
+ * Every hello is retransmitted on proto::ReliabilityModel::kHello: an
+ * identical resend after a fixed RTO with exponential backoff, and the
+ * queued plaintexts surface through the delivery-failure handler once
+ * the budget is spent. The timer is schedule-then-cancel, so on a
+ * fault-free wire it is cancelled by the accept before it fires.
  */
 
 #ifndef MONATT_NET_SECURE_ENDPOINT_H
@@ -62,26 +68,6 @@ struct EndpointStats
     std::uint64_t deliveryFailures = 0;  //!< Plaintexts surfaced as lost.
 };
 
-/**
- * Handshake reliability knobs. Disabled by default so a bare endpoint
- * behaves exactly as before; entities enable it from the cloud-wide
- * proto::ReliabilityModel. Retry timers are schedule-then-cancel: on a
- * fault-free run every timer is cancelled before firing, so enabling
- * this does not perturb deterministic runs.
- */
-struct EndpointReliability
-{
-    bool enabled = false;
-    SimTime handshakeRto = msec(250);
-    int handshakeRetryLimit = 5;
-
-    /** The hello's retransmit policy (a fixed RTO). */
-    sim::RetryPolicy hello() const
-    {
-        return {handshakeRto, handshakeRetryLimit};
-    }
-};
-
 /** An entity's secure network attachment. */
 class SecureEndpoint
 {
@@ -125,9 +111,6 @@ class SecureEndpoint
     {
         deliveryFailure_ = std::move(handler);
     }
-
-    /** Configure handshake retransmission. */
-    void setReliability(EndpointReliability r) { reliability = r; }
 
     /**
      * Forget the outbound channel to `peer` so the next send
@@ -219,7 +202,6 @@ class SecureEndpoint
     crypto::HmacDrbg drbg;
     MessageHandler handler_;
     DeliveryFailureHandler deliveryFailure_;
-    EndpointReliability reliability;
     bool isAttached = true;
 
     /** Compiled peer identity keys, reused across every handshake

@@ -5,11 +5,11 @@
 namespace monatt::proto
 {
 
-DurableLog::DurableLog(std::string nodeId, bool enabled,
+DurableLog::DurableLog(std::string nodeId,
                        sim::CheckpointPolicyConfig policy,
                        SnapshotFn snapshotFn, ApplyFn applyFn)
     : disk(std::move(nodeId)), ckpt(policy), snapshot(std::move(snapshotFn)),
-      apply(std::move(applyFn)), on(enabled)
+      apply(std::move(applyFn))
 {
 }
 
@@ -25,7 +25,7 @@ DurableLog::sync()
 void
 DurableLog::checkpointIfDue(SimTime now)
 {
-    if (!on || muted || !ckpt.shouldCheckpoint(disk, now))
+    if (muted || !ckpt.shouldCheckpoint(disk, now))
         return;
     disk.checkpoint(encode(snapshot()));
     ckpt.noteCheckpoint();
@@ -34,7 +34,7 @@ DurableLog::checkpointIfDue(SimTime now)
 void
 DurableLog::commit(SimTime now)
 {
-    if (!on || muted)
+    if (muted)
         return;
     sync();
     checkpointIfDue(now);
@@ -43,8 +43,6 @@ DurableLog::commit(SimTime now)
 void
 DurableLog::recover(const std::function<void()> &rearm)
 {
-    if (!on)
-        return;
     ++recoveries_;
     muted = true;
     auto image = disk.replay();
@@ -79,8 +77,6 @@ DurableLog::recover(const std::function<void()> &rearm)
 void
 DurableLog::verifyMirror()
 {
-    if (!on)
-        return;
     const auto healed = disk.verifyDurable();
     if (healed.clean())
         return;
@@ -98,8 +94,7 @@ void
 DurableLog::crash()
 {
     fence();
-    if (on)
-        disk.crash();
+    disk.crash();
 }
 
 } // namespace monatt::proto

@@ -10,10 +10,9 @@
  * its state, as a proto::Snapshot) and its one applyJournalRecord,
  * which replays snapshot records and journal records alike.
  *
- * A disabled log (the entity's `durable` flag off) never touches its
- * store: appends, commits and recovery are no-ops, and a crash only
- * bumps the era. Appends cost zero simulated time, so a clean-wire
- * run is byte-identical with the log on or off.
+ * Every one of the three entities journals. Appends cost zero
+ * simulated time and recovery runs only after a crash, so journaling
+ * never moves a fault-free run's simulated clock.
  */
 
 #ifndef MONATT_PROTO_DURABLE_LOG_H
@@ -39,12 +38,9 @@ class DurableLog
     /** The entity's one apply path for snapshot and journal records. */
     using ApplyFn = std::function<void(const sim::JournalRecord &)>;
 
-    DurableLog(std::string nodeId, bool enabled,
-               sim::CheckpointPolicyConfig policy, SnapshotFn snapshot,
-               ApplyFn apply);
+    DurableLog(std::string nodeId, sim::CheckpointPolicyConfig policy,
+               SnapshotFn snapshot, ApplyFn apply);
 
-    bool enabled() const { return on; }
-    void setEnabled(bool enabled) { on = enabled; }
     void setPolicy(sim::CheckpointPolicyConfig config)
     {
         ckpt = sim::CheckpointPolicy(config);
@@ -60,7 +56,7 @@ class DurableLog
     template <typename Type, typename R>
     void append(Type type, const R &record)
     {
-        if (on && !muted)
+        if (!muted)
             disk.append(static_cast<std::uint16_t>(type), encode(record));
     }
 
@@ -111,7 +107,6 @@ class DurableLog
     sim::CheckpointPolicy ckpt;
     SnapshotFn snapshot;
     ApplyFn apply;
-    bool on;
     bool muted = false;
     std::uint64_t era_ = 0;
     std::uint64_t recoveries_ = 0;

@@ -25,89 +25,46 @@ namespace monatt::proto
 {
 
 /**
- * Protocol reliability knobs: per-hop retransmission timers with
- * exponential backoff and bounded retry budgets, plus controller-side
- * health tracking / failover. A timer waits out the service time its
- * request asked for (TimingModel::forwardBudget, measureBudget) plus
- * the RTO of the network remainder, so on a loss-free wire every timer
- * is cancelled before it fires, and enabling reliability perturbs
- * nothing (cancelled events neither run nor advance the clock).
+ * Protocol reliability timers, declared once for every entity: per-hop
+ * retransmission with exponential backoff and bounded retry budgets,
+ * plus the controller's health tracking and failover. Every request
+ * timer is armed. A timer waits out the service time its request asked
+ * for (TimingModel::forwardBudget, measureBudget) plus the RTO of the
+ * network remainder, so on a loss-free wire every timer is cancelled
+ * before it fires (cancelled events neither run nor advance the clock).
+ *
+ * The forward and measure hops pass an RttEstimator to sim::Exchange,
+ * so once sampled their remainder RTO adapts within [kMinRto, kMaxRto];
+ * the fixed RTOs below bound it until a hop's first sample. The
+ * customer, cert and hello hops pass none and keep their fixed RTO:
+ * each already exceeds its hop's service time.
  */
 struct ReliabilityModel
 {
-    /**
-     * Master switch for all protocol timers. Off by default so
-     * entities constructed standalone (unit fixtures, historic
-     * deployments) keep their exact legacy behavior; the full-stack
-     * Cloud opts in via enabledDefaults().
-     */
-    bool enabled = false;
+    static constexpr SimTime kMinRto = msec(200);   //!< Adaptive floor.
+    static constexpr SimTime kMaxRto = seconds(30); //!< Adaptive ceiling.
 
-    // --- SecureEndpoint handshake ------------------------------------
-    SimTime handshakeRto = msec(250);
-    int handshakeRetryLimit = 5;
-
-    // --- Customer -> Controller (whole attestation) --------------------
-    SimTime customerRto = seconds(10);
-    int customerRetryLimit = 3;
-
-    // --- Controller -> Attestation Server (AttestForward) --------------
-    SimTime forwardRto = seconds(6);
-    int forwardRetryLimit = 2;
-
-    // --- Attestation Server -> Cloud Server (MeasureRequest) -----------
-    SimTime measureRto = seconds(4);
-    int measureRetryLimit = 2;
-
-    // --- Cloud Server -> privacy CA (CertRequest) ----------------------
-    SimTime certRto = seconds(2);
-    int certRetryLimit = 3;
+    /** SecureEndpoint handshake (the hello). */
+    static constexpr sim::RetryPolicy kHello{msec(250), 5, kMinRto,
+                                             kMaxRto};
+    /** Customer -> Controller (whole attestation). */
+    static constexpr sim::RetryPolicy kCustomer{seconds(10), 3, kMinRto,
+                                                kMaxRto};
+    /** Controller -> Attestation Server (AttestForward). */
+    static constexpr sim::RetryPolicy kForward{seconds(6), 2, kMinRto,
+                                               kMaxRto};
+    /** Attestation Server -> Cloud Server (MeasureRequest). */
+    static constexpr sim::RetryPolicy kMeasure{seconds(4), 2, kMinRto,
+                                               kMaxRto};
+    /** Cloud Server -> privacy CA (CertRequest). */
+    static constexpr sim::RetryPolicy kCert{seconds(2), 3, kMinRto,
+                                            kMaxRto};
 
     // --- Controller health tracking / failover -------------------------
-    int failoverLimit = 1;    //!< Max AS switches per request.
-    int suspectThreshold = 2; //!< Timeouts before an AS is suspect.
-
-    // --- Adaptive retry budgets ----------------------------------------
-    /**
-     * When set, the forward and measure hops derive the RTO of their
-     * network remainder (RTT minus the request's service budget) from
-     * samples; the fixed RTOs above bound it until a hop's first
-     * sample. The customer, cert and hello timers stay fixed: each
-     * already exceeds its hop's service time.
-     */
-    bool adaptiveRto = true;
-    SimTime minRto = msec(200);  //!< Floor for the adaptive RTO.
-    SimTime maxRto = seconds(30); //!< Ceiling for the adaptive RTO.
-
-    /** A hop's retransmit policy (sim::Exchange does the arithmetic). */
-    sim::RetryPolicy
-    policy(SimTime rto, int retryLimit) const
-    {
-        return {rto, retryLimit, adaptiveRto, minRto, maxRto};
-    }
-
-    sim::RetryPolicy customer() const
-    {
-        return policy(customerRto, customerRetryLimit);
-    }
-    sim::RetryPolicy forward() const
-    {
-        return policy(forwardRto, forwardRetryLimit);
-    }
-    sim::RetryPolicy measure() const
-    {
-        return policy(measureRto, measureRetryLimit);
-    }
-    sim::RetryPolicy cert() const { return policy(certRto, certRetryLimit); }
-
-    /** The default knob set with the master switch on. */
-    static ReliabilityModel
-    enabledDefaults()
-    {
-        ReliabilityModel model;
-        model.enabled = true;
-        return model;
-    }
+    /** AS switches per request. */
+    static constexpr int kFailoverLimit = 1;
+    /** Forward-budget exhaustions before an AS is suspect. */
+    static constexpr int kSuspectThreshold = 2;
 };
 
 /** Simulated processing-cost model. */

@@ -45,9 +45,6 @@ CloudServer::CloudServer(sim::EventQueue &eq, net::Network &network,
     endpoint.onMessage([this](const net::NodeId &from, const Bytes &msg) {
         handleMessage(from, msg);
     });
-    endpoint.setReliability(net::EndpointReliability{
-        cfg.reliability.enabled, cfg.reliability.handshakeRto,
-        cfg.reliability.handshakeRetryLimit});
 }
 
 void
@@ -137,16 +134,12 @@ CloudServer::handleMessage(const net::NodeId &from, const Bytes &plaintext)
 bool
 CloudServer::isAttestor(const net::NodeId &from) const
 {
-    if (cfg.attestorIds.empty())
-        return from == cfg.attestationServerId;
     return cfg.attestorIds.count(from) != 0;
 }
 
 bool
 CloudServer::isController(const net::NodeId &from) const
 {
-    if (cfg.controllerIds.empty())
-        return from == cfg.controllerId;
     return cfg.controllerIds.count(from) != 0;
 }
 
@@ -236,8 +229,7 @@ CloudServer::beginAikSession(std::uint64_t requestId)
     pa.certRequestBytes = pack(MessageKind::CertRequest, creq);
     pa.cert.arm(events.now());
     endpoint.sendSecure(cfg.pcaId, Bytes(pa.certRequestBytes));
-    if (cfg.reliability.enabled)
-        scheduleCertRetry(requestId);
+    scheduleCertRetry(requestId);
 
     collectMeasurements(requestId);
 }
@@ -247,12 +239,12 @@ CloudServer::scheduleCertRetry(std::uint64_t requestId)
 {
     PendingAttestation &pa = pending.at(requestId);
     pa.cert.timer = events.scheduleAfter(
-        pa.cert.timeout(cfg.reliability.cert()), [this, requestId] {
+        pa.cert.timeout(proto::ReliabilityModel::kCert), [this, requestId] {
         auto it = pending.find(requestId);
         if (it == pending.end() || it->second.haveCert)
             return;
         PendingAttestation &p = it->second;
-        switch (p.cert.expire(cfg.reliability.cert())) {
+        switch (p.cert.expire(proto::ReliabilityModel::kCert)) {
           case sim::Exchange::Expiry::Idle:
             return;
           case sim::Exchange::Expiry::Resend:

@@ -46,28 +46,24 @@ namespace monatt::server
 struct CloudServerConfig
 {
     std::string id;
-    std::string controllerId = "cloud-controller";
 
     /**
-     * Every controller shard allowed to command this server. Under a
-     * sharded control plane a VM's owning shard (any of them) sends
-     * the launch/terminate/suspend/resume/migrate commands. Empty =
-     * just controllerId.
+     * Every controller node allowed to command this server (all
+     * replicas of all shards). Under a sharded control plane a VM's
+     * owning shard (any of them) sends the launch/terminate/suspend/
+     * resume/migrate commands; commands from any other node are
+     * dropped.
      */
     std::set<std::string> controllerIds;
-    std::string attestationServerId = "attestation-server";
     std::string pcaId = "privacy-ca";
 
     /**
      * All Attestation Servers allowed to request measurements. Under
      * controller failover a request for a VM hosted here may arrive
-     * from any AS in the cloud, not just the cluster's primary. Empty
-     * = just attestationServerId.
+     * from any AS in the cloud, not just the cluster's primary;
+     * requests from any other node are refused.
      */
     std::set<std::string> attestorIds;
-
-    /** Retransmission knobs (pCA round trip, handshakes). */
-    proto::ReliabilityModel reliability;
 
     /** Security properties this server can monitor (the capability
      * table the controller's property_filter consults). */

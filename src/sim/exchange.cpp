@@ -44,7 +44,7 @@ SimTime
 Exchange::timeout(const RetryPolicy &policy, const RttEstimator *hop)
 {
     SimTime rto = policy.rto;
-    if (hop != nullptr && policy.adaptive && hop->samples > 0)
+    if (hop != nullptr && hop->samples > 0)
         rto = std::min(std::max(2 * hop->srtt + 4 * hop->rttvar,
                                 policy.minRto),
                        policy.maxRto);

@@ -40,14 +40,15 @@ struct RttEstimator
     void addSample(SimTime rtt);
 };
 
-/** Retransmit knobs of one hop. */
+/** Retransmit budget of one hop. A hop adapts exactly when it passes
+ * an RttEstimator: its remainder RTO then follows the estimate once
+ * sampled, clamped to [minRto, maxRto]. */
 struct RetryPolicy
 {
     SimTime rto = 0;    //!< Fixed remainder RTO (before any sample).
     int retryLimit = 0; //!< Resends before the exchange gives up.
-    bool adaptive = false; //!< Use the hop's estimate once sampled.
-    SimTime minRto = 0;    //!< Floor for the adaptive RTO.
-    SimTime maxRto = 0;    //!< Ceiling for the adaptive RTO.
+    SimTime minRto = 0; //!< Floor for the adaptive RTO.
+    SimTime maxRto = 0; //!< Ceiling for the adaptive RTO.
 };
 
 /** One outstanding request; see the file comment. */

@@ -26,8 +26,8 @@
  * handing out garbage.
  *
  * The store is deliberately simulation-friendly:
- *  - appends cost zero simulated time, so a clean-wire run with
- *    journaling enabled is byte-identical to one without;
+ *  - appends cost zero simulated time, so journaling never moves a
+ *    clean-wire run's simulated clock;
  *  - every storage-fault verdict is a pure function of (seed, node,
  *    LSN), so a same-seed re-run corrupts the same records;
  *  - `digest()` folds the durable image into one 64-bit value so

@@ -6,7 +6,9 @@
  * reused certificate hits the cache with a byte-identical verdict,
  * while a tampered certificate misses the cache, fails cold
  * verification, and still yields an authentic report with every
- * property Unknown.
+ * property Unknown. The same fixture checks the measure hop's
+ * retransmission: an unanswered MeasureRequest is resent byte for byte
+ * and then given up with an authentic all-Unknown report.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "crypto/sha256.h"
 #include "net/secure_endpoint.h"
 #include "proto/messages.h"
+#include "proto/timing_model.h"
 #include "sim/event_queue.h"
 #include "tpm/certificate.h"
 
@@ -124,11 +127,23 @@ TEST(CertVerificationCacheTest, ZeroCapacityClampsToOne)
 
 // --- End-to-end: §3.4 semantics through the Attestation Server --------
 
+/** The product's AS configuration; "cloud-controller" is the one node
+ * allowed to forward. */
+AttestationServerConfig
+asConfig()
+{
+    AttestationServerConfig cfg;
+    cfg.controllerIds = {"cloud-controller"};
+    return cfg;
+}
+
 /**
  * A minimal message-driven deployment: the real AttestationServer plus
  * hand-rolled "cloud-controller" and "server-1" endpoints, with the
  * fixture playing privacy CA (it holds the pCA private key and crafts
- * AVK certificates directly).
+ * AVK certificates directly). The AS runs the product's timers, so a
+ * MeasureRequest left unanswered is resent after its service budget
+ * plus the remainder RTO (about 6.3 s for the windowed property here).
  */
 class CertCacheEndToEnd : public ::testing::Test
 {
@@ -139,7 +154,7 @@ class CertCacheEndToEnd : public ::testing::Test
           aik(generate(0xa1c)),
           controllerKeys(generate(0xcc1)),
           serverKeys(generate(0x5e1)),
-          as(events, network, dir, AttestationServerConfig{}, 42),
+          as(events, network, dir, asConfig(), 42),
           controller(network, "cloud-controller", controllerKeys, dir,
                      toBytes("controller-seed")),
           server(network, "server-1", serverKeys, dir,
@@ -166,8 +181,10 @@ class CertCacheEndToEnd : public ::testing::Test
                 unpacked.value().kind == MessageKind::MeasureRequest) {
                 auto req = proto::decode<proto::MeasureRequest>(
                     unpacked.value().body);
-                if (req)
+                if (req) {
                     measureRequests.push_back(req.take());
+                    measureArrivals.push_back(events.now());
+                }
             }
         });
     }
@@ -181,7 +198,9 @@ class CertCacheEndToEnd : public ::testing::Test
     }
 
     /** Forward one attestation request and capture the MeasureRequest
-     * the Attestation Server emits toward "server-1". */
+     * the Attestation Server emits toward "server-1". One second covers
+     * the 80 ms appraisal delay and both handshakes, and ends before
+     * the request's retransmit timer (at least 2.49 s) fires. */
     proto::MeasureRequest forwardAndCapture(std::uint64_t requestId)
     {
         proto::AttestForward fwd;
@@ -195,7 +214,7 @@ class CertCacheEndToEnd : public ::testing::Test
         controller.sendSecure(as.id(),
                               proto::packMessage(MessageKind::AttestForward,
                                                  proto::encode(fwd)));
-        events.advance(seconds(10));
+        events.advance(seconds(1));
         EXPECT_EQ(measureRequests.size(), seen + 1);
         if (measureRequests.size() == seen)
             return {}; // never .back() an empty capture
@@ -241,6 +260,7 @@ class CertCacheEndToEnd : public ::testing::Test
     net::SecureEndpoint controller;
     net::SecureEndpoint server;
     std::vector<proto::MeasureRequest> measureRequests;
+    std::vector<SimTime> measureArrivals; //!< Parallel to measureRequests.
     std::vector<proto::ReportToController> reports;
 };
 
@@ -330,6 +350,46 @@ TEST_F(CertCacheEndToEnd, TamperedCertificateMissesAndYieldsUnknown)
     // The report itself is authentic: signed by the AS identity key.
     EXPECT_TRUE(crypto::rsaVerify(crypto::RsaPublicContext(as.identityPublic()),
                                   bad.signedPortion(), bad.signature));
+}
+
+TEST_F(CertCacheEndToEnd, UnansweredMeasureIsResentThenGivenUp)
+{
+    const proto::MeasureRequest first = forwardAndCapture(1);
+    // The fixture server never answers.
+    events.advance(seconds(60));
+
+    // Two resends (the retry limit), each byte-identical to the first
+    // request: same request id, same nonce3.
+    constexpr sim::RetryPolicy measure = proto::ReliabilityModel::kMeasure;
+    ASSERT_EQ(measureRequests.size(), 3u);
+    for (const proto::MeasureRequest &copy : measureRequests) {
+        EXPECT_EQ(copy.requestId, first.requestId);
+        EXPECT_EQ(copy.nonce3, first.nonce3);
+        EXPECT_EQ(proto::encode(copy), proto::encode(first));
+    }
+    EXPECT_EQ(as.stats().measureRetries,
+              static_cast<std::uint64_t>(measure.retryLimit));
+
+    // Each timeout waits out the windowed measurement's service budget,
+    // then the remainder RTO, doubled per resend. The first copy also
+    // waited for the handshake, so its gap is a little shorter.
+    const SimTime budget = proto::TimingModel{}.measureBudget(true);
+    EXPECT_NEAR(toSeconds(measureArrivals[1] - measureArrivals[0]),
+                toSeconds(budget + measure.rto), 0.01);
+    EXPECT_EQ(measureArrivals[2] - measureArrivals[1],
+              budget + 2 * measure.rto);
+
+    // After the last resend times out the AS gives up: the controller
+    // receives an authentic report with every property Unknown.
+    EXPECT_EQ(as.stats().measureTimeouts, 1u);
+    ASSERT_EQ(reports.size(), 1u);
+    const proto::ReportToController &report = reports.back();
+    EXPECT_EQ(report.requestId, 1u);
+    ASSERT_FALSE(report.report.results.empty());
+    for (const proto::PropertyResult &pr : report.report.results)
+        EXPECT_EQ(pr.status, HealthStatus::Unknown);
+    EXPECT_TRUE(crypto::rsaVerify(crypto::RsaPublicContext(as.identityPublic()),
+                                  report.signedPortion(), report.signature));
 }
 
 } // namespace

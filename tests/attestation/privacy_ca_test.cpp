@@ -3,7 +3,9 @@
  * The privacy CA certifies an AVK only under the requesting server's
  * currently published identity key: after a rotation, a request signed
  * with the old key is refused and one signed with the new key is
- * certified, even though the pCA compiled the old key before.
+ * certified, even though the pCA compiled the old key before. The pCA
+ * answers on a channel it opens itself, and runs the product's hello
+ * timer on it: a lost hello is resent and the answer still arrives.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <optional>
 
 #include "attestation/privacy_ca.h"
+#include "proto/timing_model.h"
 
 namespace monatt::attestation
 {
@@ -76,6 +79,26 @@ TEST(PrivacyCaTest, VerifiesUnderTheRotatedKeyNotAStaleContext)
     EXPECT_TRUE(f.certify(f.newKeys, "aik-3").ok);
     EXPECT_EQ(f.pca.issued(), 2u);
     EXPECT_EQ(f.pca.rejected(), 1u);
+}
+
+TEST(PrivacyCaTest, ResendsALostReplyHello)
+{
+    PcaFixture f;
+    std::vector<SimTime> pcaHellos;
+    f.network.setAdversary([&](const net::Envelope &env) {
+        if (env.src == "privacy-ca" && env.channel == "ssl-hello") {
+            pcaHellos.push_back(f.events.now());
+            if (pcaHellos.size() == 1)
+                return std::optional<net::Envelope>{};
+        }
+        return std::optional<net::Envelope>{env};
+    });
+
+    EXPECT_TRUE(f.certify(f.oldKeys, "aik-1").ok);
+    ASSERT_EQ(pcaHellos.size(), 2u);
+    EXPECT_EQ(pcaHellos[1] - pcaHellos[0],
+              proto::ReliabilityModel::kHello.rto);
+    EXPECT_EQ(f.pca.issued(), 1u);
 }
 
 } // namespace

@@ -74,17 +74,16 @@ TEST(ReplicaLedgerTest, UnreplicatedGroupCommitsImmediately)
 
 TEST(ElectionTest, TimeoutIsDeterministicAndBounded)
 {
-    const ElectionTuning tuning;
     const std::vector<std::string> group{"a", "b", "c"};
-    ElectionState a("a", group, tuning);
-    ElectionState a2("a", group, tuning);
-    ElectionState b("b", group, tuning);
+    ElectionState a("a", group);
+    ElectionState a2("a", group);
+    ElectionState b("b", group);
 
     // Pure function of (id, round): re-evaluation never drifts, so a
     // fixed seed elects the same leader on every run.
     EXPECT_EQ(a.electionTimeout(), a2.electionTimeout());
-    EXPECT_GE(a.electionTimeout(), tuning.electionTimeoutMin);
-    EXPECT_LT(a.electionTimeout(), tuning.electionTimeoutMax);
+    EXPECT_GE(a.electionTimeout(), ElectionState::kElectionTimeoutMin);
+    EXPECT_LT(a.electionTimeout(), ElectionState::kElectionTimeoutMax);
 
     // Distinct replicas draw distinct jitter (for these ids), which is
     // what breaks symmetry without any randomness.
@@ -93,7 +92,7 @@ TEST(ElectionTest, TimeoutIsDeterministicAndBounded)
 
 TEST(ElectionTest, MajorityOfVotesPromotes)
 {
-    ElectionState cand("b", {"a", "b", "c"}, {});
+    ElectionState cand("b", {"a", "b", "c"});
     EXPECT_EQ(cand.role(), ReplicaRole::Follower);
     cand.startCandidacy();
     EXPECT_EQ(cand.role(), ReplicaRole::PotentialLeader);
@@ -108,7 +107,7 @@ TEST(ElectionTest, MajorityOfVotesPromotes)
 
 TEST(ElectionTest, VotesAreSingleUsePerRound)
 {
-    ElectionState voter("c", {"a", "b", "c"}, {});
+    ElectionState voter("c", {"a", "b", "c"});
     EXPECT_TRUE(voter.considerVote(1, 0, 0, 0, 0));
     // Second candidate in the same round: already spent.
     EXPECT_FALSE(voter.considerVote(1, 0, 0, 0, 0));
@@ -118,7 +117,7 @@ TEST(ElectionTest, VotesAreSingleUsePerRound)
 
 TEST(ElectionTest, StaleLogsAreRefusedVotes)
 {
-    ElectionState voter("c", {"a", "b", "c"}, {});
+    ElectionState voter("c", {"a", "b", "c"});
     // Candidate's mirror is behind ours: refuse, but adopt the round
     // so our own next candidacy outbids it.
     EXPECT_FALSE(voter.considerVote(3, /*candLastLogRound=*/1,
@@ -135,8 +134,8 @@ TEST(ElectionTest, StaleLogsAreRefusedVotes)
 TEST(ElectionTest, BootstrapSpendsEveryReplicasRoundOneVote)
 {
     const std::vector<std::string> group{"a", "b", "c"};
-    ElectionState primary("a", group, {});
-    ElectionState follower("b", group, {});
+    ElectionState primary("a", group);
+    ElectionState follower("b", group);
     primary.bootstrap(/*primary=*/true);
     follower.bootstrap(/*primary=*/false);
     EXPECT_EQ(primary.role(), ReplicaRole::Leader);
@@ -150,7 +149,7 @@ TEST(ElectionTest, BootstrapSpendsEveryReplicasRoundOneVote)
 
 TEST(ElectionTest, ObservingAHigherRoundLeaderDemotes)
 {
-    ElectionState node("a", {"a", "b", "c"}, {});
+    ElectionState node("a", {"a", "b", "c"});
     node.bootstrap(/*primary=*/true);
     ASSERT_EQ(node.role(), ReplicaRole::Leader);
     EXPECT_TRUE(node.observeLeader("b", 2));

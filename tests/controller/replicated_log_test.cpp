@@ -8,9 +8,9 @@
  * replicas elect a leader and commit at a majority, the cursor stalls
  * with two of three down, a deposed leader drops its gated output, and
  * a primary cut off at boot leaves no second leader in its round.
- * A group of one releases its staged sends at the commit point (journal
- * on or off), never arms a timer or sends a control message, and leads
- * again at once after a restart.
+ * A group of one releases its staged sends at the commit point, never
+ * arms a timer or sends a control message, and leads again at once
+ * after a restart.
  */
 
 #include <gtest/gtest.h>
@@ -51,10 +51,10 @@ struct World;
 struct Replica : ReplicatedLog::Io
 {
     Replica(World &w, std::string name, std::vector<std::string> group,
-            bool primary, bool durable)
+            bool primary)
         : world(w), id(std::move(name)),
           journal(
-              id, durable, {},
+              id, {},
               [this] {
                   proto::Snapshot snap;
                   snap.add(kCount, CountRecord{count});
@@ -64,7 +64,7 @@ struct Replica : ReplicatedLog::Io
                   if (auto r = proto::decode<CountRecord>(rec.payload))
                       count = r.value().value;
               }),
-          log(id, std::move(group), {}, primary, journal, *this)
+          log(id, std::move(group), primary, journal, *this)
     {
         log.start();
     }
@@ -141,10 +141,10 @@ struct World
     std::vector<proto::LaunchResponse> outputs; //!< Released sends.
 
     Replica &add(const std::string &id, std::vector<std::string> group,
-                 bool primary, bool durable = true)
+                 bool primary)
     {
         auto node = std::make_unique<Replica>(*this, id, std::move(group),
-                                              primary, durable);
+                                              primary);
         return *(nodes[id] = std::move(node));
     }
 
@@ -354,19 +354,16 @@ TEST(ReplicatedLogTest, PartitionAtBootElectsNoSecondRoundOneLeader)
 
 TEST(ReplicatedLogTest, GroupOfOneReleasesStagedSendsAtTheCommitPoint)
 {
-    for (const bool durable : {true, false}) {
-        SCOPED_TRACE(durable ? "journal on" : "journal off");
-        World world;
-        Replica &solo = world.add("solo", {"solo"}, true, durable);
-        solo.work();
-        EXPECT_TRUE(world.outputs.empty()) << "staged until the commit";
-        solo.log.commit(world.now);
-        ASSERT_EQ(world.outputs.size(), 1u);
-        EXPECT_EQ(solo.log.committedLsn(), durable ? 1u : 0u);
+    World world;
+    Replica &solo = world.add("solo", {"solo"}, true);
+    solo.work();
+    EXPECT_TRUE(world.outputs.empty()) << "staged until the commit";
+    solo.log.commit(world.now);
+    ASSERT_EQ(world.outputs.size(), 1u);
+    EXPECT_EQ(solo.log.committedLsn(), 1u);
 
-        solo.handle();
-        EXPECT_EQ(world.outputs.size(), 2u);
-    }
+    solo.handle();
+    EXPECT_EQ(world.outputs.size(), 2u);
 }
 
 TEST(ReplicatedLogTest, GroupOfOneArmsNoTimerAndSendsNoControlMessage)

@@ -1,11 +1,8 @@
 /**
  * @file
  * Durable control-plane recovery: scripted crash/restart of the
- * controller and pCA against the write-ahead journal, a crashed
- * Attestation Server that must stay silent, plus the
- * clean-wire A/B — a fault-free run with durability enabled must be
- * byte-identical to one with it disabled, because journal appends
- * cost zero simulated time and recovery code only runs after a crash.
+ * controller and pCA against the write-ahead journal, and a crashed
+ * Attestation Server that must stay silent.
  */
 
 #include <gtest/gtest.h>
@@ -14,67 +11,11 @@
 #include <vector>
 
 #include "core/cloud.h"
-#include "crypto/sha256.h"
 
 namespace monatt::core
 {
 namespace
 {
-
-struct CleanTrace
-{
-    std::string digest;
-    std::size_t reportCount = 0;
-    std::size_t eventsExecuted = 0;
-    SimTime endTime = 0;
-};
-
-CleanTrace
-runCleanScenario(bool durable)
-{
-    CloudConfig cfg;
-    cfg.numServers = 3;
-    cfg.seed = 555777;
-    cfg.durableControlPlane = durable;
-    Cloud cloud(cfg);
-    Customer &customer = cloud.addCustomer("alice");
-
-    std::vector<std::string> vids;
-    for (int i = 0; i < 3; ++i) {
-        auto vid = cloud.launchVm(customer, "vm-" + std::to_string(i),
-                                  "cirros", "small",
-                                  proto::allProperties());
-        EXPECT_TRUE(vid.isOk()) << vid.errorMessage();
-        if (vid.isOk())
-            vids.push_back(vid.take());
-    }
-    for (auto &r :
-         cloud.attestMany(customer, vids, proto::allProperties()))
-        EXPECT_TRUE(r.isOk()) << r.errorMessage();
-    cloud.runFor(seconds(1));
-
-    crypto::Sha256 digest;
-    for (const VerifiedReport &r : customer.reports())
-        digest.update(r.report.encode());
-    CleanTrace trace;
-    trace.digest = toHex(digest.digest());
-    trace.reportCount = customer.reports().size();
-    trace.eventsExecuted = cloud.events().executed();
-    trace.endTime = cloud.events().now();
-    return trace;
-}
-
-TEST(RecoveryTest, CleanWireByteIdenticalWithDurabilityOnOrOff)
-{
-    const CleanTrace durable = runCleanScenario(true);
-    const CleanTrace volatileOnly = runCleanScenario(false);
-    ASSERT_GT(durable.reportCount, 0u);
-    EXPECT_EQ(durable.digest, volatileOnly.digest)
-        << "journaling must not perturb fault-free behavior";
-    EXPECT_EQ(durable.reportCount, volatileOnly.reportCount);
-    EXPECT_EQ(durable.eventsExecuted, volatileOnly.eventsExecuted);
-    EXPECT_EQ(durable.endTime, volatileOnly.endTime);
-}
 
 TEST(RecoveryTest, ControllerRestartPreservesDatabase)
 {

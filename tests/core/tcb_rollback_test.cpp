@@ -84,7 +84,7 @@ TEST(TcbRollbackTest, FirmwareRollbackMidFleetQuarantinesAndMigrates)
     CloudConfig cfg;
     cfg.numServers = 4;
     cfg.seed = 93001;
-    cfg.minimumTcbVersion = 2; // == serverFirmwareVersion: floor passes
+    cfg.minimumTcbVersion = 2; // == the servers' firmware: floor passes
                                // until the attacker downgrades a host.
     Cloud cloud(cfg);
     Customer &customer = cloud.addCustomer("alice");

@@ -162,24 +162,20 @@ TEST(SecureEndpointTest, StatsCountTraffic)
 
 // --- Handshake reliability --------------------------------------------
 
-EndpointReliability
-fastRetry(int limit = 5)
-{
-    EndpointReliability r;
-    r.enabled = true;
-    r.handshakeRto = msec(50);
-    r.handshakeRetryLimit = limit;
-    return r;
-}
+// Every endpoint runs proto::ReliabilityModel::kHello: a lost hello is
+// resent after 250 ms, the backoff doubles, and five resends exhaust
+// the budget.
 
 TEST(SecureEndpointReliabilityTest, LostHelloIsRetransmitted)
 {
     EndpointFixture f;
-    f.alice->setReliability(fastRetry());
 
     // Drop exactly the first datagram (the initial hello).
     int dropped = 0;
+    std::vector<SimTime> helloTimes;
     f.net.setAdversary([&](const Envelope &env) {
+        if (env.channel == "ssl-hello")
+            helloTimes.push_back(f.events.now());
         if (dropped == 0) {
             ++dropped;
             return std::optional<Envelope>{};
@@ -191,14 +187,15 @@ TEST(SecureEndpointReliabilityTest, LostHelloIsRetransmitted)
     f.events.runAll();
     ASSERT_EQ(f.bobInbox.size(), 1u);
     EXPECT_EQ(toString(f.bobInbox[0].second), "eventually");
-    EXPECT_GE(f.alice->stats().handshakeRetries, 1u);
+    EXPECT_EQ(f.alice->stats().handshakeRetries, 1u);
     EXPECT_EQ(f.alice->stats().deliveryFailures, 0u);
+    ASSERT_EQ(helloTimes.size(), 2u);
+    EXPECT_EQ(helloTimes[1] - helloTimes[0], msec(250));
 }
 
 TEST(SecureEndpointReliabilityTest, ExhaustedRetriesReportFailure)
 {
     EndpointFixture f;
-    f.alice->setReliability(fastRetry(2));
     f.net.setAdversary(
         [](const Envelope &) { return std::optional<Envelope>{}; });
 
@@ -216,8 +213,11 @@ TEST(SecureEndpointReliabilityTest, ExhaustedRetriesReportFailure)
     ASSERT_EQ(failures.size(), 1u);
     EXPECT_EQ(failures[0].first, "bob");
     EXPECT_EQ(failures[0].second, 2u); // Both queued messages lost.
+    EXPECT_EQ(f.alice->stats().handshakeRetries, 5u);
     EXPECT_EQ(f.alice->stats().handshakeFailures, 1u);
     EXPECT_EQ(f.alice->stats().deliveryFailures, 2u);
+    // The sixth timeout gives up: 250 ms · (1 + 2 + 4 + 8 + 16 + 32).
+    EXPECT_EQ(f.events.now(), msec(250) * 63);
 
     // The failure is not sticky: once the wire heals, a fresh send
     // re-initiates the handshake and delivers.
@@ -231,7 +231,6 @@ TEST(SecureEndpointReliabilityTest, ExhaustedRetriesReportFailure)
 TEST(SecureEndpointReliabilityTest, DuplicateHelloGetsCachedAccept)
 {
     EndpointFixture f;
-    f.alice->setReliability(fastRetry());
 
     // Capture then replay the hello: bob must answer with the cached
     // accept instead of tearing down the live channel.

@@ -2,8 +2,8 @@
  * @file
  * DurableLog, the durable core of the controller, AS and pCA: snapshot
  * records replay before journal records, appends are muted while
- * replaying, a healed image counts once, a disabled log never touches
- * its store, and a crash advances the era that fences callbacks.
+ * replaying, a healed image counts once, and a crash advances the era
+ * that fences callbacks.
  */
 
 #include <gtest/gtest.h>
@@ -36,9 +36,8 @@ constexpr std::uint16_t kNote = 1;
 /** A toy durable entity: its state is the list of notes. */
 struct Notes
 {
-    explicit Notes(bool enabled = true,
-                   sim::CheckpointPolicyConfig policy = {})
-        : log("notes", enabled, policy,
+    explicit Notes(sim::CheckpointPolicyConfig policy = {})
+        : log("notes", policy,
               [this] {
                   Snapshot snap;
                   for (const std::string &text : live)
@@ -82,7 +81,7 @@ everyRecords(std::size_t n)
 
 TEST(DurableLogTest, SnapshotRecordsApplyBeforeJournalRecords)
 {
-    Notes notes(true, everyRecords(2));
+    Notes notes(everyRecords(2));
     notes.write("a");
     notes.write("b"); // second durable record: checkpoint {a, b}
     notes.write("c");
@@ -147,38 +146,16 @@ TEST(DurableLogTest, HealedImageCountsOnce)
     EXPECT_EQ(notes.log.corruptRecoveries(), 1u);
 }
 
-TEST(DurableLogTest, DisabledLogNeverTouchesItsStore)
-{
-    Notes notes(false, everyRecords(1));
-    notes.write("a");
-    notes.log.checkpointIfDue(0);
-    notes.log.crash();
-    notes.log.recover();
-    notes.log.verifyMirror();
-
-    const sim::StableStoreStats &stats = notes.log.store().stats();
-    EXPECT_EQ(stats.appends, 0u);
-    EXPECT_EQ(stats.syncs, 0u);
-    EXPECT_EQ(stats.checkpoints, 0u);
-    EXPECT_EQ(stats.crashes, 0u);
-    EXPECT_EQ(stats.recordsReplayed, 0u);
-    EXPECT_TRUE(notes.log.store().empty());
-    EXPECT_EQ(notes.log.recoveries(), 0u);
-    EXPECT_TRUE(notes.appliedLsns.empty());
-}
-
 TEST(DurableLogTest, CrashBumpsTheEra)
 {
-    for (bool enabled : {true, false}) {
-        Notes notes(enabled);
-        const std::uint64_t armed = notes.log.era();
-        EXPECT_FALSE(notes.log.stale(armed));
-        notes.log.crash();
-        EXPECT_EQ(notes.log.era(), armed + 1);
-        EXPECT_TRUE(notes.log.stale(armed));
-        notes.log.fence();
-        EXPECT_EQ(notes.log.era(), armed + 2);
-    }
+    Notes notes;
+    const std::uint64_t armed = notes.log.era();
+    EXPECT_FALSE(notes.log.stale(armed));
+    notes.log.crash();
+    EXPECT_EQ(notes.log.era(), armed + 1);
+    EXPECT_TRUE(notes.log.stale(armed));
+    notes.log.fence();
+    EXPECT_EQ(notes.log.era(), armed + 2);
 }
 
 } // namespace

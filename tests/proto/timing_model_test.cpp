@@ -68,21 +68,18 @@ TEST(TimingModelTest, CalibrationLandsInPaperRanges)
 
 TEST(ReliabilityModelTest, RtoFallsBackToFixedKnob)
 {
-    ReliabilityModel model;
+    constexpr sim::RetryPolicy forward = ReliabilityModel::kForward;
     sim::Exchange ex;
     ex.arm(0);
     const sim::RttEstimator cold; // No samples yet.
-    EXPECT_EQ(ex.timeout(model.forward(), &cold), model.forwardRto);
+    EXPECT_EQ(ex.timeout(forward, &cold), forward.rto);
 
-    sim::RttEstimator warm;
-    warm.addSample(msec(100));
-    model.adaptiveRto = false;
-    EXPECT_EQ(ex.timeout(model.forward(), &warm), model.forwardRto);
+    // A hop that passes no estimator keeps its fixed RTO.
+    EXPECT_EQ(ex.timeout(forward), forward.rto);
 }
 
 TEST(ReliabilityModelTest, AdaptiveRtoTracksObservedRtt)
 {
-    ReliabilityModel model;
     sim::RttEstimator est;
     for (int i = 0; i < 64; ++i)
         est.addSample(msec(500));
@@ -91,23 +88,24 @@ TEST(ReliabilityModelTest, AdaptiveRtoTracksObservedRtt)
     // sooner.
     sim::Exchange ex;
     ex.arm(0);
-    const SimTime adaptive = ex.timeout(model.forward(), &est);
+    const SimTime adaptive = ex.timeout(ReliabilityModel::kForward, &est);
     EXPECT_LT(adaptive, seconds(2));
     EXPECT_GE(adaptive, 2 * est.srtt);
 }
 
 TEST(ReliabilityModelTest, AdaptiveRtoIsClamped)
 {
-    ReliabilityModel model;
     sim::Exchange ex;
     ex.arm(0);
     sim::RttEstimator tiny;
     tiny.addSample(usec(10));
-    EXPECT_EQ(ex.timeout(model.forward(), &tiny), model.minRto);
+    EXPECT_EQ(ex.timeout(ReliabilityModel::kForward, &tiny),
+              ReliabilityModel::kMinRto);
 
     sim::RttEstimator huge;
     huge.addSample(seconds(100));
-    EXPECT_EQ(ex.timeout(model.forward(), &huge), model.maxRto);
+    EXPECT_EQ(ex.timeout(ReliabilityModel::kForward, &huge),
+              ReliabilityModel::kMaxRto);
 }
 
 TEST(CatalogTest, FlavorsAndImages)

@@ -18,11 +18,12 @@ namespace
 
 using Expiry = Exchange::Expiry;
 
-/** Fixed 1 s remainder RTO, three resends, adaptive after a sample. */
+/** Fixed 1 s remainder RTO, three resends; a hop that passes an
+ * estimator adapts once it is sampled. */
 RetryPolicy
 policy()
 {
-    return {seconds(1), 3, true, msec(200), seconds(30)};
+    return {seconds(1), 3, msec(200), seconds(30)};
 }
 
 // --- RTT estimator (RFC 6298 shape) -----------------------------------
